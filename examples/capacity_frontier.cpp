@@ -22,6 +22,11 @@
  *  - "dlvr"       — frames delivered / total, "rung" the final rate
  *    ladder level, "sync" the resync + sync-loss events absorbed.
  *
+ * A cell whose every run reports the link closed (its calibration
+ * shows no signal gap, Calibration::closedFor) prints "closed" instead
+ * of a chance-level BER and a rate rung: its transport sessions stop
+ * after the burst that detected it.
+ *
  * CI uploads this output as the capacity-frontier artifact; the
  * reference run is summarized in docs/TRANSPORT.md.
  *
@@ -60,6 +65,8 @@ struct FrontierPoint
     double deliveredFrac = 0.0;
     double finalRung = 0.0;
     double syncEvents = 0.0;
+    unsigned closedShots = 0;      //!< single shots reporting closed
+    unsigned closedTransports = 0; //!< sessions stopped as closed
 };
 
 chan::CrossCoreChannelConfig
@@ -100,6 +107,7 @@ measure(const std::string &platformName,
         pt.rawKbps += single.rateKbps;
         pt.singleShotBer += single.ber;
         pt.singleShotGoodput += single.goodputKbps;
+        pt.closedShots += single.closed;
 
         cfg.transport.enabled = true;
         const chan::TransportResult xport =
@@ -111,6 +119,7 @@ measure(const std::string &platformName,
                                 : 0.0;
         pt.finalRung += xport.finalRateLevel;
         pt.syncEvents += xport.syncLosses + xport.resyncs;
+        pt.closedTransports += xport.closed;
     }
     pt.rawKbps /= gSeeds;
     pt.singleShotBer /= gSeeds;
@@ -194,22 +203,33 @@ main(int argc, char **argv)
         t.header({"co-runners", "migr", "raw kbps", "1shot BER",
                   "1shot good", "xport good", "dlvr", "rung", "sync"});
         std::size_t cell = pi * cellsPerPlatform;
+        bool anyClosed = false;
         for (const MixSpec &m : mixes) {
             for (const auto &[migLabel, period] : migrations) {
                 (void)period;
                 const FrontierPoint &pt = points[cell++];
+                const bool shotsClosed = pt.closedShots == gSeeds;
+                anyClosed |= shotsClosed || pt.closedTransports == gSeeds;
                 t.row({m.label, migLabel, fixed(pt.rawKbps, 1),
-                       Table::pct(pt.singleShotBer, 1),
-                       fixed(pt.singleShotGoodput, 1),
+                       shotsClosed ? "closed"
+                                   : Table::pct(pt.singleShotBer, 1),
+                       shotsClosed ? "-" : fixed(pt.singleShotGoodput, 1),
                        fixed(pt.transportGoodput, 1),
                        Table::pct(pt.deliveredFrac, 0),
-                       fixed(pt.finalRung, 1),
+                       pt.closedTransports == gSeeds
+                           ? "closed"
+                           : fixed(pt.finalRung, 1),
                        fixed(pt.syncEvents, 1)});
             }
         }
         t.note("\"1shot good\" counts random bits at high BER; "
                "\"xport good\" only counts CRC-validated payload "
                "bits (retransmissions and rate fallback included).");
+        if (anyClosed) {
+            t.note("\"closed\": every run's calibration showed no "
+                   "signal gap; the transport stopped after its first "
+                   "burst instead of walking the rate ladder.");
+        }
         t.note("seeds averaged per cell: " + std::to_string(gSeeds));
         t.print();
         std::cout << "\n";

@@ -1,5 +1,8 @@
 #include "chan/calibration.hh"
 
+#include <algorithm>
+#include <cmath>
+
 #include "chan/pointer_chase.hh"
 #include "chan/set_mapping.hh"
 #include "common/log.hh"
@@ -28,7 +31,41 @@ strictlyIncreasing(std::vector<double> centroids)
     return centroids;
 }
 
+/**
+ * Standard errors a level gap must clear before the closed-link test
+ * calls it a signal: a gap of zero exceeds 3 se by chance in ~0.13% of
+ * calibrations, so a closed link reads closed with ~99.9% confidence
+ * per adjacent level pair.
+ */
+constexpr double kClosedLinkZ = 3.0;
+
+/** Gap (cycles) below which no sample size makes a link open. */
+constexpr double kClosedLinkMinGap = 0.5;
+
 } // namespace
+
+bool
+Calibration::closedFor(const Encoding &encoding) const
+{
+    const std::vector<unsigned> &levels = encoding.levels();
+    for (std::size_t i = 1; i < levels.size(); ++i) {
+        if (levels[i] >= latencyByD.size())
+            fatalf("closedFor: level ", levels[i],
+                   " out of calibrated range");
+        const Samples &lo = latencyByD[levels[i - 1]];
+        const Samples &hi = latencyByD[levels[i]];
+        if (lo.empty() || hi.empty())
+            return true;
+        const double sLo = lo.stddev();
+        const double sHi = hi.stddev();
+        const double se = std::sqrt(sLo * sLo / double(lo.count()) +
+                                    sHi * sHi / double(hi.count()));
+        if (hi.mean() - lo.mean() <=
+            std::max(kClosedLinkMinGap, kClosedLinkZ * se))
+            return true;
+    }
+    return false;
+}
 
 Classifier
 Calibration::binaryClassifier(unsigned d2) const

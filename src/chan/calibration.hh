@@ -69,6 +69,18 @@ struct Calibration
     std::vector<double> meanByD;     //!< means (repetition decoding)
     std::vector<double> stddevByD;   //!< per-level dispersion
 
+    /**
+     * The closed-link test: true when the smallest gap between the
+     * means of @p encoding's adjacent levels is at most
+     * max(0.5 cycle, 3 * sqrt(s_lo²/n_lo + s_hi²/n_hi)), computed from
+     * latencyByD alone (so it covers every calibrator, same-core or
+     * cross-core). A level with no samples shows no gap. Statistical
+     * rather than a fixed threshold: a coarse timer's per-sample
+     * dispersion hides a real gap in a small calibration and fakes one
+     * in a closed link's large one.
+     */
+    bool closedFor(const Encoding &encoding) const;
+
     /** Classifier for a binary encoding with the given d2. */
     Classifier binaryClassifier(unsigned d2) const;
 

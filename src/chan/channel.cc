@@ -213,6 +213,7 @@ runWithFrame(const ChannelConfig &userCfg, const BitVec &frame)
     }
     res.repetition = rep;
     res.evictionDiscoveryVerified = raw.discoveryVerified;
+    res.closed = raw.calibration.closedFor(enc);
     res.ber = dec.ber;
     res.breakdown = dec.breakdown;
     res.aligned = dec.aligned;
@@ -285,6 +286,7 @@ channelLinkRun(const ChannelConfig &base, const BitVec &stream,
     }
     run.simulatedCycles = raw.simulatedCycles;
     run.schedulerStats = raw.schedulerStats;
+    run.closed = raw.calibration.closedFor(enc);
     return run;
 }
 
@@ -325,6 +327,7 @@ legacyTransportResult(const ChannelResult &r, const ProtocolConfig &proto)
             : 0.0);
     t.simulatedCycles = r.simulatedCycles;
     t.schedulerStats = r.schedulerStats;
+    t.closed = r.closed;
     return t;
 }
 

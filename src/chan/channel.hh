@@ -118,6 +118,14 @@ struct ChannelResult
      */
     bool evictionDiscoveryVerified = true;
 
+    /**
+     * The run's calibration shows no signal gap between adjacent
+     * encoding levels (Calibration::closedFor): the channel is closed
+     * on this platform, and ber is chance, not a measurement. Reported
+     * only; the run itself is unchanged.
+     */
+    bool closed = false;
+
     std::vector<double> calibrationMedians; //!< classifier centroids
 
     sim::PerfCounters senderCounters;   //!< sender process perf view
@@ -161,7 +169,7 @@ TransportResult runTransport(const ChannelConfig &cfg);
 /**
  * Map a legacy single-shot ChannelResult into transport terms (used by
  * the transport-off degenerate path): one "frame" per protocol frame
- * scored, goodput and BER carried over verbatim.
+ * scored, goodput, BER and the closed flag carried over verbatim.
  */
 TransportResult legacyTransportResult(const ChannelResult &r,
                                       const ProtocolConfig &proto);

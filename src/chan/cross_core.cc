@@ -257,6 +257,7 @@ crossCoreLinkRun(const CrossCoreChannelConfig &base, const BitVec &stream,
         enc);
     run.simulatedCycles = raw.simulatedCycles;
     run.schedulerStats = raw.schedulerStats;
+    run.closed = raw.calibration.closedFor(enc);
     return run;
 }
 
@@ -294,6 +295,7 @@ runCrossCoreChannel(const CrossCoreChannelConfig &cfg)
     res.aligned = dec.aligned;
     res.framesScored = dec.framesScored;
     res.framesExpected = dec.framesExpected;
+    res.closed = raw.calibration.closedFor(enc);
     res.rateKbps = proto.rateKbps();
     res.goodputKbps = res.rateKbps * (1.0 - std::min(1.0, res.ber));
     res.sentFrame = frame;

@@ -53,6 +53,12 @@ planRepetition(const ChannelConfig &cfg)
         calCfg.measurements = n;
         const Calibration cal =
             calibrate(cfg.platform, cfg.noise, calCfg, planRng);
+        if (cal.closedFor(enc)) {
+            // No gap the sample size can vouch for: the channel is
+            // closed under this platform/defense, and repetition
+            // cannot reopen it.
+            return kClosedChannelRepetition;
+        }
 
         double minGap = std::numeric_limits<double>::infinity();
         double sigma = 0.0;
@@ -62,11 +68,6 @@ planRepetition(const ChannelConfig &cfg)
                 minGap = std::min(minGap, cal.meanByD[levels[i]] -
                                               cal.meanByD[levels[i - 1]]);
             }
-        }
-        if (!(minGap > 0.5)) {
-            // No measurable separation: the channel is closed under
-            // this platform/defense, and repetition cannot reopen it.
-            return kClosedChannelRepetition;
         }
         if (sigma <= 0.0)
             return 1;

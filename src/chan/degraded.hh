@@ -51,10 +51,11 @@ inline constexpr unsigned kMaxRepetition = 4096;
 
 /**
  * Repetition budget the planner settles on when the planning
- * calibration finds no usable centroid gap (a closed channel —
- * write-through, DAWG — seen through a coarse timer). No R recovers a
- * signal that is not there; this bounded budget keeps sweep cells
- * honest (~50% BER) without running the full ceiling for nothing.
+ * calibration fails the closed-link test (Calibration::closedFor: a
+ * closed channel — write-through, DAWG — seen through a coarse
+ * timer). No R recovers a signal that is not there; this bounded
+ * budget keeps sweep cells honest (~50% BER) without running the full
+ * ceiling for nothing.
  */
 inline constexpr unsigned kClosedChannelRepetition = 256;
 

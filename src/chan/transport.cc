@@ -313,6 +313,12 @@ runTransportSession(const TransportConfig &cfg,
         res.fecCorrectedBits += roundCorrected;
         arq.onRoundEnd(batch);
         ++res.rounds;
+        if (run.closed) {
+            // No slower rung or retry reopens a link whose calibration
+            // shows no gap; the undelivered chunks fail below.
+            res.closed = true;
+            break;
+        }
     }
 
     // --- Honest accounting ---

@@ -151,6 +151,13 @@ struct LinkRun
     BitVec bits;                //!< receiver's classified bit stream
     Cycles simulatedCycles = 0; //!< wall virtual time of the burst
     sim::SchedulerStats schedulerStats; //!< OS-noise activity
+
+    /**
+     * The burst's own calibration shows no signal gap
+     * (Calibration::closedFor): the link is closed, and no slower rung
+     * or retransmission can reopen it.
+     */
+    bool closed = false;
 };
 
 /**
@@ -192,6 +199,13 @@ struct TransportResult
 
     Cycles simulatedCycles = 0; //!< summed over rounds
     sim::SchedulerStats schedulerStats; //!< summed over rounds
+
+    /**
+     * The session stopped at a burst whose link reported closed
+     * (LinkRun::closed): that burst is its last round, and every chunk
+     * it did not deliver counts as failed.
+     */
+    bool closed = false;
 };
 
 /**
@@ -270,6 +284,9 @@ class RateController
  * Run one transport session: split @p message into frames, transmit
  * in selective-repeat rounds over @p link, adapt the rate from the
  * per-round frame error rate, and report delivery/goodput honestly.
+ * A burst whose link reports closed ends the session after its round
+ * is accounted (TransportResult::closed) instead of walking the ARQ
+ * retries and the rate ladder down a link with no signal.
  *
  * @param baseProto the channel's protocol config (rung 0 of the rate
  *        ladder; cpuGhz scales goodput)

@@ -31,34 +31,38 @@ editBreakdown(const std::vector<bool> &sent, const std::vector<bool> &received)
 {
     const std::size_t n = sent.size();
     const std::size_t m = received.size();
-    // Full DP table for backtrace; sequences in this project are short
-    // (hundreds of bits), so O(n*m) memory is fine.
-    std::vector<std::vector<std::size_t>> d(n + 1,
-        std::vector<std::size_t>(m + 1, 0));
+    // Full DP table for backtrace, in one row-major allocation;
+    // sequences in this project are short (hundreds of bits), so
+    // O(n*m) memory is fine.
+    const std::size_t cols = m + 1;
+    std::vector<std::size_t> d((n + 1) * cols);
+    const auto at = [&d, cols](std::size_t i, std::size_t j) -> std::size_t & {
+        return d[i * cols + j];
+    };
     for (std::size_t i = 0; i <= n; ++i)
-        d[i][0] = i;
+        at(i, 0) = i;
     for (std::size_t j = 0; j <= m; ++j)
-        d[0][j] = j;
+        at(0, j) = j;
     for (std::size_t i = 1; i <= n; ++i) {
         for (std::size_t j = 1; j <= m; ++j) {
             const std::size_t sub =
-                d[i - 1][j - 1] + (sent[i - 1] == received[j - 1] ? 0 : 1);
-            d[i][j] = std::min({sub, d[i - 1][j] + 1, d[i][j - 1] + 1});
+                at(i - 1, j - 1) + (sent[i - 1] == received[j - 1] ? 0 : 1);
+            at(i, j) = std::min({sub, at(i - 1, j) + 1, at(i, j - 1) + 1});
         }
     }
 
     EditBreakdown out;
-    out.distance = d[n][m];
+    out.distance = at(n, m);
     std::size_t i = n, j = m;
     while (i > 0 || j > 0) {
         if (i > 0 && j > 0 &&
-            d[i][j] == d[i - 1][j - 1] +
+            at(i, j) == at(i - 1, j - 1) +
                 (sent[i - 1] == received[j - 1] ? 0 : 1)) {
             if (sent[i - 1] != received[j - 1])
                 ++out.substitutions;
             --i;
             --j;
-        } else if (i > 0 && d[i][j] == d[i - 1][j] + 1) {
+        } else if (i > 0 && at(i, j) == at(i - 1, j) + 1) {
             ++out.deletions;
             --i;
         } else {

@@ -41,11 +41,12 @@ SweepRunner::run(std::size_t n, const std::function<void(std::size_t)> &fn)
             try {
                 fn(i);
             } catch (...) {
+                // Drain the remaining indices first, so siblings stop
+                // at their next fetch instead of after the error lock.
+                next.store(n);
                 std::lock_guard<std::mutex> guard(errorLock);
                 if (!error)
                     error = std::current_exception();
-                // Drain the remaining indices so siblings stop early.
-                next.store(n);
                 return;
             }
         }

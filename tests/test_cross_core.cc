@@ -156,9 +156,10 @@ TEST(CrossCorePrimeProbe, InclusiveLlcCarriesTheChannel)
     cfg.frames = 4;
     cfg.targetSet = 37;
 
-    const auto sweep = test::sweepSeeds([cfg](std::uint64_t seed) mutable {
-        cfg.seed = seed;
-        const auto res = baselines::runCrossCorePrimeProbe(cfg, 2, 4);
+    const auto sweep = test::sweepSeeds([cfg](std::uint64_t seed) {
+        baselines::BaselineConfig local = cfg; // the pool shares this lambda
+        local.seed = seed;
+        const auto res = baselines::runCrossCorePrimeProbe(local, 2, 4);
         // This runner systematically truncates the tail frame (its
         // sampling window ends a frame early), and an unlucky noise
         // trajectory can additionally desynchronise one more frame;
@@ -180,9 +181,10 @@ TEST(CrossCorePrimeProbe, NonInclusiveLlcClosesTheChannel)
     cfg.frames = 2;
     cfg.targetSet = 37;
 
-    const auto sweep = test::sweepSeeds([cfg](std::uint64_t seed) mutable {
-        cfg.seed = seed;
-        const auto res = baselines::runCrossCorePrimeProbe(cfg, 2, 2);
+    const auto sweep = test::sweepSeeds([cfg](std::uint64_t seed) {
+        baselines::BaselineConfig local = cfg; // the pool shares this lambda
+        local.seed = seed;
+        const auto res = baselines::runCrossCorePrimeProbe(local, 2, 2);
         const double payload = cfg.frameBits - 16;
         const double expected = res.framesExpected * payload;
         const double scored = res.framesScored * payload;

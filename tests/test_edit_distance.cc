@@ -4,6 +4,8 @@
  * (common/edit_distance.hh), the paper's BER metric.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "common/bitvec.hh"
@@ -103,6 +105,80 @@ TEST(EditBreakdown, LengthDeltaShowsUp)
     const auto br = editBreakdown(bits("1111"), bits("111111"));
     EXPECT_EQ(br.insertions, 2u);
     EXPECT_EQ(br.deletions, 0u);
+}
+
+/**
+ * Naive oracle: the textbook table of row vectors with the same
+ * tie-break order (diagonal, then deletion, then insertion) in the
+ * backtrace, so a storage change in editBreakdown cannot move a
+ * single count.
+ */
+EditBreakdown
+referenceBreakdown(const BitVec &a, const BitVec &b)
+{
+    const std::size_t n = a.size(), m = b.size();
+    std::vector<std::vector<std::size_t>> d(
+        n + 1, std::vector<std::size_t>(m + 1, 0));
+    for (std::size_t i = 0; i <= n; ++i)
+        d[i][0] = i;
+    for (std::size_t j = 0; j <= m; ++j)
+        d[0][j] = j;
+    for (std::size_t i = 1; i <= n; ++i)
+        for (std::size_t j = 1; j <= m; ++j)
+            d[i][j] = std::min({d[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
+                                d[i - 1][j] + 1, d[i][j - 1] + 1});
+    EditBreakdown out;
+    out.distance = d[n][m];
+    std::size_t i = n, j = m;
+    while (i > 0 || j > 0) {
+        if (i > 0 && j > 0 &&
+            d[i][j] == d[i - 1][j - 1] + (a[i - 1] != b[j - 1])) {
+            out.substitutions += a[i - 1] != b[j - 1];
+            --i;
+            --j;
+        } else if (i > 0 && d[i][j] == d[i - 1][j] + 1) {
+            ++out.deletions;
+            --i;
+        } else {
+            ++out.insertions;
+            --j;
+        }
+    }
+    return out;
+}
+
+TEST(EditBreakdown, RandomPairsMatchDistanceAndBacktrace)
+{
+    Rng rng(11);
+    for (int trial = 0; trial < 200; ++trial) {
+        const BitVec a = randomBits(rng.below(160), rng);
+        // Half the pairs are noisy copies (sparse flips, drops and
+        // spurious bits, like a decoded frame), half unrelated.
+        BitVec b;
+        if (trial % 2 == 0) {
+            for (bool bit : a) {
+                const unsigned r = rng.below(40);
+                if (r == 0)
+                    continue; // dropped
+                b.push_back(r == 1 ? !bit : bit);
+                if (r == 2)
+                    b.push_back(rng.flip()); // spurious
+            }
+        } else {
+            b = randomBits(rng.below(160), rng);
+        }
+        const auto br = editBreakdown(a, b);
+        const auto ref = referenceBreakdown(a, b);
+        EXPECT_EQ(br.distance, editDistance(a, b));
+        EXPECT_EQ(br.substitutions + br.insertions + br.deletions,
+                  br.distance);
+        // The backtrace's length bookkeeping: every insertion adds a
+        // received bit, every deletion drops a sent one.
+        EXPECT_EQ(b.size() + br.deletions, a.size() + br.insertions);
+        EXPECT_EQ(br.substitutions, ref.substitutions);
+        EXPECT_EQ(br.insertions, ref.insertions);
+        EXPECT_EQ(br.deletions, ref.deletions);
+    }
 }
 
 TEST(BitErrorRate, Values)

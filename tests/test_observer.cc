@@ -64,9 +64,10 @@ test::ProportionSweep
 berSweep(ChannelConfig cfg, unsigned seeds = test::ProportionSweep::kMinRuns)
 {
     return test::sweepSeeds(
-        [cfg](std::uint64_t seed) mutable {
-            cfg.seed = seed;
-            return berProportion(runChannel(cfg), cfg);
+        [cfg](std::uint64_t seed) {
+            ChannelConfig local = cfg; // the pool shares this lambda
+            local.seed = seed;
+            return berProportion(runChannel(local), local);
         },
         seeds);
 }

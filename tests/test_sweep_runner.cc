@@ -13,6 +13,7 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <sstream>
@@ -81,6 +82,10 @@ TEST(SweepRunner, FirstExceptionPropagatesToCaller)
             started.fetch_add(1);
             if (i == 3)
                 throw std::runtime_error("cell 3 exploded");
+            // Cells with real duration: the siblings cannot finish all
+            // 1000 while the throwing worker unwinds, so the drain
+            // below is observable however fast the unwind is.
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
         });
         FAIL() << "expected the worker exception to be rethrown";
     } catch (const std::runtime_error &e) {
