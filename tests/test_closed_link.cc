@@ -13,13 +13,12 @@
  * only a closed link's transport session is allowed to change.
  */
 
-#include <cstring>
-
 #include <gtest/gtest.h>
 
 #include "chan/channel.hh"
 #include "chan/cross_core.hh"
 #include "chan/degraded.hh"
+#include "digest.hh"
 #include "sim/observer.hh"
 #include "stat_assert.hh"
 
@@ -28,95 +27,8 @@ namespace wb::chan
 namespace
 {
 
-/** FNV-1a over 64-bit words (doubles by bit pattern). */
-class Fnv
-{
-  public:
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h_ ^= (v >> (8 * i)) & 0xff;
-            h_ *= 1099511628211ull;
-        }
-    }
-
-    void
-    f64(double d)
-    {
-        std::uint64_t bits;
-        std::memcpy(&bits, &d, sizeof bits);
-        u64(bits);
-    }
-
-    std::uint64_t value() const { return h_; }
-
-  private:
-    std::uint64_t h_ = 1469598103934665603ull;
-};
-
-void
-hashSched(Fnv &f, const sim::SchedulerStats &s)
-{
-    f.u64(s.contextSwitches);
-    f.u64(s.migrations);
-    f.u64(s.pollutionAccesses);
-    f.u64(s.coRunnerAccesses);
-}
-
-void
-hashCounters(Fnv &f, const sim::PerfCounters &c)
-{
-    f.u64(c.l1Hits);
-    f.u64(c.l1Misses);
-    f.u64(c.l1DirtyWritebacks);
-    f.u64(c.llcDirtyEvictions);
-    f.u64(c.crossCoreSnoops);
-}
-
-/** Digest of every tally a transport session reports. */
-std::uint64_t
-transportDigest(const TransportResult &r)
-{
-    Fnv f;
-    for (std::uint64_t v :
-         {std::uint64_t(r.framesTotal), std::uint64_t(r.framesDelivered),
-          std::uint64_t(r.framesFailed), r.framesSent, r.retransmissions,
-          r.payloadBitsTotal, r.payloadBitsDelivered, r.residualBitErrors,
-          std::uint64_t(r.rounds), std::uint64_t(r.finalRateLevel),
-          std::uint64_t(r.syncLosses), std::uint64_t(r.resyncs),
-          r.fecCorrectedBits, std::uint64_t(r.simulatedCycles)})
-        f.u64(v);
-    f.f64(r.residualBer);
-    f.f64(r.goodputKbps);
-    f.f64(r.rawRateKbps);
-    for (unsigned lvl : r.rateLevelByRound)
-        f.u64(lvl);
-    for (double fer : r.ferByRound)
-        f.f64(fer);
-    hashSched(f, r.schedulerStats);
-    return f.value();
-}
-
-/** Digest of a single shot: latency stream, decode, centroids, counters. */
-std::uint64_t
-shotDigest(const ChannelResult &r)
-{
-    Fnv f;
-    for (double lat : r.latencies)
-        f.f64(lat);
-    for (bool b : r.decodedBits)
-        f.u64(b);
-    f.f64(r.ber);
-    f.u64(r.simulatedCycles);
-    f.u64(r.repetition);
-    for (double m : r.calibrationMedians)
-        f.f64(m);
-    hashCounters(f, r.senderCounters);
-    hashCounters(f, r.receiverCounters);
-    hashSched(f, r.schedulerStats);
-    return f.value();
-}
+using test::shotDigest;
+using test::transportDigest;
 
 /** The small transport geometry the capacity frontier uses. */
 void

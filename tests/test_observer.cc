@@ -12,13 +12,13 @@
  */
 
 #include <cmath>
-#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "baselines/flush_channels.hh"
 #include "chan/channel.hh"
 #include "chan/degraded.hh"
+#include "digest.hh"
 #include "sim/hierarchy.hh"
 #include "sim/observer.hh"
 #include "sim/smt_core.hh"
@@ -30,21 +30,7 @@ namespace wb::chan
 namespace
 {
 
-/** FNV-1a over the raw bit patterns of a latency vector. */
-std::uint64_t
-fnvLatencies(const std::vector<double> &v)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (double d : v) {
-        std::uint64_t bits;
-        std::memcpy(&bits, &d, sizeof bits);
-        for (int i = 0; i < 8; ++i) {
-            h ^= (bits >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    }
-    return h;
-}
+using test::fnvLatencies;
 
 /**
  * One run's error proportion, with unlocated frames counted half
