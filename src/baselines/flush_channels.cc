@@ -78,7 +78,8 @@ FlushReceiver::onResult(const sim::MemOp &, const sim::OpResult &res,
         phase_ = Phase::MeasEnd;
         break;
       case Phase::MeasEnd:
-        samples_.push_back(static_cast<double>(res.tsc - tscStart_));
+        // Signed: a jittered timer can read end < start.
+        samples_.push_back(double(res.tsc) - double(tscStart_));
         if (samples_.size() >= sampleCount_)
             phase_ = Phase::Done;
         else if (kind_ == FlushKind::FlushReload)

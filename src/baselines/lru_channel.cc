@@ -80,7 +80,8 @@ LruReceiver::onResult(const sim::MemOp &op, const sim::OpResult &res,
         phase_ = Phase::MeasEnd;
         break;
       case Phase::MeasEnd:
-        samples_.push_back(static_cast<double>(res.tsc - tscStart_));
+        // Signed: a jittered timer can read end < start.
+        samples_.push_back(double(res.tsc) - double(tscStart_));
         phase_ = samples_.size() >= sampleCount_ ? Phase::Done
                                                  : Phase::Refill;
         break;

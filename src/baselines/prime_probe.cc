@@ -90,7 +90,8 @@ PrimeProbeReceiver::onResult(const sim::MemOp &, const sim::OpResult &res,
         phase_ = Phase::ProbeEnd;
         break;
       case Phase::ProbeEnd:
-        samples_.push_back(static_cast<double>(res.tsc - tscStart_));
+        // Signed: a jittered timer can read end < start.
+        samples_.push_back(double(res.tsc) - double(tscStart_));
         forward_ = !forward_; // reverse traversal next slot
         if (samples_.size() >= sampleCount_)
             phase_ = Phase::Done;

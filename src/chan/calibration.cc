@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "chan/pointer_chase.hh"
-#include "chan/set_mapping.hh"
 #include "common/log.hh"
 
 namespace wb::chan
@@ -29,6 +28,21 @@ strictlyIncreasing(std::vector<double> centroids)
             centroids[i] = centroids[i - 1] + 1e-6;
     }
     return centroids;
+}
+
+/** Classifier over @p byD's entries at @p encoding's levels. */
+Classifier
+centroidClassifier(const std::vector<double> &byD, const Encoding &encoding)
+{
+    std::vector<double> centroids;
+    centroids.reserve(encoding.symbols());
+    for (unsigned s = 0; s < encoding.symbols(); ++s) {
+        const unsigned d = encoding.level(s);
+        if (d >= byD.size())
+            fatalf("classifier: level ", d, " out of calibrated range");
+        centroids.push_back(byD[d]);
+    }
+    return Classifier(strictlyIncreasing(std::move(centroids)));
 }
 
 /**
@@ -70,38 +84,19 @@ Calibration::closedFor(const Encoding &encoding) const
 Classifier
 Calibration::binaryClassifier(unsigned d2) const
 {
-    if (d2 >= medianByD.size())
-        fatalf("binaryClassifier: d2 ", d2, " out of calibrated range");
-    return Classifier(strictlyIncreasing({medianByD[0], medianByD[d2]}));
+    return classifierFor(Encoding::binary(d2));
 }
 
 Classifier
 Calibration::classifierFor(const Encoding &encoding) const
 {
-    std::vector<double> centroids;
-    centroids.reserve(encoding.symbols());
-    for (unsigned s = 0; s < encoding.symbols(); ++s) {
-        const unsigned d = encoding.level(s);
-        if (d >= medianByD.size())
-            fatalf("classifierFor: level ", d, " out of calibrated range");
-        centroids.push_back(medianByD[d]);
-    }
-    return Classifier(strictlyIncreasing(std::move(centroids)));
+    return centroidClassifier(medianByD, encoding);
 }
 
 Classifier
 Calibration::meanClassifierFor(const Encoding &encoding) const
 {
-    std::vector<double> centroids;
-    centroids.reserve(encoding.symbols());
-    for (unsigned s = 0; s < encoding.symbols(); ++s) {
-        const unsigned d = encoding.level(s);
-        if (d >= meanByD.size())
-            fatalf("meanClassifierFor: level ", d,
-                   " out of calibrated range");
-        centroids.push_back(meanByD[d]);
-    }
-    return Classifier(strictlyIncreasing(std::move(centroids)));
+    return centroidClassifier(meanByD, encoding);
 }
 
 double
@@ -118,48 +113,32 @@ measureChaseOffline(sim::MemorySystem &mem, ThreadId tid,
 }
 
 Calibration
-calibrate(const sim::HierarchyParams &hp, const sim::NoiseModel &noise,
-          const CalibrationConfig &cfg, Rng &rng)
+calibrateOnPorts(const CalibrationPorts &ports, const ChannelSets &sets,
+                 const std::vector<unsigned> &mix, unsigned maxLevel,
+                 const CalibrationConfig &cfg, const sim::NoiseModel &noise,
+                 Rng &rng)
 {
-    const unsigned ways = hp.l1.ways;
     Calibration out;
-    out.latencyByD.resize(ways + 1);
-    out.medianByD.resize(ways + 1, 0.0);
+    out.latencyByD.resize(maxLevel + 1);
+    out.medianByD.resize(maxLevel + 1, 0.0);
 
-    const ThreadId senderTid = 0;
-    const ThreadId receiverTid = 1;
     sim::AddressSpace senderSpace(1);
     sim::AddressSpace receiverSpace(2);
-
-    // One hierarchy for the whole calibration, with the d values
-    // interleaved at random. This matters for non-stack replacement
-    // policies (PLRU variants, SRRIP, random): leftover lines from
-    // previous slots shift the steady-state baseline, so calibrating
-    // each d in isolation would misplace the thresholds the live
-    // receiver needs (an in-situ attacker calibrates the same way).
-    sim::Hierarchy hierarchy(hp, &rng);
-    const auto sets = makeChannelSets(hierarchy.l1().layout(),
-                                      cfg.targetSet, ways,
-                                      cfg.replacementSize);
     PointerChase chaseA(sets.replacementA);
     PointerChase chaseB(sets.replacementB);
 
-    // Warm both replacement sets into L2.
-    for (int sweep = 0; sweep < 2; ++sweep) {
-        hierarchy.accessBatch(receiverTid, receiverSpace,
-                              sets.replacementA, false);
-        hierarchy.accessBatch(receiverTid, receiverSpace,
-                              sets.replacementB, false);
+    // Warm both replacement sets into the level below the target.
+    for (unsigned sweep = 0; sweep < ports.warmSweeps; ++sweep) {
+        ports.receiver.accessBatch(ports.receiverTid, receiverSpace,
+                                   sets.replacementA, false);
+        ports.receiver.accessBatch(ports.receiverTid, receiverSpace,
+                                   sets.replacementB, false);
     }
 
-    std::vector<unsigned> mix = cfg.levelsMix;
-    if (mix.empty()) {
-        for (unsigned d = 0; d <= ways; ++d)
-            mix.push_back(d);
-    }
     for (unsigned d : mix) {
-        if (d > ways)
-            fatalf("calibrate: level ", d, " exceeds associativity");
+        if (d > maxLevel)
+            fatalf("calibrate: level ", d, " exceeds the top level ",
+                   maxLevel);
     }
 
     const std::size_t total = mix.size() * cfg.measurements + cfg.discard;
@@ -167,9 +146,12 @@ calibrate(const sim::HierarchyParams &hp, const sim::NoiseModel &noise,
     for (std::size_t m = 0; m < total; ++m) {
         const unsigned d = mix[rng.below(mix.size())];
         // Sender phase: dirty d lines (Algorithm 1 encode).
-        hierarchy.accessBatch(senderTid, senderSpace,
-                              sets.senderLines.data(), d,
-                              /*isWrite=*/true);
+        if (ports.encode)
+            ports.encode(d);
+        else
+            ports.sender.accessBatch(ports.senderTid, senderSpace,
+                                     sets.senderLines.data(), d,
+                                     /*isWrite=*/true);
         // Receiver phase: timed traversal (Algorithm 2 decode), or —
         // for the Flushgeist observer — an *untimed* prime followed by
         // one timed clflush of a probe line, whose cost carries the
@@ -178,18 +160,17 @@ calibrate(const sim::HierarchyParams &hp, const sim::NoiseModel &noise,
         chase.reshuffle(rng);
         double lat;
         if (cfg.probe == CalibrationProbe::FlushLatency) {
-            hierarchy.accessBatch(receiverTid, receiverSpace,
-                                  chase.order(), /*isWrite=*/false);
+            ports.receiver.accessBatch(ports.receiverTid, receiverSpace,
+                                       chase.order(), /*isWrite=*/false);
             const Addr probeVa =
                 useA ? sets.replacementA[0] : sets.replacementB[0];
             lat = static_cast<double>(
-                hierarchy.flush(receiverTid,
-                                receiverSpace.translate(probeVa)) +
+                ports.receiver.flush(ports.receiverTid,
+                                     receiverSpace.translate(probeVa)) +
                 noise.opOverhead + noise.tscReadCost);
         } else {
-            lat = measureChaseOffline(hierarchy, receiverTid,
-                                      receiverSpace, chase.order(),
-                                      noise);
+            lat = measureChaseOffline(ports.receiver, ports.receiverTid,
+                                      receiverSpace, chase.order(), noise);
         }
         if (noise.measBaseSigma > 0.0)
             lat += rng.gaussian(0.0, noise.measBaseSigma);
@@ -204,9 +185,9 @@ calibrate(const sim::HierarchyParams &hp, const sim::NoiseModel &noise,
         if (m >= cfg.discard)
             out.latencyByD[d].add(lat);
     }
-    out.meanByD.resize(ways + 1, 0.0);
-    out.stddevByD.resize(ways + 1, 0.0);
-    for (unsigned d = 0; d <= ways; ++d) {
+    out.meanByD.resize(maxLevel + 1, 0.0);
+    out.stddevByD.resize(maxLevel + 1, 0.0);
+    for (unsigned d = 0; d <= maxLevel; ++d) {
         out.medianByD[d] = out.latencyByD[d].median();
         if (!out.latencyByD[d].raw().empty()) {
             out.meanByD[d] = out.latencyByD[d].mean();
@@ -214,6 +195,31 @@ calibrate(const sim::HierarchyParams &hp, const sim::NoiseModel &noise,
         }
     }
     return out;
+}
+
+Calibration
+calibrate(const sim::HierarchyParams &hp, const sim::NoiseModel &noise,
+          const CalibrationConfig &cfg, Rng &rng)
+{
+    const unsigned ways = hp.l1.ways;
+    // One hierarchy for the whole calibration, with the d values
+    // interleaved at random. This matters for non-stack replacement
+    // policies (PLRU variants, SRRIP, random): leftover lines from
+    // previous slots shift the steady-state baseline, so calibrating
+    // each d in isolation would misplace the thresholds the live
+    // receiver needs (an in-situ attacker calibrates the same way).
+    sim::Hierarchy hierarchy(hp, &rng);
+    const auto sets = makeChannelSets(hierarchy.l1().layout(),
+                                      cfg.targetSet, ways,
+                                      cfg.replacementSize);
+    std::vector<unsigned> mix = cfg.levelsMix;
+    if (mix.empty()) {
+        for (unsigned d = 0; d <= ways; ++d)
+            mix.push_back(d);
+    }
+    return calibrateOnPorts({hierarchy, /*senderTid=*/0, hierarchy,
+                             /*receiverTid=*/1},
+                            sets, mix, ways, cfg, noise, rng);
 }
 
 } // namespace wb::chan

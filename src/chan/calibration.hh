@@ -13,12 +13,14 @@
 #ifndef WB_CHAN_CALIBRATION_HH
 #define WB_CHAN_CALIBRATION_HH
 
+#include <functional>
 #include <vector>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "chan/modulation.hh"
+#include "chan/set_mapping.hh"
 #include "sim/hierarchy.hh"
 #include "sim/noise_model.hh"
 
@@ -97,6 +99,32 @@ struct Calibration
      */
     Classifier meanClassifierFor(const Encoding &encoding) const;
 };
+
+/** The two parties' views of one calibration platform. */
+struct CalibrationPorts
+{
+    sim::MemorySystem &sender;
+    ThreadId senderTid;
+    sim::MemorySystem &receiver;
+    ThreadId receiverTid;
+    unsigned warmSweeps = 2; //!< replacement-set warm-up passes
+
+    /** Sender phase for level d; empty = store to d sender lines. */
+    std::function<void(unsigned d)> encode = {};
+};
+
+/**
+ * The calibration loop every load-timing placement shares (Fig. 4 at
+ * any cache level): per measurement, draw d from @p mix, run the
+ * sender phase, then time the alternating replacement-set traversal —
+ * or, for the FlushLatency probe, one clflush after an untimed prime —
+ * through the observer choke point. Covers levels 0..@p maxLevel.
+ */
+Calibration calibrateOnPorts(const CalibrationPorts &ports,
+                             const ChannelSets &sets,
+                             const std::vector<unsigned> &mix,
+                             unsigned maxLevel, const CalibrationConfig &cfg,
+                             const sim::NoiseModel &noise, Rng &rng);
 
 /**
  * Run the calibration on a fresh hierarchy.

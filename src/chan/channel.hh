@@ -28,8 +28,12 @@
 namespace wb::chan
 {
 
-/** Complete experiment configuration. */
-struct ChannelConfig
+/**
+ * What every placement with a ProtocolConfig reads (same-core and
+ * cross-core): the platform, the protocol and its calibration, the
+ * launch timing, the OS-noise regime and the transport layer.
+ */
+struct LinkConfig
 {
     /**
      * Registry preset this config was built from (informational; set
@@ -45,6 +49,36 @@ struct ChannelConfig
     CalibrationConfig calibration; //!< offline calibration parameters
     std::uint64_t seed = 1;        //!< run seed (bit-exact reproducible)
 
+    /** Sender launch delay in slots (receiver starts first). */
+    unsigned senderStartSlots = 8;
+
+    /** Extra receiver samples beyond the expected symbol count. */
+    unsigned sampleMargin = 96;
+
+    /**
+     * OS-noise regime (Table VII): co-runner mix, timeslices with
+     * context-switch pollution, migration (cross-core: of the receiver
+     * front-end to the next party-free core). Inactive by default —
+     * the run is then bit-identical to the schedulerless path.
+     * Platform presets carry a tuned default in Platform::noisePreset;
+     * opt in with cfg.scheduler = sim::platform(name).noisePreset (and
+     * set scheduler.coRunners, e.g. via SchedulerConfig::mixOf).
+     */
+    sim::SchedulerConfig scheduler;
+
+    /**
+     * Resilient transport layer (resync + adaptive rate + ARQ), used
+     * by runTransport() / runCrossCoreTransport(). Disabled by default
+     * — the single-shot runners never read it, and a disabled session
+     * degenerates to the single-shot path, bit-identical to the
+     * pre-transport runner (same guarantee SchedulerConfig makes).
+     */
+    TransportConfig transport;
+};
+
+/** Complete same-core experiment configuration. */
+struct ChannelConfig : LinkConfig
+{
     /**
      * Reconfigure for a named registry preset: resolves the platform's
      * hierarchy parameters and noise model and records the name.
@@ -57,34 +91,9 @@ struct ChannelConfig
         return *this;
     }
 
-    /** Sender launch delay in slots (receiver starts first). */
-    unsigned senderStartSlots = 8;
-
-    /** Extra receiver samples beyond the expected symbol count. */
-    unsigned sampleMargin = 96;
-
     /** Number of co-resident noise processes (Sec. VI experiments). */
     unsigned noiseProcesses = 0;
     NoiseProcessConfig noiseCfg; //!< their behaviour
-
-    /**
-     * OS-noise regime (Table VII): co-runner mix, timeslices with
-     * context-switch pollution, migration. Inactive by default — the
-     * run is then bit-identical to the schedulerless path. Platform
-     * presets carry a tuned default in Platform::noisePreset; opt in
-     * with cfg.scheduler = sim::platform(name).noisePreset (and set
-     * scheduler.coRunners, e.g. via SchedulerConfig::mixOf).
-     */
-    sim::SchedulerConfig scheduler;
-
-    /**
-     * Resilient transport layer (resync + adaptive rate + ARQ), used
-     * by runTransport(). Disabled by default — runChannel() never
-     * reads it, and a disabled runTransport() degenerates to the
-     * legacy single-shot path, bit-identical to the pre-transport
-     * runner (same guarantee SchedulerConfig makes).
-     */
-    TransportConfig transport;
 };
 
 /** Everything a transmission experiment produces. */
@@ -154,10 +163,7 @@ ChannelResult runChannel(const ChannelConfig &cfg);
  * CRC frames, each round is one physical burst through the simulated
  * platform at the controller's current rate rung, and lost frames are
  * selectively retransmitted within cfg.transport's retry budget.
- *
- * With cfg.transport.enabled == false this degenerates to the legacy
- * runChannel() path — same RNG draws, same operation order — and
- * repackages its result via legacyTransportResult().
+ * Disabled, it is runChannel() repackaged by legacyTransportResult().
  */
 TransportResult runTransport(const ChannelConfig &cfg,
                              const BitVec &message);

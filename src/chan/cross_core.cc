@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "chan/pointer_chase.hh"
+#include "chan/pipeline.hh"
 #include "chan/receiver.hh"
 #include "chan/sender.hh"
 #include "chan/set_mapping.hh"
@@ -17,46 +17,6 @@ namespace wb::chan
 
 namespace
 {
-
-/** Line pools both parties derive from the agreed LLC set. */
-struct CrossCoreSets
-{
-    std::vector<Addr> senderLines;
-    std::vector<Addr> replacementA;
-    std::vector<Addr> replacementB;
-};
-
-/** Resolve the replacement-set size (0 = whole LLC set + slack). */
-unsigned
-resolveReplacementSize(const CrossCoreChannelConfig &cfg)
-{
-    if (cfg.replacementSize != 0)
-        return cfg.replacementSize;
-    return cfg.platform.llc.ways + 2;
-}
-
-/**
- * Build the pools against the LLC layout: the low LLC index bits
- * survive the page-linear translation, so both processes target the
- * agreed set purely from their virtual addresses, exactly as the L1
- * channel does with the VIPT L1 layout (Sec. IV generalized).
- */
-CrossCoreSets
-makeCrossCoreSets(const sim::AddressLayout &llcLayout,
-                  const CrossCoreChannelConfig &cfg)
-{
-    const unsigned replacement = resolveReplacementSize(cfg);
-    const unsigned senderLines =
-        std::max(1u, cfg.protocol.encoding.maxLevel());
-    CrossCoreSets sets;
-    sets.senderLines =
-        linesForSet(llcLayout, cfg.targetLlcSet, senderLines, /*tag=*/1);
-    sets.replacementA = linesForSet(llcLayout, cfg.targetLlcSet,
-                                    replacement, /*tag=*/0x100);
-    sets.replacementB = linesForSet(llcLayout, cfg.targetLlcSet,
-                                    replacement, /*tag=*/0x200);
-    return sets;
-}
 
 void
 validate(const CrossCoreChannelConfig &cfg)
@@ -70,107 +30,54 @@ validate(const CrossCoreChannelConfig &cfg)
                " / receiver core ", cfg.receiverCore,
                " invalid for ", cfg.cores, " cores");
     }
+    pipeline::requireSetIndex("CrossCoreChannelConfig::targetLlcSet",
+                              cfg.targetLlcSet, cfg.platform.llc.numSets());
     const unsigned top = cfg.protocol.encoding.maxLevel();
     if (top > cfg.platform.llc.ways)
         fatalf("runCrossCoreChannel: encoding level ", top,
                " exceeds LLC associativity ", cfg.platform.llc.ways);
 }
 
-/**
- * Offline calibration against a fresh MultiCoreSystem: the sender
- * side dirties d LLC-set lines from its core, the receiver side times
- * the alternating replacement-set sweep from its core — the Fig. 4
- * procedure carried to LLC granularity. Levels are interleaved at
- * random for the same steady-state reasons as chan::calibrate().
- */
+/** The Fig. 4 calibration carried to LLC granularity: each party
+ *  works from its own core of a fresh MultiCoreSystem. */
 Calibration
 calibrateCrossCore(const CrossCoreChannelConfig &cfg,
-                   const CrossCoreSets &sets, Rng &rng)
+                   const ChannelSets &sets, Rng &rng)
 {
-    const unsigned top = cfg.protocol.encoding.maxLevel();
-    Calibration out;
-    out.latencyByD.resize(top + 1);
-    out.medianByD.resize(top + 1, 0.0);
-
     sim::MultiCoreSystem mc(cfg.platform, cfg.cores, &rng);
-    sim::MemorySystem &sender = mc.port(cfg.senderCore);
-    sim::MemorySystem &receiver = mc.port(cfg.receiverCore);
-    sim::AddressSpace senderSpace(1);
-    sim::AddressSpace receiverSpace(2);
-
-    PointerChase chaseA(sets.replacementA);
-    PointerChase chaseB(sets.replacementB);
-
-    // Warm both replacement sets into the shared LLC.
-    for (int sweep = 0; sweep < 2; ++sweep) {
-        receiver.accessBatch(0, receiverSpace, sets.replacementA, false);
-        receiver.accessBatch(0, receiverSpace, sets.replacementB, false);
-    }
-
     std::vector<unsigned> mix = cfg.calibration.levelsMix;
     if (mix.empty())
         mix = cfg.protocol.encoding.levels();
-
-    const std::size_t total =
-        mix.size() * cfg.calibration.measurements + cfg.calibration.discard;
-    bool useA = true;
-    for (std::size_t m = 0; m < total; ++m) {
-        const unsigned d = mix[rng.below(mix.size())];
-        sender.accessBatch(0, senderSpace, sets.senderLines.data(), d,
-                           /*isWrite=*/true);
-        PointerChase &chase = useA ? chaseA : chaseB;
-        chase.reshuffle(rng);
-        double lat = measureChaseOffline(receiver, 0, receiverSpace,
-                                         chase.order(), cfg.noise);
-        if (cfg.noise.measBaseSigma > 0.0)
-            lat += rng.gaussian(0.0, cfg.noise.measBaseSigma);
-        lat = cfg.noise.observeDuration(lat, rng); // observer choke point
-        useA = !useA;
-        if (m >= cfg.calibration.discard)
-            out.latencyByD[d].add(lat);
-    }
-    for (unsigned d = 0; d <= top; ++d)
-        out.medianByD[d] = out.latencyByD[d].median();
-    return out;
+    return calibrateOnPorts({mc.port(cfg.senderCore), 0,
+                             mc.port(cfg.receiverCore), 0},
+                            sets, mix, cfg.protocol.encoding.maxLevel(),
+                            cfg.calibration, cfg.noise, rng);
 }
 
-/**
- * One physical pass through the multi-core platform: everything below
- * the bit level. The legacy single-shot path and the transport link
- * both run through here, so the two stay in lockstep — same RNG
- * splits, same calibration, same thread wiring.
- */
-struct CrossRawRun
-{
-    std::vector<double> latencies;
-    Cycles simulatedCycles = 0;
-    sim::PerfCounters senderCounters;
-    sim::PerfCounters receiverCounters;
-    ThreadId senderTid = 0;
-    ThreadId receiverTid = 0;
-    sim::SchedulerStats schedulerStats;
-    Calibration calibration;
-};
-
-/** Run the platform once, modulating the per-slot levels @p dSeq. */
-CrossRawRun
+/** The cross-core placement's pass: parties on two cores, one LLC set. */
+pipeline::RawRun
 runCrossCoreRaw(const CrossCoreChannelConfig &cfg,
                 const std::vector<unsigned> &dSeq)
 {
-    validate(cfg);
     const ProtocolConfig &proto = cfg.protocol;
 
     Rng rootRng(cfg.seed);
     Rng calRng = rootRng.split();
     Rng runRng = rootRng.split();
 
-    // The LLC layout is shared by every core; borrow it from a
-    // throwaway cache-less construction via the params geometry.
-    const sim::AddressLayout llcLayout(cfg.platform.llc.numSets());
-    const CrossCoreSets sets = makeCrossCoreSets(llcLayout, cfg);
+    // Pools against the LLC layout: the low LLC index bits survive
+    // page-linear translation, so both parties reach the agreed set
+    // from virtual addresses alone (Sec. IV generalized). Replacement
+    // sets default to the whole LLC set plus slack.
+    const ChannelSets sets = makeChannelSets(
+        sim::AddressLayout(cfg.platform.llc.numSets()), cfg.targetLlcSet,
+        std::max(1u, proto.encoding.maxLevel()),
+        cfg.replacementSize ? cfg.replacementSize
+                            : cfg.platform.llc.ways + 2);
 
     // --- Offline calibration -> classifier centroids ---
-    Calibration cal = calibrateCrossCore(cfg, sets, calRng);
+    pipeline::RawRun raw;
+    raw.calibration = calibrateCrossCore(cfg, sets, calRng);
 
     // --- Platform: one system, one SmtCore front-end per party.
     // Under an active OS-noise config the front-ends come from a
@@ -200,65 +107,39 @@ runCrossCoreRaw(const CrossCoreChannelConfig &cfg,
     ReceiverProgram receiver(sets.replacementA, sets.replacementB,
                              proto.tr, sched.sampleCount);
 
-    const ThreadId senderTid = senderCore.addThread(
-        &sender, sim::AddressSpace(1), sched.senderStart);
-    const ThreadId receiverTid =
+    raw.senderTid = senderCore.addThread(&sender, sim::AddressSpace(1),
+                                         sched.senderStart);
+    raw.receiverTid =
         receiverCore.addThread(&receiver, sim::AddressSpace(2), 0);
 
-    const Cycles end =
+    raw.simulatedCycles =
         os ? os->run(sched.horizon * os->horizonStretch())
            : sim::runCores({&senderCore, &receiverCore}, sched.horizon);
-
-    CrossRawRun raw;
     raw.latencies = receiver.latencies();
-    raw.simulatedCycles = end;
-    raw.senderCounters = mc.counters(cfg.senderCore, senderTid);
+    raw.senderCounters = mc.counters(cfg.senderCore, raw.senderTid);
     if (os) {
         // A migrated receiver charged counters on every core it
         // visited; its scheduler-allocated tid is system-unique, so
         // the merge picks up only its own accesses.
         for (unsigned c = 0; c < mc.coreCount(); ++c)
-            raw.receiverCounters.merge(mc.counters(c, receiverTid));
+            raw.receiverCounters.merge(mc.counters(c, raw.receiverTid));
         raw.schedulerStats = os->stats();
     } else {
-        raw.receiverCounters = mc.counters(cfg.receiverCore, receiverTid);
+        raw.receiverCounters =
+            mc.counters(cfg.receiverCore, raw.receiverTid);
     }
-    raw.senderTid = senderTid;
-    raw.receiverTid = receiverTid;
-    raw.calibration = std::move(cal);
     return raw;
 }
 
-/** Bind one transport burst to the multi-core platform. */
-LinkRun
-crossCoreLinkRun(const CrossCoreChannelConfig &base, const BitVec &stream,
-                 const RateStep &rate, std::uint64_t seed)
+/** The cross-core pass (no observer plan: docs/README.md). */
+pipeline::Pass
+crossCorePass(const CrossCoreChannelConfig &cfg)
 {
-    CrossCoreChannelConfig cfg = base;
-    cfg.seed = seed;
-    // The ladder only ever keeps Ts (binary fallback and the
-    // d-shrink footprint rungs) or widens it by powers of two, so
-    // the Tr:Ts ratio survives the integer arithmetic exactly.
-    cfg.protocol.tr = base.protocol.tr * (rate.ts / base.protocol.ts);
-    cfg.protocol.ts = rate.ts;
-    cfg.protocol.encoding = rate.encoding;
-    const Encoding &enc = cfg.protocol.encoding;
-
-    BitVec padded = stream;
-    while (padded.size() % enc.bitsPerSymbol() != 0)
-        padded.push_back(false);
-
-    const std::vector<unsigned> dSeq = frameToLevels(padded, enc);
-    CrossRawRun raw = runCrossCoreRaw(cfg, dSeq);
-
-    LinkRun run;
-    run.bits = symbolsToBits(
-        classifyAll(raw.latencies, raw.calibration.classifierFor(enc)),
-        enc);
-    run.simulatedCycles = raw.simulatedCycles;
-    run.schedulerStats = raw.schedulerStats;
-    run.closed = raw.calibration.closedFor(enc);
-    return run;
+    validate(cfg);
+    return {cfg.protocol.encoding, 1, cfg.protocol.rateKbps(),
+            [cfg](const auto &levels) {
+                return runCrossCoreRaw(cfg, levels);
+            }};
 }
 
 } // namespace
@@ -266,79 +147,21 @@ crossCoreLinkRun(const CrossCoreChannelConfig &base, const BitVec &stream,
 ChannelResult
 runCrossCoreChannel(const CrossCoreChannelConfig &cfg)
 {
-    const ProtocolConfig &proto = cfg.protocol;
-    const Encoding &enc = proto.encoding;
-
-    Rng frameRng(cfg.seed ^ 0xf00dULL);
-    const BitVec frame = randomFrame(proto.frameBits - 16, frameRng);
-    if (frame.size() % enc.bitsPerSymbol() != 0)
-        fatalf("runCrossCoreChannel: frame bits ", frame.size(),
-               " not divisible by bits/symbol ", enc.bitsPerSymbol());
-
-    // --- Per-slot dirty-line levels for all frame repetitions ---
-    const auto frameLevels = frameToLevels(frame, enc);
-    std::vector<unsigned> dSeq;
-    dSeq.reserve(frameLevels.size() * proto.frames);
-    for (unsigned f = 0; f < proto.frames; ++f)
-        dSeq.insert(dSeq.end(), frameLevels.begin(), frameLevels.end());
-
-    CrossRawRun raw = runCrossCoreRaw(cfg, dSeq);
-    const Classifier classifier = raw.calibration.classifierFor(enc);
-
-    // --- Decode ---
-    ChannelResult res;
-    res.latencies = std::move(raw.latencies);
-    DecodeResult dec = decodeTransmission(res.latencies, classifier, enc,
-                                          frame, proto.frames);
-    res.ber = dec.ber;
-    res.breakdown = dec.breakdown;
-    res.aligned = dec.aligned;
-    res.framesScored = dec.framesScored;
-    res.framesExpected = dec.framesExpected;
-    res.closed = raw.calibration.closedFor(enc);
-    res.rateKbps = proto.rateKbps();
-    res.goodputKbps = res.rateKbps * (1.0 - std::min(1.0, res.ber));
-    res.sentFrame = frame;
-    res.decodedBits = dec.bitstream;
-    res.calibrationMedians = raw.calibration.medianByD;
-    res.senderCounters = raw.senderCounters;
-    res.receiverCounters = raw.receiverCounters;
-    res.senderTid = raw.senderTid;
-    res.receiverTid = raw.receiverTid;
-    res.simulatedCycles = raw.simulatedCycles;
-    res.schedulerStats = raw.schedulerStats;
-    return res;
+    return pipeline::runShot(cfg, crossCorePass);
 }
 
 TransportResult
 runCrossCoreTransport(const CrossCoreChannelConfig &cfg,
                       const BitVec &message)
 {
-    if (!cfg.transport.enabled) {
-        return legacyTransportResult(runCrossCoreChannel(cfg),
-                                     cfg.protocol);
-    }
-    const TransportLink link = [&cfg](const BitVec &stream,
-                                      const RateStep &rate,
-                                      std::uint64_t seed) {
-        return crossCoreLinkRun(cfg, stream, rate, seed);
-    };
-    return runTransportSession(cfg.transport, cfg.protocol, message, link,
-                               cfg.seed);
+    return pipeline::runTransportOver(cfg, message, crossCorePass);
 }
 
 TransportResult
 runCrossCoreTransport(const CrossCoreChannelConfig &cfg)
 {
-    Rng msgRng(cfg.seed ^ 0x7ea45007ULL);
-    const std::size_t bits =
-        std::size_t(cfg.transport.messageFrames) *
-        cfg.transport.layout.payloadBits;
-    BitVec message;
-    message.reserve(bits);
-    for (std::size_t i = 0; i < bits; ++i)
-        message.push_back(msgRng.flip());
-    return runCrossCoreTransport(cfg, message);
+    return runCrossCoreTransport(
+        cfg, pipeline::randomMessage(cfg.transport, cfg.seed));
 }
 
 } // namespace wb::chan

@@ -29,32 +29,24 @@
 
 #include <string>
 
-#include "chan/calibration.hh"
 #include "chan/channel.hh"
-#include "chan/protocol.hh"
 #include "sim/multicore.hh"
-#include "sim/noise_model.hh"
 #include "sim/platform.hh"
 
 namespace wb::chan
 {
 
-/** Cross-core transmission experiment configuration. */
-struct CrossCoreChannelConfig
+/**
+ * Cross-core transmission experiment configuration. protocol.targetSet
+ * is ignored: the parties meet in LLC set targetLlcSet.
+ */
+struct CrossCoreChannelConfig : LinkConfig
 {
-    /** Registry preset this config was built from (see usePlatform). */
-    std::string platformName = "desktop-inclusive-4core";
-    sim::HierarchyParams platform;
-    sim::NoiseModel noise;
-
     /** Cores the MultiCoreSystem instantiates (>= 2). */
     unsigned cores = 4;
 
     unsigned senderCore = 0;   //!< core the sender is pinned to
     unsigned receiverCore = 1; //!< core the receiver is pinned to
-
-    /** Pacing/encoding/framing. targetSet is ignored (LLC set used). */
-    ProtocolConfig protocol;
 
     /** Agreed LLC set index both parties derive from their vaddrs. */
     unsigned targetLlcSet = 37;
@@ -65,29 +57,9 @@ struct CrossCoreChannelConfig
      */
     unsigned replacementSize = 0;
 
-    CalibrationConfig calibration; //!< measurements/discard reused
-    std::uint64_t seed = 1;
-
-    unsigned senderStartSlots = 8; //!< sender launch delay in slots
-    unsigned sampleMargin = 96;    //!< extra receiver samples
-
-    /**
-     * OS-noise regime (Table VII): co-runners spread over the cores,
-     * timeslicing where they share a party's core, and — when
-     * migrationPeriod is set — periodic migration of the receiver
-     * front-end to the next party-free core. Inactive by default.
-     */
-    sim::SchedulerConfig scheduler;
-
-    /**
-     * Resilient transport layer (resync + adaptive rate + ARQ), used
-     * by runCrossCoreTransport(). Disabled by default; see
-     * ChannelConfig::transport for the equivalence guarantee.
-     */
-    TransportConfig transport;
-
     CrossCoreChannelConfig()
     {
+        platformName = "desktop-inclusive-4core";
         platform = sim::platform(platformName).params;
         noise = sim::platform(platformName).noise;
         // An LLC-set sweep is ~llc.ways DRAM misses, far slower than
@@ -107,11 +79,8 @@ struct CrossCoreChannelConfig
     CrossCoreChannelConfig &
     usePlatform(const std::string &name)
     {
-        const sim::Platform &p = sim::platform(name);
-        platformName = p.name;
-        platform = p.params;
-        noise = p.noise;
-        cores = std::max(2u, p.cores);
+        sim::applyPlatform(name, platformName, platform, noise);
+        cores = std::max(2u, sim::platform(name).cores);
         return *this;
     }
 };
@@ -133,9 +102,6 @@ ChannelResult runCrossCoreChannel(const CrossCoreChannelConfig &cfg);
  * transport earns its keep: under the party-core time-sharing noise
  * preset the single-shot channel collapses to ~79% BER
  * (docs/SCHEDULER.md), while the transport sustains nonzero goodput.
- *
- * With cfg.transport.enabled == false this degenerates to the legacy
- * runCrossCoreChannel() path, repackaged via legacyTransportResult().
  */
 TransportResult runCrossCoreTransport(const CrossCoreChannelConfig &cfg,
                                       const BitVec &message);

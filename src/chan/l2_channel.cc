@@ -1,6 +1,6 @@
 #include "chan/l2_channel.hh"
 
-#include "chan/pointer_chase.hh"
+#include "chan/pipeline.hh"
 #include "chan/receiver.hh"
 #include "chan/set_mapping.hh"
 #include "common/log.hh"
@@ -122,74 +122,41 @@ L2SenderProgram::onResult(const sim::MemOp &op, const sim::OpResult &res,
 namespace
 {
 
-/** In-situ calibration of the two L2-channel centroids. */
-std::pair<double, double>
+/**
+ * In-situ calibration of the L2 channel, indexed by symbol: level 0 is
+ * a 0-bit, level 1 a 1-bit (d lines written and pushed into L2).
+ */
+Calibration
 calibrateL2(const L2ChannelConfig &cfg, Rng &rng)
 {
     sim::Hierarchy hierarchy(cfg.platform, &rng);
-    const auto &l1Layout = hierarchy.l1().layout();
-    const auto &l2Layout = hierarchy.l2().layout();
-    auto sets = makeL2Sets(l1Layout, l2Layout, cfg.targetL2Set,
-                           cfg.platform.l2.ways, cfg.pusherLines,
-                           cfg.replacementSize);
-
-    sim::AddressSpace senderSpace(1);
-    sim::AddressSpace receiverSpace(2);
-    PointerChase chaseA(sets.replacementA);
-    PointerChase chaseB(sets.replacementB);
-
-    // Warm both replacement sets (first pass pulls them from DRAM).
-    for (int sweep = 0; sweep < 3; ++sweep) {
-        hierarchy.accessBatch(1, receiverSpace, sets.replacementA,
-                              false);
-        hierarchy.accessBatch(1, receiverSpace, sets.replacementB,
-                              false);
-    }
-
-    Samples s0, s1;
-    bool useA = true;
-    for (unsigned m = 0; m < 2 * cfg.calMeasurements + 4; ++m) {
-        const bool one = rng.flip();
-        if (one) {
-            for (unsigned i = 0; i < cfg.d; ++i) {
-                hierarchy.access(0,
-                                 senderSpace.translate(sets.senderLines[i]),
-                                 true);
-                // Push the dirty line out of L1 into L2.
-                hierarchy.accessBatch(0, senderSpace, sets.pushers,
-                                      false);
-            }
+    const L2Sets sets = makeL2Sets(
+        hierarchy.l1().layout(), hierarchy.l2().layout(), cfg.targetL2Set,
+        cfg.platform.l2.ways, cfg.pusherLines, cfg.replacementSize);
+    const sim::AddressSpace senderSpace(1);
+    const auto pushIntoL2 = [&](unsigned level) {
+        for (unsigned i = 0; level != 0 && i < cfg.d; ++i) {
+            hierarchy.access(0, senderSpace.translate(sets.senderLines[i]),
+                             true);
+            // Push the dirty line out of L1 into L2.
+            hierarchy.accessBatch(0, senderSpace, sets.pushers, false);
         }
-        PointerChase &chase = useA ? chaseA : chaseB;
-        chase.reshuffle(rng);
-        double lat = measureChaseOffline(hierarchy, 1, receiverSpace,
-                                         chase.order(), cfg.noise);
-        if (cfg.noise.measBaseSigma > 0.0)
-            lat += rng.gaussian(0.0, cfg.noise.measBaseSigma);
-        lat = cfg.noise.observeDuration(lat, rng); // observer choke point
-        useA = !useA;
-        if (m >= 4)
-            (one ? s1 : s0).add(lat);
-    }
-    return {s0.median(), s1.median()};
+    };
+    CalibrationConfig calCfg;
+    calCfg.measurements = cfg.calMeasurements;
+    calCfg.discard = 4;
+    // Three warm-up sweeps: the first pass pulls the sets from DRAM.
+    return calibrateOnPorts({hierarchy, 0, hierarchy, 1, 3, pushIntoL2},
+                            sets, {0, 1}, 1, calCfg, cfg.noise, rng);
 }
 
-} // namespace
-
-L2ChannelResult
-runL2Channel(const L2ChannelConfig &cfg)
+/** The L2 placement's pass: SMT siblings sharing one L2 set. */
+pipeline::RawRun
+runL2Raw(const L2ChannelConfig &cfg, const std::vector<unsigned> &levels,
+         Rng &calRng, Rng &runRng)
 {
-    Rng rootRng(cfg.seed);
-    Rng calRng = rootRng.split();
-    Rng frameRng = rootRng.split();
-    Rng runRng = rootRng.split();
-
-    auto [c0, c1] = calibrateL2(cfg, calRng);
-
-    const BitVec frame = randomFrame(cfg.frameBits - 16, frameRng);
-    BitVec allBits;
-    for (unsigned f = 0; f < cfg.frames; ++f)
-        allBits.insert(allBits.end(), frame.begin(), frame.end());
+    pipeline::RawRun raw;
+    raw.calibration = calibrateL2(cfg, calRng);
 
     sim::Hierarchy hierarchy(cfg.platform, &runRng);
     sim::SmtCore core(hierarchy, cfg.noise, runRng);
@@ -198,42 +165,47 @@ runL2Channel(const L2ChannelConfig &cfg)
                            cfg.platform.l2.ways, cfg.pusherLines,
                            cfg.replacementSize);
 
-    L2SenderProgram sender(sets.senderLines, sets.pushers, allBits,
-                           cfg.d, cfg.ts);
-    const std::size_t sampleCount = allBits.size() + 8 + 96;
+    // A nonzero level is a 1-bit.
+    const std::vector<bool> bits(levels.begin(), levels.end());
+    L2SenderProgram sender(sets.senderLines, sets.pushers, bits, cfg.d,
+                           cfg.ts);
+    const std::size_t sampleCount = bits.size() + 8 + 96;
     ReceiverProgram receiver(sets.replacementA, sets.replacementB,
                              cfg.tr, sampleCount, /*warmupSweeps=*/3);
 
     const Cycles senderStart = 8 * cfg.ts;
-    const ThreadId senderTid =
+    raw.senderTid =
         core.addThread(&sender, sim::AddressSpace(1), senderStart);
-    const ThreadId receiverTid =
-        core.addThread(&receiver, sim::AddressSpace(2), 0);
+    raw.receiverTid = core.addThread(&receiver, sim::AddressSpace(2), 0);
 
     const Cycles horizon = senderStart +
-        Cycles(allBits.size() + 8) * (cfg.ts + 60) + 400000;
-    const Cycles end = core.run(horizon);
+        Cycles(bits.size() + 8) * (cfg.ts + 60) + 400000;
+    raw.simulatedCycles = core.run(horizon);
+    raw.latencies = receiver.latencies();
+    raw.senderCounters = hierarchy.counters(raw.senderTid);
+    raw.receiverCounters = hierarchy.counters(raw.receiverTid);
+    return raw;
+}
 
-    L2ChannelResult res;
-    res.latencies = receiver.latencies();
-    Classifier classifier({c0, c1});
-    const Encoding enc = Encoding::binary(1);
-    auto dec = decodeTransmission(res.latencies, classifier, enc, frame,
-                                  cfg.frames);
-    res.ber = dec.ber;
-    res.breakdown = dec.breakdown;
-    res.aligned = dec.aligned;
-    res.framesScored = dec.framesScored;
-    res.framesExpected = dec.framesExpected;
-    res.rateKbps = cfg.rateKbps();
-    res.goodputKbps = res.rateKbps * (1.0 - std::min(1.0, res.ber));
-    res.sentFrame = frame;
-    res.decodedBits = dec.bitstream;
-    res.calibrationMedians = {c0, c1};
-    res.senderCounters = hierarchy.counters(senderTid);
-    res.receiverCounters = hierarchy.counters(receiverTid);
-    res.simulatedCycles = end;
-    return res;
+} // namespace
+
+ChannelResult
+runL2Channel(const L2ChannelConfig &cfg)
+{
+    pipeline::requireSetIndex("L2ChannelConfig::targetL2Set",
+                              cfg.targetL2Set, cfg.platform.l2.numSets());
+    Rng rootRng(cfg.seed);
+    Rng calRng = rootRng.split();
+    Rng frameRng = rootRng.split();
+    Rng runRng = rootRng.split();
+    const BitVec frame = randomFrame(cfg.frameBits - 16, frameRng);
+
+    // Binary symbols, calibrated per symbol (see calibrateL2).
+    const pipeline::Pass pass{
+        Encoding::binary(1), 1, cfg.rateKbps(), [&](const auto &levels) {
+            return runL2Raw(cfg, levels, calRng, runRng);
+        }};
+    return pipeline::runFrames(pass, frame, cfg.frames);
 }
 
 } // namespace wb::chan

@@ -26,6 +26,7 @@
 #define WB_CHAN_L2_CHANNEL_HH
 
 #include "chan/channel.hh"
+#include "chan/set_mapping.hh"
 
 namespace wb::chan
 {
@@ -111,22 +112,16 @@ class L2SenderProgram : public sim::Program
     bool done_ = false;
 };
 
-/** Result bundle (same shape as the L1 channel's). */
-using L2ChannelResult = ChannelResult;
-
 /** Run the L2-level covert channel end to end. */
-L2ChannelResult runL2Channel(const L2ChannelConfig &cfg);
+ChannelResult runL2Channel(const L2ChannelConfig &cfg);
 
 /**
  * Helper: lines mapping to a given L2 set (they also share one L1
  * set), and pusher lines for that L1 set in other L2 sets.
  */
-struct L2Sets
+struct L2Sets : ChannelSets
 {
-    std::vector<Addr> senderLines;
     std::vector<Addr> pushers;
-    std::vector<Addr> replacementA;
-    std::vector<Addr> replacementB;
 };
 
 /** Build the L2-channel line pools. */

@@ -1,6 +1,7 @@
 #include "chan/multiset.hh"
 
 #include "chan/calibration.hh"
+#include "chan/pipeline.hh"
 #include "chan/set_mapping.hh"
 #include "common/log.hh"
 #include "sim/smt_core.hh"
@@ -171,7 +172,8 @@ MultiSetReceiver::onResult(const sim::MemOp &op, const sim::OpResult &res,
                 sawFirstTsc_ = true;
                 tscStart_ = res.tsc;
             } else {
-                double lat = static_cast<double>(res.tsc - tscStart_);
+                // Signed: a jittered timer can read end < start.
+                double lat = double(res.tsc) - double(tscStart_);
                 const double sigma = view.noise().measSigma(tr_);
                 if (sigma > 0.0)
                     lat += view.rng().gaussian(0.0, sigma);
@@ -193,28 +195,23 @@ MultiSetReceiver::onResult(const sim::MemOp &op, const sim::OpResult &res,
     }
 }
 
-ChannelResult
-runMultiSetChannel(const MultiSetConfig &cfg)
+namespace
 {
-    Rng rootRng(cfg.seed);
-    Rng calRng = rootRng.split();
-    Rng frameRng = rootRng.split();
-    Rng runRng = rootRng.split();
 
+/** The multi-set placement's pass: k L1 sets striped per slot. */
+pipeline::RawRun
+runMultiSetRaw(const MultiSetConfig &cfg,
+               const std::vector<unsigned> &levels, Rng &calRng,
+               Rng &runRng)
+{
     // Calibrate once on set 0 (sets are symmetric by construction).
     CalibrationConfig calCfg;
     calCfg.targetSet = cfg.targetSet(0);
     calCfg.replacementSize = cfg.replacementSize;
     calCfg.measurements = cfg.calMeasurements;
     calCfg.levelsMix = {0, cfg.d};
-    Calibration cal =
-        calibrate(cfg.platform, cfg.noise, calCfg, calRng);
-    Classifier classifier = cal.binaryClassifier(cfg.d);
-
-    const BitVec frame = randomFrame(cfg.frameBits - 16, frameRng);
-    BitVec allBits;
-    for (unsigned f = 0; f < cfg.frames; ++f)
-        allBits.insert(allBits.end(), frame.begin(), frame.end());
+    pipeline::RawRun raw;
+    raw.calibration = calibrate(cfg.platform, cfg.noise, calCfg, calRng);
 
     sim::Hierarchy hierarchy(cfg.platform, &runRng);
     sim::SmtCore core(hierarchy, cfg.noise, runRng);
@@ -223,48 +220,60 @@ runMultiSetChannel(const MultiSetConfig &cfg)
 
     std::vector<std::vector<Addr>> senderPools, replA, replB;
     for (unsigned j = 0; j < k; ++j) {
-        const unsigned set = cfg.targetSet(j);
-        senderPools.push_back(
-            linesForSet(layout, set, cfg.platform.l1.ways, 1));
-        replA.push_back(
-            linesForSet(layout, set, cfg.replacementSize, 0x100));
-        replB.push_back(
-            linesForSet(layout, set, cfg.replacementSize, 0x200));
+        ChannelSets sets = makeChannelSets(layout, cfg.targetSet(j),
+                                           cfg.platform.l1.ways,
+                                           cfg.replacementSize);
+        senderPools.push_back(std::move(sets.senderLines));
+        replA.push_back(std::move(sets.replacementA));
+        replB.push_back(std::move(sets.replacementB));
     }
 
-    MultiSetSender sender(senderPools, allBits, cfg.d, cfg.ts);
-    const std::size_t slots = (allBits.size() + k - 1) / k + 8 + 64;
+    // A nonzero level is a 1-bit.
+    const std::vector<bool> bits(levels.begin(), levels.end());
+    MultiSetSender sender(senderPools, bits, cfg.d, cfg.ts);
+    const std::size_t slots = (bits.size() + k - 1) / k + 8 + 64;
     MultiSetReceiver receiver(replA, replB, cfg.tr, slots);
 
     const Cycles senderStart = 8 * cfg.ts;
-    const ThreadId senderTid =
+    raw.senderTid =
         core.addThread(&sender, sim::AddressSpace(1), senderStart);
-    const ThreadId receiverTid =
-        core.addThread(&receiver, sim::AddressSpace(2), 0);
+    raw.receiverTid = core.addThread(&receiver, sim::AddressSpace(2), 0);
 
     const Cycles horizon =
         senderStart + Cycles(slots + 8) * (cfg.ts + 60) + 400000;
-    const Cycles end = core.run(horizon);
+    raw.simulatedCycles = core.run(horizon);
+    raw.latencies = receiver.samples();
+    raw.senderCounters = hierarchy.counters(raw.senderTid);
+    raw.receiverCounters = hierarchy.counters(raw.receiverTid);
+    return raw;
+}
 
-    ChannelResult res;
-    res.latencies = receiver.samples();
-    auto dec = decodeTransmission(res.latencies, classifier,
-                                  Encoding::binary(1), frame,
-                                  cfg.frames);
-    res.ber = dec.ber;
-    res.breakdown = dec.breakdown;
-    res.aligned = dec.aligned;
-    res.framesScored = dec.framesScored;
-    res.framesExpected = dec.framesExpected;
-    res.rateKbps = cfg.rateKbps();
-    res.goodputKbps = res.rateKbps * (1.0 - std::min(1.0, res.ber));
-    res.sentFrame = frame;
-    res.decodedBits = dec.bitstream;
-    res.calibrationMedians = cal.medianByD;
-    res.senderCounters = hierarchy.counters(senderTid);
-    res.receiverCounters = hierarchy.counters(receiverTid);
-    res.simulatedCycles = end;
-    return res;
+} // namespace
+
+ChannelResult
+runMultiSetChannel(const MultiSetConfig &cfg)
+{
+    // targetSet(j) strides 8 sets modulo 64: past 8 stripes, or from a
+    // firstSet past 63, stripes silently reuse sets.
+    if (cfg.setCount == 0 || cfg.setCount > 8 || cfg.firstSet >= 64)
+        fatalf("MultiSetConfig::setCount = ", cfg.setCount,
+               " / firstSet = ", cfg.firstSet,
+               " is out of range: 1..8 stripes from a set below 64");
+    for (unsigned j = 0; j < cfg.setCount; ++j)
+        pipeline::requireSetIndex("MultiSetConfig::targetSet(j)",
+                                  cfg.targetSet(j),
+                                  cfg.platform.l1.numSets());
+    Rng rootRng(cfg.seed);
+    Rng calRng = rootRng.split();
+    Rng frameRng = rootRng.split();
+    Rng runRng = rootRng.split();
+    const BitVec frame = randomFrame(cfg.frameBits - 16, frameRng);
+
+    const pipeline::Pass pass{
+        Encoding::binary(cfg.d), 1, cfg.rateKbps(), [&](const auto &levels) {
+            return runMultiSetRaw(cfg, levels, calRng, runRng);
+        }};
+    return pipeline::runFrames(pass, frame, cfg.frames);
 }
 
 } // namespace wb::chan

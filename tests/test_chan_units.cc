@@ -9,7 +9,11 @@
 #include <set>
 
 #include "chan/calibration.hh"
+#include "chan/channel.hh"
+#include "chan/cross_core.hh"
+#include "chan/l2_channel.hh"
 #include "chan/modulation.hh"
+#include "chan/multiset.hh"
 #include "chan/pointer_chase.hh"
 #include "chan/set_mapping.hh"
 
@@ -52,6 +56,42 @@ TEST(SetMapping, ChannelSetsDisjoint)
     EXPECT_EQ(all.size(), 28u); // no overlap anywhere
     for (Addr a : all)
         EXPECT_EQ(layout.setIndex(a), 13u);
+}
+
+// An out-of-range set index would be ORed into the tag bits and land
+// the lines on another set: every runner refuses it, naming the knob.
+
+TEST(SetRange, RejectsL1TargetSetBeyondTheCache)
+{
+    ChannelConfig cfg;
+    cfg.protocol.targetSet = cfg.platform.l1.numSets();
+    EXPECT_DEATH((void)runChannel(cfg), "ProtocolConfig::targetSet = 64");
+}
+
+TEST(SetRange, RejectsLlcTargetSetBeyondTheCache)
+{
+    CrossCoreChannelConfig cfg;
+    cfg.targetLlcSet = cfg.platform.llc.numSets();
+    EXPECT_DEATH((void)runCrossCoreChannel(cfg),
+                 "CrossCoreChannelConfig::targetLlcSet");
+}
+
+TEST(SetRange, RejectsL2TargetSetBeyondTheCache)
+{
+    L2ChannelConfig cfg;
+    cfg.targetL2Set = cfg.platform.l2.numSets() + 137;
+    EXPECT_DEATH((void)runL2Channel(cfg), "L2ChannelConfig::targetL2Set");
+}
+
+TEST(SetRange, RejectsMultiSetStripesThatReuseASet)
+{
+    MultiSetConfig cfg;
+    cfg.setCount = 9; // stripe 8 would land on set 8 again
+    EXPECT_DEATH((void)runMultiSetChannel(cfg),
+                 "MultiSetConfig::setCount = 9");
+    cfg.setCount = 4;
+    cfg.firstSet = 72; // wraps onto firstSet 8
+    EXPECT_DEATH((void)runMultiSetChannel(cfg), "firstSet = 72");
 }
 
 TEST(PointerChase, MeasurementOpsShape)

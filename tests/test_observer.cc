@@ -11,13 +11,16 @@
  * on one lucky trajectory.
  */
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "baselines/flush_channels.hh"
+#include "baselines/lru_channel.hh"
 #include "chan/channel.hh"
 #include "chan/degraded.hh"
+#include "chan/multiset.hh"
 #include "digest.hh"
 #include "sim/hierarchy.hh"
 #include "sim/observer.hh"
@@ -394,6 +397,37 @@ TEST(EvictionOnlyChannel, SmtCoreRefusesFlushOps)
             core.run(100000);
         },
         ::testing::ExitedWithCode(1), "hasFlush=false");
+}
+
+// ------------------------------------------------------------------
+// A jittered timer can read a duration's end before its start. The
+// receivers must report that as a small negative latency, not wrap it
+// through unsigned Cycles into ~1.8e19.
+// ------------------------------------------------------------------
+
+TEST(JitteredTimer, ReceiverDurationsNeverWrap)
+{
+    const sim::ObserverModel jittery =
+        sim::ObserverModel::sandboxTimer(1, 500.0);
+
+    MultiSetConfig multi;
+    multi.frames = 2;
+    multi.noise.observer = jittery;
+    const std::vector<double> striped = runMultiSetChannel(multi).latencies;
+
+    baselines::BaselineConfig lru;
+    lru.frames = 2;
+    lru.noise.observer = jittery;
+    const std::vector<double> probes =
+        baselines::runLruChannel(lru).latencies;
+
+    for (const std::vector<double> *lats : {&striped, &probes}) {
+        ASSERT_FALSE(lats->empty());
+        EXPECT_LT(*std::min_element(lats->begin(), lats->end()), 0.0)
+            << "the jitter must push some end reading before its start";
+        for (double lat : *lats)
+            ASSERT_LT(lat, 1e7);
+    }
 }
 
 } // namespace
