@@ -127,7 +127,9 @@ runRawSequence(const ChannelConfig &cfg, const std::vector<unsigned> &dSeq)
 
 /**
  * The same-core pass, adjusted for its observer by planDegraded (a
- * no-op, and bit-identical, for the default cycle-accurate one).
+ * no-op, and bit-identical, for the default cycle-accurate one). A
+ * transport burst plans after its rung reshaped the pacing, so a
+ * coarse plan re-aligns the rung's Ts/Tr to the granule.
  */
 pipeline::Pass
 sameCorePass(const ChannelConfig &userCfg)

@@ -23,9 +23,9 @@
  *     frame errors into retransmissions and an honest goodput number.
  *
  * The layer is generic over a TransportLink — one physical burst of
- * bits through a channel at a given rate — which chan/channel.hh and
- * chan/cross_core.hh bind to the simulated platforms (and tests bind
- * to synthetic corruption models). Evaluation follows the trace-based
+ * bits through a channel at a given rate — which chan/pipeline.hh
+ * binds to the simulated platforms (and tests bind to synthetic
+ * corruption models). Evaluation follows the trace-based
  * capacity methodology (raw bps x error bits x effective goodput per
  * run); examples/capacity_frontier.cpp sweeps the full frontier.
  */
@@ -75,10 +75,10 @@ struct RateStep
  * pacing: fewer dirty lines per symbol means less per-slot work on a
  * time-shared core and a smaller cross-tenant collision cross-section
  * on a crowded socket (docs/TENANTS.md), while the unchanged Ts keeps
- * the Tr:Ts ratio arithmetic in crossCoreLinkRun exact. Only once the
- * footprint floor (d = 1) is reached does the ladder start paying
- * with time. Shrinking stops silently at d = 1, so a binary(1)
- * protocol gets no shrink rungs regardless of the budget.
+ * the Tr:Ts ratio of the link binding (pipeline::runTransportOver)
+ * exact. Only once the footprint floor (d = 1) is reached does the
+ * ladder start paying with time. Shrinking stops silently at d = 1, so
+ * a binary(1) protocol gets no shrink rungs regardless of the budget.
  */
 std::vector<RateStep> rateLadder(const ProtocolConfig &proto,
                                  unsigned maxDoublings,
