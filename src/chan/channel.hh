@@ -142,10 +142,9 @@ struct ChannelResult
     Cycles simulatedCycles = 0;         //!< wall virtual time
 
     /**
-     * Thread ids the parties ran under (set by both the same-core and
-     * the cross-core runner). Detection harnesses use these to label
-     * which monitored tids were the covert pair — everything else on
-     * the machine is benign by construction.
+     * Thread ids the parties ran under (set by every runner). Detection
+     * harnesses use these to label which monitored tids were the
+     * covert pair — everything else on the machine is benign.
      */
     ThreadId senderTid = 0;
     ThreadId receiverTid = 0;

@@ -48,8 +48,8 @@ calibrateCrossCore(const CrossCoreChannelConfig &cfg,
     std::vector<unsigned> mix = cfg.calibration.levelsMix;
     if (mix.empty())
         mix = cfg.protocol.encoding.levels();
-    return calibrateOnPorts({mc.port(cfg.senderCore), 0,
-                             mc.port(cfg.receiverCore), 0},
+    return calibrateOnPorts({mc.port(cfg.senderCore), /*senderTid=*/0,
+                             mc.port(cfg.receiverCore), /*receiverTid=*/0},
                             sets, mix, cfg.protocol.encoding.maxLevel(),
                             cfg.calibration, cfg.noise, rng);
 }

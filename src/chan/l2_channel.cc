@@ -127,15 +127,14 @@ namespace
  * a 0-bit, level 1 a 1-bit (d lines written and pushed into L2).
  */
 Calibration
-calibrateL2(const L2ChannelConfig &cfg, Rng &rng)
+calibrateL2(const L2ChannelConfig &cfg, const L2Sets &sets, Rng &rng)
 {
     sim::Hierarchy hierarchy(cfg.platform, &rng);
-    const L2Sets sets = makeL2Sets(
-        hierarchy.l1().layout(), hierarchy.l2().layout(), cfg.targetL2Set,
-        cfg.platform.l2.ways, cfg.pusherLines, cfg.replacementSize);
     const sim::AddressSpace senderSpace(1);
     const auto pushIntoL2 = [&](unsigned level) {
-        for (unsigned i = 0; level != 0 && i < cfg.d; ++i) {
+        if (level == 0)
+            return;
+        for (unsigned i = 0; i < cfg.d; ++i) {
             hierarchy.access(0, senderSpace.translate(sets.senderLines[i]),
                              true);
             // Push the dirty line out of L1 into L2.
@@ -146,8 +145,11 @@ calibrateL2(const L2ChannelConfig &cfg, Rng &rng)
     calCfg.measurements = cfg.calMeasurements;
     calCfg.discard = 4;
     // Three warm-up sweeps: the first pass pulls the sets from DRAM.
-    return calibrateOnPorts({hierarchy, 0, hierarchy, 1, 3, pushIntoL2},
-                            sets, {0, 1}, 1, calCfg, cfg.noise, rng);
+    const CalibrationPorts ports{hierarchy, /*senderTid=*/0, hierarchy,
+                                 /*receiverTid=*/1, /*warmSweeps=*/3,
+                                 pushIntoL2};
+    return calibrateOnPorts(ports, sets, /*mix=*/{0, 1}, /*maxLevel=*/1,
+                            calCfg, cfg.noise, rng);
 }
 
 /** The L2 placement's pass: SMT siblings sharing one L2 set. */
@@ -155,15 +157,15 @@ pipeline::RawRun
 runL2Raw(const L2ChannelConfig &cfg, const std::vector<unsigned> &levels,
          Rng &calRng, Rng &runRng)
 {
+    const L2Sets sets = makeL2Sets(
+        sim::AddressLayout(cfg.platform.l1.numSets()),
+        sim::AddressLayout(cfg.platform.l2.numSets()), cfg.targetL2Set,
+        cfg.platform.l2.ways, cfg.pusherLines, cfg.replacementSize);
     pipeline::RawRun raw;
-    raw.calibration = calibrateL2(cfg, calRng);
+    raw.calibration = calibrateL2(cfg, sets, calRng);
 
     sim::Hierarchy hierarchy(cfg.platform, &runRng);
     sim::SmtCore core(hierarchy, cfg.noise, runRng);
-    auto sets = makeL2Sets(hierarchy.l1().layout(),
-                           hierarchy.l2().layout(), cfg.targetL2Set,
-                           cfg.platform.l2.ways, cfg.pusherLines,
-                           cfg.replacementSize);
 
     // A nonzero level is a 1-bit.
     const std::vector<bool> bits(levels.begin(), levels.end());

@@ -18,6 +18,8 @@
 #include "chan/channel.hh"
 #include "chan/cross_core.hh"
 #include "chan/degraded.hh"
+#include "chan/l2_channel.hh"
+#include "chan/multiset.hh"
 #include "digest.hh"
 #include "sim/observer.hh"
 #include "stat_assert.hh"
@@ -273,6 +275,26 @@ TEST(ClosedLinkTest, SilentOnAmplifiedCoarseTimer)
         },
         kSeeds);
     EXPECT_NEVER_CLOSED(sweep);
+}
+
+TEST(ClosedLinkTest, L2AndMultiSetShotsCarryTheFlag)
+{
+    // The pipeline reads the flag off every placement's calibration.
+    // Write-through closes both; the L2 channel crosses DAWG's L1-only
+    // partition, so it stays open there.
+    L2ChannelConfig l2;
+    l2.frames = 1;
+    MultiSetConfig multi;
+    multi.frames = 1;
+    l2.usePlatform("cortexA53-wt");
+    multi.usePlatform("cortexA53-wt");
+    EXPECT_CLOSED_ALMOST_ALWAYS(closedSweep(l2, runL2Channel, kFireSeeds));
+    EXPECT_CLOSED_ALMOST_ALWAYS(
+        closedSweep(multi, runMultiSetChannel, kFireSeeds));
+    l2.usePlatform("xeonE5-2650-dawg");
+    multi.usePlatform("xeonE5-2650");
+    EXPECT_NEVER_CLOSED(closedSweep(l2, runL2Channel));
+    EXPECT_NEVER_CLOSED(closedSweep(multi, runMultiSetChannel));
 }
 
 TEST(ClosedLinkTest, EmptyLevelShowsNoGap)
