@@ -1,9 +1,10 @@
 /**
  * @file
  * FNV-1a digests of channel and transport results, shared by the pin
- * suites (test_runner_pins, test_closed_link, test_observer). A pin is
- * one 64-bit constant captured from a known-good tree: any drift in
- * RNG draw order, scheduling, calibration or decoding changes it.
+ * suites (test_runner_pins, test_closed_link, test_observer), plus the
+ * transport geometry their transport pins run. A pin is one 64-bit
+ * constant captured from a known-good tree: any drift in RNG draw
+ * order, scheduling, calibration or decoding changes it.
  */
 
 #ifndef WB_TESTS_DIGEST_HH
@@ -118,6 +119,21 @@ shotDigest(const chan::ChannelResult &r)
     hashCounters(f, r.receiverCounters);
     hashSched(f, r.schedulerStats);
     return f.value();
+}
+
+/** The small transport geometry the capacity frontier uses. */
+inline void
+smallTransport(chan::TransportConfig &t)
+{
+    t.enabled = true;
+    t.layout.seqBits = 4;
+    t.layout.payloadBits = 24;
+    t.layout.crcWidth = 16;
+    t.layout.interleaveDepth = 2;
+    t.messageFrames = 2;
+    t.windowFrames = 2;
+    t.maxRetries = 3;
+    t.maxRounds = 6;
 }
 
 } // namespace wb::test

@@ -30,22 +30,8 @@ namespace
 {
 
 using test::shotDigest;
+using test::smallTransport;
 using test::transportDigest;
-
-/** The small transport geometry the capacity frontier uses. */
-void
-smallTransport(TransportConfig &t)
-{
-    t.enabled = true;
-    t.layout.seqBits = 4;
-    t.layout.payloadBits = 24;
-    t.layout.crcWidth = 16;
-    t.layout.interleaveDepth = 2;
-    t.messageFrames = 2;
-    t.windowFrames = 2;
-    t.maxRetries = 3;
-    t.maxRounds = 6;
-}
 
 ChannelConfig
 sameCoreTransport(const char *platform, std::uint64_t seed)

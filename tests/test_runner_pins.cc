@@ -27,6 +27,7 @@ namespace
 {
 
 using test::shotDigest;
+using test::smallTransport;
 using test::transportDigest;
 
 /** A short same-core shot: four 64-bit frames. */
@@ -51,21 +52,6 @@ crossCore(const char *platform, std::uint64_t seed)
     cfg.protocol.frames = 4;
     cfg.seed = seed;
     return cfg;
-}
-
-/** The capacity frontier's small transport geometry. */
-void
-smallTransport(TransportConfig &t)
-{
-    t.enabled = true;
-    t.layout.seqBits = 4;
-    t.layout.payloadBits = 24;
-    t.layout.crcWidth = 16;
-    t.layout.interleaveDepth = 2;
-    t.messageFrames = 2;
-    t.windowFrames = 2;
-    t.maxRetries = 3;
-    t.maxRounds = 6;
 }
 
 // ------------------------------------------------------------------
