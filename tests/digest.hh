@@ -1,7 +1,7 @@
 /**
  * @file
- * FNV-1a digests of channel and transport results, shared by the pin
- * suites (test_runner_pins, test_closed_link, test_observer), plus the
+ * FNV-1a digests of channel, baseline and transport results, shared
+ * by the pin suites (test_runner_pins, test_closed_link, test_observer), plus the
  * transport geometry their transport pins run. A pin is one 64-bit
  * constant captured from a known-good tree: any drift in RNG draw
  * order, scheduling, calibration or decoding changes it.
@@ -14,6 +14,7 @@
 #include <cstring>
 #include <vector>
 
+#include "baselines/framework.hh"
 #include "chan/channel.hh"
 #include "chan/transport.hh"
 #include "sim/scheduler.hh"
@@ -118,6 +119,20 @@ shotDigest(const chan::ChannelResult &r)
     hashCounters(f, r.senderCounters);
     hashCounters(f, r.receiverCounters);
     hashSched(f, r.schedulerStats);
+    return f.value();
+}
+
+/** Digest of a baseline run: latency stream, BER, frames, counters. */
+inline std::uint64_t
+baselineDigest(const baselines::BaselineResult &r)
+{
+    Fnv f;
+    for (double lat : r.latencies)
+        f.f64(lat);
+    f.f64(r.ber);
+    f.u64(r.framesScored);
+    hashCounters(f, r.senderCounters);
+    hashCounters(f, r.receiverCounters);
     return f.value();
 }
 

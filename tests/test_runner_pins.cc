@@ -2,7 +2,8 @@
  * @file
  * Bit-exact pins for every channel runner: same-core, cross-core, L2
  * and multi-set, single shots and transport sessions, with and
- * without the OS-noise scheduler, under every observer class. Each
+ * without the OS-noise scheduler, under every observer class, plus
+ * the baseline channels (LRU, Prime+Probe, the flush family, Hit+Hit). Each
  * digest (tests/digest.hh) covers the latency stream, the decoded
  * bits, BER, simulated cycles, calibration centroids, per-party
  * counters and scheduler stats, so a refactor of the channel pipeline
@@ -13,6 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/flush_channels.hh"
+#include "baselines/hit_hit_channel.hh"
+#include "baselines/lru_channel.hh"
+#include "baselines/prime_probe.hh"
 #include "chan/channel.hh"
 #include "chan/cross_core.hh"
 #include "chan/l2_channel.hh"
@@ -26,6 +31,7 @@ namespace wb::chan
 namespace
 {
 
+using test::baselineDigest;
 using test::shotDigest;
 using test::smallTransport;
 using test::transportDigest;
@@ -232,6 +238,80 @@ TEST(RunnerPins, TransmitString)
     const std::string got = transmitString(cfg, "dirty", &r);
     EXPECT_EQ(got, "dirty");
     EXPECT_EQ(shotDigest(r), 5313511652156709526ull);
+}
+
+// ------------------------------------------------------------------
+// Baseline channels: four 64-bit frames each.
+// ------------------------------------------------------------------
+
+baselines::BaselineConfig
+baseline(const char *platform, std::uint64_t seed)
+{
+    baselines::BaselineConfig cfg;
+    cfg.usePlatform(platform);
+    cfg.frameBits = 64;
+    cfg.frames = 4;
+    cfg.seed = seed;
+    return cfg;
+}
+
+TEST(RunnerPins, BaselineLru)
+{
+    baselines::BaselineConfig cfg = baseline("xeonE5-2650", 3);
+    EXPECT_EQ(baselineDigest(baselines::runLruChannel(cfg)),
+              18397233733410335710ull);
+    // One noise process on the target set, and whole-slot modulation.
+    cfg.noiseProcesses = 1;
+    cfg.noiseCfg.period = 3 * cfg.ts;
+    EXPECT_EQ(baselineDigest(baselines::runLruChannel(cfg, 0)),
+              5784364384324094658ull);
+}
+
+TEST(RunnerPins, BaselinePrimeProbe)
+{
+    EXPECT_EQ(baselineDigest(baselines::runPrimeProbeChannel(
+                  baseline("xeonE5-2650", 3))),
+              7549116208690912957ull);
+}
+
+TEST(RunnerPins, BaselineFlushFamily)
+{
+    const std::uint64_t pins[] = {10525360261207093261ull,
+                                  12670056826864470995ull,
+                                  3329246467861222940ull};
+    const baselines::FlushKind kinds[] = {
+        baselines::FlushKind::FlushReload, baselines::FlushKind::FlushFlush,
+        baselines::FlushKind::CoherenceState};
+    for (int i = 0; i < 3; ++i) {
+        SCOPED_TRACE(baselines::flushKindName(kinds[i]));
+        EXPECT_EQ(baselineDigest(baselines::runFlushChannel(
+                      baseline("xeonE5-2650", 3), kinds[i])),
+                  pins[i]);
+    }
+}
+
+TEST(RunnerPins, BaselineHitHit)
+{
+    EXPECT_EQ(baselineDigest(
+                  baselines::runHitHitChannel(baseline("xeonE5-2650", 3))),
+              16850800773387507179ull);
+}
+
+TEST(RunnerPins, BaselineCrossCorePrimeProbe)
+{
+    // Whole-LLC-set probes need longer slots than the L1 default.
+    baselines::BaselineConfig open = baseline("desktop-inclusive-4core", 4);
+    open.ts = open.tr = 12000;
+    open.targetSet = 37;
+    EXPECT_EQ(baselineDigest(baselines::runCrossCorePrimeProbe(open, 2, 4)),
+              11117270730615510863ull);
+
+    baselines::BaselineConfig closed = baseline("xeonE5-2650-2core", 4);
+    closed.ts = closed.tr = 12000;
+    closed.targetSet = 37;
+    EXPECT_EQ(
+        baselineDigest(baselines::runCrossCorePrimeProbe(closed, 2, 2)),
+        1334458850951001464ull);
 }
 
 } // namespace
