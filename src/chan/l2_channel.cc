@@ -68,6 +68,8 @@ L2SenderProgram::next(sim::ProcView &)
         return sim::MemOp::load(pushers_[pushIdx_]);
       case Phase::Wait:
         return sim::MemOp::spinUntil(tlast_ + ts_);
+      case Phase::Done:
+        return sim::MemOp::halt();
     }
     return sim::MemOp::halt();
 }
@@ -79,7 +81,7 @@ L2SenderProgram::onResult(const sim::MemOp &op, const sim::OpResult &res,
     auto beginSlot = [this]() {
         if (bitIdx_ >= bits_.size()) {
             done_ = true;
-            phase_ = Phase::Wait; // final spin, then the run ends
+            phase_ = Phase::Done;
             return;
         }
         lineIdx_ = 0;
@@ -105,11 +107,6 @@ L2SenderProgram::onResult(const sim::MemOp &op, const sim::OpResult &res,
         }
         break;
       case sim::MemOp::Kind::SpinUntil:
-        if (done_) {
-            phase_ = Phase::Init; // unreachable; next() halts via done_
-            bits_.clear();
-            break;
-        }
         tlast_ = res.tsc;
         ++bitIdx_;
         beginSlot();

@@ -95,7 +95,8 @@ class L2SenderProgram : public sim::Program
         Init,
         Store, //!< dirty the next target line in L1
         Push,  //!< sweep pushers to force the write-back into L2
-        Wait
+        Wait,
+        Done
     };
 
     std::vector<Addr> lines_;

@@ -38,6 +38,65 @@ TEST(L2Channel, SetsAreConsistent)
     }
 }
 
+/** Forwards to a program and tallies the op kinds it issues. */
+class OpTally : public sim::Program
+{
+  public:
+    explicit OpTally(sim::Program &inner) : inner_(inner) {}
+
+    std::optional<sim::MemOp>
+    next(sim::ProcView &view) override
+    {
+        auto op = inner_.next(view);
+        if (!op || op->kind == sim::MemOp::Kind::Halt)
+            ++halts;
+        return op;
+    }
+
+    void
+    onResult(const sim::MemOp &op, const sim::OpResult &res,
+             sim::ProcView &view) override
+    {
+        spins += op.kind == sim::MemOp::Kind::SpinUntil;
+        tscReads += op.kind == sim::MemOp::Kind::TscRead;
+        inner_.onResult(op, res, view);
+    }
+
+    unsigned spins = 0;
+    unsigned tscReads = 0;
+    unsigned halts = 0;
+
+  private:
+    sim::Program &inner_;
+};
+
+TEST(L2Channel, SenderHaltsAfterItsLastSlot)
+{
+    // Like the L1 sender: one TSC read, one spin per slot, then halt —
+    // no spins (and no spin-overshoot draws) past the message.
+    const sim::HierarchyParams hp = sim::xeonE5_2650Params();
+    Rng rng(1);
+    sim::Hierarchy hierarchy(hp, &rng);
+    sim::NoiseModel noise;
+    noise.traceExecution = false; // OpTally sees the per-op protocol
+    sim::SmtCore core(hierarchy, noise, rng);
+    const auto sets = chan::makeL2Sets(
+        sim::AddressLayout(hp.l1.numSets()),
+        sim::AddressLayout(hp.l2.numSets()), 137, hp.l2.ways, 10, 12);
+    chan::L2SenderProgram sender(sets.senderLines, sets.pushers,
+                                 {true, false, true, true}, 4, 30000);
+    OpTally tally(sender);
+    const ThreadId tid = core.addThread(&tally, sim::AddressSpace(1));
+    const Cycles horizon = 200 * 30000;
+    core.run(horizon);
+    EXPECT_TRUE(core.halted(tid));
+    EXPECT_LT(core.threadTime(tid), horizon);
+    EXPECT_EQ(tally.spins, 4u);
+    EXPECT_EQ(tally.tscReads, 1u);
+    EXPECT_EQ(tally.halts, 1u);
+    EXPECT_TRUE(sender.done());
+}
+
 TEST(L2Channel, TransmitsAtModerateRate)
 {
     chan::L2ChannelConfig cfg;
