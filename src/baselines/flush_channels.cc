@@ -30,133 +30,48 @@ flushKindName(FlushKind kind)
 
 FlushReceiver::FlushReceiver(Addr sharedLine, FlushKind kind, Cycles tr,
                              std::size_t sampleCount)
-    : line_(sharedLine), kind_(kind), tr_(tr), sampleCount_(sampleCount)
+    : PacedProgram(tr), line_(sharedLine), kind_(kind),
+      sampleCount_(sampleCount)
 {
-}
-
-std::optional<sim::MemOp>
-FlushReceiver::next(sim::ProcView &)
-{
-    switch (phase_) {
-      case Phase::InitTsc:
-        return sim::MemOp::tscRead();
-      case Phase::Wait:
-        return sim::MemOp::spinUntil(tlast_ + tr_);
-      case Phase::MeasStart:
-        return sim::MemOp::tscRead();
-      case Phase::MeasOp:
-        return kind_ == FlushKind::FlushReload ? sim::MemOp::load(line_)
-                                               : sim::MemOp::flush(line_);
-      case Phase::MeasEnd:
-        return sim::MemOp::tscRead();
-      case Phase::CleanFlush:
-        return sim::MemOp::flush(line_);
-      case Phase::Done:
-        return sim::MemOp::halt();
-    }
-    return sim::MemOp::halt();
 }
 
 void
-FlushReceiver::onResult(const sim::MemOp &, const sim::OpResult &res,
-                        sim::ProcView &)
+FlushReceiver::buildSlot(std::size_t index, const sim::OpResult &,
+                         sim::ProcView &)
 {
-    switch (phase_) {
-      case Phase::InitTsc:
-        tlast_ = res.tsc;
-        phase_ = Phase::Wait;
-        break;
-      case Phase::Wait:
-        tlast_ = res.tsc;
-        phase_ = Phase::MeasStart;
-        break;
-      case Phase::MeasStart:
-        tscStart_ = res.tsc;
-        phase_ = Phase::MeasOp;
-        break;
-      case Phase::MeasOp:
-        phase_ = Phase::MeasEnd;
-        break;
-      case Phase::MeasEnd:
-        // Signed: a jittered timer can read end < start.
-        samples_.push_back(double(res.tsc) - double(tscStart_));
-        if (samples_.size() >= sampleCount_)
-            phase_ = Phase::Done;
-        else if (kind_ == FlushKind::FlushReload)
-            phase_ = Phase::CleanFlush;
-        else
-            phase_ = Phase::Wait;
-        break;
-      case Phase::CleanFlush:
-        phase_ = Phase::Wait;
-        break;
-      case Phase::Done:
-        break;
-    }
+    if (index == 0)
+        return;
+    openWindow();
+    op(kind_ == FlushKind::FlushReload ? sim::MemOp::load(line_)
+                                       : sim::MemOp::flush(line_));
+    closeWindow();
+    if (index >= sampleCount_)
+        halt();
+    else if (kind_ == FlushKind::FlushReload)
+        op(sim::MemOp::flush(line_)); // untimed: reset for next slot
 }
 
 FlushSender::FlushSender(Addr sharedLine, FlushKind kind,
                          std::vector<bool> bits, Cycles ts)
-    : line_(sharedLine), kind_(kind), bits_(std::move(bits)), ts_(ts)
+    : PacedProgram(ts), line_(sharedLine), kind_(kind),
+      bits_(std::move(bits))
 {
-}
-
-std::optional<sim::MemOp>
-FlushSender::next(sim::ProcView &)
-{
-    switch (phase_) {
-      case Phase::Init:
-        return sim::MemOp::tscRead();
-      case Phase::Touch: {
-        const bool one = bits_[bitIdx_];
-        if (kind_ == FlushKind::CoherenceState) {
-            // M (dirty) for 1, shared/clean for 0.
-            return one ? sim::MemOp::store(line_) : sim::MemOp::load(line_);
-        }
-        // FlushReload / FlushFlush: touch for 1 (never reached for 0;
-        // beginSlot routes 0-bits straight to Wait).
-        return sim::MemOp::load(line_);
-      }
-      case Phase::Wait:
-        return sim::MemOp::spinUntil(tlast_ + ts_);
-      case Phase::Done:
-        return sim::MemOp::halt();
-    }
-    return sim::MemOp::halt();
 }
 
 void
-FlushSender::onResult(const sim::MemOp &op, const sim::OpResult &res,
-                      sim::ProcView &)
+FlushSender::buildSlot(std::size_t index, const sim::OpResult &,
+                       sim::ProcView &)
 {
-    auto beginSlot = [this]() {
-        if (bitIdx_ >= bits_.size()) {
-            phase_ = Phase::Done;
-        } else if (kind_ == FlushKind::CoherenceState || bits_[bitIdx_]) {
-            // The coherence channel touches on every bit (load vs
-            // store); the others only on 1-bits.
-            phase_ = Phase::Touch;
-        } else {
-            phase_ = Phase::Wait;
-        }
-    };
-
-    switch (op.kind) {
-      case sim::MemOp::Kind::TscRead:
-        tlast_ = res.tsc;
-        beginSlot();
-        break;
-      case sim::MemOp::Kind::Load:
-      case sim::MemOp::Kind::Store:
-        phase_ = Phase::Wait;
-        break;
-      case sim::MemOp::Kind::SpinUntil:
-        tlast_ = res.tsc;
-        ++bitIdx_;
-        beginSlot();
-        break;
-      default:
-        break;
+    if (index >= bits_.size()) {
+        halt();
+        return;
+    }
+    const bool one = bits_[index];
+    if (kind_ == FlushKind::CoherenceState) {
+        // Touch on every bit: M (dirty) for 1, shared/clean for 0.
+        op(one ? sim::MemOp::store(line_) : sim::MemOp::load(line_));
+    } else if (one) {
+        op(sim::MemOp::load(line_));
     }
 }
 
@@ -190,10 +105,8 @@ runFlushChannel(const BaselineConfig &cfg, FlushKind kind)
         parts.senderSpace.mapShared(sharedVa, 4096, /*physBase=*/0x1000);
         parts.receiverSpace.mapShared(sharedVa, 4096, /*physBase=*/0x1000);
 
-        auto receiver = std::make_unique<FlushReceiver>(
+        parts.receiver = std::make_unique<FlushReceiver>(
             sharedVa, kind, c.tr, sampleCount);
-        parts.latencySource = receiver.get();
-        parts.receiver = std::move(receiver);
         parts.sender = std::make_unique<FlushSender>(
             sharedVa, kind, frameBits, c.ts);
 

@@ -23,7 +23,7 @@ runBaseline(const BaselineConfig &cfg, const PartsFactory &factory)
     sim::SmtCore core(hierarchy, cfg.noise, runRng);
 
     BaselineParts parts = factory(cfg, allBits, hierarchy, runRng);
-    if (!parts.sender || !parts.receiver || !parts.latencySource)
+    if (!parts.sender || !parts.receiver)
         panic("runBaseline: factory returned incomplete parts");
 
     const chan::TransmissionSchedule sched = chan::transmissionSchedule(
@@ -48,7 +48,7 @@ runBaseline(const BaselineConfig &cfg, const PartsFactory &factory)
     core.run(sched.horizon);
 
     BaselineResult res;
-    res.latencies = parts.latencySource->latencies();
+    res.latencies = parts.receiver->latencies();
     res.rateKbps = cfg.rateKbps();
     res.sentFrame = frame;
     res.framesExpected = cfg.frames;

@@ -5,9 +5,13 @@
  * (Xiong & Szefer), Prime+Probe, Flush+Reload, Flush+Flush, and a
  * coherence-state (dirty/M vs clean/S flush timing) channel.
  *
- * All baselines share the WB channel's pacing (Algorithm 3) and the
- * frame/edit-distance evaluation so the comparison numbers differ only
- * in the transmission mechanism.
+ * All baselines share the WB channel's pacing (Algorithm 3, through
+ * chan::PacedProgram) and the frame/edit-distance evaluation. The
+ * comparison numbers differ in one more way than the transmission
+ * mechanism: the WB receivers add a NoiseModel::measSigma(Tr)
+ * Gaussian to every latency sample (measurement noise that grows with
+ * the sampling rate), while the baseline receivers record the raw TSC
+ * difference.
  */
 
 #ifndef WB_BASELINES_FRAMEWORK_HH
@@ -21,6 +25,7 @@
 #include "common/bitvec.hh"
 #include "common/edit_distance.hh"
 #include "chan/noise_process.hh"
+#include "chan/paced.hh"
 #include "chan/protocol.hh"
 #include "sim/hierarchy.hh"
 #include "sim/noise_model.hh"
@@ -86,28 +91,15 @@ struct BaselineResult
 };
 
 /**
- * A paced bit sender/receiver pair. The runner owns the platform; the
- * factories create the two programs once the hierarchy layout and the
- * frame bit sequence are known.
- *
- * The receiver program must expose its per-slot latency samples via
- * the LatencySource interface.
+ * What a baseline channel module hands to the shared runner: a paced
+ * bit sender/receiver pair, created once the hierarchy layout and the
+ * frame bit sequence are known. The runner reads the receiver's
+ * per-slot samples from PacedProgram::latencies().
  */
-class LatencySource
-{
-  public:
-    virtual ~LatencySource() = default;
-
-    /** Per-slot measured latencies, in observation order. */
-    virtual std::vector<double> latencies() const = 0;
-};
-
-/** What a baseline channel module hands to the shared runner. */
 struct BaselineParts
 {
     std::unique_ptr<sim::Program> sender;
-    std::unique_ptr<sim::Program> receiver;
-    LatencySource *latencySource = nullptr; //!< view into receiver
+    std::unique_ptr<chan::PacedProgram> receiver;
 
     /**
      * Calibrated centroids in increasing latency order. When the fast

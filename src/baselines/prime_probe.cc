@@ -13,7 +13,8 @@ namespace wb::baselines
 PrimeProbeReceiver::PrimeProbeReceiver(std::vector<Addr> lines, Cycles tr,
                                        std::size_t sampleCount,
                                        bool reprimeEachSlot)
-    : lines_(std::move(lines)), tr_(tr), sampleCount_(sampleCount),
+    : PacedProgram(tr), lines_(std::move(lines)),
+      reversed_(lines_.rbegin(), lines_.rend()), sampleCount_(sampleCount),
       reprimeEachSlot_(reprimeEachSlot)
 {
     if (lines_.empty())
@@ -23,142 +24,50 @@ PrimeProbeReceiver::PrimeProbeReceiver(std::vector<Addr> lines, Cycles tr,
     for (int sweep = 0; sweep < 2; ++sweep)
         warmupOrder_.insert(warmupOrder_.end(), lines_.begin(),
                             lines_.end());
-    probeOrder_ = lines_;
-}
-
-std::optional<sim::MemOp>
-PrimeProbeReceiver::next(sim::ProcView &)
-{
-    switch (phase_) {
-      case Phase::Warmup:
-        if (!warmupDone_) {
-            warmupDone_ = true;
-            return sim::MemOp::loadBatch(warmupOrder_.data(),
-                                         warmupOrder_.size());
-        }
-        phase_ = Phase::InitTsc;
-        return sim::MemOp::tscRead();
-      case Phase::InitTsc:
-        return sim::MemOp::tscRead();
-      case Phase::Wait:
-        return sim::MemOp::spinUntil(tlast_ + tr_);
-      case Phase::ProbeStart:
-        return sim::MemOp::tscRead();
-      case Phase::Probe:
-        return sim::MemOp::loadBatch(probeOrder_.data(),
-                                     probeOrder_.size());
-      case Phase::ProbeEnd:
-        return sim::MemOp::tscRead();
-      case Phase::Reprime:
-        return sim::MemOp::loadBatch(lines_.data(), lines_.size());
-      case Phase::Done:
-        return sim::MemOp::halt();
-    }
-    return sim::MemOp::halt();
+    startupOp(sim::MemOp::loadBatch(warmupOrder_.data(),
+                                    warmupOrder_.size()));
 }
 
 void
-PrimeProbeReceiver::onResult(const sim::MemOp &, const sim::OpResult &res,
-                             sim::ProcView &)
+PrimeProbeReceiver::buildSlot(std::size_t index, const sim::OpResult &,
+                              sim::ProcView &)
 {
-    switch (phase_) {
-      case Phase::Warmup:
-        // The warm-up batch completed; next() moves on to InitTsc.
-        break;
-      case Phase::InitTsc:
-        tlast_ = res.tsc;
-        phase_ = Phase::Wait;
-        break;
-      case Phase::Wait: {
-        tlast_ = res.tsc;
-        // Walk the probe in the reverse of the previous traversal
-        // order (the anti-thrashing trick of paper Sec. VI-A). With a
-        // per-slot re-prime the set state is canonical at every probe,
-        // and reversing would only oscillate the baseline: keep the
-        // forward order then.
-        probeOrder_.assign(lines_.begin(), lines_.end());
-        if (!forward_ && !reprimeEachSlot_)
-            std::reverse(probeOrder_.begin(), probeOrder_.end());
-        phase_ = Phase::ProbeStart;
-        break;
-      }
-      case Phase::ProbeStart:
-        tscStart_ = res.tsc;
-        phase_ = Phase::Probe;
-        break;
-      case Phase::Probe:
-        phase_ = Phase::ProbeEnd;
-        break;
-      case Phase::ProbeEnd:
-        // Signed: a jittered timer can read end < start.
-        samples_.push_back(double(res.tsc) - double(tscStart_));
-        forward_ = !forward_; // reverse traversal next slot
-        if (samples_.size() >= sampleCount_)
-            phase_ = Phase::Done;
-        else
-            phase_ = reprimeEachSlot_ ? Phase::Reprime : Phase::Wait;
-        break;
-      case Phase::Reprime:
-        phase_ = Phase::Wait;
-        break;
-      case Phase::Done:
-        break;
-    }
+    if (index == 0)
+        return;
+    // Walk the probe in the reverse of the previous traversal order
+    // (the anti-thrashing trick of paper Sec. VI-A): forward on odd
+    // slots, reversed on even ones. With a per-slot re-prime the set
+    // state is canonical at every probe, and reversing would only
+    // oscillate the baseline: keep the forward order then.
+    const bool forward = index % 2 == 1 || reprimeEachSlot_;
+    const std::vector<Addr> &order = forward ? lines_ : reversed_;
+    openWindow();
+    op(sim::MemOp::loadBatch(order.data(), order.size()));
+    closeWindow();
+    if (index >= sampleCount_)
+        halt();
+    else if (reprimeEachSlot_)
+        op(sim::MemOp::loadBatch(lines_.data(), lines_.size()));
 }
 
 PrimeProbeSender::PrimeProbeSender(std::vector<Addr> lines,
                                    unsigned linesPerOne,
                                    std::vector<bool> bits, Cycles ts)
-    : lines_(std::move(lines)), linesPerOne_(linesPerOne),
-      bits_(std::move(bits)), ts_(ts)
+    : PacedProgram(ts), lines_(std::move(lines)),
+      linesPerOne_(linesPerOne), bits_(std::move(bits))
 {
     if (linesPerOne_ > lines_.size())
         fatalf("PrimeProbeSender: linesPerOne exceeds line pool");
 }
 
-std::optional<sim::MemOp>
-PrimeProbeSender::next(sim::ProcView &)
-{
-    switch (phase_) {
-      case Phase::Init:
-        return sim::MemOp::tscRead();
-      case Phase::Touch:
-        return sim::MemOp::loadBatch(lines_.data(), linesPerOne_);
-      case Phase::Wait:
-        return sim::MemOp::spinUntil(tlast_ + ts_);
-      case Phase::Done:
-        return sim::MemOp::halt();
-    }
-    return sim::MemOp::halt();
-}
-
 void
-PrimeProbeSender::onResult(const sim::MemOp &op, const sim::OpResult &res,
-                           sim::ProcView &)
+PrimeProbeSender::buildSlot(std::size_t index, const sim::OpResult &,
+                            sim::ProcView &)
 {
-    auto beginSlot = [this]() {
-        if (bitIdx_ >= bits_.size())
-            phase_ = Phase::Done;
-        else
-            phase_ = bits_[bitIdx_] ? Phase::Touch : Phase::Wait;
-    };
-
-    switch (op.kind) {
-      case sim::MemOp::Kind::TscRead:
-        tlast_ = res.tsc;
-        beginSlot();
-        break;
-      case sim::MemOp::Kind::LoadBatch:
-        phase_ = Phase::Wait;
-        break;
-      case sim::MemOp::Kind::SpinUntil:
-        tlast_ = res.tsc;
-        ++bitIdx_;
-        beginSlot();
-        break;
-      default:
-        break;
-    }
+    if (index >= bits_.size())
+        halt();
+    else if (bits_[index])
+        op(sim::MemOp::loadBatch(lines_.data(), linesPerOne_));
 }
 
 BaselineResult
@@ -182,10 +91,8 @@ runPrimeProbeChannel(const BaselineConfig &cfg, unsigned linesPerOne)
                 .sampleCount;
 
         BaselineParts parts;
-        auto receiver = std::make_unique<PrimeProbeReceiver>(
+        parts.receiver = std::make_unique<PrimeProbeReceiver>(
             rxLines, c.tr, sampleCount);
-        parts.latencySource = receiver.get();
-        parts.receiver = std::move(receiver);
         parts.sender = std::make_unique<PrimeProbeSender>(
             txLines, linesPerOne, frameBits, c.ts);
 

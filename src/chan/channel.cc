@@ -84,22 +84,16 @@ runRawSequence(const ChannelConfig &cfg, const std::vector<unsigned> &dSeq)
     // write-back queue through timed clflush; everyone else times the
     // replacement-set chase (the eviction-only observer's receiver is
     // the load-timing one — it never flushes).
-    std::optional<ReceiverProgram> loadReceiver;
-    std::optional<FlushLatencyReceiverProgram> flushReceiver;
-    sim::Program *receiver = nullptr;
-    if (obs.cls == sim::ObserverClass::FlushLatency) {
-        flushReceiver.emplace(sets.replacementA, sets.replacementB,
-                              proto.tr, schedule.sampleCount);
-        receiver = &*flushReceiver;
-    } else {
-        loadReceiver.emplace(sets.replacementA, sets.replacementB,
-                             proto.tr, schedule.sampleCount);
-        receiver = &*loadReceiver;
-    }
+    ReceiverProgram receiver(sets.replacementA, sets.replacementB,
+                             proto.tr, schedule.sampleCount,
+                             /*warmupSweeps=*/2,
+                             obs.cls == sim::ObserverClass::FlushLatency
+                                 ? CalibrationProbe::FlushLatency
+                                 : CalibrationProbe::LoadTiming);
 
     raw.senderTid = core.addThread(&sender, sim::AddressSpace(1),
                                    schedule.senderStart);
-    raw.receiverTid = core.addThread(receiver, sim::AddressSpace(2), 0);
+    raw.receiverTid = core.addThread(&receiver, sim::AddressSpace(2), 0);
 
     // --- Optional co-resident noise processes (Sec. VI) ---
     std::vector<std::unique_ptr<NoiseProcess>> noisePrograms;
@@ -116,8 +110,7 @@ runRawSequence(const ChannelConfig &cfg, const std::vector<unsigned> &dSeq)
     raw.simulatedCycles =
         sched ? sched->run(schedule.horizon * sched->horizonStretch())
               : core.run(schedule.horizon);
-    raw.latencies = flushReceiver ? flushReceiver->latencies()
-                                  : loadReceiver->latencies();
+    raw.latencies = receiver.latencies();
     raw.senderCounters = hierarchy.counters(raw.senderTid);
     raw.receiverCounters = hierarchy.counters(raw.receiverTid);
     if (sched)

@@ -227,104 +227,4 @@ discoverChannelSets(sim::Hierarchy &hierarchy, ThreadId tid,
     return sets;
 }
 
-FlushLatencyReceiverProgram::FlushLatencyReceiverProgram(
-    std::vector<Addr> replacementA, std::vector<Addr> replacementB,
-    Cycles tr, std::size_t sampleCount, unsigned warmupSweeps)
-    : setA_(std::move(replacementA)), setB_(std::move(replacementB)),
-      tr_(tr), sampleCount_(sampleCount)
-{
-    for (unsigned sweep = 0; sweep < warmupSweeps; ++sweep) {
-        warmupOrder_.insert(warmupOrder_.end(), setA_.begin(), setA_.end());
-        warmupOrder_.insert(warmupOrder_.end(), setB_.begin(), setB_.end());
-    }
-}
-
-std::optional<sim::MemOp>
-FlushLatencyReceiverProgram::next(sim::ProcView &)
-{
-    switch (phase_) {
-      case Phase::Warmup:
-        if (!warmupDone_ && !warmupOrder_.empty()) {
-            warmupDone_ = true;
-            return sim::MemOp::loadBatch(warmupOrder_.data(),
-                                         warmupOrder_.size());
-        }
-        phase_ = Phase::Init;
-        return sim::MemOp::tscRead();
-      case Phase::Init:
-        return sim::MemOp::tscRead();
-      case Phase::Wait:
-        return sim::MemOp::spinUntil(tlast_ + tr_);
-      case Phase::Measure:
-        if (measurePos_ < measureOps_.size())
-            return measureOps_[measurePos_];
-        panic("FlushLatencyReceiverProgram: ops exhausted unexpectedly");
-      case Phase::Done:
-        return sim::MemOp::halt();
-    }
-    return sim::MemOp::halt();
-}
-
-void
-FlushLatencyReceiverProgram::onResult(const sim::MemOp &op,
-                                      const sim::OpResult &res,
-                                      sim::ProcView &view)
-{
-    switch (phase_) {
-      case Phase::Warmup:
-        break;
-      case Phase::Init:
-        tlast_ = res.tsc;
-        phase_ = Phase::Wait;
-        break;
-      case Phase::Wait: {
-        tlast_ = res.tsc;
-        // Arm the slot: untimed prime of the current set (whatever
-        // dirty lines the sender left in the target set join the
-        // write-back queue), then the timed flush of a probe line.
-        const std::vector<Addr> &set = useA_ ? setA_ : setB_;
-        measureOps_.clear();
-        measureOps_.push_back(
-            sim::MemOp::loadBatch(set.data(), set.size()));
-        if (view.noise().observer.coarseTimer()) {
-            // Same unbiased-estimator dither as ReceiverProgram.
-            measureOps_.push_back(sim::MemOp::delay(
-                view.rng().below(view.noise().timerGranule())));
-        }
-        measureOps_.push_back(sim::MemOp::tscRead());
-        measureOps_.push_back(sim::MemOp::flush(set[0]));
-        measureOps_.push_back(sim::MemOp::tscRead());
-        measurePos_ = 0;
-        sawFirstTsc_ = false;
-        phase_ = Phase::Measure;
-        break;
-      }
-      case Phase::Measure:
-        ++measurePos_;
-        if (op.kind == sim::MemOp::Kind::TscRead) {
-            if (!sawFirstTsc_) {
-                sawFirstTsc_ = true;
-                tscStart_ = res.tsc;
-            } else {
-                double latency = static_cast<double>(res.tsc) -
-                                 static_cast<double>(tscStart_);
-                const double sigma = view.noise().measSigma(tr_);
-                if (sigma > 0.0)
-                    latency += view.rng().gaussian(0.0, sigma);
-                latencies_.push_back(latency);
-                useA_ = !useA_;
-                if (latencies_.size() >= sampleCount_) {
-                    done_ = true;
-                    phase_ = Phase::Done;
-                } else {
-                    phase_ = Phase::Wait;
-                }
-            }
-        }
-        break;
-      case Phase::Done:
-        break;
-    }
-}
-
 } // namespace wb::chan

@@ -19,7 +19,8 @@
  *  - **Flush latency** (Flushgeist): the receiver never times loads;
  *    it primes the set untimed and times one clflush, whose cost
  *    carries the dirty write-backs the prime just queued
- *    (LatencyModel::flushWbDrainExtra, Hierarchy's pending-WB model).
+ *    (LatencyModel::flushWbDrainExtra, Hierarchy's pending-WB model;
+ *    ReceiverProgram with CalibrationProbe::FlushLatency).
  *
  *  - **Eviction only** (CacheOut): no flush instruction anywhere. The
  *    WB load-timing receiver is naturally flushless — the plan's only
@@ -35,9 +36,7 @@
 #include <vector>
 
 #include "chan/channel.hh"
-#include "chan/receiver.hh"
 #include "chan/set_mapping.hh"
-#include "sim/smt_core.hh"
 
 namespace wb::chan
 {
@@ -125,64 +124,6 @@ ChannelSets discoverChannelSets(sim::Hierarchy &hierarchy, ThreadId tid,
                                 unsigned targetSet, unsigned ways,
                                 unsigned replacementSize, Rng &rng,
                                 bool *verified);
-
-/**
- * The Flushgeist receiver: per slot, prime the current replacement
- * set untimed (evicting whatever dirty lines the sender left in the
- * target set into the write-back queue), then time a single clflush
- * of a probe line — its latency carries the queued write-backs'
- * drain. Composes with the coarse-timer observer (dither delay before
- * the timed section, same as ReceiverProgram). Per-op only: the
- * variant is rare enough that a compiled trace isn't worth a second
- * draw-order contract.
- */
-class FlushLatencyReceiverProgram : public sim::Program
-{
-  public:
-    FlushLatencyReceiverProgram(std::vector<Addr> replacementA,
-                                std::vector<Addr> replacementB, Cycles tr,
-                                std::size_t sampleCount,
-                                unsigned warmupSweeps = 2);
-
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
-    /** The recorded flush latencies (valid after the run). */
-    const std::vector<double> &latencies() const { return latencies_; }
-
-    /** True once sampleCount observations were recorded. */
-    bool done() const { return done_; }
-
-  private:
-    enum class Phase
-    {
-        Warmup,  //!< untimed batched sweeps of A and B
-        Init,    //!< read TSC once to establish Tlast
-        Wait,    //!< spin until Tlast + Tr
-        Measure, //!< prime, [dither], TscRead, Flush, TscRead
-        Done
-    };
-
-    std::vector<Addr> setA_;
-    std::vector<Addr> setB_;
-    Cycles tr_;
-    std::size_t sampleCount_;
-    std::vector<Addr> warmupOrder_;
-
-    Phase phase_ = Phase::Warmup;
-    bool useA_ = true;
-    bool warmupDone_ = false;
-
-    std::vector<sim::MemOp> measureOps_;
-    std::size_t measurePos_ = 0;
-    Cycles tscStart_ = 0;
-    bool sawFirstTsc_ = false;
-
-    Cycles tlast_ = 0;
-    std::vector<double> latencies_;
-    bool done_ = false;
-};
 
 } // namespace wb::chan
 

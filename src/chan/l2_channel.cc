@@ -46,8 +46,8 @@ L2SenderProgram::L2SenderProgram(std::vector<Addr> lines,
                                  std::vector<Addr> pushers,
                                  std::vector<bool> bits, unsigned d,
                                  Cycles ts)
-    : lines_(std::move(lines)), pushers_(std::move(pushers)),
-      bits_(std::move(bits)), d_(d), ts_(ts)
+    : PacedProgram(ts), lines_(std::move(lines)),
+      pushers_(std::move(pushers)), bits_(std::move(bits)), d_(d)
 {
     if (d_ > lines_.size())
         fatalf("L2SenderProgram: needs ", d_, " lines, got ",
@@ -56,63 +56,22 @@ L2SenderProgram::L2SenderProgram(std::vector<Addr> lines,
         fatalf("L2SenderProgram: needs pusher lines");
 }
 
-std::optional<sim::MemOp>
-L2SenderProgram::next(sim::ProcView &)
-{
-    switch (phase_) {
-      case Phase::Init:
-        return sim::MemOp::tscRead();
-      case Phase::Store:
-        return sim::MemOp::store(lines_[lineIdx_]);
-      case Phase::Push:
-        return sim::MemOp::load(pushers_[pushIdx_]);
-      case Phase::Wait:
-        return sim::MemOp::spinUntil(tlast_ + ts_);
-      case Phase::Done:
-        return sim::MemOp::halt();
-    }
-    return sim::MemOp::halt();
-}
-
 void
-L2SenderProgram::onResult(const sim::MemOp &op, const sim::OpResult &res,
-                          sim::ProcView &)
+L2SenderProgram::buildSlot(std::size_t index, const sim::OpResult &,
+                           sim::ProcView &)
 {
-    auto beginSlot = [this]() {
-        if (bitIdx_ >= bits_.size()) {
-            done_ = true;
-            phase_ = Phase::Done;
-            return;
-        }
-        lineIdx_ = 0;
-        pushIdx_ = 0;
-        phase_ = bits_[bitIdx_] ? Phase::Store : Phase::Wait;
-    };
-
-    switch (op.kind) {
-      case sim::MemOp::Kind::TscRead:
-        tlast_ = res.tsc;
-        beginSlot();
-        break;
-      case sim::MemOp::Kind::Store:
-        pushIdx_ = 0;
-        phase_ = Phase::Push;
-        break;
-      case sim::MemOp::Kind::Load:
-        ++pushIdx_;
-        if (pushIdx_ >= pushers_.size()) {
-            // This line's write-back has been forced into L2.
-            ++lineIdx_;
-            phase_ = lineIdx_ < d_ ? Phase::Store : Phase::Wait;
-        }
-        break;
-      case sim::MemOp::Kind::SpinUntil:
-        tlast_ = res.tsc;
-        ++bitIdx_;
-        beginSlot();
-        break;
-      default:
-        break;
+    if (index >= bits_.size()) {
+        halt();
+        return;
+    }
+    if (!bits_[index])
+        return;
+    // Dirty each target line in L1, then sweep the pushers so its
+    // write-back lands in the target L2 set.
+    for (unsigned i = 0; i < d_; ++i) {
+        op(sim::MemOp::store(lines_[i]));
+        for (Addr p : pushers_)
+            op(sim::MemOp::load(p));
     }
 }
 

@@ -12,8 +12,8 @@ namespace wb::chan
 MultiSetSender::MultiSetSender(std::vector<std::vector<Addr>> linePools,
                                std::vector<bool> bits, unsigned d,
                                Cycles ts)
-    : pools_(std::move(linePools)), bits_(std::move(bits)), d_(d),
-      ts_(ts)
+    : PacedProgram(ts), pools_(std::move(linePools)),
+      bits_(std::move(bits)), d_(d)
 {
     if (pools_.empty())
         fatalf("MultiSetSender: needs at least one set pool");
@@ -23,72 +23,28 @@ MultiSetSender::MultiSetSender(std::vector<std::vector<Addr>> linePools,
 }
 
 void
-MultiSetSender::advance()
+MultiSetSender::buildSlot(std::size_t index, const sim::OpResult &,
+                          sim::ProcView &)
 {
-    const unsigned k = static_cast<unsigned>(pools_.size());
-    while (setIdx_ < k) {
-        const std::size_t bitIdx = slotIdx_ * k + setIdx_;
+    const std::size_t k = pools_.size();
+    for (std::size_t j = 0; j < k; ++j) {
+        const std::size_t bitIdx = index * k + j;
         if (bitIdx >= bits_.size()) {
-            phase_ = Phase::Done;
+            // The message ends here, mid-slot or at a slot boundary.
+            halt();
             return;
         }
-        if (bits_[bitIdx] && storeIdx_ < d_) {
-            phase_ = Phase::Encode;
-            return;
+        if (bits_[bitIdx]) {
+            for (unsigned i = 0; i < d_; ++i)
+                op(sim::MemOp::store(pools_[j][i]));
         }
-        ++setIdx_;
-        storeIdx_ = 0;
-    }
-    phase_ = Phase::Wait;
-}
-
-std::optional<sim::MemOp>
-MultiSetSender::next(sim::ProcView &)
-{
-    switch (phase_) {
-      case Phase::Init:
-        return sim::MemOp::tscRead();
-      case Phase::Encode:
-        return sim::MemOp::store(pools_[setIdx_][storeIdx_]);
-      case Phase::Wait:
-        return sim::MemOp::spinUntil(tlast_ + ts_);
-      case Phase::Done:
-        return sim::MemOp::halt();
-    }
-    return sim::MemOp::halt();
-}
-
-void
-MultiSetSender::onResult(const sim::MemOp &op, const sim::OpResult &res,
-                         sim::ProcView &)
-{
-    switch (op.kind) {
-      case sim::MemOp::Kind::TscRead:
-        tlast_ = res.tsc;
-        setIdx_ = 0;
-        storeIdx_ = 0;
-        advance();
-        break;
-      case sim::MemOp::Kind::Store:
-        ++storeIdx_;
-        advance();
-        break;
-      case sim::MemOp::Kind::SpinUntil:
-        tlast_ = res.tsc;
-        ++slotIdx_;
-        setIdx_ = 0;
-        storeIdx_ = 0;
-        advance();
-        break;
-      default:
-        break;
     }
 }
 
 MultiSetReceiver::MultiSetReceiver(std::vector<std::vector<Addr>> replA,
                                    std::vector<std::vector<Addr>> replB,
                                    Cycles tr, std::size_t slots)
-    : tr_(tr), slots_(slots)
+    : PacedProgram(tr, /*measNoise=*/true), slots_(slots)
 {
     if (replA.empty() || replA.size() != replB.size())
         fatalf("MultiSetReceiver: mismatched replacement pools");
@@ -102,97 +58,40 @@ MultiSetReceiver::MultiSetReceiver(std::vector<std::vector<Addr>> replA,
             warmupOrder_.push_back(a);
         chaseB_.emplace_back(std::move(pool));
     }
-    // Two warm-up sweeps over everything.
-    const std::size_t once = warmupOrder_.size();
-    for (std::size_t i = 0; i < once; ++i)
-        warmupOrder_.push_back(warmupOrder_[i]);
+    // Two warm-up sweeps over everything, one load at a time.
+    for (int sweep = 0; sweep < 2; ++sweep)
+        for (Addr a : warmupOrder_)
+            startupOp(sim::MemOp::load(a));
 }
 
 void
-MultiSetReceiver::startMeasurement(Rng &rng)
+MultiSetReceiver::buildSlot(std::size_t index, const sim::OpResult &start,
+                            sim::ProcView &view)
 {
-    PointerChase &chase =
-        useA_ ? chaseA_[setIdx_] : chaseB_[setIdx_];
-    chase.reshuffle(rng);
-    ops_ = chase.batchedMeasurementOps();
-    opPos_ = 0;
-    sawFirstTsc_ = false;
-    phase_ = Phase::Measure;
-}
-
-std::optional<sim::MemOp>
-MultiSetReceiver::next(sim::ProcView &)
-{
-    switch (phase_) {
-      case Phase::Warmup:
-        if (warmupPos_ < warmupOrder_.size())
-            return sim::MemOp::load(warmupOrder_[warmupPos_]);
-        phase_ = Phase::InitTsc;
-        return sim::MemOp::tscRead();
-      case Phase::InitTsc:
-        return sim::MemOp::tscRead();
-      case Phase::Wait:
-        return sim::MemOp::spinUntil(tlast_ + tr_);
-      case Phase::Measure:
-        if (opPos_ < ops_.size())
-            return ops_[opPos_];
-        panic("MultiSetReceiver: ops exhausted");
-      case Phase::Done:
-        return sim::MemOp::halt();
+    if (index == 0)
+        return;
+    // Slot overrun: the previous slot's k chases spilling past the
+    // boundary shows up as an immediately released spin.
+    if (start.latency == 0)
+        ++overruns_;
+    chases_ = useA_ ? &chaseA_ : &chaseB_;
+    useA_ = !useA_;
+    setIdx_ = 0;
+    (*chases_)[0].reshuffle(view.rng());
+    for (const PointerChase &chase : *chases_) {
+        openWindow();
+        op(sim::MemOp::loadBatch(chase.order().data(), chase.size()));
+        closeWindow();
     }
-    return sim::MemOp::halt();
+    if (index >= slots_)
+        halt();
 }
 
 void
-MultiSetReceiver::onResult(const sim::MemOp &op, const sim::OpResult &res,
-                           sim::ProcView &view)
+MultiSetReceiver::onSample(sim::ProcView &view)
 {
-    switch (phase_) {
-      case Phase::Warmup:
-        ++warmupPos_;
-        break;
-      case Phase::InitTsc:
-        tlast_ = res.tsc;
-        phase_ = Phase::Wait;
-        break;
-      case Phase::Wait: {
-        // Detect slot overruns: the previous slot's k chases spilling
-        // past the boundary shows up as an immediate release.
-        if (res.latency == 0)
-            ++overruns_;
-        tlast_ = res.tsc;
-        setIdx_ = 0;
-        startMeasurement(view.rng());
-        break;
-      }
-      case Phase::Measure:
-        ++opPos_;
-        if (op.kind == sim::MemOp::Kind::TscRead) {
-            if (!sawFirstTsc_) {
-                sawFirstTsc_ = true;
-                tscStart_ = res.tsc;
-            } else {
-                // Signed: a jittered timer can read end < start.
-                double lat = double(res.tsc) - double(tscStart_);
-                const double sigma = view.noise().measSigma(tr_);
-                if (sigma > 0.0)
-                    lat += view.rng().gaussian(0.0, sigma);
-                samples_.push_back(lat);
-                ++setIdx_;
-                if (setIdx_ < chaseA_.size()) {
-                    startMeasurement(view.rng());
-                } else {
-                    useA_ = !useA_;
-                    ++slotsDone_;
-                    phase_ = slotsDone_ >= slots_ ? Phase::Done
-                                                  : Phase::Wait;
-                }
-            }
-        }
-        break;
-      case Phase::Done:
-        break;
-    }
+    if (++setIdx_ < chases_->size())
+        (*chases_)[setIdx_].reshuffle(view.rng());
 }
 
 namespace
@@ -242,7 +141,7 @@ runMultiSetRaw(const MultiSetConfig &cfg,
     const Cycles horizon =
         senderStart + Cycles(slots + 8) * (cfg.ts + 60) + 400000;
     raw.simulatedCycles = core.run(horizon);
-    raw.latencies = receiver.samples();
+    raw.latencies = receiver.latencies();
     raw.senderCounters = hierarchy.counters(raw.senderTid);
     raw.receiverCounters = hierarchy.counters(raw.receiverTid);
     return raw;

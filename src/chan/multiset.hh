@@ -15,6 +15,7 @@
 #define WB_CHAN_MULTISET_HH
 
 #include "chan/channel.hh"
+#include "chan/paced.hh"
 #include "chan/pointer_chase.hh"
 
 namespace wb::chan
@@ -66,7 +67,7 @@ struct MultiSetConfig
 };
 
 /** Striped sender: slot s, set j carries message bit s*k + j. */
-class MultiSetSender : public sim::Program
+class MultiSetSender : public PacedProgram
 {
   public:
     /**
@@ -78,36 +79,18 @@ class MultiSetSender : public sim::Program
     MultiSetSender(std::vector<std::vector<Addr>> linePools,
                    std::vector<bool> bits, unsigned d, Cycles ts);
 
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
   private:
-    enum class Phase
-    {
-        Init,
-        Encode,
-        Wait,
-        Done
-    };
-
-    /** Advance setIdx_/storeIdx_ to the next due store, or to Wait. */
-    void advance();
+    /** d stores per 1-bit, set by set; halts at the message's end. */
+    void buildSlot(std::size_t index, const sim::OpResult &start,
+                   sim::ProcView &view) override;
 
     std::vector<std::vector<Addr>> pools_;
     std::vector<bool> bits_;
     unsigned d_;
-    Cycles ts_;
-
-    Phase phase_ = Phase::Init;
-    std::size_t slotIdx_ = 0;
-    unsigned setIdx_ = 0;
-    unsigned storeIdx_ = 0;
-    Cycles tlast_ = 0;
 };
 
 /** Receiver timing k replacements per slot, set-major order. */
-class MultiSetReceiver : public sim::Program
+class MultiSetReceiver : public PacedProgram
 {
   public:
     /**
@@ -120,46 +103,30 @@ class MultiSetReceiver : public sim::Program
                      std::vector<std::vector<Addr>> replB, Cycles tr,
                      std::size_t slots);
 
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
-    /** Interleaved samples (slot-major, set-minor = message order). */
-    const std::vector<double> &samples() const { return samples_; }
-
     /** True when the receiver's k chases no longer fit the slot. */
     bool overran() const { return overruns_ > slots_ / 10; }
 
   private:
-    enum class Phase
-    {
-        Warmup,
-        InitTsc,
-        Wait,
-        Measure,
-        Done
-    };
+    /**
+     * Slot 0 only waits; every later slot times all k sets' chases
+     * (A or B, alternating per slot). Samples come out slot-major,
+     * set-minor: message order.
+     */
+    void buildSlot(std::size_t index, const sim::OpResult &start,
+                   sim::ProcView &view) override;
 
-    void startMeasurement(Rng &rng);
+    /** Draw the next set's chase order once the previous one closed. */
+    void onSample(sim::ProcView &view) override;
 
     std::vector<PointerChase> chaseA_;
     std::vector<PointerChase> chaseB_;
-    Cycles tr_;
     std::size_t slots_;
 
-    Phase phase_ = Phase::Warmup;
     std::vector<Addr> warmupOrder_;
-    std::size_t warmupPos_ = 0;
-    unsigned setIdx_ = 0;
+    std::vector<PointerChase> *chases_ = nullptr; //!< this slot's sets
+    unsigned setIdx_ = 0;                         //!< set being timed
     bool useA_ = true;
-    std::vector<sim::MemOp> ops_;
-    std::size_t opPos_ = 0;
-    bool sawFirstTsc_ = false;
-    Cycles tscStart_ = 0;
-    Cycles tlast_ = 0;
-    std::size_t slotsDone_ = 0;
     std::size_t overruns_ = 0;
-    std::vector<double> samples_;
 };
 
 /** Run the striped multi-set channel end to end. */

@@ -7,76 +7,42 @@ namespace wb::chan
 
 NoiseProcess::NoiseProcess(std::vector<Addr> lines,
                            const NoiseProcessConfig &cfg)
-    : lines_(std::move(lines)), cfg_(cfg)
+    : PacedProgram(cfg.period), lines_(std::move(lines)), cfg_(cfg)
 {
     if (lines_.empty())
         fatalf("NoiseProcess: needs at least one line");
 }
 
 void
-NoiseProcess::buildBurst(Rng &rng)
+NoiseProcess::buildSlot(std::size_t index, const sim::OpResult &,
+                        sim::ProcView &view)
 {
+    if (index == 0)
+        return;
     // chance() consumes no draws for the pure 0.0/1.0 fractions, so
     // all-load and all-store noise stays deterministic relative to
     // the run RNG (and forms a single run each).
     runs_.clear();
-    runPos_ = 0;
     for (unsigned i = 0; i < cfg_.burstLines; ++i) {
         const Addr line = lines_[nextLine_];
         nextLine_ = (nextLine_ + 1) % lines_.size();
-        const bool isStore = rng.chance(cfg_.storeFraction);
+        const bool isStore = view.rng().chance(cfg_.storeFraction);
         if (runs_.empty() || runs_.back().isStore != isStore)
             runs_.push_back({isStore, {}});
         runs_.back().lines.push_back(line);
     }
-}
-
-std::optional<sim::MemOp>
-NoiseProcess::next(sim::ProcView &)
-{
-    if (!started_) {
-        started_ = true;
-        return sim::MemOp::tscRead();
+    for (const BurstRun &run : runs_) {
+        op(run.isStore
+               ? sim::MemOp::storeBatch(run.lines.data(), run.lines.size())
+               : sim::MemOp::loadBatch(run.lines.data(), run.lines.size()),
+           /*hooked=*/true);
     }
-    if (spinning_)
-        return sim::MemOp::spinUntil(tlast_ + cfg_.period);
-    if (runPos_ < runs_.size()) {
-        const BurstRun &run = runs_[runPos_];
-        return run.isStore
-                   ? sim::MemOp::storeBatch(run.lines.data(),
-                                            run.lines.size())
-                   : sim::MemOp::loadBatch(run.lines.data(),
-                                           run.lines.size());
-    }
-    // Empty burst (burstLines == 0): go straight back to spinning.
-    spinning_ = true;
-    return sim::MemOp::spinUntil(tlast_ + cfg_.period);
 }
 
 void
-NoiseProcess::onResult(const sim::MemOp &op, const sim::OpResult &res,
-                       sim::ProcView &view)
+NoiseProcess::onOpResult(const sim::OpResult &res, sim::ProcView &)
 {
-    switch (op.kind) {
-      case sim::MemOp::Kind::TscRead:
-        tlast_ = res.tsc;
-        spinning_ = true;
-        break;
-      case sim::MemOp::Kind::SpinUntil:
-        tlast_ = res.tsc;
-        spinning_ = false;
-        buildBurst(view.rng());
-        break;
-      case sim::MemOp::Kind::LoadBatch:
-      case sim::MemOp::Kind::StoreBatch:
-        accesses_ += res.batch.accesses;
-        ++runPos_;
-        if (runPos_ >= runs_.size())
-            spinning_ = true;
-        break;
-      default:
-        break;
-    }
+    accesses_ += res.batch.accesses;
 }
 
 } // namespace wb::chan

@@ -14,8 +14,8 @@
 
 #include <vector>
 
+#include "chan/paced.hh"
 #include "common/types.hh"
-#include "sim/smt_core.hh"
 
 namespace wb::chan
 {
@@ -32,7 +32,7 @@ struct NoiseProcessConfig
  * The noise program: periodic bursts of target-set accesses, issued
  * as batched load/store sweeps.
  */
-class NoiseProcess : public sim::Program
+class NoiseProcess : public PacedProgram
 {
   public:
     /**
@@ -40,10 +40,6 @@ class NoiseProcess : public sim::Program
      * @param cfg burst timing/composition
      */
     NoiseProcess(std::vector<Addr> lines, const NoiseProcessConfig &cfg);
-
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
 
     /** Total accesses issued. */
     std::uint64_t accesses() const { return accesses_; }
@@ -57,20 +53,20 @@ class NoiseProcess : public sim::Program
     };
 
     /**
-     * Draw the next burst's load/store decisions (per line, as the
-     * scalar path did) and group consecutive same-kind touches into
-     * runs, preserving the original line order.
+     * Slot 0 only waits; every later slot draws its burst's load/store
+     * decisions (per line, as the scalar path did) and issues each run
+     * of consecutive same-kind touches as one batched sweep,
+     * preserving the original line order.
      */
-    void buildBurst(Rng &rng);
+    void buildSlot(std::size_t index, const sim::OpResult &start,
+                   sim::ProcView &view) override;
+
+    void onOpResult(const sim::OpResult &res, sim::ProcView &view) override;
 
     std::vector<Addr> lines_;
     NoiseProcessConfig cfg_;
-    Cycles tlast_ = 0;
     std::size_t nextLine_ = 0;
     std::vector<BurstRun> runs_; //!< this burst's batched sweeps
-    std::size_t runPos_ = 0;     //!< next run to issue
-    bool spinning_ = true;
-    bool started_ = false;
     std::uint64_t accesses_ = 0;
 };
 

@@ -1,193 +1,62 @@
 #include "chan/receiver.hh"
 
-#include "common/log.hh"
-
 namespace wb::chan
 {
 
 ReceiverProgram::ReceiverProgram(std::vector<Addr> replacementA,
                                  std::vector<Addr> replacementB, Cycles tr,
                                  std::size_t sampleCount,
-                                 unsigned warmupSweeps)
-    : chaseA_(std::move(replacementA)), chaseB_(std::move(replacementB)),
-      tr_(tr), sampleCount_(sampleCount), warmupSweeps_(warmupSweeps)
+                                 unsigned warmupSweeps,
+                                 CalibrationProbe probe)
+    : PacedProgram(tr, /*measNoise=*/true),
+      chaseA_(std::move(replacementA)), chaseB_(std::move(replacementB)),
+      sampleCount_(sampleCount), probe_(probe)
 {
-    for (unsigned sweep = 0; sweep < warmupSweeps_; ++sweep) {
+    for (unsigned sweep = 0; sweep < warmupSweeps; ++sweep) {
         for (Addr a : chaseA_.order())
             warmupOrder_.push_back(a);
         for (Addr a : chaseB_.order())
             warmupOrder_.push_back(a);
     }
-}
-
-std::vector<double>
-ReceiverProgram::latencies() const
-{
-    std::vector<double> out;
-    out.reserve(obs_.size());
-    for (const auto &o : obs_)
-        out.push_back(o.latency);
-    return out;
+    // Untimed initialization: all warm-up sweeps in one batch.
+    if (!warmupOrder_.empty())
+        startupOp(sim::MemOp::loadBatch(warmupOrder_.data(),
+                                        warmupOrder_.size()));
 }
 
 void
-ReceiverProgram::startMeasurement(Rng &rng)
+ReceiverProgram::buildSlot(std::size_t index, const sim::OpResult &,
+                           sim::ProcView &view)
 {
-    PointerChase &chase = useA_ ? chaseA_ : chaseB_;
-    chase.reshuffle(rng);
-    measureOps_ = chase.batchedMeasurementOps();
-    if (ditherGranule_ > 1) {
-        // Coarse-timer observer: offset each measurement by a uniform
-        // delay in [0, granule) so the quantized reading becomes an
-        // unbiased estimator of the true latency — the property the
-        // repetition decoder's block averaging integrates against
-        // (docs/OBSERVERS.md). A sandboxed receiver gets this phase
-        // randomness for free; modelling it explicitly keeps the
-        // estimator honest instead of locking every sample to the
-        // same counter phase.
-        measureOps_.insert(measureOps_.begin(),
-                           sim::MemOp::delay(rng.below(ditherGranule_)));
-    }
-    measurePos_ = 0;
-    sawFirstTsc_ = false;
-    phase_ = Phase::Measure;
-}
-
-std::optional<sim::MemOp>
-ReceiverProgram::next(sim::ProcView &)
-{
-    switch (phase_) {
-      case Phase::Warmup:
-        // Untimed initialization: all warm-up sweeps in one batch.
-        if (!warmupDone_ && !warmupOrder_.empty()) {
-            warmupDone_ = true;
-            return sim::MemOp::loadBatch(warmupOrder_.data(),
-                                         warmupOrder_.size());
-        }
-        phase_ = Phase::Init;
-        return sim::MemOp::tscRead();
-      case Phase::Init:
-        return sim::MemOp::tscRead();
-      case Phase::Wait:
-        return sim::MemOp::spinUntil(tlast_ + tr_);
-      case Phase::Measure:
-        if (measurePos_ < measureOps_.size())
-            return measureOps_[measurePos_];
-        panic("ReceiverProgram: measurement ops exhausted unexpectedly");
-      case Phase::Done:
-        return sim::MemOp::halt();
-    }
-    return sim::MemOp::halt();
-}
-
-const sim::Trace *
-ReceiverProgram::nextTrace(sim::ProcView &view)
-{
-    // Only the steady-state Wait->Measure sample cycle is compiled;
-    // Warmup/Init (a handful of startup ops) and Done stay per-op.
-    if (phase_ != Phase::Wait)
-        return nullptr;
-    // A coarse-timer observer's measurement prepends a per-sample
-    // dither delay drawn at measurement start; keep that variant on
-    // the per-op path so the draw order matches startMeasurement()
-    // exactly (the default observer compiles traces as before).
-    if (view.noise().observer.coarseTimer())
-        return nullptr;
-    // The sweep targets the set the *current* useA_ selects, but its
-    // order is drawn at the post-spin hook: reshuffle() permutes the
-    // chase's order storage in place, so the batch op compiled here
-    // reads the fresh permutation when it executes.
-    PointerChase &chase = useA_ ? chaseA_ : chaseB_;
-    traceOps_[0] = sim::MemOp::spinUntil(tlast_ + tr_);
-    traceOps_[1] = sim::MemOp::tscRead();
-    traceOps_[2] = sim::MemOp::loadBatch(chase.order().data(),
-                                         chase.order().size());
-    traceOps_[3] = sim::MemOp::tscRead();
-    tracePoints_ = {0, 1, 3};
-    trace_ = {traceOps_.data(), 4, tracePoints_.data(), 3};
-    return &trace_;
-}
-
-void
-ReceiverProgram::onTraceResult(std::uint32_t opIdx, const sim::MemOp &op,
-                               const sim::OpResult &res,
-                               sim::ProcView &view)
-{
-    if (op.kind == sim::MemOp::Kind::SpinUntil) {
-        // Post-spin: re-base Tlast and draw the fresh chase order at
-        // the exact stream position the per-op path reshuffles at.
-        tlast_ = res.tsc;
-        (useA_ ? chaseA_ : chaseB_).reshuffle(view.rng());
+    if (index == 0)
         return;
-    }
-    if (opIdx == 1) {
-        tscStart_ = res.tsc;
-        return;
-    }
-    // Final TSC read: record the traversal and decide what's next.
-    // Signed difference: a jittered observer can read end < start.
-    double latency = static_cast<double>(res.tsc) -
-                     static_cast<double>(tscStart_);
-    const double sigma = view.noise().measSigma(tr_);
-    if (sigma > 0.0)
-        latency += view.rng().gaussian(0.0, sigma);
-    obs_.push_back({latency, view.now()});
-    useA_ = !useA_; // Algorithm 2: alternate A and B
-    if (obs_.size() >= sampleCount_) {
-        done_ = true;
-        phase_ = Phase::Done;
+    PointerChase &chase = useA_ ? chaseA_ : chaseB_;
+    useA_ = !useA_;
+    const std::vector<Addr> &set = chase.order();
+    const sim::NoiseModel &noise = view.noise();
+    const bool flush = probe_ == CalibrationProbe::FlushLatency;
+    if (flush) {
+        // Untimed prime: the sender's dirty lines in the target set
+        // join the write-back queue the timed clflush drains.
+        op(sim::MemOp::loadBatch(set.data(), set.size()));
     } else {
-        phase_ = Phase::Wait;
+        chase.reshuffle(view.rng()); // in place: the batch sees it
     }
-}
-
-void
-ReceiverProgram::onResult(const sim::MemOp &op, const sim::OpResult &res,
-                          sim::ProcView &view)
-{
-    switch (phase_) {
-      case Phase::Warmup:
-        // The warm-up batch completed; next() moves on to Init.
-        break;
-      case Phase::Init:
-        // The Init phase consists of one TscRead; the phase was already
-        // advanced by next(), so this result belongs to that read.
-        tlast_ = res.tsc;
-        phase_ = Phase::Wait;
-        break;
-      case Phase::Wait:
-        tlast_ = res.tsc; // Algorithm 3: Tlast = TSC (post-spin)
-        ditherGranule_ = view.noise().observer.coarseTimer()
-                             ? view.noise().timerGranule()
-                             : 1;
-        startMeasurement(view.rng());
-        break;
-      case Phase::Measure:
-        ++measurePos_;
-        if (op.kind == sim::MemOp::Kind::TscRead) {
-            if (!sawFirstTsc_) {
-                sawFirstTsc_ = true;
-                tscStart_ = res.tsc;
-            } else {
-                double latency = static_cast<double>(res.tsc) -
-                                 static_cast<double>(tscStart_);
-                const double sigma = view.noise().measSigma(tr_);
-                if (sigma > 0.0)
-                    latency += view.rng().gaussian(0.0, sigma);
-                obs_.push_back({latency, view.now()});
-                useA_ = !useA_; // Algorithm 2: alternate A and B
-                if (obs_.size() >= sampleCount_) {
-                    done_ = true;
-                    phase_ = Phase::Done;
-                } else {
-                    phase_ = Phase::Wait;
-                }
-            }
-        }
-        break;
-      case Phase::Done:
-        break;
-    }
+    // Coarse-timer observer: offset each measurement by a uniform
+    // delay in [0, granule) so the quantized reading becomes an
+    // unbiased estimator of the true latency — the property the
+    // repetition decoder's block averaging integrates against
+    // (docs/OBSERVERS.md). The flush probe draws it under any coarse
+    // observer, a jitter-only one (granule 1) included.
+    if (noise.observer.coarseTimer() &&
+        (flush || noise.timerGranule() > 1))
+        op(sim::MemOp::delay(view.rng().below(noise.timerGranule())));
+    openWindow();
+    op(flush ? sim::MemOp::flush(set[0])
+             : sim::MemOp::loadBatch(set.data(), set.size()));
+    closeWindow();
+    if (index >= sampleCount_)
+        halt();
 }
 
 } // namespace wb::chan

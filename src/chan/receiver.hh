@@ -10,31 +10,29 @@
  * no separate initialization phase is needed. Two replacement sets are
  * used alternately so the lines being timed always come from L2, not
  * from the L1 they were left in by the previous measurement.
+ *
+ * The Flushgeist variant (CalibrationProbe::FlushLatency; see
+ * chan/degraded.hh) never times loads: per slot it primes the current
+ * replacement set untimed, queueing whatever dirty lines the sender
+ * left into the write-back buffer, then times a single clflush of a
+ * probe line, whose latency carries the queued write-backs' drain.
  */
 
 #ifndef WB_CHAN_RECEIVER_HH
 #define WB_CHAN_RECEIVER_HH
 
-#include <array>
-#include <cstdint>
 #include <vector>
 
-#include "common/types.hh"
+#include "chan/calibration.hh"
+#include "chan/paced.hh"
 #include "chan/pointer_chase.hh"
-#include "sim/smt_core.hh"
+#include "common/types.hh"
 
 namespace wb::chan
 {
 
-/** One recorded observation. */
-struct Observation
-{
-    double latency = 0.0; //!< measured traversal latency (cycles)
-    Cycles at = 0;        //!< receiver virtual time of the measurement
-};
-
-/** Receiver state machine. */
-class ReceiverProgram : public sim::Program
+/** Receiver: one timed replacement-set probe per slot. */
+class ReceiverProgram : public PacedProgram
 {
   public:
     /**
@@ -44,82 +42,32 @@ class ReceiverProgram : public sim::Program
      * @param sampleCount observations to record before halting
      * @param warmupSweeps untimed sweeps of both sets at startup (warms
      *        L2 and performs the paper's initialization phase)
+     * @param probe what each slot times: the pointer chase (the
+     *        paper's receiver) or a clflush after an untimed prime
      */
     ReceiverProgram(std::vector<Addr> replacementA,
                     std::vector<Addr> replacementB, Cycles tr,
-                    std::size_t sampleCount, unsigned warmupSweeps = 2);
-
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
-    /**
-     * One full sample compiled as a trace: [slot spin, TSC read,
-     * chase sweep, TSC read] with hooks on the spin (re-base Tlast and
-     * reshuffle the chase — the sweep op's address storage is updated
-     * in place, which the Trace contract allows) and on both TSC reads
-     * (start/stop of the timed traversal). The decode decision — stop
-     * or arm the next slot — happens at the final hook, making the
-     * sample boundary the receiver's fallback point.
-     */
-    const sim::Trace *nextTrace(sim::ProcView &view) override;
-    void onTraceResult(std::uint32_t opIdx, const sim::MemOp &op,
-                       const sim::OpResult &res,
-                       sim::ProcView &view) override;
-
-    /** The recorded observations (valid after the run). */
-    const std::vector<Observation> &observations() const { return obs_; }
-
-    /** Just the latencies, for classification. */
-    std::vector<double> latencies() const;
+                    std::size_t sampleCount, unsigned warmupSweeps = 2,
+                    CalibrationProbe probe = CalibrationProbe::LoadTiming);
 
     /** True once sampleCount observations were recorded. */
-    bool done() const { return done_; }
+    bool done() const { return latencies().size() >= sampleCount_; }
 
   private:
-    enum class Phase
-    {
-        Warmup,  //!< untimed batched sweeps of A and B
-        Init,    //!< read TSC once to establish Tlast
-        Wait,    //!< spin until Tlast + Tr
-        Measure, //!< TscRead, batched chase sweep, TscRead
-        Done     //!< sampleCount observations recorded
-    };
-
-    /** Begin a measurement over the current replacement set. */
-    void startMeasurement(Rng &rng);
+    /**
+     * Slot 0 only waits; every later slot measures what the sender
+     * did in the one before it, alternating sets A and B (Algorithm
+     * 2), and the slot recording the last sample halts.
+     */
+    void buildSlot(std::size_t index, const sim::OpResult &start,
+                   sim::ProcView &view) override;
 
     PointerChase chaseA_;
     PointerChase chaseB_;
-    Cycles tr_;
     std::size_t sampleCount_;
-    unsigned warmupSweeps_;
-
-    Phase phase_ = Phase::Warmup;
-    bool useA_ = true; //!< Algorithm 2: alternate replacement sets
-    bool warmupDone_ = false;
+    CalibrationProbe probe_;
+    bool useA_ = true;
     std::vector<Addr> warmupOrder_;
-
-    std::vector<sim::MemOp> measureOps_;
-    std::size_t measurePos_ = 0;
-    Cycles tscStart_ = 0;
-    bool sawFirstTsc_ = false;
-
-    Cycles tlast_ = 0;
-    std::vector<Observation> obs_;
-    bool done_ = false;
-
-    /**
-     * Effective timer granule when the observer is coarse (1 = legacy
-     * cycle-accurate, no dither). Refreshed from the noise model at
-     * each slot boundary; startMeasurement prepends a uniform dither
-     * delay in [0, granule) when > 1.
-     */
-    Cycles ditherGranule_ = 1;
-
-    std::array<sim::MemOp, 4> traceOps_{};       //!< spin, tsc, sweep, tsc
-    std::array<std::uint32_t, 3> tracePoints_{}; //!< hooks: 0, 1, 3
-    sim::Trace trace_;
 };
 
 } // namespace wb::chan

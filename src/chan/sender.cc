@@ -7,7 +7,8 @@ namespace wb::chan
 
 SenderProgram::SenderProgram(std::vector<Addr> lines,
                              std::vector<unsigned> dSequence, Cycles ts)
-    : lines_(std::move(lines)), dSeq_(std::move(dSequence)), ts_(ts)
+    : PacedProgram(ts), lines_(std::move(lines)),
+      dSeq_(std::move(dSequence))
 {
     unsigned maxD = 0;
     for (unsigned d : dSeq_)
@@ -17,82 +18,18 @@ SenderProgram::SenderProgram(std::vector<Addr> lines,
                lines_.size());
 }
 
-std::optional<sim::MemOp>
-SenderProgram::next(sim::ProcView &)
-{
-    switch (phase_) {
-      case Phase::Init:
-        return sim::MemOp::tscRead();
-      case Phase::Encode: {
-        if (symbolIdx_ >= dSeq_.size()) {
-            done_ = true;
-            return sim::MemOp::halt();
-        }
-        // Algorithm 1: dirty the symbol's d lines as one batched store
-        // sweep through the fused miss path, then wait out the slot.
-        const unsigned d = dSeq_[symbolIdx_];
-        if (d > 0)
-            return sim::MemOp::storeBatch(lines_.data(), d);
-        phase_ = Phase::Wait;
-        return sim::MemOp::spinUntil(tlast_ + ts_);
-      }
-      case Phase::Wait:
-        // onResult advances the phase; next() is never called while in
-        // Wait because SpinUntil is the single op of this phase.
-        return sim::MemOp::spinUntil(tlast_ + ts_);
-    }
-    return sim::MemOp::halt();
-}
-
-const sim::Trace *
-SenderProgram::nextTrace(sim::ProcView &)
-{
-    // Only the Encode->Wait slot cycle is compiled; Init (and the
-    // final halt) stay on the per-op path.
-    if (phase_ != Phase::Encode || symbolIdx_ >= dSeq_.size())
-        return nullptr;
-    const unsigned d = dSeq_[symbolIdx_];
-    std::size_t n = 0;
-    if (d > 0)
-        traceOps_[n++] = sim::MemOp::storeBatch(lines_.data(), d);
-    const auto spinIdx = static_cast<std::uint32_t>(n);
-    traceOps_[n++] = sim::MemOp::spinUntil(tlast_ + ts_);
-    tracePoints_[0] = spinIdx;
-    trace_ = {traceOps_.data(), n, tracePoints_.data(), 1};
-    return &trace_;
-}
-
 void
-SenderProgram::onTraceResult(std::uint32_t, const sim::MemOp &,
-                             const sim::OpResult &res, sim::ProcView &)
+SenderProgram::buildSlot(std::size_t index, const sim::OpResult &,
+                         sim::ProcView &)
 {
-    // The hook sits on the slot spin: re-base the period clock and
-    // advance to the next symbol, as the per-op Wait result does.
-    tlast_ = res.tsc;
-    ++symbolIdx_;
-    phase_ = Phase::Encode;
-}
-
-void
-SenderProgram::onResult(const sim::MemOp &op, const sim::OpResult &res,
-                        sim::ProcView &)
-{
-    switch (op.kind) {
-      case sim::MemOp::Kind::TscRead:
-        tlast_ = res.tsc;
-        phase_ = Phase::Encode;
-        break;
-      case sim::MemOp::Kind::StoreBatch:
-        phase_ = Phase::Wait;
-        break;
-      case sim::MemOp::Kind::SpinUntil:
-        tlast_ = res.tsc; // Algorithm 3: Tlast = TSC (post-spin)
-        ++symbolIdx_;
-        phase_ = Phase::Encode;
-        break;
-      default:
-        break;
+    if (index >= dSeq_.size()) {
+        halt();
+        return;
     }
+    // Algorithm 1: dirty the symbol's d lines as one batched store
+    // sweep through the fused miss path, then wait out the slot.
+    if (const unsigned d = dSeq_[index]; d > 0)
+        op(sim::MemOp::storeBatch(lines_.data(), d));
 }
 
 } // namespace wb::chan

@@ -7,24 +7,22 @@
  * the target set (d = 0 means no access at all) with one batched store
  * sweep, then busy-waits for the period boundary and re-bases its
  * period clock on the post-spin timestamp, exactly as Algorithm 3's
- * `while (TSC < Tlast + Ts); Tlast = TSC;` does.
+ * `while (TSC < Tlast + Ts); Tlast = TSC;` does (chan/paced.hh).
  */
 
 #ifndef WB_CHAN_SENDER_HH
 #define WB_CHAN_SENDER_HH
 
-#include <array>
-#include <cstdint>
 #include <vector>
 
+#include "chan/paced.hh"
 #include "common/types.hh"
-#include "sim/smt_core.hh"
 
 namespace wb::chan
 {
 
-/** Sender state machine. */
-class SenderProgram : public sim::Program
+/** Sender: one batched store sweep of d lines per symbol slot. */
+class SenderProgram : public PacedProgram
 {
   public:
     /**
@@ -36,48 +34,18 @@ class SenderProgram : public sim::Program
     SenderProgram(std::vector<Addr> lines, std::vector<unsigned> dSequence,
                   Cycles ts);
 
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
-    /**
-     * One symbol slot compiled as a trace: the encode store sweep (when
-     * d > 0) plus the period spin, with a result hook on the spin — the
-     * post-spin timestamp re-bases Tlast, which the next slot's spin
-     * target depends on, so a slot boundary is the sender's
-     * data-dependent fallback point.
-     */
-    const sim::Trace *nextTrace(sim::ProcView &view) override;
-    void onTraceResult(std::uint32_t opIdx, const sim::MemOp &op,
-                       const sim::OpResult &res,
-                       sim::ProcView &view) override;
-
     /** True once every symbol has been modulated. */
-    bool done() const { return done_; }
+    bool done() const { return slotIndex() >= dSeq_.size(); }
 
     /** Number of symbols modulated so far. */
-    std::size_t symbolsSent() const { return symbolIdx_; }
+    std::size_t symbolsSent() const { return slotIndex(); }
 
   private:
-    enum class Phase
-    {
-        Init,   //!< read the TSC once to establish Tlast
-        Encode, //!< issue the current symbol's batched store sweep
-        Wait    //!< spin until Tlast + Ts
-    };
+    void buildSlot(std::size_t index, const sim::OpResult &start,
+                   sim::ProcView &view) override;
 
     std::vector<Addr> lines_;
     std::vector<unsigned> dSeq_;
-    Cycles ts_;
-
-    Phase phase_ = Phase::Init;
-    std::size_t symbolIdx_ = 0;
-    Cycles tlast_ = 0;
-    bool done_ = false;
-
-    std::array<sim::MemOp, 2> traceOps_{};     //!< [store sweep,] spin
-    std::array<std::uint32_t, 1> tracePoints_{}; //!< hook on the spin
-    sim::Trace trace_;
 };
 
 } // namespace wb::chan
