@@ -21,13 +21,22 @@
  *  - OS-noise regimes where the Scheduler must split batches at
  *    gang-freeze/timeslice boundaries, plus mid-batch migration
  *    (migrationPeriod) rebinding a front-end between cores while its
- *    trace is in flight.
+ *    trace is in flight;
+ *  - every other paced program (chan/paced.hh): the L2 and multi-set
+ *    runners and the baselines (LRU, same-core and cross-core
+ *    Prime+Probe, the three flush kinds, Hit+Hit).
  */
 
 #include <gtest/gtest.h>
 
+#include "baselines/flush_channels.hh"
+#include "baselines/hit_hit_channel.hh"
+#include "baselines/lru_channel.hh"
+#include "baselines/prime_probe.hh"
 #include "chan/channel.hh"
 #include "chan/cross_core.hh"
+#include "chan/l2_channel.hh"
+#include "chan/multiset.hh"
 #include "sim/platform.hh"
 #include "sidechan/attack.hh"
 
@@ -217,6 +226,111 @@ TEST(TraceEquivalence, SideChannelAttack)
             EXPECT_EQ(traced.meanLatency0, stepped.meanLatency0);
             EXPECT_EQ(traced.meanLatency1, stepped.meanLatency1);
         }
+    }
+}
+
+/** Run a config through both engines and hand back the pair. */
+template <typename Config, typename Run>
+auto
+tracedAndStepped(Config cfg, Run run)
+{
+    cfg.noise.traceExecution = true;
+    auto traced = run(cfg);
+    cfg.noise.traceExecution = false;
+    return std::make_pair(traced, run(cfg));
+}
+
+TEST(TraceEquivalence, L2AndMultiSetChannels)
+{
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        chan::L2ChannelConfig l2;
+        l2.frames = 2;
+        l2.frameBits = 64;
+        l2.seed = seed;
+        const auto [l2Traced, l2Stepped] =
+            tracedAndStepped(l2, chan::runL2Channel);
+        expectIdentical(l2Traced, l2Stepped,
+                        "L2 seed " + std::to_string(seed));
+
+        chan::MultiSetConfig ms;
+        ms.frames = 2;
+        ms.setCount = 4;
+        ms.seed = seed;
+        const auto [msTraced, msStepped] =
+            tracedAndStepped(ms, chan::runMultiSetChannel);
+        expectIdentical(msTraced, msStepped,
+                        "multi-set k=4 seed " + std::to_string(seed));
+    }
+}
+
+/** Every observable of two baseline runs must match exactly. */
+void
+expectIdentical(const baselines::BaselineResult &a,
+                const baselines::BaselineResult &b, const std::string &what)
+{
+    SCOPED_TRACE(what);
+    EXPECT_TRUE(a.latencies == b.latencies) << "raw latencies diverge";
+    EXPECT_EQ(a.ber, b.ber);
+    EXPECT_EQ(a.aligned, b.aligned);
+    EXPECT_EQ(a.framesScored, b.framesScored);
+    expectCountersEqual(a.senderCounters, b.senderCounters, "sender");
+    expectCountersEqual(a.receiverCounters, b.receiverCounters, "receiver");
+}
+
+TEST(TraceEquivalence, BaselineChannels)
+{
+    using namespace baselines;
+    const std::pair<const char *,
+                    std::function<BaselineResult(const BaselineConfig &)>>
+        runners[] = {
+            {"LRU", [](const BaselineConfig &c) { return runLruChannel(c); }},
+            {"Prime+Probe",
+             [](const BaselineConfig &c) { return runPrimeProbeChannel(c); }},
+            {"Flush+Reload",
+             [](const BaselineConfig &c) {
+                 return runFlushChannel(c, FlushKind::FlushReload);
+             }},
+            {"Flush+Flush",
+             [](const BaselineConfig &c) {
+                 return runFlushChannel(c, FlushKind::FlushFlush);
+             }},
+            {"CoherenceState",
+             [](const BaselineConfig &c) {
+                 return runFlushChannel(c, FlushKind::CoherenceState);
+             }},
+            {"Hit+Hit",
+             [](const BaselineConfig &c) { return runHitHitChannel(c); }},
+        };
+    for (const auto &[name, run] : runners) {
+        for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+            BaselineConfig cfg;
+            cfg.frames = 2;
+            cfg.seed = seed;
+            // A co-resident noise process on odd seeds.
+            cfg.noiseProcesses = seed % 2;
+            const auto [traced, stepped] = tracedAndStepped(cfg, run);
+            expectIdentical(traced, stepped,
+                            std::string(name) + " seed " +
+                                std::to_string(seed));
+        }
+    }
+}
+
+TEST(TraceEquivalence, CrossCorePrimeProbe)
+{
+    baselines::BaselineConfig cfg;
+    cfg.usePlatform("desktop-inclusive-4core");
+    cfg.ts = cfg.tr = 12000;
+    cfg.frames = 2;
+    cfg.targetSet = 37;
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        cfg.seed = seed;
+        const auto [traced, stepped] =
+            tracedAndStepped(cfg, [](const baselines::BaselineConfig &c) {
+                return baselines::runCrossCorePrimeProbe(c, 2, 4);
+            });
+        expectIdentical(traced, stepped,
+                        "cross-core P+P seed " + std::to_string(seed));
     }
 }
 
