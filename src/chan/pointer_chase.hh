@@ -44,15 +44,6 @@ class PointerChase
      */
     std::vector<sim::MemOp> measurementOps() const;
 
-    /**
-     * measurementOps() with the traversal as one batched load sweep:
-     * TscRead, loadBatch over the whole permuted order, TscRead —
-     * the timed-measurement primitive every batched receiver uses.
-     * The returned ops reference this chase's order storage; they
-     * stay valid until the next reshuffle().
-     */
-    std::vector<sim::MemOp> batchedMeasurementOps() const;
-
     /** Number of lines in the set. */
     std::size_t size() const { return order_.size(); }
 

@@ -1,10 +1,11 @@
 /**
  * @file
  * FNV-1a digests of channel, baseline and transport results, shared
- * by the pin suites (test_runner_pins, test_closed_link, test_observer), plus the
- * transport geometry their transport pins run. A pin is one 64-bit
- * constant captured from a known-good tree: any drift in RNG draw
- * order, scheduling, calibration or decoding changes it.
+ * by the pin suites (test_runner_pins, test_closed_link,
+ * test_observer), plus the transport geometry their transport pins
+ * run. A pin is one 64-bit constant captured from a known-good tree:
+ * any drift in RNG draw order, scheduling, calibration or decoding
+ * changes it.
  */
 
 #ifndef WB_TESTS_DIGEST_HH
