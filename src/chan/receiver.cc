@@ -40,7 +40,7 @@ ReceiverProgram::buildSlot(std::size_t index, const sim::OpResult &,
         // join the write-back queue the timed clflush drains.
         op(sim::MemOp::loadBatch(set.data(), set.size()));
     } else {
-        chase.reshuffle(view.rng()); // in place: the batch sees it
+        chase.reshuffle(view.rng()); // defeats the prefetcher
     }
     // Coarse-timer observer: offset each measurement by a uniform
     // delay in [0, granule) so the quantized reading becomes an
