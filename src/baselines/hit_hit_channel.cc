@@ -31,7 +31,7 @@ HitHitReceiver::buildSlot(std::size_t index, const sim::OpResult &,
 }
 
 HitHitSender::HitHitSender(Addr line, std::vector<bool> bits, Cycles ts)
-    : PacedProgram(ts), line_(line), bits_(std::move(bits)), ts_(ts)
+    : PacedProgram(ts), line_(line), bits_(std::move(bits))
 {
 }
 
@@ -42,7 +42,7 @@ HitHitSender::buildSlot(std::size_t index, const sim::OpResult &,
     if (index >= bits_.size())
         halt();
     else if (bits_[index])
-        hammer(sim::MemOp::pipelinedLoad(line_), tlast() + ts_);
+        hammer(sim::MemOp::pipelinedLoad(line_), tlast() + period());
 }
 
 BaselineResult

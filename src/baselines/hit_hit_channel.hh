@@ -61,7 +61,6 @@ class HitHitSender : public chan::PacedProgram
 
     Addr line_;
     std::vector<bool> bits_;
-    Cycles ts_;
 };
 
 /**

@@ -126,6 +126,9 @@ class PacedProgram : public sim::Program
     /** Tlast: the TSC reading the current slot started at. */
     Cycles tlast() const { return tlast_; }
 
+    /** The slot period T. */
+    Cycles period() const { return period_; }
+
     /** Index of the current slot (= slots completed). */
     std::size_t slotIndex() const { return slot_; }
 
