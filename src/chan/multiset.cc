@@ -48,19 +48,18 @@ MultiSetReceiver::MultiSetReceiver(std::vector<std::vector<Addr>> replA,
 {
     if (replA.empty() || replA.size() != replB.size())
         fatalf("MultiSetReceiver: mismatched replacement pools");
+    std::vector<Addr> warmup;
     for (auto &pool : replA) {
-        for (Addr a : pool)
-            warmupOrder_.push_back(a);
+        warmup.insert(warmup.end(), pool.begin(), pool.end());
         chaseA_.emplace_back(std::move(pool));
     }
     for (auto &pool : replB) {
-        for (Addr a : pool)
-            warmupOrder_.push_back(a);
+        warmup.insert(warmup.end(), pool.begin(), pool.end());
         chaseB_.emplace_back(std::move(pool));
     }
     // Two warm-up sweeps over everything, one load at a time.
     for (int sweep = 0; sweep < 2; ++sweep)
-        for (Addr a : warmupOrder_)
+        for (Addr a : warmup)
             startupOp(sim::MemOp::load(a));
 }
 

@@ -122,7 +122,6 @@ class MultiSetReceiver : public PacedProgram
     std::vector<PointerChase> chaseB_;
     std::size_t slots_;
 
-    std::vector<Addr> warmupOrder_;
     std::vector<PointerChase> *chases_ = nullptr; //!< this slot's sets
     unsigned setIdx_ = 0;                         //!< set being timed
     bool useA_ = true;
