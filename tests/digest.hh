@@ -1,9 +1,9 @@
 /**
  * @file
- * FNV-1a digests of channel, baseline and transport results, shared
- * by the pin suites (test_runner_pins, test_closed_link,
- * test_observer), plus the transport geometry their transport pins
- * run. A pin is one 64-bit constant captured from a known-good tree:
+ * FNV-1a digests of channel, baseline, transport and tenant-sweep
+ * results, shared by the pin suites (test_runner_pins,
+ * test_closed_link, test_observer), plus the transport geometry their
+ * transport pins run. A pin is one 64-bit constant captured from a known-good tree:
  * any drift in RNG draw order, scheduling, calibration or decoding
  * changes it.
  */
@@ -17,6 +17,7 @@
 
 #include "baselines/framework.hh"
 #include "chan/channel.hh"
+#include "chan/tenant.hh"
 #include "chan/transport.hh"
 #include "sim/scheduler.hh"
 
@@ -134,6 +135,37 @@ baselineDigest(const baselines::BaselineResult &r)
     f.u64(r.framesScored);
     hashCounters(f, r.senderCounters);
     hashCounters(f, r.receiverCounters);
+    return f.value();
+}
+
+/**
+ * Digest of a many-tenant sweep: each pair's outcome, the coherence
+ * traffic and the socket-wide aggregates.
+ */
+inline std::uint64_t
+tenantDigest(const chan::TenantSweepResult &r)
+{
+    Fnv f;
+    for (const chan::TenantPairResult &p : r.pairs) {
+        for (std::uint64_t v :
+             {std::uint64_t(p.senderCore), std::uint64_t(p.receiverCore),
+              std::uint64_t(p.targetSet), std::uint64_t(p.slice),
+              std::uint64_t(p.discovered), std::uint64_t(p.senderLineCount),
+              p.discoveryTests, p.discoveryAccesses,
+              std::uint64_t(p.collides)})
+            f.u64(v);
+        f.f64(p.ber);
+    }
+    const sim::CoherenceStats &c = r.coherence;
+    for (std::uint64_t v :
+         {c.invalidateEvents, c.snoopEvents, c.backInvalEvents,
+          c.flushEvents, c.privateProbes, r.scanProbeEquivalent,
+          std::uint64_t(r.discovered), std::uint64_t(r.collidingPairs)})
+        f.u64(v);
+    for (double v : {r.meanBer, r.maxBer, r.meanBerClean,
+                     r.meanBerColliding, r.aggregateBitsPerSlot,
+                     r.aggregateKbps, r.busiestCoreUtil})
+        f.f64(v);
     return f.value();
 }
 

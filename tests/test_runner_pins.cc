@@ -3,7 +3,8 @@
  * Bit-exact pins for every channel runner: same-core, cross-core, L2
  * and multi-set, single shots and transport sessions, with and
  * without the OS-noise scheduler, under every observer class, plus
- * the baseline channels (LRU, Prime+Probe, the flush family, Hit+Hit). Each
+ * the baseline channels (LRU, Prime+Probe, the flush family, Hit+Hit)
+ * and the many-tenant sweep on the sliced directory-mode presets. Each
  * digest (tests/digest.hh) covers the latency stream, the decoded
  * bits, BER, simulated cycles, calibration centroids, per-party
  * counters and scheduler stats, so a refactor of the channel pipeline
@@ -22,6 +23,7 @@
 #include "chan/cross_core.hh"
 #include "chan/l2_channel.hh"
 #include "chan/multiset.hh"
+#include "chan/tenant.hh"
 #include "digest.hh"
 #include "sim/observer.hh"
 #include "sim/platform.hh"
@@ -34,6 +36,7 @@ namespace
 using test::baselineDigest;
 using test::shotDigest;
 using test::smallTransport;
+using test::tenantDigest;
 using test::transportDigest;
 
 /** A short same-core shot: four 64-bit frames. */
@@ -312,6 +315,23 @@ TEST(RunnerPins, BaselineCrossCorePrimeProbe)
     EXPECT_EQ(
         baselineDigest(baselines::runCrossCorePrimeProbe(closed, 2, 2)),
         1334458850951001464ull);
+}
+
+// ------------------------------------------------------------------
+// Many-tenant sweeps: directory-mode coherence on the sliced presets.
+// ------------------------------------------------------------------
+
+TEST(RunnerPins, TenantSweep)
+{
+    TenantSweepConfig cfg;
+    cfg.usePlatform("dc-sliced-16core");
+    cfg.pairs = 16;
+    cfg.seed = 3;
+    EXPECT_EQ(tenantDigest(runTenantSweep(cfg)), 5530191853765317758ull);
+
+    cfg.usePlatform("dc-sliced-64core");
+    cfg.seed = 4;
+    EXPECT_EQ(tenantDigest(runTenantSweep(cfg)), 14199997274430911675ull);
 }
 
 } // namespace
