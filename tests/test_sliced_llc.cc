@@ -244,6 +244,12 @@ TEST_P(SlicedLlcEquivalence, DirectoryMatchesGlobalScanBitExactly)
 
     expectSystemsEqual(dir, scan, label);
 
+    // The traffic reached the highest core, so its presence bit (bit
+    // 63 on the 64-core preset) took part in the comparison.
+    PerfCounters top = dir.counters(cores - 1, 0);
+    top.merge(dir.counters(cores - 1, 1));
+    EXPECT_GT(top.loads + top.stores, 0u) << label;
+
     // Event counts agree (same architectural history); the directory
     // must have probed no *more* private pairs than the full scan —
     // fewer is the point, more would mean phantom sharers.
@@ -259,7 +265,8 @@ TEST_P(SlicedLlcEquivalence, DirectoryMatchesGlobalScanBitExactly)
 INSTANTIATE_TEST_SUITE_P(
     Presets, SlicedLlcEquivalence,
     ::testing::Combine(
-        ::testing::Values(std::string("dc-sliced-16core"),
+        ::testing::Values(std::string("dc-sliced-64core"),
+                          std::string("dc-sliced-16core"),
                           std::string("desktop-inclusive-4core"),
                           std::string("xeonE5-2650-2core")),
         ::testing::Values(1ULL, 2ULL)),
