@@ -15,12 +15,13 @@
 #ifndef WB_SIM_HIERARCHY_HH
 #define WB_SIM_HIERARCHY_HH
 
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/round.hh"
 #include "common/types.hh"
 #include "sim/cache.hh"
 
@@ -443,7 +444,7 @@ class Hierarchy final : public MemorySystem
         const double n = params_.lat.noiseSigma * rng_->gaussianCached();
         // max() instead of a sign test: the deviate's sign is a coin
         // flip, so a branch here mispredicts every other access.
-        return static_cast<Cycles>(std::lround(std::max(n, 0.0)));
+        return roundNonNegative(std::max(n, 0.0));
     }
 
     /**

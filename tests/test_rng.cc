@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "common/rng.hh"
+#include "common/round.hh"
 #include "sim/scheduler.hh"
 
 namespace wb
@@ -236,6 +239,67 @@ TEST(Rng, DiscardCachedDeviatesRefillsFromCurrentStream)
     for (int i = 0; i < 300; ++i)
         EXPECT_EQ(used.gaussianCached(), fresh.gaussianCached())
             << "deviate " << i;
+}
+
+// --------------------------------------------- roundNonNegative
+
+/** roundNonNegative(x) and std::lround(x) agree on @p x. */
+::testing::AssertionResult
+roundsLikeLround(double x)
+{
+    const auto want = static_cast<std::uint64_t>(std::lround(x));
+    const std::uint64_t got = roundNonNegative(x);
+    if (got == want)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "x = " << std::hexfloat << x << std::defaultfloat
+           << ": lround " << want << ", roundNonNegative " << got;
+}
+
+TEST(RoundNonNegative, MatchesLroundOnEdgeCases)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    // The largest double below 0.5: x + 0.5 rounds up to 1.0, so the
+    // classic floor(x + 0.5) gets this one wrong.
+    EXPECT_TRUE(roundsLikeLround(0.49999999999999994));
+    for (double x : {0.0, -0.0, 0.5, 1.0, std::nextafter(0.0, 1.0),
+                     std::nextafter(0.5, 0.0), std::nextafter(0.5, 1.0)})
+        EXPECT_TRUE(roundsLikeLround(x));
+    // k + 0.5 rounds away from zero, and its neighbours do not move.
+    for (double k = 0; k < 4096; ++k) {
+        const double half = k + 0.5;
+        EXPECT_TRUE(roundsLikeLround(half));
+        EXPECT_TRUE(roundsLikeLround(std::nextafter(half, 0.0)));
+        EXPECT_TRUE(roundsLikeLround(std::nextafter(half, inf)));
+        EXPECT_TRUE(roundsLikeLround(k));
+    }
+    // Near 2^52 the spacing reaches 0.5 and then 1; above 2^53 every
+    // double is an even integer. Up to just below 2^63, lround's top.
+    for (int e : {51, 52, 53, 54, 62}) {
+        const double p = std::ldexp(1.0, e);
+        for (double x = std::nextafter(p, 0.0), i = 0; i < 8;
+             x = std::nextafter(x, 0.0), ++i)
+            EXPECT_TRUE(roundsLikeLround(x));
+        for (double x = p, i = 0; i < 8; x = std::nextafter(x, inf), ++i)
+            if (x < std::ldexp(1.0, 63))
+                EXPECT_TRUE(roundsLikeLround(x));
+    }
+}
+
+TEST(RoundNonNegative, MatchesLroundOnNoiseDraws)
+{
+    // The clamped sigma * g values the per-access noise rounds, over
+    // sigmas from the presets' 0.6 up to far wider than any preset.
+    Rng rng(41);
+    std::uint64_t mismatches = 0;
+    for (double sigma : {0.6, 1.0, 2.5, 40.0, 1e6}) {
+        for (int i = 0; i < 250000; ++i) {
+            const double x = std::max(sigma * rng.gaussianCached(), 0.0);
+            if (!roundsLikeLround(x))
+                ++mismatches;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
 }
 
 } // namespace
