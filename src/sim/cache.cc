@@ -151,24 +151,6 @@ Cache::fillBatch(const Addr *addrs, std::size_t n, ThreadId tid,
 }
 
 bool
-Cache::invalidate(Addr paddr, bool &wasDirty)
-{
-    wasDirty = false;
-    const std::size_t idx = findIndex(paddr);
-    if (idx == npos)
-        return false;
-    wasDirty = (unsigned(flags_[idx]) & FlagDirty) != 0;
-    const unsigned set = static_cast<unsigned>(idx / params_.ways);
-    const unsigned way = static_cast<unsigned>(idx % params_.ways);
-    lineAddr_[idx] = 0;
-    flags_[idx] = LineFlagWord{};
-    filledBy_[idx] = 0;
-    validMask_[set] &= ~(1u << way);
-    lockedMask_[set] &= ~(1u << way);
-    return true;
-}
-
-bool
 Cache::lock(Addr paddr)
 {
     const std::size_t idx = findIndex(paddr);
@@ -204,29 +186,6 @@ Cache::unlockAll()
     for (auto &f : flags_)
         f = flagWord(unsigned(f) & ~FlagLocked);
     std::fill(lockedMask_.begin(), lockedMask_.end(), 0);
-}
-
-bool
-Cache::contains(Addr paddr) const
-{
-    return findIndex(paddr) != npos;
-}
-
-bool
-Cache::isDirty(Addr paddr) const
-{
-    const std::size_t idx = findIndex(paddr);
-    return idx != npos && (unsigned(flags_[idx]) & FlagDirty) != 0;
-}
-
-bool
-Cache::downgrade(Addr paddr)
-{
-    const std::size_t idx = findIndex(paddr);
-    if (idx == npos || (unsigned(flags_[idx]) & FlagDirty) == 0)
-        return false;
-    flags_[idx] = flagWord(unsigned(flags_[idx]) & ~FlagDirty);
-    return true;
 }
 
 unsigned
@@ -266,20 +225,6 @@ Cache::setContents(unsigned set) const
         lines[w].filledBy = filledBy_[base + w];
     }
     return lines;
-}
-
-std::size_t
-Cache::findIndex(Addr paddr) const
-{
-    const Addr la = AddressLayout::lineAddr(paddr);
-    const unsigned set = layout_.setIndex(paddr);
-    const std::size_t base = std::size_t(set) * params_.ways;
-    for (std::uint32_t m = validMask_[set]; m != 0; m &= m - 1) {
-        const unsigned w = lowestWay(m);
-        if (lineAddr_[base + w] == la)
-            return base + w;
-    }
-    return npos;
 }
 
 } // namespace wb::sim

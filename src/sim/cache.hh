@@ -206,11 +206,31 @@ class Cache
     }
 
     /**
-     * Drop @p paddr if present.
+     * Drop @p paddr if present. Inline (with contains() and
+     * downgrade()): the multi-core coherence layer calls these on
+     * every miss, and its flattened miss path folds them in.
      * @param wasDirty out-param set when the dropped line was dirty
      * @return true when the line was present
      */
-    bool invalidate(Addr paddr, bool &wasDirty);
+    bool
+    invalidate(Addr paddr, bool &wasDirty)
+    {
+        const unsigned set = layout_.setIndex(paddr);
+        const std::uint32_t eq =
+            residentMask(AddressLayout::lineAddr(paddr), set);
+        wasDirty = false;
+        if (eq == 0)
+            return false;
+        const unsigned way = lowestWay(eq);
+        const std::size_t idx = std::size_t(set) * params_.ways + way;
+        wasDirty = (unsigned(flags_[idx]) & FlagDirty) != 0;
+        lineAddr_[idx] = 0;
+        flags_[idx] = LineFlagWord{};
+        filledBy_[idx] = 0;
+        validMask_[set] &= ~(1u << way);
+        lockedMask_[set] &= ~(1u << way);
+        return true;
+    }
 
     /** PLcache: lock the line holding @p paddr. @return success. */
     bool lock(Addr paddr);
@@ -222,10 +242,15 @@ class Cache
     void unlockAll();
 
     /** True when @p paddr is cached (ignores probe isolation). */
-    bool contains(Addr paddr) const;
+    bool contains(Addr paddr) const { return findIndex(paddr) != npos; }
 
     /** True when @p paddr is cached and dirty. */
-    bool isDirty(Addr paddr) const;
+    bool
+    isDirty(Addr paddr) const
+    {
+        const std::size_t idx = findIndex(paddr);
+        return idx != npos && (unsigned(flags_[idx]) & FlagDirty) != 0;
+    }
 
     /**
      * MESI-lite downgrade (M -> S): clear the dirty bit of the line
@@ -233,16 +258,20 @@ class Cache
      * coherence layer when a remote load snoops a dirty private copy.
      * @return true when the line was present *and* dirty.
      */
-    bool downgrade(Addr paddr);
+    bool
+    downgrade(Addr paddr)
+    {
+        const std::size_t idx = findIndex(paddr);
+        if (idx == npos || (unsigned(flags_[idx]) & FlagDirty) == 0)
+            return false;
+        flags_[idx] = flagWord(unsigned(flags_[idx]) & ~FlagDirty);
+        return true;
+    }
 
-    // --- Inline hot-path API (used by Hierarchy's fused access loop;
-    // defined below so calls flatten to straight-line code) ---
+    // --- Inline hot-path API (used by the Hierarchy and
+    // MultiCoreSystem fused access loops; defined in the class so
+    // calls flatten to straight-line code) ---
 
-    /**
-     * Hot-path lookup with the line address and set precomputed; same
-     * semantics as probe() (honors probe isolation for @p tid).
-     * @return the hit way, or -1 on miss.
-     */
     /**
      * Hot-path dirty check of one specific line; the caller just
      * probed @p way for this set, so no consistency check is needed.
@@ -254,29 +283,17 @@ class Cache
         return (unsigned(flags_[idx]) & FlagDirty) != 0;
     }
 
+    /**
+     * Hot-path lookup with the line address and set precomputed; same
+     * semantics as probe() (honors probe isolation for @p tid).
+     * @return the hit way, or -1 on miss.
+     */
     int
     probeWay(Addr la, unsigned set, ThreadId tid) const
     {
-        // Branchless compare of the whole set stripe; at most one
-        // valid way can hold a line, so the lowest set bit is the
-        // match. The common widths run a compile-time-bound loop so
-        // the compiler unrolls and vectorizes the compares (the
-        // runtime-bound fallback stays scalar).
-        const unsigned ways = params_.ways;
-        const Addr *stripe = &lineAddr_[std::size_t(set) * ways];
-        std::uint32_t eq;
-        if (ways == 8)
-            eq = stripeMatch<8>(stripe, la);
-        else if (ways == 16)
-            eq = stripeMatch<16>(stripe, la);
-        else if (ways == 4)
-            eq = stripeMatch<4>(stripe, la);
-        else {
-            eq = 0;
-            for (unsigned w = 0; w < ways; ++w)
-                eq |= static_cast<std::uint32_t>(stripe[w] == la) << w;
-        }
-        eq &= validMask_[set];
+        // At most one valid way can hold a line, so the lowest set
+        // bit of the match mask is the hit way.
+        const std::uint32_t eq = residentMask(la, set);
         if (eq == 0)
             return -1;
         const unsigned w = lowestWay(eq);
@@ -399,8 +416,43 @@ class Cache
         return eq;
     }
 
+    /**
+     * Valid ways of @p set holding line @p la (zero or one bit): a
+     * branchless compare of the whole set stripe. The common widths
+     * run a compile-time-bound loop so the compiler unrolls and
+     * vectorizes the compares (the runtime-bound fallback stays
+     * scalar). Ignores probe isolation.
+     */
+    std::uint32_t
+    residentMask(Addr la, unsigned set) const
+    {
+        const unsigned ways = params_.ways;
+        const Addr *stripe = &lineAddr_[std::size_t(set) * ways];
+        std::uint32_t eq;
+        if (ways == 8)
+            eq = stripeMatch<8>(stripe, la);
+        else if (ways == 16)
+            eq = stripeMatch<16>(stripe, la);
+        else if (ways == 4)
+            eq = stripeMatch<4>(stripe, la);
+        else {
+            eq = 0;
+            for (unsigned w = 0; w < ways; ++w)
+                eq |= static_cast<std::uint32_t>(stripe[w] == la) << w;
+        }
+        return eq & validMask_[set];
+    }
+
     /** Flat index of the resident line for @p paddr, or npos. */
-    std::size_t findIndex(Addr paddr) const;
+    std::size_t
+    findIndex(Addr paddr) const
+    {
+        const unsigned set = layout_.setIndex(paddr);
+        const std::uint32_t eq =
+            residentMask(AddressLayout::lineAddr(paddr), set);
+        return eq == 0 ? npos
+                       : std::size_t(set) * params_.ways + lowestWay(eq);
+    }
 
     /**
      * The shared per-line fill semantics behind fill(), fillBatch()

@@ -281,5 +281,85 @@ TEST(Cache, SetContentsSnapshot)
     EXPECT_EQ(valid, 1u);
 }
 
+/** Naive residency lookup: scan the set snapshot for a valid line. */
+const Line *
+naiveFind(const std::vector<Line> &lines, Addr paddr)
+{
+    for (const Line &l : lines)
+        if (l.valid && l.lineAddr == AddressLayout::lineAddr(paddr))
+            return &l;
+    return nullptr;
+}
+
+/**
+ * contains(), isDirty(), downgrade() and invalidate() — the lookups
+ * behind the multi-core coherence layer — agree with a naive set scan
+ * under random fill/hit/invalidate/downgrade traffic, for the
+ * unrolled stripe widths (4, 8, 16), the runtime-width fallback (12)
+ * and a probe-isolated L1 partitioned per core.
+ */
+TEST(Cache, ResidencyLookupsMatchANaiveScan)
+{
+    struct Variant
+    {
+        unsigned ways;
+        bool partitioned;
+    };
+    for (const Variant v : {Variant{4, false}, Variant{8, false},
+                            Variant{16, false}, Variant{12, false},
+                            Variant{8, true}}) {
+        SCOPED_TRACE("ways " + std::to_string(v.ways) +
+                     (v.partitioned ? " partitioned" : ""));
+        CacheParams p;
+        p.ways = v.ways;
+        p.sizeBytes = std::size_t(8) * v.ways * lineBytes; // 8 sets
+        p.policy = PolicyKind::TreePlru;
+        if (v.ways == 12)
+            p.policy = PolicyKind::TrueLru; // tree-PLRU needs 2^k ways
+        if (v.partitioned) {
+            p.fillMaskPerThread = {0x0f, 0xf0};
+            p.probeIsolated = true;
+        }
+        Rng rng(v.ways * 31 + v.partitioned);
+        Cache c(p, &rng);
+        Rng traffic(v.ways + 101);
+        unsigned hits = 0;
+        for (int i = 0; i < 20000; ++i) {
+            // Three times the capacity of a set in tags, so lookups
+            // both hit and miss and fills keep evicting.
+            const Addr a = c.layout().compose(
+                unsigned(traffic.below(8)), 1 + traffic.below(3 * v.ways));
+            const ThreadId tid = ThreadId(traffic.below(2));
+            const auto before = c.setContents(c.layout().setIndex(a));
+            const Line *line = naiveFind(before, a);
+            ASSERT_EQ(c.contains(a), line != nullptr) << "op " << i;
+            ASSERT_EQ(c.isDirty(a), line != nullptr && line->dirty)
+                << "op " << i;
+            hits += line != nullptr;
+            switch (traffic.below(4)) {
+              case 0: {
+                bool wasDirty = true;
+                ASSERT_EQ(c.invalidate(a, wasDirty), line != nullptr)
+                    << "op " << i;
+                EXPECT_EQ(wasDirty, line != nullptr && line->dirty);
+                EXPECT_FALSE(c.contains(a));
+                break;
+              }
+              case 1:
+                ASSERT_EQ(c.downgrade(a), line != nullptr && line->dirty)
+                    << "op " << i;
+                EXPECT_FALSE(c.isDirty(a));
+                EXPECT_EQ(c.contains(a), line != nullptr);
+                break;
+              default:
+                c.fill(a, tid, traffic.chance(0.5));
+                break;
+            }
+        }
+        EXPECT_GT(hits, 2000u);
+        EXPECT_LT(hits, 18000u);
+    }
+}
+
 } // namespace
 } // namespace wb::sim
