@@ -240,7 +240,8 @@ MultiCoreSystem::rebuildDirectory()
             for (unsigned set = 0; set < cache->numSets(); ++set)
                 for (const Line &line : cache->setContents(set))
                     if (line.valid)
-                        noteSharer(i, line.lineAddr);
+                        noteSharer(i, line.lineAddr,
+                                   sliceHash_.sliceOf(line.lineAddr));
         }
     }
 }
@@ -251,107 +252,88 @@ MultiCoreSystem::dropSharerIfAbsent(Cache &survivor, unsigned core,
 {
     if (survivor.contains(la << lineShift))
         return;
-    SliceDirectory &dir = sharers_[sliceHash_.sliceOf(la)];
-    std::uint64_t *mask = dir.find(la);
-    if (mask == nullptr)
-        return;
-    // Decide erase-vs-store before writing: a zero mask marks the
-    // slot free, so erase() could no longer find it (sharer_map.hh).
-    const std::uint64_t left = *mask & ~(std::uint64_t(1) << core);
-    if (left == 0)
-        dir.erase(la);
-    else
-        *mask = left;
+    const unsigned slice = sliceHash_.sliceOf(la);
+    if (std::uint64_t *mask = sharers_[slice].find(la))
+        storeMask(la, slice, mask, *mask & ~(std::uint64_t(1) << core));
 }
 
-void
-MultiCoreSystem::invalidateRemote(unsigned core, Addr paddr)
+template <bool Dir, typename Visit>
+std::uint64_t *
+MultiCoreSystem::visitHolders(Addr la, unsigned slice, std::uint64_t skip,
+                              Visit visit)
 {
-    ++coherence_.invalidateEvents;
-    if (!directoryCoherence_) {
+    if constexpr (!Dir) {
         // Global scan (the pre-directory implementation, retained as
         // the bit-exactness reference and benchmark baseline).
         for (unsigned o = 0; o < cores_.size(); ++o) {
-            if (o == core)
+            if ((skip >> o) & 1u)
                 continue;
             ++coherence_.privateProbes;
-            bool d = false;
-            cores_[o]->l1.invalidate(paddr, d);
-            cores_[o]->l2.invalidate(paddr, d);
+            visit(*cores_[o]);
         }
-        return;
+        return nullptr;
+    } else {
+        std::uint64_t *mask = sharers_[slice].find(la);
+        if (mask == nullptr)
+            return nullptr;
+        for (std::uint64_t m = *mask & ~skip; m != 0; m &= m - 1) {
+            ++coherence_.privateProbes;
+            visit(*cores_[std::countr_zero(m)]);
+        }
+        return mask;
     }
-    const Addr la = AddressLayout::lineAddr(paddr);
-    SliceDirectory &dir = sharers_[sliceHash_.sliceOf(la)];
-    std::uint64_t *mask = dir.find(la);
-    if (mask == nullptr)
-        return;
-    const std::uint64_t self = std::uint64_t(1) << core;
-    for (std::uint64_t m = *mask & ~self; m != 0; m &= m - 1) {
-        const unsigned o = static_cast<unsigned>(std::countr_zero(m));
-        ++coherence_.privateProbes;
-        bool d = false;
-        cores_[o]->l1.invalidate(paddr, d);
-        cores_[o]->l2.invalidate(paddr, d);
-    }
-    // Only the upgrading core may still hold the line. Decide
-    // erase-vs-store before writing: a zero mask marks the slot free,
-    // so erase() could no longer find it (sharer_map.hh).
-    const std::uint64_t left = *mask & self;
-    if (left == 0)
-        dir.erase(la);
-    else
-        *mask = left;
 }
 
+template <bool Dir>
+void
+MultiCoreSystem::invalidateRemote(unsigned core, Addr paddr, Addr la,
+                                  unsigned slice)
+{
+    ++coherence_.invalidateEvents;
+    const std::uint64_t self = std::uint64_t(1) << core;
+    std::uint64_t *mask =
+        visitHolders<Dir>(la, slice, self, [paddr](Core &o) {
+            bool d = false;
+            o.l1.invalidate(paddr, d);
+            o.l2.invalidate(paddr, d);
+        });
+    // Only the upgrading core may still hold the line.
+    if (mask != nullptr)
+        storeMask(la, slice, mask, *mask & self);
+}
+
+template <bool Dir>
 bool
-MultiCoreSystem::snoopRemoteDirty(unsigned core, Addr paddr,
-                                  PerfCounters &ctr, Cycles &drainExtra)
+MultiCoreSystem::snoopRemoteDirty(unsigned core, Addr paddr, Addr la,
+                                  unsigned slice, PerfCounters &ctr,
+                                  Cycles &drainExtra)
 {
     ++coherence_.snoopEvents;
     bool found = false;
-    if (!directoryCoherence_) {
-        for (unsigned o = 0; o < cores_.size(); ++o) {
-            if (o == core)
-                continue;
-            ++coherence_.privateProbes;
-            found |= cores_[o]->l1.downgrade(paddr);
-            found |= cores_[o]->l2.downgrade(paddr);
-        }
-    } else {
-        const Addr la = AddressLayout::lineAddr(paddr);
-        SliceDirectory &dir = sharers_[sliceHash_.sliceOf(la)];
-        const std::uint64_t *mask = dir.find(la);
-        if (mask != nullptr) {
-            const std::uint64_t self = std::uint64_t(1) << core;
-            // A downgrade keeps the line resident (M -> S), so the
-            // presence mask is unchanged.
-            for (std::uint64_t m = *mask & ~self; m != 0;
-                 m &= m - 1) {
-                const unsigned o =
-                    static_cast<unsigned>(std::countr_zero(m));
-                ++coherence_.privateProbes;
-                found |= cores_[o]->l1.downgrade(paddr);
-                found |= cores_[o]->l2.downgrade(paddr);
-            }
-        }
-    }
+    // A downgrade keeps the line resident (M -> S), so the presence
+    // mask is unchanged.
+    visitHolders<Dir>(la, slice, std::uint64_t(1) << core,
+                      [paddr, &found](Core &o) {
+                          found |= o.l1.downgrade(paddr);
+                          found |= o.l2.downgrade(paddr);
+                      });
     if (found) {
         // The downgraded M copy's data is written back into the
         // shared LLC (which may itself have to evict to take it).
-        llcFillShared(paddr, core, /*asDirty=*/true,
-                      /*checkResident=*/true, ctr, drainExtra);
+        llcFillShared<Dir>(paddr, slice, core, /*asDirty=*/true,
+                           /*checkResident=*/true, ctr, drainExtra);
     }
     return found;
 }
 
+template <bool Dir>
 void
-MultiCoreSystem::llcFillShared(Addr paddr, unsigned core, bool asDirty,
-                               bool checkResident, PerfCounters &ctr,
-                               Cycles &drainExtra)
+MultiCoreSystem::llcFillShared(Addr paddr, unsigned slice, unsigned core,
+                               bool asDirty, bool checkResident,
+                               PerfCounters &ctr, Cycles &drainExtra)
 {
-    Cache &llc = llcFor(paddr);
-    auto out = llc.fillFast(paddr, core, asDirty, checkResident);
+    auto out =
+        llcSlices_[slice].fillFast(paddr, core, asDirty, checkResident);
     if (!out.filled || out.residentHit || !out.evicted.any)
         return;
 
@@ -361,39 +343,18 @@ MultiCoreSystem::llcFillShared(Addr paddr, unsigned core, bool asDirty,
     if (params_.inclusiveLlc) {
         // Inclusive LLC: the victim may not survive in any core's
         // privates. Dropped dirty copies must drain to DRAM along
-        // with the victim.
+        // with the victim. The victim was installed through the same
+        // slice hash, so its directory entry lives in this slice.
         ++coherence_.backInvalEvents;
-        if (!directoryCoherence_) {
-            for (auto &c : cores_) {
-                ++coherence_.privateProbes;
-                bool d = false;
-                c->l1.invalidate(victimPaddr, d);
-                dirtyDrain |= d;
-                d = false;
-                c->l2.invalidate(victimPaddr, d);
-                dirtyDrain |= d;
-            }
-        } else {
-            // The victim was installed through the same slice hash,
-            // so its directory entry lives in this fill's slice.
-            SliceDirectory &dir =
-                sharers_[sliceHash_.sliceOf(victimLa)];
-            const std::uint64_t *mask = dir.find(victimLa);
-            if (mask != nullptr) {
-                for (std::uint64_t m = *mask; m != 0; m &= m - 1) {
-                    const unsigned o =
-                        static_cast<unsigned>(std::countr_zero(m));
-                    ++coherence_.privateProbes;
-                    bool d = false;
-                    cores_[o]->l1.invalidate(victimPaddr, d);
-                    dirtyDrain |= d;
-                    d = false;
-                    cores_[o]->l2.invalidate(victimPaddr, d);
-                    dirtyDrain |= d;
-                }
-                dir.erase(victimLa);
-            }
-        }
+        if (visitHolders<Dir>(victimLa, slice, 0,
+                              [victimPaddr, &dirtyDrain](Core &o) {
+                                  bool d = false;
+                                  o.l1.invalidate(victimPaddr, d);
+                                  dirtyDrain |= d;
+                                  o.l2.invalidate(victimPaddr, d);
+                                  dirtyDrain |= d;
+                              }) != nullptr)
+            sharers_[slice].erase(victimLa);
     }
     if (dirtyDrain) {
         // The access that forced the eviction stalls for the drain:
@@ -403,27 +364,38 @@ MultiCoreSystem::llcFillShared(Addr paddr, unsigned core, bool asDirty,
     }
 }
 
+template <bool Dir>
+void
+MultiCoreSystem::retireL2Victim(Core &c, unsigned core,
+                                const Evicted &victim, PerfCounters &ctr,
+                                Cycles &drainExtra)
+{
+    if (victim.dirty) {
+        llcFillShared<Dir>(victim.lineAddr << lineShift,
+                           sliceHash_.sliceOf(victim.lineAddr), core,
+                           /*asDirty=*/true, /*checkResident=*/true, ctr,
+                           drainExtra);
+    }
+    // Only L1 can still hold a copy.
+    if constexpr (Dir)
+        dropSharerIfAbsent(c.l1, core, victim.lineAddr);
+}
+
+template <bool Dir>
 void
 MultiCoreSystem::writebackToL2(Core &c, unsigned core, Addr lineAddr,
                                ThreadId tid, PerfCounters &ctr,
                                Cycles &drainExtra)
 {
-    const Addr paddr = lineAddr << lineShift;
-    auto out = c.l2.fillFast(paddr, tid, /*asDirty=*/true,
+    auto out = c.l2.fillFast(lineAddr << lineShift, tid, /*asDirty=*/true,
                              /*checkResident=*/true);
-    if (out.filled && out.evicted.dirty) {
-        llcFillShared(out.evicted.lineAddr << lineShift, core,
-                      /*asDirty=*/true, /*checkResident=*/true, ctr,
-                      drainExtra);
-    }
-    if (directoryCoherence_ && out.filled && out.evicted.any) {
-        // The victim just left L2; only L1 can still hold a copy.
-        dropSharerIfAbsent(c.l1, core, out.evicted.lineAddr);
-    }
+    if (out.filled && out.evicted.any)
+        retireL2Victim<Dir>(c, core, out.evicted, ctr, drainExtra);
 }
 
 // ------------------------------------------------------------ access path
 
+template <bool Dir>
 AccessResult
 MultiCoreSystem::missPath(Core &c, unsigned core, ThreadId tid, Addr paddr,
                           bool isWrite, PerfCounters &ctr)
@@ -431,6 +403,8 @@ MultiCoreSystem::missPath(Core &c, unsigned core, ThreadId tid, Addr paddr,
     AccessResult res;
     const LatencyModel &lat = params_.lat;
     const Addr la = AddressLayout::lineAddr(paddr);
+    // Hashed once: picks the LLC shard and the directory slice.
+    const unsigned slice = sliceHash_.sliceOf(la);
     Cycles drainExtra = 0;
 
     // --- Find the data below L1 ---
@@ -446,10 +420,11 @@ MultiCoreSystem::missPath(Core &c, unsigned core, ThreadId tid, Addr paddr,
     } else {
         ++ctr.l2Misses;
         ++ctr.llcAccesses;
-        Cache &llc = llcFor(paddr);
+        Cache &llc = llcSlices_[slice];
         const unsigned llcSet = llc.layout().setIndex(paddr);
         const int w3 = llc.probeWay(la, llcSet, tid);
-        if (snoopRemoteDirty(core, paddr, ctr, drainExtra)) {
+        if (snoopRemoteDirty<Dir>(core, paddr, la, slice, ctr,
+                                  drainExtra)) {
             // A remote core held the line in M: it was downgraded and
             // its data written back into the shared LLC, which now
             // serves the request.
@@ -473,42 +448,38 @@ MultiCoreSystem::missPath(Core &c, unsigned core, ThreadId tid, Addr paddr,
             // checkResident=false: the probe above just missed, and
             // LLC probe isolation (which would invalidate that
             // deduction) is rejected at construction.
-            llcFillShared(paddr, core, /*asDirty=*/false,
-                          /*checkResident=*/false, ctr, drainExtra);
+            llcFillShared<Dir>(paddr, slice, core, /*asDirty=*/false,
+                               /*checkResident=*/false, ctr, drainExtra);
         }
         // Fill own L2 on the way up (residency only possible under
         // probe isolation, as in Hierarchy::missPath).
         auto out2 = c.l2.fillFast(paddr, tid, /*asDirty=*/false,
                                   c.l2.params().probeIsolated);
-        if (out2.filled && out2.evicted.dirty) {
-            llcFillShared(out2.evicted.lineAddr << lineShift, core,
-                          /*asDirty=*/true, /*checkResident=*/true, ctr,
-                          drainExtra);
-            base += lat.l2DirtyEvictPenalty;
-        }
-        if (directoryCoherence_ && out2.filled && out2.evicted.any) {
-            // The victim just left L2; only L1 can still hold a copy.
-            dropSharerIfAbsent(c.l1, core, out2.evicted.lineAddr);
+        if (out2.filled && out2.evicted.any) {
+            if (out2.evicted.dirty)
+                base += lat.l2DirtyEvictPenalty;
+            retireL2Victim<Dir>(c, core, out2.evicted, ctr, drainExtra);
         }
     }
 
     // MESI upgrade: a store ends with this core owning the only copy.
     if (isWrite)
-        invalidateRemote(core, paddr);
+        invalidateRemote<Dir>(core, paddr, la, slice);
 
     res.latency = base + (isWrite ? lat.storeExtra : Cycles(0));
 
     // --- L1 allocation (write-allocate; store fills install dirty) ---
     auto out = c.l1.fillFast(paddr, tid, /*asDirty=*/isWrite,
                              c.l1.params().probeIsolated);
-    if (directoryCoherence_)
-        noteSharer(core, la);
+    if constexpr (Dir)
+        noteSharer(core, la, slice);
     if (out.filled && out.evicted.dirty) {
         res.l1VictimDirty = true;
         res.latency += lat.l1DirtyEvictPenalty;
         ++ctr.l1DirtyWritebacks;
-        writebackToL2(c, core, out.evicted.lineAddr, tid, ctr, drainExtra);
-    } else if (directoryCoherence_ && out.filled && out.evicted.any) {
+        writebackToL2<Dir>(c, core, out.evicted.lineAddr, tid, ctr,
+                           drainExtra);
+    } else if (Dir && out.filled && out.evicted.any) {
         // A clean L1 victim vanished without a write-back; trim its
         // presence bit unless L2 (the only other private level) still
         // holds a copy.
@@ -525,7 +496,8 @@ MultiCoreSystem::missPath(Core &c, unsigned core, ThreadId tid, Addr paddr,
     return res;
 }
 
-AccessResult
+template <bool Dir>
+inline AccessResult
 MultiCoreSystem::accessOne(Core &c, unsigned core, ThreadId tid, Addr paddr,
                            bool isWrite, PerfCounters &ctr)
 {
@@ -538,14 +510,14 @@ MultiCoreSystem::accessOne(Core &c, unsigned core, ThreadId tid, Addr paddr,
     const unsigned set = c.l1.layout().setIndex(paddr);
     const int way = c.l1.probeWay(la, set, tid);
     if (way < 0)
-        return missPath(c, core, tid, paddr, isWrite, ctr);
+        return missPath<Dir>(c, core, tid, paddr, isWrite, ctr);
 
     ++ctr.l1Hits;
     if (isWrite && !c.l1.lineDirty(set, static_cast<unsigned>(way))) {
         // E/S -> M upgrade on a store hit to a clean line: remote
         // copies are invalidated. A store to an already-dirty line
         // needs no message — M guarantees exclusivity.
-        invalidateRemote(core, paddr);
+        invalidateRemote<Dir>(core, paddr, la, sliceHash_.sliceOf(la));
     }
     c.l1.hitFast(set, static_cast<unsigned>(way), isWrite);
     AccessResult res;
@@ -560,14 +532,17 @@ AccessResult
 MultiCoreSystem::access(unsigned core, ThreadId tid, Addr paddr,
                         bool isWrite)
 {
-    return accessOne(coreRef(core), core, tid, paddr, isWrite,
-                     counters(core, tid));
+    Core &c = coreRef(core);
+    PerfCounters &ctr = counters(core, tid);
+    return directoryCoherence_
+               ? accessOne<true>(c, core, tid, paddr, isWrite, ctr)
+               : accessOne<false>(c, core, tid, paddr, isWrite, ctr);
 }
 
-template <typename AddrAt>
+template <bool Dir, typename AddrAt>
 BatchAccessResult
-MultiCoreSystem::accessBatchImpl(unsigned core, ThreadId tid, std::size_t n,
-                                 bool isWrite, AddrAt addrAt)
+MultiCoreSystem::sweep(unsigned core, ThreadId tid, std::size_t n,
+                       bool isWrite, AddrAt addrAt)
 {
     // Same shape as Hierarchy::accessBatchImpl: the loop runs the
     // identical accessOne body the scalar entry point runs, so batched
@@ -579,13 +554,23 @@ MultiCoreSystem::accessBatchImpl(unsigned core, ThreadId tid, std::size_t n,
     PerfCounters local;
     for (std::size_t i = 0; i < n; ++i) {
         const AccessResult res =
-            accessOne(c, core, tid, addrAt(i), isWrite, local);
+            accessOne<Dir>(c, core, tid, addrAt(i), isWrite, local);
         batch.l1Hits += res.l1Hit ? 1 : 0;
         batch.l1DirtyEvictions += res.l1VictimDirty ? 1 : 0;
         batch.totalLatency += res.latency;
     }
     counters(core, tid).merge(local);
     return batch;
+}
+
+template <typename AddrAt>
+BatchAccessResult
+MultiCoreSystem::accessBatchImpl(unsigned core, ThreadId tid, std::size_t n,
+                                 bool isWrite, AddrAt addrAt)
+{
+    return directoryCoherence_
+               ? sweep<true>(core, tid, n, isWrite, addrAt)
+               : sweep<false>(core, tid, n, isWrite, addrAt);
 }
 
 BatchAccessResult
@@ -614,48 +599,28 @@ MultiCoreSystem::flush(unsigned core, ThreadId tid, Addr paddr)
     ++ctr.flushes;
     ++coherence_.flushEvents;
     const LatencyModel &lat = params_.lat;
+    const Addr la = AddressLayout::lineAddr(paddr);
+    const unsigned slice = sliceHash_.sliceOf(la);
     bool present = false;
     bool dirty = false;
-    bool d = false;
+    const auto drop = [&](Cache &cache) {
+        bool d = false;
+        if (cache.invalidate(paddr, d)) {
+            present = true;
+            dirty |= d;
+        }
+    };
+    const auto dropPrivates = [&](Core &o) {
+        drop(o.l1);
+        drop(o.l2);
+    };
     // clflush is coherent: every core's privates and the LLC drop the
     // line, dirty data drains to memory.
-    if (!directoryCoherence_) {
-        for (auto &c : cores_) {
-            ++coherence_.privateProbes;
-            if (c->l1.invalidate(paddr, d)) {
-                present = true;
-                dirty |= d;
-            }
-            if (c->l2.invalidate(paddr, d)) {
-                present = true;
-                dirty |= d;
-            }
-        }
-    } else {
-        const Addr la = AddressLayout::lineAddr(paddr);
-        SliceDirectory &dir = sharers_[sliceHash_.sliceOf(la)];
-        const std::uint64_t *mask = dir.find(la);
-        if (mask != nullptr) {
-            for (std::uint64_t m = *mask; m != 0; m &= m - 1) {
-                const unsigned o =
-                    static_cast<unsigned>(std::countr_zero(m));
-                ++coherence_.privateProbes;
-                if (cores_[o]->l1.invalidate(paddr, d)) {
-                    present = true;
-                    dirty |= d;
-                }
-                if (cores_[o]->l2.invalidate(paddr, d)) {
-                    present = true;
-                    dirty |= d;
-                }
-            }
-            dir.erase(la);
-        }
-    }
-    if (llcFor(paddr).invalidate(paddr, d)) {
-        present = true;
-        dirty |= d;
-    }
+    if (!directoryCoherence_)
+        visitHolders<false>(la, slice, 0, dropPrivates);
+    else if (visitHolders<true>(la, slice, 0, dropPrivates) != nullptr)
+        sharers_[slice].erase(la);
+    drop(llcSlices_[slice]);
     Cycles cost = lat.flushBase;
     if (present)
         cost += lat.flushPresentExtra;

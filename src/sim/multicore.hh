@@ -41,12 +41,13 @@
 #ifndef WB_SIM_MULTICORE_HH
 #define WB_SIM_MULTICORE_HH
 
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/round.hh"
 #include "common/types.hh"
 #include "sim/cache.hh"
 #include "sim/hierarchy.hh"
@@ -303,14 +304,6 @@ class MultiCoreSystem
     /** Bounds-checked core lookup. */
     Core &coreRef(unsigned core);
 
-    /** The LLC slice shard holding @p paddr. */
-    Cache &
-    llcFor(Addr paddr)
-    {
-        return llcSlices_[sliceHash_.sliceOf(
-            AddressLayout::lineAddr(paddr))];
-    }
-
     /** Gaussian measurement noise (same contract as Hierarchy). */
     Cycles
     noise()
@@ -318,31 +311,72 @@ class MultiCoreSystem
         if (rng_ == nullptr || params_.lat.noiseSigma <= 0.0)
             return 0;
         const double n = params_.lat.noiseSigma * rng_->gaussianCached();
-        return n > 0.0 ? static_cast<Cycles>(std::lround(n)) : 0;
+        return roundNonNegative(std::max(n, 0.0));
     }
+
+    // --- access path. Dir selects the coherence implementation at
+    // compile time (true: sharer directory, false: global scan); the
+    // entry points read directoryCoherence_ once per access() call and
+    // once per accessBatch() sweep. ---
 
     /**
      * One demand access: the single body shared by access() and the
      * accessBatch() loops (bit-exact batched-vs-scalar execution).
+     * Resolves L1 hits inline; misses escalate to missPath().
      */
-    AccessResult accessOne(Core &c, unsigned core, ThreadId tid,
-                           Addr paddr, bool isWrite, PerfCounters &ctr);
+    template <bool Dir>
+#if defined(__GNUC__) || defined(__clang__)
+    __attribute__((always_inline))
+#endif
+    inline AccessResult accessOne(Core &c, unsigned core, ThreadId tid,
+                                  Addr paddr, bool isWrite,
+                                  PerfCounters &ctr);
 
-    /** The L1-miss path: L2 -> snoop -> LLC -> DRAM, fills, coherence. */
+    /**
+     * The L1-miss path: L2 -> snoop -> LLC -> DRAM, fills, coherence.
+     * Flattened, like Hierarchy::missPath: every probe, fill, victim
+     * write-back and directory update inlines into one body.
+     */
+    template <bool Dir>
+#if defined(__GNUC__) || defined(__clang__)
+    __attribute__((flatten))
+#endif
     AccessResult missPath(Core &c, unsigned core, ThreadId tid, Addr paddr,
                           bool isWrite, PerfCounters &ctr);
 
-    /** Shared aggregation loop behind the accessBatch() overloads. */
+    /** The accessBatch() loop for one coherence mode. */
+    template <bool Dir, typename AddrAt>
+    BatchAccessResult sweep(unsigned core, ThreadId tid, std::size_t n,
+                            bool isWrite, AddrAt addrAt);
+
+    /** Shared mode dispatch behind the accessBatch() overloads. */
     template <typename AddrAt>
     BatchAccessResult accessBatchImpl(unsigned core, ThreadId tid,
                                       std::size_t n, bool isWrite,
                                       AddrAt addrAt);
 
+    // --- coherence layer. @p slice is always sliceOf(la), hashed once
+    // by the caller. ---
+
+    /**
+     * Call @p visit on every core that may hold line @p la in its
+     * privates, skipping the cores in @p skip, and count one private
+     * probe per visit. Scan mode visits every core; directory mode
+     * the line's presence mask. @return the line's directory mask
+     * (directory mode, entry present), else nullptr. @p visit must
+     * not touch the directory.
+     */
+    template <bool Dir, typename Visit>
+    std::uint64_t *visitHolders(Addr la, unsigned slice, std::uint64_t skip,
+                                Visit visit);
+
     /**
      * MESI upgrade: drop the line from every sharing core's privates
      * except @p core (a store is about to own it in M state).
      */
-    void invalidateRemote(unsigned core, Addr paddr);
+    template <bool Dir>
+    void invalidateRemote(unsigned core, Addr paddr, Addr la,
+                          unsigned slice);
 
     /**
      * MESI snoop for a load miss: if any other core holds the line
@@ -351,8 +385,9 @@ class MultiCoreSystem
      * @p drainExtra accumulates dirty-eviction penalties charged by
      * the LLC write-back this snoop may trigger.
      */
-    bool snoopRemoteDirty(unsigned core, Addr paddr, PerfCounters &ctr,
-                          Cycles &drainExtra);
+    template <bool Dir>
+    bool snoopRemoteDirty(unsigned core, Addr paddr, Addr la, unsigned slice,
+                          PerfCounters &ctr, Cycles &drainExtra);
 
     /**
      * Install a line into its shared-LLC slice. An eviction
@@ -362,14 +397,25 @@ class MultiCoreSystem
      * counted in @p ctr (the access that forced the eviction pays —
      * the cross-core signal).
      */
-    void llcFillShared(Addr paddr, unsigned core, bool asDirty,
-                       bool checkResident, PerfCounters &ctr,
+    template <bool Dir>
+    void llcFillShared(Addr paddr, unsigned slice, unsigned core,
+                       bool asDirty, bool checkResident, PerfCounters &ctr,
                        Cycles &drainExtra);
+
+    /**
+     * Line @p victim just left @p core's L2: a dirty victim is written
+     * back into its LLC slice, and in directory mode the core's
+     * presence bit is trimmed unless L1 still holds a copy.
+     */
+    template <bool Dir>
+    void retireL2Victim(Core &c, unsigned core, const Evicted &victim,
+                        PerfCounters &ctr, Cycles &drainExtra);
 
     /**
      * Write a dirty L1 victim of @p core back into its private L2,
      * cascading a dirty L2 victim into the shared LLC.
      */
+    template <bool Dir>
     void writebackToL2(Core &c, unsigned core, Addr lineAddr, ThreadId tid,
                        PerfCounters &ctr, Cycles &drainExtra);
 
@@ -377,10 +423,24 @@ class MultiCoreSystem
 
     /** Core @p core now holds line @p la in its privates. */
     void
-    noteSharer(unsigned core, Addr la)
+    noteSharer(unsigned core, Addr la, unsigned slice)
     {
-        sharers_[sliceHash_.sliceOf(la)].upsert(la) |=
-            std::uint64_t(1) << core;
+        sharers_[slice].upsert(la) |= std::uint64_t(1) << core;
+    }
+
+    /**
+     * Store @p left as line @p la's presence mask, held in directory
+     * slot @p mask. A zero mask marks the slot free, so the entry is
+     * erased instead of written (sharer_map.hh).
+     */
+    void
+    storeMask(Addr la, unsigned slice, std::uint64_t *mask,
+              std::uint64_t left)
+    {
+        if (left == 0)
+            sharers_[slice].erase(la);
+        else
+            *mask = left;
     }
 
     /**
