@@ -188,6 +188,13 @@ Cache::unlockAll()
     std::fill(lockedMask_.begin(), lockedMask_.end(), 0);
 }
 
+bool
+Cache::isDirty(Addr paddr) const
+{
+    const std::size_t idx = findIndex(paddr);
+    return idx != npos && (unsigned(flags_[idx]) & FlagDirty) != 0;
+}
+
 unsigned
 Cache::dirtyCountInSet(unsigned set) const
 {

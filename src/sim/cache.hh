@@ -245,12 +245,7 @@ class Cache
     bool contains(Addr paddr) const { return findIndex(paddr) != npos; }
 
     /** True when @p paddr is cached and dirty. */
-    bool
-    isDirty(Addr paddr) const
-    {
-        const std::size_t idx = findIndex(paddr);
-        return idx != npos && (unsigned(flags_[idx]) & FlagDirty) != 0;
-    }
+    bool isDirty(Addr paddr) const;
 
     /**
      * MESI-lite downgrade (M -> S): clear the dirty bit of the line
@@ -269,7 +264,7 @@ class Cache
     }
 
     // --- Inline hot-path API (used by the Hierarchy and
-    // MultiCoreSystem fused access loops; defined in the class so
+    // MultiCoreSystem fused access loops; defined inline so
     // calls flatten to straight-line code) ---
 
     /**

@@ -335,7 +335,7 @@ class MultiCoreSystem
     /**
      * The L1-miss path: L2 -> snoop -> LLC -> DRAM, fills, coherence.
      * Flattened, like Hierarchy::missPath: every probe, fill, victim
-     * write-back and directory update inlines into one body.
+     * write-back and directory lookup inlines into one body.
      */
     template <bool Dir>
 #if defined(__GNUC__) || defined(__clang__)
