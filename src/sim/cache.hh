@@ -215,14 +215,13 @@ class Cache
     bool
     invalidate(Addr paddr, bool &wasDirty)
     {
-        const unsigned set = layout_.setIndex(paddr);
-        const std::uint32_t eq =
-            residentMask(AddressLayout::lineAddr(paddr), set);
         wasDirty = false;
-        if (eq == 0)
+        const std::size_t idx = findIndex(paddr);
+        if (idx == npos)
             return false;
-        const unsigned way = lowestWay(eq);
-        const std::size_t idx = std::size_t(set) * params_.ways + way;
+        const unsigned set = layout_.setIndex(paddr);
+        const auto way =
+            static_cast<unsigned>(idx - std::size_t(set) * params_.ways);
         wasDirty = (unsigned(flags_[idx]) & FlagDirty) != 0;
         lineAddr_[idx] = 0;
         flags_[idx] = LineFlagWord{};
@@ -443,6 +442,11 @@ class Cache
     findIndex(Addr paddr) const
     {
         const unsigned set = layout_.setIndex(paddr);
+        // An empty set is answered without reading its stripe: the
+        // coherence walks probe many remote private sets that hold
+        // nothing, and the stripe read is a host cache miss there.
+        if (validMask_[set] == 0)
+            return npos;
         const std::uint32_t eq =
             residentMask(AddressLayout::lineAddr(paddr), set);
         return eq == 0 ? npos

@@ -326,9 +326,10 @@ TEST(Cache, ResidencyLookupsMatchANaiveScan)
         unsigned hits = 0;
         for (int i = 0; i < 20000; ++i) {
             // Three times the capacity of a set in tags, so lookups
-            // both hit and miss and fills keep evicting.
+            // both hit and miss and fills keep evicting. Tag 0 puts
+            // line 0 in play: invalid ways also read line address 0.
             const Addr a = c.layout().compose(
-                unsigned(traffic.below(8)), 1 + traffic.below(3 * v.ways));
+                unsigned(traffic.below(8)), traffic.below(3 * v.ways));
             const ThreadId tid = ThreadId(traffic.below(2));
             const auto before = c.setContents(c.layout().setIndex(a));
             const Line *line = naiveFind(before, a);
