@@ -145,11 +145,13 @@ class MultiCoreSystem
      * Below this the global scan is cheaper: walking 2-4 cores per
      * coherence event costs less than maintaining the sharer map on
      * every miss-path fill and private eviction (the 2-core
-     * multicore-access benchmark loses ~20% to the bookkeeping),
-     * while at 16 cores the directory wins llc-slice-evict ~1.8x.
-     * Both modes are bit-exact (SlicedLlcEquivalence), so the default
-     * is purely a performance choice; setDirectoryCoherence overrides
-     * it either way.
+     * multicore-access sweep runs ~25% slower with the directory
+     * forced on: median 0.75x scan mode over 5 runs, 0.70-0.81x),
+     * while at 16 cores the directory wins llc-slice-evict ~1.2x.
+     * Both modes produce the same accesses and latencies
+     * (SlicedLlcEquivalence), but not the same CoherenceStats, so
+     * moving the default changes reported probe counts;
+     * setDirectoryCoherence overrides it either way.
      */
     static constexpr unsigned kDirectoryMinCores = 8;
 
