@@ -4,7 +4,8 @@
  * and multi-set, single shots and transport sessions, with and
  * without the OS-noise scheduler, under every observer class, plus
  * the baseline channels (LRU, Prime+Probe, the flush family, Hit+Hit)
- * and the many-tenant sweep on the sliced directory-mode presets. Each
+ * the many-tenant sweep on the sliced directory-mode presets, and the
+ * perf-counter detection workloads, offline and online. Each
  * digest (tests/digest.hh) covers the latency stream, the decoded
  * bits, BER, simulated cycles, calibration centroids, per-party
  * counters and scheduler stats, so a refactor of the channel pipeline
@@ -25,6 +26,8 @@
 #include "chan/multiset.hh"
 #include "chan/tenant.hh"
 #include "digest.hh"
+#include "perfmon/arms_race.hh"
+#include "perfmon/detector.hh"
 #include "sim/observer.hh"
 #include "sim/platform.hh"
 
@@ -131,6 +134,17 @@ TEST(RunnerPins, SameCoreUnderScheduler)
     const ChannelResult r = runChannel(cfg);
     EXPECT_GT(r.schedulerStats.coRunnerAccesses, 0u);
     EXPECT_EQ(shotDigest(r), 12404763411116237722ull);
+}
+
+TEST(RunnerPins, SameCoreUnderFourCoRunners)
+{
+    // mixOf(4) is the first mix with an idle co-runner in it.
+    ChannelConfig cfg = sameCore("xeonE5-2650", 9);
+    cfg.scheduler = sim::platform("xeonE5-2650").noisePreset;
+    cfg.scheduler.coRunners = sim::SchedulerConfig::mixOf(4);
+    const ChannelResult r = runChannel(cfg);
+    EXPECT_GT(r.schedulerStats.coRunnerAccesses, 0u);
+    EXPECT_EQ(shotDigest(r), 9651822419915283361ull);
 }
 
 TEST(RunnerPins, CrossCoreUnderScheduler)
@@ -332,6 +346,51 @@ TEST(RunnerPins, TenantSweep)
     cfg.usePlatform("dc-sliced-64core");
     cfg.seed = 4;
     EXPECT_EQ(tenantDigest(runTenantSweep(cfg)), 14199997274430911675ull);
+}
+
+// ------------------------------------------------------------------
+// Detection workloads: the offline collector over every workload pair
+// and one online scenario run of each kind.
+// ------------------------------------------------------------------
+
+TEST(RunnerPins, DetectionWorkloads)
+{
+    using namespace perfmon;
+    test::Fnv offline;
+    for (Workload w :
+         {Workload::Idle, Workload::WbChannel, Workload::WbChannelD8,
+          Workload::LruChannel, Workload::CompilerPair,
+          Workload::Streaming}) {
+        for (const WindowFeatures &f : collectTrace(w, 10, 50000, 5)) {
+            for (double v : {f.l1MissPerKcycle, f.writebacksPerKcycle,
+                             f.l2AccessPerKcycle, f.backInvalPerKcycle,
+                             f.snoopPerKcycle})
+                offline.f64(v);
+        }
+    }
+    EXPECT_EQ(offline.value(), 17751658038168943816ull);
+
+    test::Fnv online;
+    ArmsRaceConfig cfg;
+    cfg.benignWindows = 12;
+    for (DetectionScenario s :
+         {DetectionScenario::IdlePair, DetectionScenario::CompilerPair,
+          DetectionScenario::StreamingPair, DetectionScenario::WbChannel,
+          DetectionScenario::WbChannelD8, DetectionScenario::LruChannel,
+          DetectionScenario::CrossCoreWb}) {
+        const ScenarioOutcome o = runDetectionScenario(cfg, s, 5);
+        EXPECT_GT(o.windows, 0u);
+        online.u64(o.senderTid);
+        online.u64(o.receiverTid);
+        online.u64(o.windows);
+        online.f64(o.ber);
+        online.f64(o.goodputKbps);
+        for (double v : o.pairSmoothed)
+            online.f64(v);
+        for (double v : o.benignSmoothed)
+            online.f64(v);
+    }
+    EXPECT_EQ(online.value(), 10460979416895498562ull);
 }
 
 } // namespace
