@@ -17,8 +17,8 @@
  *   hierarchy-dirty-evict  store stream exercising the WB-channel path
  *   pointer-chase    replacement-set traversal measurement (receiver)
  *   smt-step         two-thread SMT core stepping (ops = cycles)
- *   trace-step       smt-step as a flat/reference pair: trace-compiled
- *                    engine vs forced per-op virtual stepping
+ *   trace-step       smt-step as a flat/reference pair: trace slices
+ *                    vs single-stepping the same traces
  *   spin-step        spin-wait-dominated stepping (ops = cycles)
  *   sweep-scaling-Nt fixed 8-cell channel work-list through a
  *                    SweepRunner pool with N workers (ops = cells)
@@ -383,12 +383,11 @@ benchPointerChase(double budgetSec)
 
 /**
  * trace-step: the smt-step workload measured as a pair. "flat" runs
- * the trace-compiled engine (NoiseModel::traceExecution on, the
- * production default): each program's MemOps execute as whole
- * compiled slices. "reference" forces per-op stepping through the
- * virtual Program::next()/onResult() protocol — the pre-trace
- * engine. Both paths are bit-identical (tests/test_trace_equivalence)
- * so the ratio is pure dispatch overhead.
+ * the trace engine (NoiseModel::traceExecution on, the production
+ * default): each program's MemOps execute as whole slices. "reference"
+ * single-steps the same traces, one op per pick. Both modes are
+ * bit-identical (tests/test_trace_equivalence) so the ratio is the
+ * cost of the per-op pick.
  */
 BenchResult
 benchTraceStep(const std::string &impl, double budgetSec)
@@ -555,22 +554,24 @@ benchTenantFrame(double budgetSec)
                    [&]() { (void)chan::runTenantSweep(cfg); });
 }
 
-/** A program that does nothing but paced spin-waits. */
+/** A program that does nothing but spin-waits of one period each. */
 class SpinProgram : public Program
 {
   public:
     explicit SpinProgram(Cycles period) : period_(period) {}
 
-    std::optional<MemOp>
-    next(ProcView &view) override
+    const Trace *
+    nextTrace(ProcView &view) override
     {
-        return MemOp::spinUntil(view.now() + period_);
+        op_ = MemOp::spinUntil(view.now() + period_);
+        trace_ = {&op_, 1, nullptr, 0};
+        return &trace_;
     }
-
-    void onResult(const MemOp &, const OpResult &, ProcView &) override {}
 
   private:
     Cycles period_;
+    MemOp op_;
+    Trace trace_;
 };
 
 /**

@@ -32,47 +32,51 @@ namespace
 class Hammer : public Program
 {
   public:
-    std::optional<MemOp>
-    next(ProcView &) override
+    const Trace *
+    nextTrace(ProcView &) override
     {
-        return MemOp::pipelinedLoad(0x8000);
+        trace_ = {&op_, 1, nullptr, 0};
+        return &trace_;
     }
-    void onResult(const MemOp &, const OpResult &, ProcView &) override
-    {
-    }
+
+  private:
+    const MemOp op_ = MemOp::loadUntil(0x8000, ~Cycles(0)); //!< forever
+    Trace trace_;
 };
 
 /** Victim thread timing repeated L1 hits. */
 class HitTimer : public Program
 {
   public:
-    explicit HitTimer(unsigned samples) : samples_(samples) {}
-
-    std::optional<MemOp>
-    next(ProcView &) override
+    /** The cold fill, @p samples timed hits, then halt: one trace. */
+    explicit HitTimer(unsigned samples)
+        : ops_(samples + 1, MemOp::load(0x4000))
     {
-        if (done())
-            return MemOp::halt();
-        return MemOp::load(0x4000);
+        ops_.push_back(MemOp::halt());
+        for (std::uint32_t i = 1; i <= samples; ++i)
+            points_.push_back(i);
+    }
+
+    const Trace *
+    nextTrace(ProcView &) override
+    {
+        trace_ = {ops_.data(), ops_.size(), points_.data(), points_.size()};
+        return &trace_;
     }
 
     void
-    onResult(const MemOp &, const OpResult &res, ProcView &) override
+    onTraceResult(std::uint32_t, const MemOp &, const OpResult &res,
+                  ProcView &) override
     {
-        if (!first_) {
-            first_ = true; // discard the cold fill
-            return;
-        }
         lat.add(double(res.latency));
     }
-
-    bool done() const { return lat.count() >= samples_; }
 
     Samples lat;
 
   private:
-    unsigned samples_;
-    bool first_ = false;
+    std::vector<MemOp> ops_;
+    std::vector<std::uint32_t> points_;
+    Trace trace_;
 };
 
 } // namespace

@@ -42,7 +42,7 @@ HitHitSender::buildSlot(std::size_t index, const sim::OpResult &,
     if (index >= bits_.size())
         halt();
     else if (bits_[index])
-        hammer(sim::MemOp::pipelinedLoad(line_), tlast() + period());
+        hammer(line_, tlast() + period());
 }
 
 BaselineResult

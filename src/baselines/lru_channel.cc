@@ -55,7 +55,7 @@ LruSender::buildSlot(std::size_t index, const sim::OpResult &,
     if (index >= bits_.size())
         halt();
     else if (bits_[index]) // tight load loop for the burst window
-        hammer(sim::MemOp::pipelinedLoad(line_), tlast() + modulateCycles_);
+        hammer(line_, tlast() + modulateCycles_);
 }
 
 BaselineResult

@@ -18,36 +18,11 @@ PacedProgram::startupOp(const sim::MemOp &op)
     ++points_.back();
 }
 
-std::optional<sim::MemOp>
-PacedProgram::next(sim::ProcView &view)
-{
-    if (hooks_[pos_] == Hook::Hammer) {
-        if (view.now() < hammerUntil_)
-            return ops_[pos_];
-        ++pos_; // deadline reached: on to the rest of the body
-    }
-    return ops_[pos_];
-}
-
-void
-PacedProgram::onResult(const sim::MemOp &, const sim::OpResult &res,
-                       sim::ProcView &view)
-{
-    const std::size_t at = pos_;
-    if (hooks_[at] != Hook::Hammer)
-        ++pos_;
-    dispatch(at, res, view);
-}
-
 const sim::Trace *
 PacedProgram::nextTrace(sim::ProcView &)
 {
-    // The whole body as one trace, unless per-op is already walking
-    // it or a hammer makes its length depend on the clock.
-    if (pos_ != 0 || hammered_)
-        return nullptr;
+    // The whole body as one trace; its last op's hook builds the next.
     trace_ = {ops_.data(), ops_.size(), points_.data(), points_.size()};
-    pos_ = ops_.size();
     return &trace_;
 }
 
@@ -64,7 +39,6 @@ PacedProgram::dispatch(std::size_t at, const sim::OpResult &res,
 {
     switch (hooks_[at]) {
       case Hook::None:
-      case Hook::Hammer:
         return;
       case Hook::Op:
         onOpResult(res, view);
@@ -97,8 +71,6 @@ PacedProgram::dispatch(std::size_t at, const sim::OpResult &res,
         ops_.clear();
         hooks_.clear();
         points_.clear();
-        pos_ = 0;
-        hammered_ = false;
         buildSlot(slot_, res, view);
         if (ops_.empty() || ops_.back().kind != sim::MemOp::Kind::Halt)
             push(sim::MemOp::spinUntil(tlast_ + period_), Hook::Spin);

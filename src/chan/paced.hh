@@ -17,12 +17,8 @@
  *
  * The body of a slot is built once, at the op result that starts the
  * slot (the initial TSC read or the previous slot's spin), as a list
- * of ops with hook marks. The per-op protocol (next()/onResult())
- * walks that list one op at a time; the trace protocol
- * (nextTrace()/onTraceResult()) hands the same list to the core as one
- * compiled trace whose result points are the hooked ops. Both issue
- * the same ops and run the same hooks at the same op results, so they
- * draw the run RNG identically by construction (docs/ENGINE.md).
+ * of ops with hook marks, and handed to the core as one compiled trace
+ * whose result points are the hooked ops (docs/ENGINE.md).
  */
 
 #ifndef WB_CHAN_PACED_HH
@@ -41,9 +37,6 @@ namespace wb::chan
 class PacedProgram : public sim::Program
 {
   public:
-    std::optional<sim::MemOp> next(sim::ProcView &view) final;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) final;
     const sim::Trace *nextTrace(sim::ProcView &view) final;
     void onTraceResult(std::uint32_t opIdx, const sim::MemOp &op,
                        const sim::OpResult &res,
@@ -69,8 +62,8 @@ class PacedProgram : public sim::Program
      * hammer() and halt(). Slot 0 starts at the initial TSC read's
      * result; slot k > 0 at the result of slot k - 1's spin (@p start
      * is that op's result). Tlast is already re-based, and any RNG
-     * draw made here lands at that op result on both protocols. Unless
-     * the body ends in halt(), the base appends the spin to Tlast + T.
+     * draw made here lands at that op result. Unless the body ends in
+     * halt(), the base appends the spin to Tlast + T.
      */
     virtual void buildSlot(std::size_t index, const sim::OpResult &start,
                            sim::ProcView &view) = 0;
@@ -107,17 +100,13 @@ class PacedProgram : public sim::Program
     void closeWindow() { push(sim::MemOp::tscRead(), Hook::WindowClose); }
 
     /**
-     * Append @p op repeated while the thread's clock is below @p until
-     * (a sender hammering until a deadline). Its length depends on the
-     * clock, so the base serves a body holding one per-op. At most one
-     * per body.
+     * Append pipelined loads of @p line repeated while the thread's
+     * clock is below @p until (a sender hammering until a deadline).
      */
     void
-    hammer(const sim::MemOp &op, Cycles until)
+    hammer(Addr line, Cycles until)
     {
-        push(op, Hook::Hammer);
-        hammerUntil_ = until;
-        hammered_ = true;
+        push(sim::MemOp::loadUntil(line, until), Hook::None);
     }
 
     /** End the program after the body instead of spinning. */
@@ -141,14 +130,13 @@ class PacedProgram : public sim::Program
         WindowOpen,  //!< remember the window's start TSC
         WindowClose, //!< record one latency sample
         Start,       //!< initial TSC read: Tlast, build slot 0
-        Spin,        //!< slot spin: Tlast, build the next slot
-        Hammer       //!< repeated until hammerUntil_ (per-op only)
+        Spin         //!< slot spin: Tlast, build the next slot
     };
 
     void
     push(const sim::MemOp &op, Hook hook)
     {
-        if (hook != Hook::None && hook != Hook::Hammer)
+        if (hook != Hook::None)
             points_.push_back(static_cast<std::uint32_t>(ops_.size()));
         ops_.push_back(op);
         hooks_.push_back(hook);
@@ -164,9 +152,6 @@ class PacedProgram : public sim::Program
     std::vector<sim::MemOp> ops_;       //!< the current body
     std::vector<Hook> hooks_;           //!< one per op
     std::vector<std::uint32_t> points_; //!< hooked ops (trace results)
-    std::size_t pos_ = 0;               //!< next op to issue
-    Cycles hammerUntil_ = 0;
-    bool hammered_ = false; //!< the body holds a hammer
 
     Cycles tlast_ = 0;
     std::size_t slot_ = 0;

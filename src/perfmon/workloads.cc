@@ -1,5 +1,7 @@
 #include "perfmon/workloads.hh"
 
+#include <algorithm>
+
 namespace wb::perfmon
 {
 
@@ -26,35 +28,35 @@ CompilerWorkload::CompilerWorkload(const Params &params) : params_(params)
 {
 }
 
-std::optional<sim::MemOp>
-CompilerWorkload::next(sim::ProcView &)
+const sim::Trace *
+CompilerWorkload::nextTrace(sim::ProcView &)
 {
-    if (walking_) {
-        const std::uint64_t r = xorshift(walkState_);
-        const Addr va =
-            0x1000000 + (r % params_.walkLines) * lineBytes;
-        const bool store =
-            (static_cast<double>((r >> 32) & 0xffff) / 65536.0) <
-            params_.storeFraction;
-        return store ? sim::MemOp::store(va) : sim::MemOp::load(va);
-    }
-    const Addr va =
-        0x2000000 + (streamPos_ % params_.streamLines) * lineBytes;
-    ++streamPos_;
-    return sim::MemOp::pipelinedLoad(va);
-}
-
-void
-CompilerWorkload::onResult(const sim::MemOp &, const sim::OpResult &,
-                           sim::ProcView &)
-{
-    ++burstPos_;
+    // The walk and stream draws come from the private xorshift and the
+    // stream cursor, never the run RNG, so compiling a whole phase
+    // ahead issues the op stream a phase-at-a-time program would.
     const unsigned limit =
-        walking_ ? params_.walkBurst : params_.streamBurst;
-    if (burstPos_ >= limit) {
-        burstPos_ = 0;
-        walking_ = !walking_;
+        std::max(1u, walking_ ? params_.walkBurst : params_.streamBurst);
+    ops_.clear();
+    for (unsigned i = 0; i < limit; ++i) {
+        if (walking_) {
+            const std::uint64_t r = xorshift(walkState_);
+            const Addr va =
+                0x1000000 + (r % params_.walkLines) * lineBytes;
+            const bool store =
+                (static_cast<double>((r >> 32) & 0xffff) / 65536.0) <
+                params_.storeFraction;
+            ops_.push_back(store ? sim::MemOp::store(va)
+                                 : sim::MemOp::load(va));
+        } else {
+            const Addr va =
+                0x2000000 + (streamPos_ % params_.streamLines) * lineBytes;
+            ++streamPos_;
+            ops_.push_back(sim::MemOp::pipelinedLoad(va));
+        }
     }
+    walking_ = !walking_;
+    trace_ = {ops_.data(), ops_.size(), nullptr, 0};
+    return &trace_;
 }
 
 } // namespace wb::perfmon

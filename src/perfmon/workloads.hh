@@ -16,8 +16,10 @@
 #ifndef WB_PERFMON_WORKLOADS_HH
 #define WB_PERFMON_WORKLOADS_HH
 
+#include <array>
 #include <vector>
 
+#include "chan/paced.hh"
 #include "common/types.hh"
 #include "sim/smt_core.hh"
 
@@ -51,16 +53,16 @@ class CompilerWorkload : public sim::Program
     /** Construct with explicit parameters. */
     explicit CompilerWorkload(const Params &params);
 
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
+    /** The next phase (a walk or a stream burst) as one trace. */
+    const sim::Trace *nextTrace(sim::ProcView &view) override;
 
   private:
     Params params_;
     bool walking_ = true;
-    unsigned burstPos_ = 0;
     Addr streamPos_ = 0;
     std::uint64_t walkState_ = 0x1234567;
+    std::vector<sim::MemOp> ops_; //!< the current phase
+    sim::Trace trace_;
 };
 
 /**
@@ -69,33 +71,18 @@ class CompilerWorkload : public sim::Program
  * the online detection scenarios. Its only perf-visible footprint is
  * spin loads.
  */
-class Spinner : public sim::Program
+class Spinner : public chan::PacedProgram
 {
   public:
     /** @param period cycles between wakeups. */
-    explicit Spinner(Cycles period) : period_(period) {}
+    explicit Spinner(Cycles period) : PacedProgram(period) {}
 
-    std::optional<sim::MemOp>
-    next(sim::ProcView &) override
-    {
-        if (!started_) {
-            started_ = true;
-            return sim::MemOp::tscRead();
-        }
-        return sim::MemOp::spinUntil(tlast_ + period_);
-    }
-
+  protected:
+    /** Empty slots: Algorithm 3's spin and re-base alone. */
     void
-    onResult(const sim::MemOp &, const sim::OpResult &res,
-             sim::ProcView &) override
+    buildSlot(std::size_t, const sim::OpResult &, sim::ProcView &) override
     {
-        tlast_ = res.tsc;
     }
-
-  private:
-    Cycles period_;
-    Cycles tlast_ = 0;
-    bool started_ = false;
 };
 
 /** Pure streaming workload (memory bandwidth bound). */
@@ -105,22 +92,27 @@ class StreamingWorkload : public sim::Program
     /** @param lines buffer size in cache lines. */
     explicit StreamingWorkload(unsigned lines = 16384) : lines_(lines) {}
 
-    std::optional<sim::MemOp>
-    next(sim::ProcView &) override
+    /** The next kChunk loads of the sweep as one trace. */
+    const sim::Trace *
+    nextTrace(sim::ProcView &) override
     {
-        const Addr va = 0x4000000 + (pos_ % lines_) * lineBytes;
-        ++pos_;
-        return sim::MemOp::pipelinedLoad(va);
-    }
-
-    void onResult(const sim::MemOp &, const sim::OpResult &,
-                  sim::ProcView &) override
-    {
+        for (sim::MemOp &op : ops_) {
+            op = sim::MemOp::pipelinedLoad(0x4000000 +
+                                           (pos_ % lines_) * lineBytes);
+            ++pos_;
+        }
+        trace_ = {ops_.data(), ops_.size(), nullptr, 0};
+        return &trace_;
     }
 
   private:
+    /** Loads per compiled trace. */
+    static constexpr std::size_t kChunk = 128;
+
     unsigned lines_;
     Addr pos_ = 0;
+    std::array<sim::MemOp, kChunk> ops_{};
+    sim::Trace trace_;
 };
 
 } // namespace wb::perfmon

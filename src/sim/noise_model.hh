@@ -91,12 +91,12 @@ struct NoiseModel
     double measRateSigma = 1800.0;
 
     /**
-     * Execute compiled traces (Program::nextTrace) when a program
-     * offers them, instead of forcing per-op next()/onResult dispatch.
-     * The two execution modes are bit-exact by contract
+     * Run each thread's trace as a slice for as long as it would win
+     * the next pick. Off, the core single-steps the same traces, one
+     * op per pick. The two modes are bit-exact by contract
      * (tests/test_trace_equivalence.cc); the flag exists so that suite
-     * can run the per-op reference path, and as an escape hatch while
-     * debugging a program's trace emitter.
+     * can run the single-step reference, and as an escape hatch while
+     * debugging the engine's split rules.
      */
     bool traceExecution = true;
 

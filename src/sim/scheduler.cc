@@ -72,7 +72,6 @@ CoRunnerProgram::reseed(std::uint64_t seed)
     rng_.reseed(seed);
     rng_.discardCachedDeviates();
     pass_.clear();
-    inGap_ = false;
     accesses_ = 0;
 }
 
@@ -106,48 +105,18 @@ CoRunnerProgram::prepareBurst()
     }
 }
 
-std::optional<MemOp>
-CoRunnerProgram::next(ProcView &view)
-{
-    if (kind_ == CoRunnerKind::Idle)
-        return MemOp::spinUntil(view.now() + 8 * gap_);
-    if (inGap_) {
-        inGap_ = false;
-        return MemOp::delay(gap_);
-    }
-    prepareBurst();
-    inGap_ = true;
-    accesses_ += pass_.size();
-    if (kind_ == CoRunnerKind::RandomStore)
-        return MemOp::storeBatch(pass_.data(), pass_.size());
-    return MemOp::loadBatch(pass_.data(), pass_.size());
-}
-
-void
-CoRunnerProgram::onResult(const MemOp &, const OpResult &, ProcView &)
-{
-}
-
 const Trace *
 CoRunnerProgram::nextTrace(ProcView &view)
 {
-    // Idle spinners re-base each wait on the current time, so they
-    // stay on the per-op path (one spin per step is not a hot loop).
-    if (kind_ == CoRunnerKind::Idle)
-        return nullptr;
-    if (inGap_) {
-        // Only reachable if trace execution was toggled mid-run; emit
-        // the pending gap so the op sequence stays identical.
-        inGap_ = false;
-        traceOps_[0] = MemOp::delay(gap_);
+    if (kind_ == CoRunnerKind::Idle) {
+        // Idle spinners re-base each wait on the time they are picked.
+        traceOps_[0] = MemOp::spinUntil(view.now() + 8 * gap_);
         trace_ = {traceOps_.data(), 1, nullptr, 0};
         return &trace_;
     }
-    (void)view;
-    // Same pick moment as the per-op next(), so the burst preparation
-    // consumes this program's private Rng at the identical stream
-    // position; the trailing gap delay draws nothing. No result hooks:
-    // nothing downstream depends on a co-runner's op results.
+    // The burst is prepared when the program is picked, from its
+    // private Rng; the trailing gap delay draws nothing. No result
+    // hooks: nothing downstream depends on a co-runner's op results.
     prepareBurst();
     accesses_ += pass_.size();
     traceOps_[0] = kind_ == CoRunnerKind::RandomStore

@@ -188,9 +188,6 @@ class CoRunnerProgram final : public Program
     CoRunnerProgram(CoRunnerKind kind, unsigned lines, Cycles gap,
                     std::uint64_t seed);
 
-    std::optional<MemOp> next(ProcView &view) override;
-    void onResult(const MemOp &op, const OpResult &res,
-                  ProcView &view) override;
     const Trace *nextTrace(ProcView &view) override;
 
     /**
@@ -225,9 +222,8 @@ class CoRunnerProgram final : public Program
     Rng rng_;
     std::vector<Addr> buffer_; //!< working-set virtual addresses
     std::vector<Addr> pass_;   //!< current burst order (subset)
-    bool inGap_ = false;       //!< next op is the inter-burst delay
     std::uint64_t accesses_ = 0;
-    std::array<MemOp, 2> traceOps_{}; //!< [burst, gap delay]
+    std::array<MemOp, 2> traceOps_{}; //!< [burst, gap delay] or [spin]
     Trace trace_;                     //!< compiled burst+gap pair
 };
 

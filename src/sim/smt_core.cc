@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/log.hh"
+#include "common/round.hh"
 
 namespace wb::sim
 {
@@ -107,6 +108,11 @@ SmtCore::stepEarliest(Cycles horizon)
 void
 SmtCore::runUntil(Cycles bound)
 {
+    if (!noise_.traceExecution) {
+        while (stepEarliest(bound)) {
+        }
+        return;
+    }
     const ThreadId n = static_cast<ThreadId>(threads_.size());
     if (n == 2 && !threads_[0].halted && !threads_[1].halted) {
         // The SMT pair: same pick/tie/bound rules as the generic loop
@@ -276,7 +282,8 @@ SmtCore::execOp(ThreadCtx &ctx, ThreadId tid, ThreadId idx,
 {
     switch (op.kind) {
       case MemOp::Kind::Load:
-      case MemOp::Kind::Store: {
+      case MemOp::Kind::Store:
+      case MemOp::Kind::LoadUntil: {
         const bool isWrite = op.kind == MemOp::Kind::Store;
         const Addr paddr = ctx.space.translate(op.vaddr);
         const AccessResult ar = memAccess(tid, paddr, isWrite);
@@ -307,7 +314,7 @@ SmtCore::execOp(ThreadCtx &ctx, ThreadId tid, ThreadId idx,
         // The burst issues back to back, so the sibling coincidence
         // window is evaluated once at issue rather than per element;
         // per-op-sensitive loops (the hit-hit channel's contention
-        // hammering) must keep issuing scalar ops.
+        // hammering) must keep issuing scalar ops or a LoadUntil.
         const bool isWrite = op.kind == MemOp::Kind::StoreBatch;
         const BatchAccessResult br =
             memAccessBatch(tid, ctx.space, op.addrs, op.count, isWrite);
@@ -388,7 +395,7 @@ SmtCore::execOp(ThreadCtx &ctx, ThreadId tid, ThreadId idx,
             rng_.chance(noise_.preemptProbPerSpin)) {
             overshoot += rng_.exponential(noise_.preemptMean);
         }
-        release += static_cast<Cycles>(std::llround(overshoot));
+        release += roundNonNegative(overshoot);
         res.latency = release - ctx.time;
         if (noise_.spinIterCycles > 0) {
             // Credit the busy-wait loop's bookkeeping loads (they all
@@ -423,8 +430,7 @@ SmtCore::execOp(ThreadCtx &ctx, ThreadId tid, ThreadId idx,
         const double raw =
             static_cast<double>(ctx.time) +
             rng_.gaussian(0.0, noise_.observer.timerJitterSigma);
-        res.tsc = quantize(
-            raw <= 0.0 ? 0 : static_cast<Cycles>(std::llround(raw)));
+        res.tsc = quantize(raw <= 0.0 ? 0 : roundNonNegative(raw));
     } else {
         res.tsc = quantize(ctx.time);
     }
@@ -436,39 +442,41 @@ SmtCore::step(ThreadCtx &ctx, ThreadId idx, Cycles bound)
 {
     const ThreadId tid = tidBase_ + idx; //!< system-wide hardware tid
 
-    if (ctx.trace == nullptr && noise_.traceExecution) {
-        ProcView view(tid, ctx.time, rng_, noise_);
-        if (const Trace *tr = ctx.program->nextTrace(view)) {
-            ctx.trace = tr;
+    // Run trace ops back to back, pausing (with resume state in the
+    // ThreadCtx) when the bound is reached, so a sibling or the
+    // scheduler gets control exactly where single-stepping would have
+    // handed it over. A trace that ends below the bound hands over to
+    // the program's next one: the thread would win the next pick.
+    for (;;) {
+        if (ctx.trace == nullptr) {
+            ProcView view(tid, ctx.time, rng_, noise_);
+            ctx.trace = ctx.program->nextTrace(view);
+            if (ctx.trace == nullptr) {
+                ctx.halted = true;
+                return;
+            }
             ctx.tracePos = 0;
             ctx.traceNextResult = 0;
         }
-    }
-
-    if (ctx.trace == nullptr) {
-        // Per-op reference path: one next()/onResult round trip.
-        ProcView view(tid, ctx.time, rng_, noise_);
-        auto maybeOp = ctx.program->next(view);
-        if (!maybeOp || maybeOp->kind == MemOp::Kind::Halt) {
-            ctx.halted = true;
-            return;
-        }
-        const MemOp op = *maybeOp;
-        OpResult res;
-        if (!execOp(ctx, tid, idx, op, res))
-            return;
-        ProcView after(tid, ctx.time, rng_, noise_);
-        ctx.program->onResult(op, res, after);
-        return;
-    }
-
-    // Trace slice: run ops back to back, pausing (with resume state in
-    // the ThreadCtx) when the bound is reached, so a sibling or the
-    // scheduler gets control exactly where the per-op loop would have
-    // handed it over.
-    const Trace &tr = *ctx.trace;
-    for (;;) {
+        const Trace &tr = *ctx.trace;
         const MemOp &op = tr.ops[ctx.tracePos];
+        if (op.kind == MemOp::Kind::LoadUntil) {
+            if (ctx.time >= op.until) {
+                // Deadline reached: the next op runs in this same pick.
+                if (ctx.traceNextResult < tr.resultCount &&
+                    tr.resultPoints[ctx.traceNextResult] == ctx.tracePos)
+                    panic("SmtCore: a LoadUntil op is a result point");
+                if (++ctx.tracePos >= tr.count)
+                    ctx.trace = nullptr;
+                continue;
+            }
+            // One hammer iteration: a whole op for the bound.
+            OpResult res;
+            execOp(ctx, tid, idx, op, res);
+            if (bound == 0 || ctx.time >= bound)
+                return;
+            continue;
+        }
         OpResult res;
         if (!execOp(ctx, tid, idx, op, res)) {
             ctx.trace = nullptr;
@@ -481,10 +489,8 @@ SmtCore::step(ThreadCtx &ctx, ThreadId idx, Cycles bound)
             ProcView after(tid, ctx.time, rng_, noise_);
             ctx.program->onTraceResult(opIdx, op, res, after);
         }
-        if (ctx.tracePos >= tr.count) {
+        if (ctx.tracePos >= tr.count)
             ctx.trace = nullptr;
-            return;
-        }
         if (bound == 0 || ctx.time >= bound)
             return;
     }

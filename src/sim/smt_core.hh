@@ -3,19 +3,18 @@
  * Deterministic two-hyper-thread core executor.
  *
  * Each simulated process implements Program: a state machine that emits
- * one MemOp at a time. The core executes, in global virtual-time order,
- * the next op of whichever thread is earliest, against the shared
- * memory hierarchy. Spin-waits jump a thread's clock forward (plus
- * overshoot noise). This reproduces the paper's deployment: sender and
- * receiver as two processes co-resident on one physical core via
- * sched_setaffinity, sharing the L1D (Sec. III).
+ * its MemOps as compiled traces. The core executes, in global
+ * virtual-time order, the next op of whichever thread is earliest,
+ * against the shared memory hierarchy. Spin-waits jump a thread's
+ * clock forward (plus overshoot noise). This reproduces the paper's
+ * deployment: sender and receiver as two processes co-resident on one
+ * physical core via sched_setaffinity, sharing the L1D (Sec. III).
  */
 
 #ifndef WB_SIM_SMT_CORE_HH
 #define WB_SIM_SMT_CORE_HH
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/rng.hh"
@@ -37,6 +36,7 @@ struct MemOp
         Store,      //!< demand store to vaddr
         LoadBatch,  //!< back-to-back demand loads of addrs[0..count)
         StoreBatch, //!< back-to-back demand stores to addrs[0..count)
+        LoadUntil,  //!< pipelined loads of vaddr while the clock < until
         Flush,      //!< clflush vaddr
         TscRead,    //!< serialized timestamp read (rdtscp)
         SpinUntil,  //!< busy-wait until TSC >= until
@@ -46,7 +46,7 @@ struct MemOp
 
     Kind kind = Kind::Halt;
     Addr vaddr = 0;   //!< target of Load/Store/Flush
-    Cycles until = 0; //!< SpinUntil target / Delay duration
+    Cycles until = 0; //!< SpinUntil/LoadUntil target, Delay duration
 
     /**
      * Pipelined loads model independent (non-pointer-chased) accesses
@@ -61,7 +61,7 @@ struct MemOp
      * (a prime loop, a pointer-chased traversal, a warm-up) executed
      * through Hierarchy::accessBatch in one core step. Not owned: the
      * issuing Program must keep the array alive and unmoved until the
-     * op's onResult() is delivered.
+     * op has executed.
      */
     const Addr *addrs = nullptr;
     std::size_t count = 0; //!< number of addresses in the batch
@@ -82,6 +82,19 @@ struct MemOp
         return {Kind::Load, va, 0, true};
     }
 
+    /**
+     * A hammer: pipelinedLoad(va) issued again and again while the
+     * thread's clock is below @p until, zero times if it already is
+     * not. Each load is one op for the core's pick and bound rules,
+     * counters, contention and preemption trials; the op delivers no
+     * result, so it is never a trace result point.
+     */
+    static MemOp
+    loadUntil(Addr va, Cycles until)
+    {
+        return {Kind::LoadUntil, va, until, true};
+    }
+
     /** A batched load sweep over @p n caller-owned addresses. */
     static MemOp
     loadBatch(const Addr *addrs, std::size_t n)
@@ -99,8 +112,8 @@ struct MemOp
 
 /**
  * A compiled slice of a Program: operations emitted ahead of time so
- * the core can execute them back to back without bouncing through the
- * per-op virtual next()/onResult() dispatch (docs/ENGINE.md).
+ * the core can execute them back to back without re-entering the
+ * program between them (docs/ENGINE.md).
  *
  * `resultPoints` lists, in ascending order, the indices of the ops
  * whose results the program actually needs (timed-measurement
@@ -120,7 +133,7 @@ struct Trace
     std::size_t resultCount = 0;
 };
 
-/** Result of executing one MemOp, delivered to Program::onResult. */
+/** Result of executing one MemOp, delivered to Program::onTraceResult. */
 struct OpResult
 {
     Cycles latency = 0;         //!< cycles the op consumed
@@ -162,43 +175,28 @@ class ProcView
 };
 
 /**
- * A simulated process: emits operations one at a time and receives
- * their results. Implementations are explicit state machines.
+ * A simulated process: an explicit state machine that emits its
+ * operations as compiled traces and receives the results it asked for.
  */
 class Program
 {
   public:
     virtual ~Program() = default;
 
-    /** Emit the next operation; Halt/nullopt terminates the thread. */
-    virtual std::optional<MemOp> next(ProcView &view) = 0;
-
-    /** Receive the result of the op just executed. */
-    virtual void onResult(const MemOp &op, const OpResult &res,
-                          ProcView &view) = 0;
-
     /**
-     * Offer a compiled trace covering the ops this program would emit
-     * next. Consulted instead of next() whenever the thread needs new
-     * work and NoiseModel::traceExecution is on; returning nullptr
-     * falls back to the per-op next()/onResult() path (the default).
+     * Hand the core the next ops to run, called whenever the thread
+     * needs new work; nullptr halts the thread (so does a Halt op).
+     * The core runs the trace to its end before asking again, though
+     * possibly split across several picks.
      *
-     * The contract is bit-exactness with the per-op path: the trace's
-     * op sequence, and every RNG draw and state transition performed
-     * in nextTrace()/onTraceResult(), must occur exactly where the
-     * per-op path would perform them. A program therefore compiles a
-     * trace only up to its next data-dependent decision point (a spin
-     * target derived from a post-spin timestamp, a decode threshold,
-     * ARQ feedback) and resumes per-op — or emits a fresh trace —
-     * from there. The returned Trace and everything it references
-     * stay owned by the program (see Trace).
+     * A program compiles a trace only up to its next data-dependent
+     * decision point (a spin target derived from a post-spin
+     * timestamp, a decode threshold, ARQ feedback): the result point
+     * there updates its state, and the next trace starts from it. The
+     * returned Trace and everything it references stay owned by the
+     * program (see Trace).
      */
-    virtual const Trace *
-    nextTrace(ProcView &view)
-    {
-        (void)view;
-        return nullptr;
-    }
+    virtual const Trace *nextTrace(ProcView &view) = 0;
 
     /**
      * Result delivery for the ops a trace registered in resultPoints.
@@ -231,19 +229,6 @@ class TraceProgram : public Program
     {
     }
 
-    std::optional<MemOp>
-    next(ProcView &) override
-    {
-        if (pos_ >= ops_.size()) {
-            if (!loop_ || ops_.empty())
-                return std::nullopt;
-            pos_ = 0;
-        }
-        return ops_[pos_++];
-    }
-
-    void onResult(const MemOp &, const OpResult &, ProcView &) override {}
-
     /** The whole remaining pass as one compiled trace (no hooks). */
     const Trace *
     nextTrace(ProcView &) override
@@ -252,14 +237,14 @@ class TraceProgram : public Program
             return nullptr;
         if (pos_ >= ops_.size()) {
             if (!loop_)
-                return nullptr; // next() halts the thread
+                return nullptr; // halts the thread
             pos_ = 0;
         }
         if (loop_ && pos_ == 0) {
             // Looping bodies are unrolled into a longer compiled block
             // so the engine re-enters this virtual once per ~kUnroll
-            // ops instead of once per pass. Same op sequence as the
-            // per-op path, so the same draws in the same order.
+            // ops instead of once per pass. The op sequence is the
+            // same, so are the draws.
             if (unrolled_.empty()) {
                 const std::size_t passes =
                     std::max<std::size_t>(1, kUnroll / ops_.size());
@@ -384,7 +369,9 @@ class SmtCore
      * (or the bound — a scheduler tick, a migration point, a sibling
      * core's next op) would win the pick, which is where the batch
      * splits. The caller guarantees that nothing outside this core
-     * can alter the interleaving before @p bound.
+     * can alter the interleaving before @p bound. With
+     * NoiseModel::traceExecution off it is that stepEarliest() loop:
+     * the single-step reference.
      */
     void runUntil(Cycles bound);
 
@@ -447,17 +434,16 @@ class SmtCore
     };
 
     /**
-     * Execute ops of the thread with local index @p idx: one per-op
-     * program op, or a compiled-trace slice running while
-     * ctx.time < @p bound (0 = exactly one op).
+     * Execute trace ops of the thread with local index @p idx while
+     * ctx.time < @p bound, fetching the next trace when one ends
+     * (0 = exactly one op).
      */
     void step(ThreadCtx &ctx, ThreadId idx, Cycles bound);
 
     /**
-     * Execute one MemOp against the memory system: the single switch
-     * both the per-op and the trace path run, so the two modes stay
-     * bit-exact by construction. Advances ctx.time, rolls every noise
-     * draw, sets ctx.quiescent and res. @return false on Halt.
+     * Execute one MemOp (one iteration of a LoadUntil) against the
+     * memory system. Advances ctx.time, rolls every noise draw, sets
+     * ctx.quiescent and res. @return false on Halt.
      */
     bool execOp(ThreadCtx &ctx, ThreadId tid, ThreadId idx,
                 const MemOp &op, OpResult &res);

@@ -38,28 +38,33 @@ TEST(L2Channel, SetsAreConsistent)
     }
 }
 
-/** Forwards to a program and tallies the op kinds it issues. */
+/** Forwards to a program and tallies the op kinds of its traces. */
 class OpTally : public sim::Program
 {
   public:
     explicit OpTally(sim::Program &inner) : inner_(inner) {}
 
-    std::optional<sim::MemOp>
-    next(sim::ProcView &view) override
+    const sim::Trace *
+    nextTrace(sim::ProcView &view) override
     {
-        auto op = inner_.next(view);
-        if (!op || op->kind == sim::MemOp::Kind::Halt)
+        const sim::Trace *tr = inner_.nextTrace(view);
+        if (tr == nullptr) {
             ++halts;
-        return op;
+            return nullptr;
+        }
+        for (std::size_t i = 0; i < tr->count; ++i) {
+            spins += tr->ops[i].kind == sim::MemOp::Kind::SpinUntil;
+            tscReads += tr->ops[i].kind == sim::MemOp::Kind::TscRead;
+            halts += tr->ops[i].kind == sim::MemOp::Kind::Halt;
+        }
+        return tr;
     }
 
     void
-    onResult(const sim::MemOp &op, const sim::OpResult &res,
-             sim::ProcView &view) override
+    onTraceResult(std::uint32_t opIdx, const sim::MemOp &op,
+                  const sim::OpResult &res, sim::ProcView &view) override
     {
-        spins += op.kind == sim::MemOp::Kind::SpinUntil;
-        tscReads += op.kind == sim::MemOp::Kind::TscRead;
-        inner_.onResult(op, res, view);
+        inner_.onTraceResult(opIdx, op, res, view);
     }
 
     unsigned spins = 0;
@@ -78,7 +83,6 @@ TEST(L2Channel, SenderHaltsAfterItsLastSlot)
     Rng rng(1);
     sim::Hierarchy hierarchy(hp, &rng);
     sim::NoiseModel noise;
-    noise.traceExecution = false; // OpTally sees the per-op protocol
     sim::SmtCore core(hierarchy, noise, rng);
     const auto sets = chan::makeL2Sets(
         sim::AddressLayout(hp.l1.numSets()),

@@ -348,52 +348,31 @@ class SchedulerEquivalence
     /** Slot pitch between chunks (longer than any chunk's latency). */
     static constexpr Cycles kSlot = 20'000;
 
-    /** One chunked, spin-paced workload (batched or scalar ops). */
-    class ChunkProgram : public Program
+    /**
+     * One chunked, spin-paced workload (batched or scalar ops): every
+     * chunk followed by a spin to the next slot.
+     */
+    static std::vector<MemOp>
+    chunkOps(const std::vector<Chunk> &chunks, bool batched)
     {
-      public:
-        ChunkProgram(const std::vector<Chunk> &chunks, bool batched)
-            : chunks_(chunks), batched_(batched)
-        {
-        }
-
-        std::optional<MemOp>
-        next(ProcView &) override
-        {
-            if (chunk_ >= chunks_.size())
-                return std::nullopt;
-            const Chunk &c = chunks_[chunk_];
-            if (spinNext_) {
-                spinNext_ = false;
-                ++chunk_;
-                pos_ = 0;
-                return MemOp::spinUntil(Cycles(chunk_) * kSlot);
+        std::vector<MemOp> ops;
+        for (std::size_t c = 0; c < chunks.size(); ++c) {
+            const Chunk &chunk = chunks[c];
+            if (batched) {
+                ops.push_back(chunk.isWrite
+                                  ? MemOp::storeBatch(chunk.paddrs.data(),
+                                                      chunk.paddrs.size())
+                                  : MemOp::loadBatch(chunk.paddrs.data(),
+                                                     chunk.paddrs.size()));
+            } else {
+                for (Addr va : chunk.paddrs)
+                    ops.push_back(chunk.isWrite ? MemOp::store(va)
+                                                : MemOp::load(va));
             }
-            if (batched_) {
-                spinNext_ = true;
-                return c.isWrite
-                           ? MemOp::storeBatch(c.paddrs.data(),
-                                               c.paddrs.size())
-                           : MemOp::loadBatch(c.paddrs.data(),
-                                              c.paddrs.size());
-            }
-            const Addr va = c.paddrs[pos_++];
-            if (pos_ >= c.paddrs.size())
-                spinNext_ = true;
-            return c.isWrite ? MemOp::store(va) : MemOp::load(va);
+            ops.push_back(MemOp::spinUntil(Cycles(c + 1) * kSlot));
         }
-
-        void onResult(const MemOp &, const OpResult &, ProcView &) override
-        {
-        }
-
-      private:
-        const std::vector<Chunk> &chunks_;
-        bool batched_;
-        std::size_t chunk_ = 0;
-        std::size_t pos_ = 0;
-        bool spinNext_ = false;
-    };
+        return ops;
+    }
 
     /**
      * Chunks over sets {7, 14, 21, 28}: away from L1 set 0, where
@@ -435,7 +414,7 @@ class SchedulerEquivalence
         cfg.migrationPeriod = 4 * kSlot;
         Scheduler sched(*mc, NoiseModel::quiet(), rng, cfg, seed);
         SmtCore &fe = sched.party(0, /*migratable=*/true);
-        ChunkProgram prog(chunks, batched);
+        TraceProgram prog(chunkOps(chunks, batched));
         fe.addThread(&prog, AddressSpace(3));
         *end = sched.run(Cycles(chunks.size() + 2) * kSlot);
         EXPECT_GE(sched.stats().migrations, 2u);

@@ -18,27 +18,33 @@ namespace wb
 namespace
 {
 
-/** Program performing n paced spins and recording their latencies. */
+/**
+ * Program performing n paced spins and recording their latencies: a
+ * TSC read, then one single-op trace per spin, re-based on its result.
+ */
 class SpinSampler : public sim::Program
 {
   public:
     SpinSampler(unsigned n, Cycles period) : n_(n), period_(period) {}
 
-    std::optional<sim::MemOp>
-    next(sim::ProcView &) override
+    const sim::Trace *
+    nextTrace(sim::ProcView &) override
     {
         if (!started_) {
             started_ = true;
-            return sim::MemOp::tscRead();
+            op_ = sim::MemOp::tscRead();
+        } else if (lat.count() >= n_) {
+            return nullptr;
+        } else {
+            op_ = sim::MemOp::spinUntil(tlast_ + period_);
         }
-        if (lat.count() >= n_)
-            return sim::MemOp::halt();
-        return sim::MemOp::spinUntil(tlast_ + period_);
+        trace_ = {&op_, 1, &kResult, 1};
+        return &trace_;
     }
 
     void
-    onResult(const sim::MemOp &op, const sim::OpResult &res,
-             sim::ProcView &) override
+    onTraceResult(std::uint32_t, const sim::MemOp &op,
+                  const sim::OpResult &res, sim::ProcView &) override
     {
         if (op.kind == sim::MemOp::Kind::SpinUntil)
             lat.add(double(res.latency));
@@ -48,10 +54,14 @@ class SpinSampler : public sim::Program
     Samples lat;
 
   private:
+    static constexpr std::uint32_t kResult = 0;
+
     unsigned n_;
     Cycles period_;
     Cycles tlast_ = 0;
     bool started_ = false;
+    sim::MemOp op_;
+    sim::Trace trace_;
 };
 
 TEST(NoiseStats, SpinOvershootMeanMatchesConfig)

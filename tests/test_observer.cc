@@ -359,22 +359,15 @@ TEST(EvictionOnlyChannel, FlushFamilyBaselinesAreDenied)
 /** A program that issues one clflush and halts. */
 struct FlushOnceProgram : sim::Program
 {
-    bool issued = false;
+    const sim::MemOp ops[2] = {sim::MemOp::flush(0x1000),
+                               sim::MemOp::halt()};
+    sim::Trace trace;
 
-    std::optional<sim::MemOp>
-    next(sim::ProcView &) override
+    const sim::Trace *
+    nextTrace(sim::ProcView &) override
     {
-        if (!issued) {
-            issued = true;
-            return sim::MemOp::flush(0x1000);
-        }
-        return sim::MemOp::halt();
-    }
-
-    void
-    onResult(const sim::MemOp &, const sim::OpResult &,
-             sim::ProcView &) override
-    {
+        trace = {ops, 2, nullptr, 0};
+        return &trace;
     }
 };
 

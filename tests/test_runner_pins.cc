@@ -3,7 +3,7 @@
  * Bit-exact pins for every channel runner: same-core, cross-core, L2
  * and multi-set, single shots and transport sessions, with and
  * without the OS-noise scheduler, under every observer class, plus
- * the baseline channels (LRU, Prime+Probe, the flush family, Hit+Hit)
+ * the baseline channels (LRU, Prime+Probe, the flush family, Hit+Hit),
  * the many-tenant sweep on the sliced directory-mode presets, and the
  * perf-counter detection workloads, offline and online. Each
  * digest (tests/digest.hh) covers the latency stream, the decoded

@@ -198,30 +198,38 @@ class RecordingProgram : public Program
     explicit RecordingProgram(std::vector<MemOp> ops)
         : ops_(std::move(ops))
     {
+        for (std::size_t i = 0; i < ops_.size(); ++i) {
+            if (ops_[i].kind == MemOp::Kind::Load ||
+                ops_[i].kind == MemOp::Kind::Store)
+                points_.push_back(static_cast<std::uint32_t>(i));
+        }
     }
 
-    std::optional<MemOp>
-    next(ProcView &) override
+    /** The whole op list as one trace; the loads and stores report. */
+    const Trace *
+    nextTrace(ProcView &) override
     {
-        if (pos_ >= ops_.size())
-            return std::nullopt;
-        return ops_[pos_++];
+        if (handedOut_ || ops_.empty())
+            return nullptr;
+        handedOut_ = true;
+        trace_ = {ops_.data(), ops_.size(), points_.data(), points_.size()};
+        return &trace_;
     }
 
     void
-    onResult(const MemOp &op, const OpResult &res, ProcView &) override
+    onTraceResult(std::uint32_t, const MemOp &, const OpResult &res,
+                  ProcView &) override
     {
-        if (op.kind == MemOp::Kind::Load ||
-            op.kind == MemOp::Kind::Store) {
-            results.push_back(res);
-        }
+        results.push_back(res);
     }
 
     std::vector<OpResult> results;
 
   private:
     std::vector<MemOp> ops_;
-    std::size_t pos_ = 0;
+    std::vector<std::uint32_t> points_;
+    bool handedOut_ = false;
+    Trace trace_;
 };
 
 /**

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+
 #include "common/rng.hh"
 #include "sim/smt_core.hh"
 
@@ -24,22 +28,33 @@ quietParams()
     return p;
 }
 
-/** Program recording every result it sees. */
+/**
+ * Program running a fixed op list as one trace and recording the
+ * result of every op but its hammers (a LoadUntil delivers none).
+ */
 class Recorder : public Program
 {
   public:
-    explicit Recorder(std::vector<MemOp> ops) : ops_(std::move(ops)) {}
-
-    std::optional<MemOp>
-    next(ProcView &) override
+    explicit Recorder(std::vector<MemOp> ops) : ops_(std::move(ops))
     {
-        if (pos_ >= ops_.size())
-            return std::nullopt;
-        return ops_[pos_++];
+        for (std::size_t i = 0; i < ops_.size(); ++i)
+            if (ops_[i].kind != MemOp::Kind::LoadUntil)
+                points_.push_back(static_cast<std::uint32_t>(i));
+    }
+
+    const Trace *
+    nextTrace(ProcView &) override
+    {
+        if (handedOut_ || ops_.empty())
+            return nullptr;
+        handedOut_ = true;
+        trace_ = {ops_.data(), ops_.size(), points_.data(), points_.size()};
+        return &trace_;
     }
 
     void
-    onResult(const MemOp &op, const OpResult &res, ProcView &view) override
+    onTraceResult(std::uint32_t, const MemOp &op, const OpResult &res,
+                  ProcView &view) override
     {
         results.push_back(res);
         kinds.push_back(op.kind);
@@ -52,7 +67,9 @@ class Recorder : public Program
 
   private:
     std::vector<MemOp> ops_;
-    std::size_t pos_ = 0;
+    std::vector<std::uint32_t> points_;
+    bool handedOut_ = false;
+    Trace trace_;
 };
 
 TEST(SmtCore, ExecutesTraceToCompletion)
@@ -261,6 +278,139 @@ TEST(SmtCore, TraceProgramLoops)
     core.run(1000);
     EXPECT_FALSE(core.halted(tid));
     EXPECT_GE(core.threadTime(tid), 1000u);
+}
+
+// ------------------------------------------------------------------
+// LoadUntil: the deadline-bounded hammer op.
+// ------------------------------------------------------------------
+
+TEST(SmtCore, LoadUntilPastDeadlineIssuesNothing)
+{
+    for (const bool traced : {true, false}) {
+        Rng rng(1);
+        Hierarchy h(quietParams(), &rng);
+        NoiseModel nm = NoiseModel::quiet();
+        nm.traceExecution = traced;
+        SmtCore core(h, nm, rng);
+        Recorder prog({MemOp::loadUntil(0x1000, 0), MemOp::delay(7)});
+        const ThreadId tid = core.addThread(&prog, AddressSpace(1));
+        // One pick: the hammer runs zero times, the delay runs.
+        ASSERT_TRUE(core.stepEarliest(1'000'000));
+        EXPECT_EQ(h.counters(tid).loads, 0u);
+        EXPECT_EQ(core.threadTime(tid), 7u);
+        ASSERT_EQ(prog.results.size(), 1u);
+        EXPECT_EQ(prog.kinds[0], MemOp::Kind::Delay);
+    }
+}
+
+/** Thread time and demand loads after running @p ops alone. */
+std::pair<Cycles, std::uint64_t>
+runAlone(std::vector<MemOp> ops)
+{
+    Rng rng(1);
+    Hierarchy h(quietParams(), &rng);
+    NoiseModel nm = NoiseModel::quiet();
+    nm.pipelinedHitCost = 3;
+    SmtCore core(h, nm, rng);
+    Recorder prog(std::move(ops));
+    const ThreadId tid = core.addThread(&prog, AddressSpace(1));
+    core.run(1'000'000);
+    EXPECT_TRUE(core.halted(tid));
+    return {core.threadTime(tid), h.counters(tid).loads};
+}
+
+TEST(SmtCore, LoadUntilMatchesUnrolledPipelinedLoads)
+{
+    const Cycles cold = runAlone({MemOp::load(0x1000)}).first;
+    // A deadline the 3-cycle hits land on exactly: the load that
+    // reaches it is the last one.
+    for (const Cycles extra : {Cycles(120), Cycles(121)}) {
+        const Cycles until = cold + extra;
+        const auto hammered = runAlone(
+            {MemOp::load(0x1000), MemOp::loadUntil(0x1000, until)});
+        std::vector<MemOp> unrolled = {MemOp::load(0x1000)};
+        for (Cycles t = cold; t < until; t += 3)
+            unrolled.push_back(MemOp::pipelinedLoad(0x1000));
+        const auto expected = runAlone(unrolled);
+        EXPECT_EQ(hammered, expected) << "deadline +" << extra;
+        EXPECT_EQ(hammered.second, 1 + (extra + 2) / 3);
+    }
+}
+
+/** Every result and counter of a noisy SMT run with a hammer in it. */
+struct HammerRun
+{
+    std::vector<std::vector<OpResult>> results;
+    std::vector<Cycles> times;
+    std::vector<PerfCounters> counters;
+};
+
+HammerRun
+runHammerSiblings(bool traced, unsigned threads)
+{
+    Rng rng(17);
+    HierarchyParams hp = xeonE5_2650Params();
+    Hierarchy h(hp, &rng);
+    NoiseModel nm; // contention, preemption and overshoot all on
+    nm.preemptProbPerOp = 0.002;
+    nm.preemptMean = 400.0;
+    nm.traceExecution = traced;
+    SmtCore core(h, nm, rng);
+    std::vector<std::unique_ptr<Recorder>> progs;
+    // The hammer's sibling wakes up in the middle of it, so the slice
+    // splits at the sibling's bound between two iterations.
+    progs.push_back(std::make_unique<Recorder>(std::vector<MemOp>{
+        MemOp::load(0x1000), MemOp::loadUntil(0x1000, 6000),
+        MemOp::store(0x2000), MemOp::tscRead(),
+        MemOp::loadUntil(0x1000, 9000), MemOp::tscRead()}));
+    progs.push_back(std::make_unique<Recorder>(std::vector<MemOp>{
+        MemOp::spinUntil(2500), MemOp::load(0x1000), MemOp::tscRead(),
+        MemOp::spinUntil(4000), MemOp::store(0x1000), MemOp::tscRead(),
+        MemOp::spinUntil(7000), MemOp::load(0x2000)}));
+    if (threads > 2) {
+        progs.push_back(std::make_unique<Recorder>(std::vector<MemOp>{
+            MemOp::delay(3001), MemOp::load(0x3000),
+            MemOp::loadUntil(0x3000, 5000), MemOp::tscRead()}));
+    }
+    std::vector<ThreadId> tids;
+    for (auto &p : progs)
+        tids.push_back(core.addThread(p.get(), AddressSpace(1)));
+    core.run(1'000'000);
+    HammerRun out;
+    for (std::size_t i = 0; i < progs.size(); ++i) {
+        out.results.push_back(progs[i]->results);
+        out.times.push_back(core.threadTime(tids[i]));
+        out.counters.push_back(h.counters(tids[i]));
+    }
+    return out;
+}
+
+TEST(SmtCore, HammerSplitAtSiblingMatchesSingleStep)
+{
+    for (const unsigned threads : {2u, 3u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        const HammerRun sliced = runHammerSiblings(true, threads);
+        const HammerRun stepped = runHammerSiblings(false, threads);
+        EXPECT_EQ(sliced.times, stepped.times);
+        ASSERT_EQ(sliced.results.size(), stepped.results.size());
+        for (std::size_t t = 0; t < sliced.results.size(); ++t) {
+            const auto &a = sliced.results[t];
+            const auto &b = stepped.results[t];
+            ASSERT_EQ(a.size(), b.size());
+            for (std::size_t i = 0; i < a.size(); ++i) {
+                EXPECT_EQ(a[i].latency, b[i].latency);
+                EXPECT_EQ(a[i].tsc, b[i].tsc);
+                EXPECT_EQ(a[i].l1Hit, b[i].l1Hit);
+            }
+            EXPECT_EQ(sliced.counters[t].loads, stepped.counters[t].loads);
+            EXPECT_EQ(sliced.counters[t].l1Hits,
+                      stepped.counters[t].l1Hits);
+            EXPECT_EQ(sliced.counters[t].spinLoads,
+                      stepped.counters[t].spinLoads);
+        }
+        // The hammer really ran, and really was cut by its sibling.
+        EXPECT_GT(sliced.counters[0].loads, 100u);
+    }
 }
 
 } // namespace

@@ -1,18 +1,20 @@
 /**
  * @file
- * TraceEquivalence: trace-compiled execution must be *bit-identical*
- * to per-op stepping — not statistically close, identical.
+ * TraceEquivalence: running trace slices must be *bit-identical* to
+ * single-stepping the same traces — not statistically close,
+ * identical.
  *
- * The trace engine (docs/ENGINE.md) batches each program's MemOps and
- * executes whole slices without per-op virtual dispatch, falling back
- * per-op only at data-dependent decision points. Its correctness
- * contract is that NoiseModel::traceExecution is purely a performance
+ * The engine (docs/ENGINE.md) runs each program's compiled traces as
+ * whole slices, splitting them wherever another thread, a scheduler
+ * tick or a sibling core would win the pick. With
+ * NoiseModel::traceExecution off it single-steps them instead, one op
+ * per pick. The contract is that the flag is purely a performance
  * knob: every observable of a run — decoded bits, raw latencies,
- * virtual time, perf counters, scheduler stats — matches the per-op
- * path exactly, because both paths draw the same Rng stream in the
- * same order and walk the same Hierarchy state.
+ * virtual time, perf counters, scheduler stats — matches, because
+ * both modes draw the same Rng stream in the same order and walk the
+ * same Hierarchy state.
  *
- * The grid stresses every fallback and split point:
+ * The grid stresses every decision and split point:
  *  - all registered platform presets (WB/WT, inclusive/non-inclusive,
  *    DAWG partitioning) x >= 8 seeds;
  *  - Sec. VIII defense knobs (write-through L1, PLcache lock-on-write,
@@ -24,7 +26,9 @@
  *    trace is in flight;
  *  - every other paced program (chan/paced.hh): the L2 and multi-set
  *    runners and the baselines (LRU, same-core and cross-core
- *    Prime+Probe, the three flush kinds, Hit+Hit).
+ *    Prime+Probe, the three flush kinds, Hit+Hit);
+ *  - the perf-counter detector's workload pairs (spinners, compiler
+ *    and streaming workloads, the WB and LRU channels).
  */
 
 #include <gtest/gtest.h>
@@ -37,6 +41,7 @@
 #include "chan/cross_core.hh"
 #include "chan/l2_channel.hh"
 #include "chan/multiset.hh"
+#include "perfmon/detector.hh"
 #include "sim/platform.hh"
 #include "sidechan/attack.hh"
 
@@ -162,6 +167,20 @@ TEST(TraceEquivalence, GangFreezeTimesliceSplits)
     for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
         cfg.seed = seed;
         checkChannel(cfg, "gang-freeze seed " + std::to_string(seed));
+    }
+}
+
+TEST(TraceEquivalence, FourCoRunnerMix)
+{
+    // mixOf(4) adds an idle co-runner, whose spins re-base on the time
+    // it is picked.
+    chan::ChannelConfig cfg;
+    cfg.protocol.frames = 2;
+    cfg.scheduler = sim::platform(cfg.platformName).noisePreset;
+    cfg.scheduler.coRunners = sim::SchedulerConfig::mixOf(4);
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        cfg.seed = seed;
+        checkChannel(cfg, "mixOf(4) seed " + std::to_string(seed));
     }
 }
 
@@ -331,6 +350,53 @@ TEST(TraceEquivalence, CrossCorePrimeProbe)
             });
         expectIdentical(traced, stepped,
                         "cross-core P+P seed " + std::to_string(seed));
+    }
+}
+
+/**
+ * Per-window total counters and final thread times of one detector
+ * workload pair, run the way perfmon::collectTrace runs it.
+ */
+std::pair<std::vector<sim::PerfCounters>, std::vector<Cycles>>
+detectorRun(perfmon::Workload w, bool traced, std::uint64_t seed)
+{
+    Rng rng(seed);
+    const sim::HierarchyParams hp = sim::xeonE5_2650Params();
+    sim::NoiseModel noise;
+    noise.traceExecution = traced;
+    sim::Hierarchy hierarchy(hp, &rng);
+    sim::SmtCore core(hierarchy, noise, rng);
+    std::vector<std::unique_ptr<sim::Program>> programs;
+    Rng bitRng = rng.split();
+    perfmon::populateWorkload(w, core, hp, hierarchy.l1().layout(), bitRng,
+                              11000, programs);
+    std::vector<sim::PerfCounters> windows;
+    for (Cycles k = 1; k <= 8; ++k) {
+        core.run(k * 40000);
+        windows.push_back(hierarchy.totalCounters());
+    }
+    return {windows, {core.threadTime(0), core.threadTime(1)}};
+}
+
+TEST(TraceEquivalence, DetectorWorkloads)
+{
+    using perfmon::Workload;
+    for (Workload w :
+         {Workload::Idle, Workload::WbChannel, Workload::WbChannelD8,
+          Workload::LruChannel, Workload::CompilerPair,
+          Workload::Streaming}) {
+        for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+            const std::string what =
+                perfmon::workloadName(w) + " seed " + std::to_string(seed);
+            const auto traced = detectorRun(w, true, seed);
+            const auto stepped = detectorRun(w, false, seed);
+            SCOPED_TRACE(what);
+            EXPECT_EQ(traced.second, stepped.second);
+            ASSERT_EQ(traced.first.size(), stepped.first.size());
+            for (std::size_t i = 0; i < traced.first.size(); ++i)
+                expectCountersEqual(traced.first[i], stepped.first[i],
+                                    "window");
+        }
     }
 }
 
