@@ -38,10 +38,10 @@ wbBer(unsigned noiseProcs, double storeFraction, std::uint64_t seed)
 double
 lruBer(unsigned noiseProcs, std::uint64_t seed)
 {
-    baselines::BaselineConfig cfg;
+    chan::ChannelConfig cfg;
     cfg.platform.l1.policy = sim::PolicyKind::TrueLru; // its best case
-    cfg.ts = cfg.tr = 5500;
-    cfg.frames = 20;
+    cfg.protocol.ts = cfg.protocol.tr = 5500;
+    cfg.protocol.frames = 20;
     cfg.seed = seed;
     cfg.noiseProcesses = noiseProcs;
     cfg.noiseCfg.period = 3 * 5500;
@@ -52,9 +52,9 @@ lruBer(unsigned noiseProcs, std::uint64_t seed)
 double
 ppBer(unsigned noiseProcs, std::uint64_t seed)
 {
-    baselines::BaselineConfig cfg;
-    cfg.ts = cfg.tr = 5500;
-    cfg.frames = 20;
+    chan::ChannelConfig cfg;
+    cfg.protocol.ts = cfg.protocol.tr = 5500;
+    cfg.protocol.frames = 20;
     cfg.seed = seed;
     cfg.noiseProcesses = noiseProcs;
     cfg.noiseCfg.period = 3 * 5500;

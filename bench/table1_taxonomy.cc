@@ -180,9 +180,9 @@ main()
     Table t2("\nEach class as a live covert channel at 400 kbps");
     t2.header({"class", "channel", "BER"});
     {
-        baselines::BaselineConfig cfg;
-        cfg.ts = cfg.tr = 5500;
-        cfg.frames = 12;
+        chan::ChannelConfig cfg;
+        cfg.protocol.ts = cfg.protocol.tr = 5500;
+        cfg.protocol.frames = 12;
         cfg.seed = 3;
         auto fr = baselines::runFlushChannel(
             cfg, baselines::FlushKind::FlushReload);

@@ -120,12 +120,12 @@ wbCell(chan::ChannelConfig cfg, const sim::ObserverModel &obs)
 std::string
 flushCell(baselines::FlushKind kind, const sim::ObserverModel &obs)
 {
-    baselines::BaselineConfig cfg;
+    chan::ChannelConfig cfg;
     cfg.noise.observer = obs;
     if (!baselines::flushChannelAvailable(cfg))
         return "denied";
-    cfg.frameBits = 32;
-    cfg.frames = 4;
+    cfg.protocol.frameBits = 32;
+    cfg.protocol.frames = 4;
     double ber = 0.0;
     for (unsigned s = 0; s < gSeeds; ++s) {
         cfg.seed = 1 + s;

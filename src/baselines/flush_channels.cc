@@ -1,6 +1,7 @@
 #include "baselines/flush_channels.hh"
 
 #include "common/log.hh"
+#include "chan/pipeline.hh"
 #include "sim/observer.hh"
 
 namespace wb::baselines
@@ -76,13 +77,13 @@ FlushSender::buildSlot(std::size_t index, const sim::OpResult &,
 }
 
 bool
-flushChannelAvailable(const BaselineConfig &cfg)
+flushChannelAvailable(const chan::ChannelConfig &cfg)
 {
     return cfg.noise.observer.hasFlush;
 }
 
-BaselineResult
-runFlushChannel(const BaselineConfig &cfg, FlushKind kind)
+chan::ChannelResult
+runFlushChannel(const chan::ChannelConfig &cfg, FlushKind kind)
 {
     if (!flushChannelAvailable(cfg)) {
         // Fail loudly before the platform is even built: the receiver
@@ -93,52 +94,60 @@ runFlushChannel(const BaselineConfig &cfg, FlushKind kind)
                sim::observerClassName(cfg.noise.observer.cls),
                " observer has hasFlush=false — channel denied");
     }
-    auto factory = [kind](const BaselineConfig &c,
-                          const std::vector<bool> &frameBits,
-                          sim::Hierarchy &,
-                          Rng &) -> BaselineParts {
-        const std::size_t sampleCount =
-            frameBits.size() + c.senderStartSlots + c.sampleMargin;
+    const chan::ProtocolConfig &proto = cfg.protocol;
+    requireBaselineProtocol(proto, cfg.platform.l1.numSets());
 
-        BaselineParts parts;
-        // Both processes map the same physical page.
-        parts.senderSpace.mapShared(sharedVa, 4096, /*physBase=*/0x1000);
-        parts.receiverSpace.mapShared(sharedVa, 4096, /*physBase=*/0x1000);
+    Rng rootRng(cfg.seed);
+    Rng frameRng = rootRng.split();
+    Rng runRng = rootRng.split();
+    const BitVec frame = randomFrame(proto.frameBits - 16, frameRng);
 
-        parts.receiver = std::make_unique<FlushReceiver>(
-            sharedVa, kind, c.tr, sampleCount);
-        parts.sender = std::make_unique<FlushSender>(
-            sharedVa, kind, frameBits, c.ts);
+    // Both processes map the same physical page.
+    sim::AddressSpace senderSpace(1), receiverSpace(2);
+    senderSpace.mapShared(sharedVa, 4096, /*physBase=*/0x1000);
+    receiverSpace.mapShared(sharedVa, 4096, /*physBase=*/0x1000);
 
-        const auto &lat = c.platform.lat;
-        const double tsc = static_cast<double>(c.noise.tscReadCost);
-        const double ov = static_cast<double>(c.noise.opOverhead);
-        switch (kind) {
-          case FlushKind::FlushReload:
-            // Present (sender touched: bit 1) = fast L1/L2 hit;
-            // absent (bit 0) = DRAM. Inverted mapping.
-            parts.centroidLow = tsc + ov + double(lat.l1Hit);
-            parts.centroidHigh = tsc + ov + double(lat.mem);
-            parts.invert = true;
-            break;
-          case FlushKind::FlushFlush:
-            // Absent (0) = base flush; present clean (1) = +extra.
-            parts.centroidLow = tsc + ov + double(lat.flushBase);
-            parts.centroidHigh =
-                tsc + ov + double(lat.flushBase + lat.flushPresentExtra);
-            break;
-          case FlushKind::CoherenceState:
-            // Present clean / S (0) vs present dirty / M (1).
-            parts.centroidLow =
-                tsc + ov + double(lat.flushBase + lat.flushPresentExtra);
-            parts.centroidHigh =
-                tsc + ov + double(lat.flushBase + lat.flushPresentExtra +
-                                  lat.flushDirtyExtra);
-            break;
-        }
-        return parts;
-    };
-    return runBaseline(cfg, factory);
+    const auto &lat = cfg.platform.lat;
+    const double timing = static_cast<double>(cfg.noise.tscReadCost) +
+        static_cast<double>(cfg.noise.opOverhead);
+    const double present = double(lat.flushBase + lat.flushPresentExtra);
+    chan::Calibration calibration;
+    switch (kind) {
+      case FlushKind::FlushReload:
+        // Present (sender touched: bit 1) = fast L1/L2 hit; absent
+        // (bit 0) = DRAM. The fast symbol is bit 1: the pass inverts.
+        calibration = closedFormCalibration(timing + double(lat.l1Hit),
+                                            timing + double(lat.mem));
+        break;
+      case FlushKind::FlushFlush:
+        // Absent (0) = base flush; present clean (1) = +extra.
+        calibration = closedFormCalibration(
+            timing + double(lat.flushBase), timing + present);
+        break;
+      case FlushKind::CoherenceState:
+        // Present clean / S (0) vs present dirty / M (1).
+        calibration = closedFormCalibration(
+            timing + present,
+            timing + double(lat.flushBase + lat.flushPresentExtra +
+                            lat.flushDirtyExtra));
+        break;
+    }
+
+    const chan::pipeline::Pass pass{
+        proto.encoding, 1, proto.rateKbps(),
+        [&](const std::vector<unsigned> &levels) {
+            const std::vector<bool> bits(levels.begin(), levels.end());
+            chan::pipeline::SameCoreWiring wiring(cfg, bits.size(), runRng);
+            FlushReceiver receiver(sharedVa, kind, proto.tr,
+                                   wiring.schedule().sampleCount);
+            FlushSender sender(sharedVa, kind, bits, proto.ts);
+            chan::pipeline::RawRun raw = wiring.run(
+                {sender, receiver, senderSpace, receiverSpace});
+            raw.calibration = calibration;
+            return raw;
+        },
+        /*invert=*/kind == FlushKind::FlushReload};
+    return chan::pipeline::runFrames(pass, frame, proto.frames);
 }
 
 } // namespace wb::baselines

@@ -45,7 +45,7 @@ std::string flushKindName(FlushKind kind);
  * this to print those cells as denied instead of crashing into the
  * SmtCore Flush guard; runFlushChannel() fatals when it is false.
  */
-bool flushChannelAvailable(const BaselineConfig &cfg);
+bool flushChannelAvailable(const chan::ChannelConfig &cfg);
 
 /**
  * Receiver for the flush-family channels: per slot either a timed
@@ -100,8 +100,14 @@ class FlushSender : public chan::PacedProgram
     std::vector<bool> bits_;
 };
 
-/** Run one of the flush-family channels end to end. */
-BaselineResult runFlushChannel(const BaselineConfig &cfg, FlushKind kind);
+/**
+ * Run one of the flush-family channels end to end: a same-core
+ * placement of the channel pipeline (baselines/framework.hh) over one
+ * shared page. Flush+Reload decodes its fast symbol as bit 1
+ * (Pass::invert).
+ */
+chan::ChannelResult runFlushChannel(const chan::ChannelConfig &cfg,
+                                    FlushKind kind);
 
 } // namespace wb::baselines
 

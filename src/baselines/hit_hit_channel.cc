@@ -1,6 +1,9 @@
 #include "baselines/hit_hit_channel.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
+#include "chan/pipeline.hh"
 
 namespace wb::baselines
 {
@@ -45,43 +48,47 @@ HitHitSender::buildSlot(std::size_t index, const sim::OpResult &,
         hammer(line_, tlast() + period());
 }
 
-BaselineResult
-runHitHitChannel(const BaselineConfig &cfg, unsigned burst)
+chan::ChannelResult
+runHitHitChannel(const chan::ChannelConfig &cfg, unsigned burst)
 {
-    auto factory = [burst](const BaselineConfig &c,
-                           const std::vector<bool> &frameBits,
-                           sim::Hierarchy &,
-                           Rng &) -> BaselineParts {
-        const std::size_t sampleCount =
-            frameBits.size() + c.senderStartSlots + c.sampleMargin;
+    const chan::ProtocolConfig &proto = cfg.protocol;
+    requireBaselineProtocol(proto, cfg.platform.l1.numSets());
 
-        BaselineParts parts;
-        parts.receiver = std::make_unique<HitHitReceiver>(
-            /*line=*/0x4000, burst, c.tr, sampleCount);
-        parts.sender = std::make_unique<HitHitSender>(
-            /*line=*/0x8000, frameBits, c.ts);
+    Rng rootRng(cfg.seed);
+    Rng frameRng = rootRng.split();
+    Rng runRng = rootRng.split();
+    const BitVec frame = randomFrame(proto.frameBits - 16, frameRng);
 
-        // Centroids: an uncontended hit burst vs one whose every load
-        // suffers expected port-contention delay. The per-access
-        // platform noise is a positively clamped Gaussian, so its
-        // mean E[max(0, N(0, sigma))] = sigma/sqrt(2*pi) must be
-        // included or the whole quiet population sits above the
-        // threshold.
-        const auto &lat = c.platform.lat;
-        const double noiseMean = lat.noiseSigma * 0.39894;
-        const double perHit = double(lat.l1Hit) +
-            double(c.noise.opOverhead) + noiseMean;
-        const double base =
-            burst * perHit + double(c.noise.tscReadCost);
-        const double extra = burst * c.noise.portContentionProb *
-            double(c.noise.portContentionDelay);
-        parts.centroidLow = base;
-        // Keep the classifier well-formed even with contention
-        // disabled (the no-medium control case).
-        parts.centroidHigh = base + std::max(extra, 1e-6);
-        return parts;
-    };
-    return runBaseline(cfg, factory);
+    // Centroids: an uncontended hit burst vs one whose every load
+    // suffers expected port-contention delay. The per-access platform
+    // noise is a positively clamped Gaussian, so its mean
+    // E[max(0, N(0, sigma))] = sigma/sqrt(2*pi) must be included or
+    // the whole quiet population sits above the threshold.
+    const auto &lat = cfg.platform.lat;
+    const double noiseMean = lat.noiseSigma * 0.39894;
+    const double perHit =
+        double(lat.l1Hit) + double(cfg.noise.opOverhead) + noiseMean;
+    const double base = burst * perHit + double(cfg.noise.tscReadCost);
+    const double extra = burst * cfg.noise.portContentionProb *
+        double(cfg.noise.portContentionDelay);
+    // With contention disabled (the no-medium control case) the gap is
+    // 1e-6: the classifier stays well-formed and the run reads closed.
+    const chan::Calibration calibration =
+        closedFormCalibration(base, base + std::max(extra, 1e-6));
+
+    const chan::pipeline::Pass pass{
+        proto.encoding, 1, proto.rateKbps(),
+        [&](const std::vector<unsigned> &levels) {
+            const std::vector<bool> bits(levels.begin(), levels.end());
+            chan::pipeline::SameCoreWiring wiring(cfg, bits.size(), runRng);
+            HitHitReceiver receiver(/*line=*/0x4000, burst, proto.tr,
+                                    wiring.schedule().sampleCount);
+            HitHitSender sender(/*line=*/0x8000, bits, proto.ts);
+            chan::pipeline::RawRun raw = wiring.run({sender, receiver});
+            raw.calibration = calibration;
+            return raw;
+        }};
+    return chan::pipeline::runFrames(pass, frame, proto.frames);
 }
 
 } // namespace wb::baselines

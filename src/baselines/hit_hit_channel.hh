@@ -64,12 +64,14 @@ class HitHitSender : public chan::PacedProgram
 };
 
 /**
- * Run the Hit+Hit channel end to end. The platform's port-contention
- * parameters supply the physics; the default NoiseModel's modest
- * contention gives a small (cycles-scale) per-burst signal.
+ * Run the Hit+Hit channel end to end, a same-core placement of the
+ * channel pipeline (baselines/framework.hh). The platform's
+ * port-contention parameters supply the physics; the default
+ * NoiseModel's modest contention gives a small (cycles-scale)
+ * per-burst signal. With contention off the result reads closed.
  */
-BaselineResult runHitHitChannel(const BaselineConfig &cfg,
-                                unsigned burst = 64);
+chan::ChannelResult runHitHitChannel(const chan::ChannelConfig &cfg,
+                                     unsigned burst = 64);
 
 } // namespace wb::baselines
 

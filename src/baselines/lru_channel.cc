@@ -1,6 +1,7 @@
 #include "baselines/lru_channel.hh"
 
 #include "common/log.hh"
+#include "chan/pipeline.hh"
 #include "chan/set_mapping.hh"
 
 namespace wb::baselines
@@ -58,39 +59,43 @@ LruSender::buildSlot(std::size_t index, const sim::OpResult &,
         hammer(line_, tlast() + modulateCycles_);
 }
 
-BaselineResult
-runLruChannel(const BaselineConfig &cfg, Cycles modulateCycles)
+chan::ChannelResult
+runLruChannel(const chan::ChannelConfig &cfg, Cycles modulateCycles)
 {
-    auto factory = [modulateCycles](const BaselineConfig &c,
-                                    const std::vector<bool> &frameBits,
-                                    sim::Hierarchy &hierarchy,
-                                    Rng &) -> BaselineParts {
-        const auto &layout = hierarchy.l1().layout();
-        const unsigned ways = c.platform.l1.ways;
-        auto rxLines = chan::linesForSet(layout, c.targetSet, ways,
-                                         /*tagBase=*/0x100);
-        auto txLines = chan::linesForSet(layout, c.targetSet, 1,
-                                         /*tagBase=*/1);
+    const chan::ProtocolConfig &proto = cfg.protocol;
+    requireBaselineProtocol(proto, cfg.platform.l1.numSets());
 
-        const std::size_t sampleCount =
-            frameBits.size() + c.senderStartSlots + c.sampleMargin;
+    Rng rootRng(cfg.seed);
+    Rng frameRng = rootRng.split();
+    Rng runRng = rootRng.split();
+    const BitVec frame = randomFrame(proto.frameBits - 16, frameRng);
 
-        BaselineParts parts;
-        parts.receiver =
-            std::make_unique<LruReceiver>(rxLines, c.tr, sampleCount);
-        parts.sender = std::make_unique<LruSender>(
-            txLines[0], frameBits, c.ts, modulateCycles);
+    const sim::AddressLayout layout(cfg.platform.l1.numSets());
+    const auto rxLines = chan::linesForSet(
+        layout, proto.targetSet, cfg.platform.l1.ways, /*tagBase=*/0x100);
+    const Addr txLine =
+        chan::linesForSet(layout, proto.targetSet, 1, /*tagBase=*/1)[0];
 
-        // Centroids: timed line 0 hits L1 for bit 0 and comes from L2
-        // for bit 1 (single-load measurement bracketed by rdtscp).
-        const auto &lat = c.platform.lat;
-        parts.centroidLow = static_cast<double>(
-            lat.l1Hit + c.noise.opOverhead + c.noise.tscReadCost);
-        parts.centroidHigh = static_cast<double>(
-            lat.l2Hit + c.noise.opOverhead + c.noise.tscReadCost);
-        return parts;
-    };
-    return runBaseline(cfg, factory);
+    // Centroids: timed line 0 hits L1 for bit 0 and comes from L2 for
+    // bit 1 (single-load measurement bracketed by rdtscp).
+    const auto &lat = cfg.platform.lat;
+    const Cycles timing = cfg.noise.opOverhead + cfg.noise.tscReadCost;
+    const chan::Calibration calibration = closedFormCalibration(
+        double(lat.l1Hit + timing), double(lat.l2Hit + timing));
+
+    const chan::pipeline::Pass pass{
+        proto.encoding, 1, proto.rateKbps(),
+        [&](const std::vector<unsigned> &levels) {
+            const std::vector<bool> bits(levels.begin(), levels.end());
+            chan::pipeline::SameCoreWiring wiring(cfg, bits.size(), runRng);
+            LruReceiver receiver(rxLines, proto.tr,
+                                 wiring.schedule().sampleCount);
+            LruSender sender(txLine, bits, proto.ts, modulateCycles);
+            chan::pipeline::RawRun raw = wiring.run({sender, receiver});
+            raw.calibration = calibration;
+            return raw;
+        }};
+    return chan::pipeline::runFrames(pass, frame, proto.frames);
 }
 
 } // namespace wb::baselines

@@ -76,11 +76,13 @@ class LruSender : public chan::PacedProgram
 };
 
 /**
- * Run the LRU covert channel end to end.
+ * Run the LRU covert channel end to end: a same-core placement of the
+ * channel pipeline (baselines/framework.hh), meeting in L1 set
+ * cfg.protocol.targetSet.
  * @param modulateCycles see LruSender (0 = whole-slot modulation)
  */
-BaselineResult runLruChannel(const BaselineConfig &cfg,
-                             Cycles modulateCycles = 150);
+chan::ChannelResult runLruChannel(const chan::ChannelConfig &cfg,
+                                  Cycles modulateCycles = 150);
 
 } // namespace wb::baselines
 

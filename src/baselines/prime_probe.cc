@@ -4,6 +4,7 @@
 
 #include "common/log.hh"
 #include "common/stats.hh"
+#include "chan/pipeline.hh"
 #include "chan/set_mapping.hh"
 #include "sim/multicore.hh"
 
@@ -70,83 +71,81 @@ PrimeProbeSender::buildSlot(std::size_t index, const sim::OpResult &,
         op(sim::MemOp::loadBatch(lines_.data(), linesPerOne_));
 }
 
-BaselineResult
-runPrimeProbeChannel(const BaselineConfig &cfg, unsigned linesPerOne)
+chan::ChannelResult
+runPrimeProbeChannel(const chan::ChannelConfig &cfg, unsigned linesPerOne)
 {
-    auto factory = [linesPerOne](const BaselineConfig &c,
-                                 const std::vector<bool> &frameBits,
-                                 sim::Hierarchy &hierarchy,
-                                 Rng &) -> BaselineParts {
-        const auto &layout = hierarchy.l1().layout();
-        const unsigned ways = c.platform.l1.ways;
-        auto rxLines = chan::linesForSet(layout, c.targetSet, ways,
-                                         /*tagBase=*/0x100);
-        auto txLines = chan::linesForSet(layout, c.targetSet,
-                                         std::max(1u, linesPerOne),
-                                         /*tagBase=*/1);
+    const chan::ProtocolConfig &proto = cfg.protocol;
+    requireBaselineProtocol(proto, cfg.platform.l1.numSets());
 
-        const std::size_t sampleCount =
-            chan::transmissionSchedule(frameBits.size(), c.ts,
-                                       c.senderStartSlots, c.sampleMargin)
-                .sampleCount;
+    Rng rootRng(cfg.seed);
+    Rng frameRng = rootRng.split();
+    Rng runRng = rootRng.split();
+    const BitVec frame = randomFrame(proto.frameBits - 16, frameRng);
 
-        BaselineParts parts;
-        parts.receiver = std::make_unique<PrimeProbeReceiver>(
-            rxLines, c.tr, sampleCount);
-        parts.sender = std::make_unique<PrimeProbeSender>(
-            txLines, linesPerOne, frameBits, c.ts);
+    const sim::AddressLayout layout(cfg.platform.l1.numSets());
+    const unsigned ways = cfg.platform.l1.ways;
+    const auto rxLines = chan::linesForSet(layout, proto.targetSet, ways,
+                                           /*tagBase=*/0x100);
+    const auto txLines =
+        chan::linesForSet(layout, proto.targetSet,
+                          std::max(1u, linesPerOne), /*tagBase=*/1);
 
-        // Centroids: all-hit probe vs. linesPerOne L2 refills.
-        const auto &lat = c.platform.lat;
-        const double perHit =
-            static_cast<double>(lat.l1Hit + c.noise.opOverhead);
-        const double base = perHit * ways +
-            static_cast<double>(c.noise.tscReadCost);
-        parts.centroidLow = base;
-        parts.centroidHigh = base +
-            static_cast<double>(linesPerOne) *
-                static_cast<double>(lat.l2Hit - lat.l1Hit);
-        return parts;
-    };
-    return runBaseline(cfg, factory);
+    // Centroids: all-hit probe vs. linesPerOne L2 refills.
+    const auto &lat = cfg.platform.lat;
+    const double perHit = static_cast<double>(lat.l1Hit + cfg.noise.opOverhead);
+    const double base =
+        perHit * ways + static_cast<double>(cfg.noise.tscReadCost);
+    const chan::Calibration calibration = closedFormCalibration(
+        base, base + static_cast<double>(linesPerOne) *
+                         static_cast<double>(lat.l2Hit - lat.l1Hit));
+
+    const chan::pipeline::Pass pass{
+        proto.encoding, 1, proto.rateKbps(),
+        [&](const std::vector<unsigned> &levels) {
+            const std::vector<bool> bits(levels.begin(), levels.end());
+            chan::pipeline::SameCoreWiring wiring(cfg, bits.size(), runRng);
+            PrimeProbeReceiver receiver(rxLines, proto.tr,
+                                        wiring.schedule().sampleCount);
+            PrimeProbeSender sender(txLines, linesPerOne, bits, proto.ts);
+            chan::pipeline::RawRun raw = wiring.run({sender, receiver});
+            raw.calibration = calibration;
+            return raw;
+        }};
+    return chan::pipeline::runFrames(pass, frame, proto.frames);
 }
 
-BaselineResult
-runCrossCorePrimeProbe(const BaselineConfig &cfg, unsigned linesPerOne,
+chan::ChannelResult
+runCrossCorePrimeProbe(const chan::ChannelConfig &cfg, unsigned linesPerOne,
                        unsigned cores)
 {
+    const chan::ProtocolConfig &proto = cfg.protocol;
     if (cores < 2)
         fatalf("runCrossCorePrimeProbe: needs at least 2 cores");
     if (cfg.noiseProcesses != 0) {
         fatalf("runCrossCorePrimeProbe: co-resident noise processes "
                "are not modeled cross-core yet");
     }
+    requireBaselineProtocol(proto, cfg.platform.llc.numSets());
     linesPerOne = std::max(1u, linesPerOne);
 
     Rng rootRng(cfg.seed);
     Rng frameRng = rootRng.split();
     Rng calRng = rootRng.split();
     Rng runRng = rootRng.split();
-
-    const BitVec frame = randomFrame(cfg.frameBits - 16, frameRng);
-    BitVec allBits;
-    allBits.reserve(static_cast<std::size_t>(cfg.frameBits) * cfg.frames);
-    for (unsigned f = 0; f < cfg.frames; ++f)
-        allBits.insert(allBits.end(), frame.begin(), frame.end());
+    const BitVec frame = randomFrame(proto.frameBits - 16, frameRng);
 
     const sim::AddressLayout llcLayout(cfg.platform.llc.numSets());
-    const unsigned ways = cfg.platform.llc.ways;
-    auto rxLines = chan::linesForSet(llcLayout, cfg.targetSet, ways,
-                                     /*tagBase=*/0x100);
-    auto txLines = chan::linesForSet(llcLayout, cfg.targetSet,
-                                     linesPerOne, /*tagBase=*/1);
+    const auto rxLines = chan::linesForSet(
+        llcLayout, proto.targetSet, cfg.platform.llc.ways, /*tagBase=*/0x100);
+    const auto txLines = chan::linesForSet(llcLayout, proto.targetSet,
+                                           linesPerOne, /*tagBase=*/1);
 
-    // --- Empirical centroid calibration: whole-set probe latency with
-    // and without the sender's slot touch, medians over a short
+    // --- Empirical calibration: whole-set probe latency without (level
+    // 0) and with (level 1) the sender's slot touch, over a short
     // offline interleave (the steady state depends on how much of the
     // primed set survives in the receiver's privates, which no closed
     // form captures across inclusive/non-inclusive LLCs). ---
-    Samples lo, hi;
+    std::vector<Samples> byD(2);
     {
         sim::MultiCoreSystem mc(cfg.platform, cores, &calRng);
         sim::AddressSpace txSpace(1), rxSpace(2);
@@ -165,52 +164,32 @@ runCrossCorePrimeProbe(const BaselineConfig &cfg, unsigned linesPerOne,
         for (int sweep = 0; sweep < 4; ++sweep)
             probeOnce(); // prime into steady state
         for (int i = 0; i < 40; ++i)
-            lo.add(probeOnce());
+            byD[0].add(probeOnce());
         for (int i = 0; i < 40; ++i) {
             mc.accessBatch(0, 0, txSpace, txLines.data(), linesPerOne,
                            false);
-            hi.add(probeOnce());
+            byD[1].add(probeOnce());
         }
     }
-    const double centroidLow = lo.median();
-    const double centroidHigh = hi.median();
+    const chan::Calibration calibration =
+        chan::Calibration::fromSamples(std::move(byD));
 
-    // --- Live run: one SmtCore front-end per core, interleaved in
-    // global time order. ---
-    sim::MultiCoreSystem mc(cfg.platform, cores, &runRng);
-    sim::SmtCore senderCore(mc.port(0), cfg.noise, runRng);
-    sim::SmtCore receiverCore(mc.port(1), cfg.noise, runRng);
-
-    const chan::TransmissionSchedule sched = chan::transmissionSchedule(
-        allBits.size(), cfg.ts, cfg.senderStartSlots, cfg.sampleMargin);
-    PrimeProbeReceiver receiver(rxLines, cfg.tr, sched.sampleCount,
-                                /*reprimeEachSlot=*/true);
-    PrimeProbeSender sender(txLines, linesPerOne, allBits, cfg.ts);
-
-    const ThreadId senderTid = senderCore.addThread(
-        &sender, sim::AddressSpace(1), sched.senderStart);
-    const ThreadId receiverTid =
-        receiverCore.addThread(&receiver, sim::AddressSpace(2), 0);
-
-    sim::runCores({&senderCore, &receiverCore}, sched.horizon);
-
-    BaselineResult res;
-    res.latencies = receiver.latencies();
-    res.rateKbps = cfg.rateKbps();
-    res.sentFrame = frame;
-    res.framesExpected = cfg.frames;
-
-    res.senderCounters = mc.counters(0, senderTid);
-    res.receiverCounters = mc.counters(1, receiverTid);
-    if (centroidHigh <= centroidLow) {
-        // No separable signal (non-inclusive LLC): report the raw
-        // failure instead of classifying noise.
-        res.ber = 1.0;
-        return res;
-    }
-    scoreBinaryLatencies(res, centroidLow, centroidHigh,
-                         /*invert=*/false, frame, cfg.frames);
-    return res;
+    // Sender on core 0, receiver on core 1 of the cross-core WB wiring.
+    const chan::pipeline::Pass pass{
+        proto.encoding, 1, proto.rateKbps(),
+        [&](const std::vector<unsigned> &levels) {
+            const std::vector<bool> bits(levels.begin(), levels.end());
+            chan::pipeline::CrossCoreWiring wiring(cfg, cores, 0, 1,
+                                                   bits.size(), runRng);
+            PrimeProbeReceiver receiver(rxLines, proto.tr,
+                                        wiring.schedule().sampleCount,
+                                        /*reprimeEachSlot=*/true);
+            PrimeProbeSender sender(txLines, linesPerOne, bits, proto.ts);
+            chan::pipeline::RawRun raw = wiring.run({sender, receiver});
+            raw.calibration = calibration;
+            return raw;
+        }};
+    return chan::pipeline::runFrames(pass, frame, proto.frames);
 }
 
 } // namespace wb::baselines

@@ -70,27 +70,32 @@ class PrimeProbeSender : public chan::PacedProgram
     std::vector<bool> bits_;
 };
 
-/** Run the Prime+Probe covert channel end to end. */
-BaselineResult runPrimeProbeChannel(const BaselineConfig &cfg,
-                                    unsigned linesPerOne = 2);
+/**
+ * Run the Prime+Probe covert channel end to end: a same-core placement
+ * of the channel pipeline (baselines/framework.hh), meeting in L1 set
+ * cfg.protocol.targetSet.
+ */
+chan::ChannelResult runPrimeProbeChannel(const chan::ChannelConfig &cfg,
+                                         unsigned linesPerOne = 2);
 
 /**
  * Cross-core Prime+Probe over the shared LLC: the receiver (core 1)
- * primes cfg.targetSet of the LLC with llc.ways of its own lines and
- * times whole-set probes; the sender (core 0) touches @p linesPerOne
- * lines of the same LLC set for a 1-bit. On an inclusive LLC the
- * sender's fills evict the receiver's lines from every level
- * (back-invalidation), so probe misses rise; a non-inclusive LLC
- * leaves the receiver's private copies alive and closes the channel.
- * Classifier centroids are calibrated empirically offline (the
- * steady-state probe latency is platform-dependent). cfg.targetSet
- * indexes the LLC layout here, and cfg.ts/tr should leave room for a
+ * primes cfg.protocol.targetSet of the LLC with llc.ways of its own
+ * lines and times whole-set probes; the sender (core 0) touches
+ * @p linesPerOne lines of the same LLC set for a 1-bit. On an
+ * inclusive LLC the sender's fills evict the receiver's lines from
+ * every level (back-invalidation), so probe misses rise; a
+ * non-inclusive LLC leaves the receiver's private copies alive and
+ * closes the channel — the result's closed flag then reads true.
+ * Classifier centroids are the medians of 40 + 40 offline probes (the
+ * steady-state probe latency is platform-dependent). targetSet indexes
+ * the LLC layout here, and protocol.ts/tr should leave room for a
  * whole-LLC-set probe (llc.ways DRAM-latency misses in the worst
- * case).
+ * case). Runs on the cross-core WB wiring (chan::pipeline).
  */
-BaselineResult runCrossCorePrimeProbe(const BaselineConfig &cfg,
-                                      unsigned linesPerOne = 2,
-                                      unsigned cores = 2);
+chan::ChannelResult runCrossCorePrimeProbe(const chan::ChannelConfig &cfg,
+                                           unsigned linesPerOne = 2,
+                                           unsigned cores = 2);
 
 } // namespace wb::baselines
 

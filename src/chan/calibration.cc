@@ -12,24 +12,6 @@ namespace wb::chan
 namespace
 {
 
-/**
- * Force strict centroid ordering. Under a closed channel (write-
- * through, DAWG) seen through a coarse timer the per-level samples can
- * quantize to identical point masses and the centroids tie exactly;
- * Classifier's ctor is (rightly) fatal on that. Nudging a tied
- * centroid up by an epsilon yields an honest near-chance classifier
- * instead of a crash — the sweep reports ~50% BER for the closed cell.
- */
-std::vector<double>
-strictlyIncreasing(std::vector<double> centroids)
-{
-    for (std::size_t i = 1; i < centroids.size(); ++i) {
-        if (centroids[i] <= centroids[i - 1])
-            centroids[i] = centroids[i - 1] + 1e-6;
-    }
-    return centroids;
-}
-
 /** Classifier over @p byD's entries at @p encoding's levels. */
 Classifier
 centroidClassifier(const std::vector<double> &byD, const Encoding &encoding)
@@ -42,7 +24,7 @@ centroidClassifier(const std::vector<double> &byD, const Encoding &encoding)
             fatalf("classifier: level ", d, " out of calibrated range");
         centroids.push_back(byD[d]);
     }
-    return Classifier(strictlyIncreasing(std::move(centroids)));
+    return Classifier(std::move(centroids));
 }
 
 /**
@@ -79,6 +61,19 @@ Calibration::closedFor(const Encoding &encoding) const
             return true;
     }
     return false;
+}
+
+Calibration
+Calibration::fromSamples(std::vector<Samples> latencyByD)
+{
+    Calibration out;
+    for (const Samples &level : latencyByD) {
+        out.medianByD.push_back(level.median());
+        out.meanByD.push_back(level.mean());
+        out.stddevByD.push_back(level.stddev());
+    }
+    out.latencyByD = std::move(latencyByD);
+    return out;
 }
 
 Classifier
@@ -118,9 +113,7 @@ calibrateOnPorts(const CalibrationPorts &ports, const ChannelSets &sets,
                  const CalibrationConfig &cfg, const sim::NoiseModel &noise,
                  Rng &rng)
 {
-    Calibration out;
-    out.latencyByD.resize(maxLevel + 1);
-    out.medianByD.resize(maxLevel + 1, 0.0);
+    std::vector<Samples> latencyByD(maxLevel + 1);
 
     sim::AddressSpace senderSpace(1);
     sim::AddressSpace receiverSpace(2);
@@ -183,18 +176,9 @@ calibrateOnPorts(const CalibrationPorts &ports, const ChannelSets &sets,
         lat = noise.observeDuration(lat, rng);
         useA = !useA;
         if (m >= cfg.discard)
-            out.latencyByD[d].add(lat);
+            latencyByD[d].add(lat);
     }
-    out.meanByD.resize(maxLevel + 1, 0.0);
-    out.stddevByD.resize(maxLevel + 1, 0.0);
-    for (unsigned d = 0; d <= maxLevel; ++d) {
-        out.medianByD[d] = out.latencyByD[d].median();
-        if (!out.latencyByD[d].raw().empty()) {
-            out.meanByD[d] = out.latencyByD[d].mean();
-            out.stddevByD[d] = out.latencyByD[d].stddev();
-        }
-    }
-    return out;
+    return Calibration::fromSamples(std::move(latencyByD));
 }
 
 Calibration

@@ -71,6 +71,10 @@ struct Calibration
     std::vector<double> meanByD;     //!< means (repetition decoding)
     std::vector<double> stddevByD;   //!< per-level dispersion
 
+    /** The calibration whose per-level samples are @p latencyByD,
+     *  with their medians, means and dispersions (0 when empty). */
+    static Calibration fromSamples(std::vector<Samples> latencyByD);
+
     /**
      * The closed-link test: true when the smallest gap between the
      * means of @p encoding's adjacent levels is at most

@@ -1,6 +1,5 @@
 #include "chan/channel.hh"
 
-#include <memory>
 #include <optional>
 
 #include "common/log.hh"
@@ -9,8 +8,6 @@
 #include "chan/receiver.hh"
 #include "chan/sender.hh"
 #include "chan/set_mapping.hh"
-#include "sim/scheduler.hh"
-#include "sim/smt_core.hh"
 
 namespace wb::chan
 {
@@ -42,79 +39,43 @@ runRawSequence(const ChannelConfig &cfg, const std::vector<unsigned> &dSeq)
         calCfg.levelsMix = proto.encoding.levels();
     calCfg.targetSet = proto.targetSet;
     calCfg.replacementSize = proto.replacementSize;
-    pipeline::RawRun raw;
-    raw.calibration = calibrate(cfg.platform, cfg.noise, calCfg, calRng);
+    Calibration calibration =
+        calibrate(cfg.platform, cfg.noise, calCfg, calRng);
 
-    // --- Platform. Under an active OS-noise config the front-end is
-    // owned by a Scheduler (co-runners, timeslices, pollution); the
-    // inactive default takes the plain path, which the scheduler run
-    // loop degenerates to anyway (CoRunnerIsolation test). ---
-    sim::Hierarchy hierarchy(cfg.platform, &runRng);
-    std::optional<sim::Scheduler> sched;
-    std::optional<sim::SmtCore> plainCore;
-    if (cfg.scheduler.active()) {
-        sched.emplace(static_cast<sim::MemorySystem &>(hierarchy),
-                      cfg.noise, runRng, cfg.scheduler, cfg.seed);
-    } else {
-        plainCore.emplace(hierarchy, cfg.noise, runRng);
-    }
-    sim::SmtCore &core = sched ? sched->party(0) : *plainCore;
-    const auto &layout = hierarchy.l1().layout();
+    pipeline::SameCoreWiring wiring(cfg, dSeq.size(), runRng);
     ChannelSets sets;
+    bool discoveryVerified = true;
     if (discoveryRng) {
         // Eviction-only observer: the receiver's replacement sets come
         // from live timing-test discovery, not set arithmetic. Runs
         // against the raw hierarchy before the parties launch (the
         // attacker's setup phase); its accesses land in the eventual
         // receiver tid's counters.
-        sets = discoverChannelSets(hierarchy, /*tid=*/1, proto.targetSet,
-                                   cfg.platform.l1.ways,
+        sets = discoverChannelSets(wiring.hierarchy(), /*tid=*/1,
+                                   proto.targetSet, cfg.platform.l1.ways,
                                    proto.replacementSize, *discoveryRng,
-                                   &raw.evictionDiscoveryVerified);
+                                   &discoveryVerified);
     } else {
-        sets = makeChannelSets(layout, proto.targetSet,
-                               cfg.platform.l1.ways,
+        sets = makeChannelSets(wiring.hierarchy().l1().layout(),
+                               proto.targetSet, cfg.platform.l1.ways,
                                proto.replacementSize);
     }
 
-    const TransmissionSchedule schedule = transmissionSchedule(
-        dSeq.size(), proto.ts, cfg.senderStartSlots, cfg.sampleMargin);
     SenderProgram sender(sets.senderLines, dSeq, proto.ts);
     // The receiver variant follows the observer: Flushgeist reads the
     // write-back queue through timed clflush; everyone else times the
     // replacement-set chase (the eviction-only observer's receiver is
     // the load-timing one — it never flushes).
     ReceiverProgram receiver(sets.replacementA, sets.replacementB,
-                             proto.tr, schedule.sampleCount,
+                             proto.tr, wiring.schedule().sampleCount,
                              /*warmupSweeps=*/2,
                              obs.cls == sim::ObserverClass::FlushLatency
                                  ? CalibrationProbe::FlushLatency
                                  : CalibrationProbe::LoadTiming);
 
-    raw.senderTid = core.addThread(&sender, sim::AddressSpace(1),
-                                   schedule.senderStart);
-    raw.receiverTid = core.addThread(&receiver, sim::AddressSpace(2), 0);
-
-    // --- Optional co-resident noise processes (Sec. VI) ---
-    std::vector<std::unique_ptr<NoiseProcess>> noisePrograms;
-    for (unsigned i = 0; i < cfg.noiseProcesses; ++i) {
-        auto lines = linesForSet(layout, proto.targetSet,
-                                 std::max(1u, cfg.noiseCfg.burstLines),
-                                 /*tagBase=*/0x300 + 0x10 * i);
-        noisePrograms.push_back(
-            std::make_unique<NoiseProcess>(std::move(lines), cfg.noiseCfg));
-        core.addThread(noisePrograms.back().get(),
-                       sim::AddressSpace(10 + i), /*startTime=*/500 * i);
-    }
-
-    raw.simulatedCycles =
-        sched ? sched->run(schedule.horizon * sched->horizonStretch())
-              : core.run(schedule.horizon);
-    raw.latencies = receiver.latencies();
-    raw.senderCounters = hierarchy.counters(raw.senderTid);
-    raw.receiverCounters = hierarchy.counters(raw.receiverTid);
-    if (sched)
-        raw.schedulerStats = sched->stats();
+    pipeline::RawRun raw = wiring.run({sender, receiver});
+    raw.calibration = std::move(calibration);
+    raw.evictionDiscoveryVerified = discoveryVerified;
     return raw;
 }
 

@@ -1,7 +1,6 @@
 #include "chan/cross_core.hh"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "common/log.hh"
@@ -9,8 +8,6 @@
 #include "chan/receiver.hh"
 #include "chan/sender.hh"
 #include "chan/set_mapping.hh"
-#include "sim/scheduler.hh"
-#include "sim/smt_core.hh"
 
 namespace wb::chan
 {
@@ -76,58 +73,15 @@ runCrossCoreRaw(const CrossCoreChannelConfig &cfg,
                             : cfg.platform.llc.ways + 2);
 
     // --- Offline calibration -> classifier centroids ---
-    pipeline::RawRun raw;
-    raw.calibration = calibrateCrossCore(cfg, sets, calRng);
+    Calibration calibration = calibrateCrossCore(cfg, sets, calRng);
 
-    // --- Platform: one system, one SmtCore front-end per party.
-    // Under an active OS-noise config the front-ends come from a
-    // Scheduler (co-runners over the cores, timeslicing, migration of
-    // the receiver); the inactive default keeps the plain runCores
-    // interleave, which the scheduler loop degenerates to anyway. ---
-    sim::MultiCoreSystem mc(cfg.platform, cfg.cores, &runRng);
-    std::optional<sim::Scheduler> os;
-    std::optional<sim::SmtCore> plainSender;
-    std::optional<sim::SmtCore> plainReceiver;
-    if (cfg.scheduler.active()) {
-        os.emplace(mc, cfg.noise, runRng, cfg.scheduler, cfg.seed);
-    } else {
-        plainSender.emplace(mc.port(cfg.senderCore), cfg.noise, runRng);
-        plainReceiver.emplace(mc.port(cfg.receiverCore), cfg.noise,
-                              runRng);
-    }
-    sim::SmtCore &senderCore =
-        os ? os->party(cfg.senderCore) : *plainSender;
-    sim::SmtCore &receiverCore =
-        os ? os->party(cfg.receiverCore, /*migratable=*/true)
-           : *plainReceiver;
-
-    const TransmissionSchedule sched = transmissionSchedule(
-        dSeq.size(), proto.ts, cfg.senderStartSlots, cfg.sampleMargin);
+    pipeline::CrossCoreWiring wiring(cfg, cfg.cores, cfg.senderCore,
+                                     cfg.receiverCore, dSeq.size(), runRng);
     SenderProgram sender(sets.senderLines, dSeq, proto.ts);
     ReceiverProgram receiver(sets.replacementA, sets.replacementB,
-                             proto.tr, sched.sampleCount);
-
-    raw.senderTid = senderCore.addThread(&sender, sim::AddressSpace(1),
-                                         sched.senderStart);
-    raw.receiverTid =
-        receiverCore.addThread(&receiver, sim::AddressSpace(2), 0);
-
-    raw.simulatedCycles =
-        os ? os->run(sched.horizon * os->horizonStretch())
-           : sim::runCores({&senderCore, &receiverCore}, sched.horizon);
-    raw.latencies = receiver.latencies();
-    raw.senderCounters = mc.counters(cfg.senderCore, raw.senderTid);
-    if (os) {
-        // A migrated receiver charged counters on every core it
-        // visited; its scheduler-allocated tid is system-unique, so
-        // the merge picks up only its own accesses.
-        for (unsigned c = 0; c < mc.coreCount(); ++c)
-            raw.receiverCounters.merge(mc.counters(c, raw.receiverTid));
-        raw.schedulerStats = os->stats();
-    } else {
-        raw.receiverCounters =
-            mc.counters(cfg.receiverCore, raw.receiverTid);
-    }
+                             proto.tr, wiring.schedule().sampleCount);
+    pipeline::RawRun raw = wiring.run({sender, receiver});
+    raw.calibration = std::move(calibration);
     return raw;
 }
 

@@ -1,8 +1,11 @@
 #include "chan/pipeline.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "chan/degraded.hh"
+#include "chan/noise_process.hh"
+#include "chan/set_mapping.hh"
 
 namespace wb::chan::pipeline
 {
@@ -37,10 +40,13 @@ receivedBits(const RawRun &raw, const Pass &pass)
     const Classifier classifier =
         pass.repetition > 1 ? cal.meanClassifierFor(pass.encoding)
                             : cal.classifierFor(pass.encoding);
-    return symbolsToBits(
-        classifyAll(collapseRepetition(raw.latencies, pass.repetition),
-                    classifier),
-        pass.encoding);
+    std::vector<unsigned> symbols = classifyAll(
+        collapseRepetition(raw.latencies, pass.repetition), classifier);
+    if (pass.invert) {
+        for (unsigned &s : symbols)
+            s = pass.encoding.symbols() - 1 - s;
+    }
+    return symbolsToBits(symbols, pass.encoding);
 }
 
 } // namespace
@@ -84,6 +90,105 @@ runBurst(const Pass &pass, const BitVec &stream)
     run.schedulerStats = raw.schedulerStats;
     run.closed = raw.calibration.closedFor(pass.encoding);
     return run;
+}
+
+SameCoreWiring::SameCoreWiring(const ChannelConfig &cfg, std::size_t slots,
+                               Rng &runRng)
+    : cfg_(cfg),
+      schedule_(transmissionSchedule(slots, cfg.protocol.ts,
+                                     cfg.senderStartSlots,
+                                     cfg.sampleMargin)),
+      hierarchy_(cfg.platform, &runRng)
+{
+    if (cfg.scheduler.active()) {
+        sched_.emplace(static_cast<sim::MemorySystem &>(hierarchy_),
+                       cfg.noise, runRng, cfg.scheduler, cfg.seed);
+        core_ = &sched_->party(0);
+    } else {
+        core_ = &plainCore_.emplace(hierarchy_, cfg.noise, runRng);
+    }
+}
+
+RawRun
+SameCoreWiring::run(const Parties &parties)
+{
+    RawRun raw;
+    raw.senderTid = core_->addThread(&parties.sender, parties.senderSpace,
+                                     schedule_.senderStart);
+    raw.receiverTid =
+        core_->addThread(&parties.receiver, parties.receiverSpace, 0);
+
+    // Co-resident noise processes on the target set (Sec. VI).
+    std::vector<std::unique_ptr<NoiseProcess>> noisePrograms;
+    for (unsigned i = 0; i < cfg_.noiseProcesses; ++i) {
+        auto lines = linesForSet(hierarchy_.l1().layout(),
+                                 cfg_.protocol.targetSet,
+                                 std::max(1u, cfg_.noiseCfg.burstLines),
+                                 /*tagBase=*/0x300 + 0x10 * i);
+        noisePrograms.push_back(
+            std::make_unique<NoiseProcess>(std::move(lines), cfg_.noiseCfg));
+        core_->addThread(noisePrograms.back().get(),
+                         sim::AddressSpace(10 + i), /*startTime=*/500 * i);
+    }
+
+    raw.simulatedCycles =
+        sched_ ? sched_->run(schedule_.horizon * sched_->horizonStretch())
+               : core_->run(schedule_.horizon);
+    raw.latencies = parties.receiver.latencies();
+    raw.senderCounters = hierarchy_.counters(raw.senderTid);
+    raw.receiverCounters = hierarchy_.counters(raw.receiverTid);
+    if (sched_)
+        raw.schedulerStats = sched_->stats();
+    return raw;
+}
+
+CrossCoreWiring::CrossCoreWiring(const LinkConfig &cfg, unsigned cores,
+                                 unsigned senderCore, unsigned receiverCore,
+                                 std::size_t slots, Rng &runRng)
+    : senderCore_(senderCore), receiverCore_(receiverCore),
+      schedule_(transmissionSchedule(slots, cfg.protocol.ts,
+                                     cfg.senderStartSlots,
+                                     cfg.sampleMargin)),
+      mc_(cfg.platform, cores, &runRng)
+{
+    if (cfg.scheduler.active()) {
+        os_.emplace(mc_, cfg.noise, runRng, cfg.scheduler, cfg.seed);
+        senderFront_ = &os_->party(senderCore);
+        receiverFront_ = &os_->party(receiverCore, /*migratable=*/true);
+    } else {
+        senderFront_ =
+            &plainSender_.emplace(mc_.port(senderCore), cfg.noise, runRng);
+        receiverFront_ = &plainReceiver_.emplace(mc_.port(receiverCore),
+                                                 cfg.noise, runRng);
+    }
+}
+
+RawRun
+CrossCoreWiring::run(const Parties &parties)
+{
+    RawRun raw;
+    raw.senderTid = senderFront_->addThread(
+        &parties.sender, parties.senderSpace, schedule_.senderStart);
+    raw.receiverTid = receiverFront_->addThread(
+        &parties.receiver, parties.receiverSpace, 0);
+
+    raw.simulatedCycles =
+        os_ ? os_->run(schedule_.horizon * os_->horizonStretch())
+            : sim::runCores({senderFront_, receiverFront_},
+                            schedule_.horizon);
+    raw.latencies = parties.receiver.latencies();
+    raw.senderCounters = mc_.counters(senderCore_, raw.senderTid);
+    if (os_) {
+        // A migrated receiver charged counters on every core it
+        // visited; its scheduler-allocated tid is system-unique, so
+        // the merge picks up only its own accesses.
+        for (unsigned c = 0; c < mc_.coreCount(); ++c)
+            raw.receiverCounters.merge(mc_.counters(c, raw.receiverTid));
+        raw.schedulerStats = os_->stats();
+    } else {
+        raw.receiverCounters = mc_.counters(receiverCore_, raw.receiverTid);
+    }
+    return raw;
 }
 
 BitVec

@@ -1,12 +1,16 @@
 /**
  * @file
- * The one WB channel pipeline every placement runs through (internal
- * to src/chan; docs/README.md "Channel pipeline"). A placement — same-
- * core, cross-core, L2 or multi-set — supplies only what is physical
- * (its line sets, calibration and platform wiring) as one Pass. The
- * driver owns everything above that and never asks which placement it
- * serves: frame -> level expansion with repetition, decoding into
- * ChannelResult, the transport link binding and the transport entry.
+ * The one channel pipeline every placement runs through (internal to
+ * src/chan and src/baselines; docs/README.md "Channel pipeline"). A
+ * placement — same-core, cross-core, L2, multi-set or a baseline —
+ * supplies only what is physical (its line sets, calibration and
+ * programs) as one Pass. The driver owns everything above that and
+ * never asks which placement it serves: frame -> level expansion with
+ * repetition, decoding into ChannelResult, the transport link binding
+ * and the transport entry. The platform wiring comes in two shapes,
+ * shared by every placement of that shape: SameCoreWiring (SMT
+ * siblings on one Hierarchy) and CrossCoreWiring (two cores of one
+ * MultiCoreSystem).
  */
 
 #ifndef WB_CHAN_PIPELINE_HH
@@ -14,12 +18,17 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/log.hh"
 #include "chan/calibration.hh"
 #include "chan/channel.hh"
+#include "chan/paced.hh"
 #include "chan/transport.hh"
+#include "sim/multicore.hh"
+#include "sim/scheduler.hh"
+#include "sim/smt_core.hh"
 
 namespace wb::chan::pipeline
 {
@@ -40,6 +49,97 @@ struct Pass
 
     /** Modulate per-slot levels through a fresh platform. */
     std::function<RawRun(const std::vector<unsigned> &levels)> run;
+
+    /**
+     * The fast symbol is the top level (Flush+Reload: a sender touch
+     * makes the reload faster): decoded symbols are flipped between
+     * classification and bit packing. Binary encodings only.
+     */
+    bool invert = false;
+};
+
+/** The two programs of one pass and the address spaces they run in. */
+struct Parties
+{
+    sim::Program &sender;
+    PacedProgram &receiver;
+    sim::AddressSpace senderSpace = sim::AddressSpace(1);
+    sim::AddressSpace receiverSpace = sim::AddressSpace(2);
+};
+
+/**
+ * The same-core platform wiring (the WB same-core placement and every
+ * same-core baseline): one Hierarchy and its front-end — a Scheduler's
+ * party core under an active cfg.scheduler, a plain SmtCore otherwise
+ * (the scheduler loop degenerates to it; CoRunnerIsolation) — then
+ * the parties, cfg's noise processes on protocol.targetSet, the run
+ * and its counters. The platform takes @p runRng before anything
+ * else does (set discovery, the parties), as every same-core pass's
+ * draw order has it.
+ */
+class SameCoreWiring
+{
+  public:
+    /** Stand up the platform for a pass of @p slots sender slots. */
+    SameCoreWiring(const ChannelConfig &cfg, std::size_t slots,
+                   Rng &runRng);
+    // The front-end holds the address of hierarchy_.
+    SameCoreWiring(const SameCoreWiring &) = delete;
+    SameCoreWiring &operator=(const SameCoreWiring &) = delete;
+
+    sim::Hierarchy &hierarchy() { return hierarchy_; }
+
+    /** When the sender launches, the receiver's sample count, the
+     *  horizon. */
+    const TransmissionSchedule &schedule() const { return schedule_; }
+
+    /** Launch @p parties, run to the horizon; the run-side half of a
+     *  RawRun (calibration left empty). */
+    RawRun run(const Parties &parties);
+
+  private:
+    const ChannelConfig &cfg_;
+    TransmissionSchedule schedule_;
+    sim::Hierarchy hierarchy_;
+    std::optional<sim::Scheduler> sched_;
+    std::optional<sim::SmtCore> plainCore_;
+    sim::SmtCore *core_ = nullptr;
+};
+
+/**
+ * The two-core platform wiring (cross-core WB and cross-core
+ * Prime+Probe): one MultiCoreSystem, a front-end per party — from a
+ * Scheduler under an active cfg.scheduler (the receiver's migratable),
+ * plain SmtCores run by sim::runCores otherwise — then the run and
+ * each party's counters.
+ */
+class CrossCoreWiring
+{
+  public:
+    /** Stand up @p cores cores for a pass of @p slots sender slots. */
+    CrossCoreWiring(const LinkConfig &cfg, unsigned cores,
+                    unsigned senderCore, unsigned receiverCore,
+                    std::size_t slots, Rng &runRng);
+    // The front-ends hold the address of mc_.
+    CrossCoreWiring(const CrossCoreWiring &) = delete;
+    CrossCoreWiring &operator=(const CrossCoreWiring &) = delete;
+
+    const TransmissionSchedule &schedule() const { return schedule_; }
+
+    /** Launch @p parties, run to the horizon; the run-side half of a
+     *  RawRun (calibration left empty). */
+    RawRun run(const Parties &parties);
+
+  private:
+    unsigned senderCore_;
+    unsigned receiverCore_;
+    TransmissionSchedule schedule_;
+    sim::MultiCoreSystem mc_;
+    std::optional<sim::Scheduler> os_;
+    std::optional<sim::SmtCore> plainSender_;
+    std::optional<sim::SmtCore> plainReceiver_;
+    sim::SmtCore *senderFront_ = nullptr;
+    sim::SmtCore *receiverFront_ = nullptr;
 };
 
 /**

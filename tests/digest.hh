@@ -15,7 +15,6 @@
 #include <cstring>
 #include <vector>
 
-#include "baselines/framework.hh"
 #include "chan/channel.hh"
 #include "chan/tenant.hh"
 #include "chan/transport.hh"
@@ -124,9 +123,12 @@ shotDigest(const chan::ChannelResult &r)
     return f.value();
 }
 
-/** Digest of a baseline run: latency stream, BER, frames, counters. */
+/**
+ * Digest of a baseline run: latency stream, BER, frames, counters —
+ * the fields the baseline pins were captured over.
+ */
 inline std::uint64_t
-baselineDigest(const baselines::BaselineResult &r)
+baselineDigest(const chan::ChannelResult &r)
 {
     Fnv f;
     for (double lat : r.latencies)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/flush_channels.hh"
+#include "baselines/hit_hit_channel.hh"
 #include "baselines/lru_channel.hh"
 #include "baselines/prime_probe.hh"
 #include "chan/channel.hh"
@@ -18,12 +19,13 @@ namespace wb::baselines
 namespace
 {
 
-BaselineConfig
+chan::ChannelConfig
 slowConfig(std::uint64_t seed = 3)
 {
-    BaselineConfig cfg;
-    cfg.ts = cfg.tr = 5500; // 400 kbps, the LRU channel's comfort zone
-    cfg.frames = 10;
+    chan::ChannelConfig cfg;
+    // 400 kbps, the LRU channel's comfort zone.
+    cfg.protocol.ts = cfg.protocol.tr = 5500;
+    cfg.protocol.frames = 10;
     cfg.seed = seed;
     return cfg;
 }
@@ -138,6 +140,51 @@ TEST(CoherenceState, DirtyFlushTimingWorks)
     EXPECT_LT(res.ber, 0.08);
 }
 
+TEST(BaselineProtocol, TargetSetOutOfRangeIsFatal)
+{
+    // compose() would OR an index >= 64 into the tag bits of the
+    // 64-set L1 and run a silently broken channel on another set.
+    for (unsigned set : {64u, 77u}) {
+        auto cfg = slowConfig();
+        cfg.protocol.targetSet = set;
+        EXPECT_EXIT((void)runLruChannel(cfg), ::testing::ExitedWithCode(1),
+                    "ProtocolConfig::targetSet = " + std::to_string(set));
+        EXPECT_EXIT((void)runPrimeProbeChannel(cfg),
+                    ::testing::ExitedWithCode(1),
+                    "ProtocolConfig::targetSet");
+        EXPECT_EXIT((void)runFlushChannel(cfg, FlushKind::FlushFlush),
+                    ::testing::ExitedWithCode(1),
+                    "ProtocolConfig::targetSet");
+        EXPECT_EXIT((void)runHitHitChannel(cfg),
+                    ::testing::ExitedWithCode(1),
+                    "ProtocolConfig::targetSet");
+    }
+    // Cross-core Prime+Probe meets in the LLC: its range is the LLC's.
+    chan::ChannelConfig cross;
+    cross.usePlatform("desktop-inclusive-4core");
+    cross.protocol.targetSet = cross.platform.llc.numSets();
+    EXPECT_EXIT((void)runCrossCorePrimeProbe(cross, 2, 4),
+                ::testing::ExitedWithCode(1), "ProtocolConfig::targetSet");
+}
+
+TEST(BaselineProtocol, NonBinaryEncodingIsFatal)
+{
+    auto cfg = slowConfig();
+    cfg.protocol.encoding = chan::Encoding::binary(4);
+    EXPECT_EXIT((void)runLruChannel(cfg), ::testing::ExitedWithCode(1),
+                "ProtocolConfig::encoding");
+    EXPECT_EXIT((void)runPrimeProbeChannel(cfg),
+                ::testing::ExitedWithCode(1), "ProtocolConfig::encoding");
+    EXPECT_EXIT((void)runFlushChannel(cfg, FlushKind::FlushReload),
+                ::testing::ExitedWithCode(1), "ProtocolConfig::encoding");
+    EXPECT_EXIT((void)runHitHitChannel(cfg), ::testing::ExitedWithCode(1),
+                "ProtocolConfig::encoding");
+    cfg.usePlatform("desktop-inclusive-4core");
+    cfg.protocol.encoding = chan::Encoding::paperTwoBit();
+    EXPECT_EXIT((void)runCrossCorePrimeProbe(cfg, 2, 4),
+                ::testing::ExitedWithCode(1), "ProtocolConfig::encoding");
+}
+
 TEST(FlushKinds, Names)
 {
     EXPECT_EQ(flushKindName(FlushKind::FlushReload), "Flush+Reload");
@@ -151,7 +198,7 @@ TEST(Baselines, SenderCountersDiffer)
     // Table VI's direction: the LRU sender issues far more loads than
     // the WB sender per transmitted bit (continuous modulation).
     auto cfg = slowConfig();
-    cfg.frames = 5;
+    cfg.protocol.frames = 5;
     auto lru = runLruChannel(cfg, /*modulateCycles=*/0);
 
     chan::ChannelConfig wb;
@@ -178,8 +225,8 @@ TEST(Baselines, HigherRateHurtsLruMoreThanWb)
     auto lruAt = [](unsigned ts) {
         return test::sweepSeeds([ts](std::uint64_t seed) {
             auto cfg = slowConfig(seed);
-            cfg.ts = cfg.tr = ts;
-            cfg.frames = 25;
+            cfg.protocol.ts = cfg.protocol.tr = ts;
+            cfg.protocol.frames = 25;
             cfg.platform.l1.policy = sim::PolicyKind::TrueLru;
             auto res = runLruChannel(cfg);
             const double bits =

@@ -13,12 +13,12 @@ namespace wb::baselines
 namespace
 {
 
-BaselineConfig
+chan::ChannelConfig
 config(std::uint64_t seed = 3)
 {
-    BaselineConfig cfg;
-    cfg.ts = cfg.tr = 5500;
-    cfg.frames = 12;
+    chan::ChannelConfig cfg;
+    cfg.protocol.ts = cfg.protocol.tr = 5500;
+    cfg.protocol.frames = 12;
     cfg.seed = seed;
     return cfg;
 }
@@ -28,6 +28,8 @@ TEST(HitHit, TransmitsViaContention)
     auto res = runHitHitChannel(config());
     EXPECT_TRUE(res.aligned);
     EXPECT_LT(res.ber, 0.10);
+    // The modelled contention gap is cycles wide: the link is open.
+    EXPECT_FALSE(res.closed);
 }
 
 TEST(HitHit, NoContentionNoChannel)
@@ -37,6 +39,8 @@ TEST(HitHit, NoContentionNoChannel)
     cfg.noise.portContentionProb = 0.0;
     auto res = runHitHitChannel(cfg);
     EXPECT_GT(res.ber, 0.25);
+    // The centroids sit 1e-6 apart: the run reports itself closed.
+    EXPECT_TRUE(res.closed);
 }
 
 TEST(HitHit, BiggerBurstsAverageOutNoise)

@@ -342,7 +342,7 @@ TEST(EvictionOnlyChannel, WbChannelSurvivesWithDiscoveredSets)
 
 TEST(EvictionOnlyChannel, FlushFamilyBaselinesAreDenied)
 {
-    baselines::BaselineConfig cfg;
+    ChannelConfig cfg;
     cfg.noise.observer = sim::ObserverModel::evictionOnly();
     EXPECT_FALSE(baselines::flushChannelAvailable(cfg));
     EXPECT_EXIT((void)baselines::runFlushChannel(
@@ -352,7 +352,7 @@ TEST(EvictionOnlyChannel, FlushFamilyBaselinesAreDenied)
                     cfg, baselines::FlushKind::CoherenceState),
                 ::testing::ExitedWithCode(1), "denied");
 
-    baselines::BaselineConfig allowed;
+    ChannelConfig allowed;
     EXPECT_TRUE(baselines::flushChannelAvailable(allowed));
 }
 
@@ -408,8 +408,8 @@ TEST(JitteredTimer, ReceiverDurationsNeverWrap)
     multi.noise.observer = jittery;
     const std::vector<double> striped = runMultiSetChannel(multi).latencies;
 
-    baselines::BaselineConfig lru;
-    lru.frames = 2;
+    ChannelConfig lru;
+    lru.protocol.frames = 2;
     lru.noise.observer = jittery;
     const std::vector<double> probes =
         baselines::runLruChannel(lru).latencies;

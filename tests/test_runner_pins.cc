@@ -261,25 +261,25 @@ TEST(RunnerPins, TransmitString)
 // Baseline channels: four 64-bit frames each.
 // ------------------------------------------------------------------
 
-baselines::BaselineConfig
+ChannelConfig
 baseline(const char *platform, std::uint64_t seed)
 {
-    baselines::BaselineConfig cfg;
+    ChannelConfig cfg;
     cfg.usePlatform(platform);
-    cfg.frameBits = 64;
-    cfg.frames = 4;
+    cfg.protocol.frameBits = 64;
+    cfg.protocol.frames = 4;
     cfg.seed = seed;
     return cfg;
 }
 
 TEST(RunnerPins, BaselineLru)
 {
-    baselines::BaselineConfig cfg = baseline("xeonE5-2650", 3);
+    ChannelConfig cfg = baseline("xeonE5-2650", 3);
     EXPECT_EQ(baselineDigest(baselines::runLruChannel(cfg)),
               18397233733410335710ull);
     // One noise process on the target set, and whole-slot modulation.
     cfg.noiseProcesses = 1;
-    cfg.noiseCfg.period = 3 * cfg.ts;
+    cfg.noiseCfg.period = 3 * cfg.protocol.ts;
     EXPECT_EQ(baselineDigest(baselines::runLruChannel(cfg, 0)),
               5784364384324094658ull);
 }
@@ -314,18 +314,33 @@ TEST(RunnerPins, BaselineHitHit)
               16850800773387507179ull);
 }
 
+TEST(RunnerPins, BaselinesUnderCoRunners)
+{
+    // The same-core wiring the baselines share with the WB placement
+    // honours cfg.scheduler: three co-runners on the Xeon preset.
+    ChannelConfig cfg = baseline("xeonE5-2650", 3);
+    cfg.scheduler = sim::platform("xeonE5-2650").noisePreset;
+    cfg.scheduler.coRunners = sim::SchedulerConfig::mixOf(3);
+    const ChannelResult lru = baselines::runLruChannel(cfg);
+    EXPECT_GT(lru.schedulerStats.coRunnerAccesses, 0u);
+    EXPECT_EQ(shotDigest(lru), 16625090282808421614ull);
+    const ChannelResult pp = baselines::runPrimeProbeChannel(cfg);
+    EXPECT_GT(pp.schedulerStats.coRunnerAccesses, 0u);
+    EXPECT_EQ(shotDigest(pp), 13167435631351888048ull);
+}
+
 TEST(RunnerPins, BaselineCrossCorePrimeProbe)
 {
     // Whole-LLC-set probes need longer slots than the L1 default.
-    baselines::BaselineConfig open = baseline("desktop-inclusive-4core", 4);
-    open.ts = open.tr = 12000;
-    open.targetSet = 37;
+    ChannelConfig open = baseline("desktop-inclusive-4core", 4);
+    open.protocol.ts = open.protocol.tr = 12000;
+    open.protocol.targetSet = 37;
     EXPECT_EQ(baselineDigest(baselines::runCrossCorePrimeProbe(open, 2, 4)),
               11117270730615510863ull);
 
-    baselines::BaselineConfig closed = baseline("xeonE5-2650-2core", 4);
-    closed.ts = closed.tr = 12000;
-    closed.targetSet = 37;
+    ChannelConfig closed = baseline("xeonE5-2650-2core", 4);
+    closed.protocol.ts = closed.protocol.tr = 12000;
+    closed.protocol.targetSet = 37;
     EXPECT_EQ(
         baselineDigest(baselines::runCrossCorePrimeProbe(closed, 2, 2)),
         1334458850951001464ull);

@@ -282,48 +282,35 @@ TEST(TraceEquivalence, L2AndMultiSetChannels)
     }
 }
 
-/** Every observable of two baseline runs must match exactly. */
-void
-expectIdentical(const baselines::BaselineResult &a,
-                const baselines::BaselineResult &b, const std::string &what)
-{
-    SCOPED_TRACE(what);
-    EXPECT_TRUE(a.latencies == b.latencies) << "raw latencies diverge";
-    EXPECT_EQ(a.ber, b.ber);
-    EXPECT_EQ(a.aligned, b.aligned);
-    EXPECT_EQ(a.framesScored, b.framesScored);
-    expectCountersEqual(a.senderCounters, b.senderCounters, "sender");
-    expectCountersEqual(a.receiverCounters, b.receiverCounters, "receiver");
-}
-
 TEST(TraceEquivalence, BaselineChannels)
 {
     using namespace baselines;
+    using chan::ChannelConfig;
     const std::pair<const char *,
-                    std::function<BaselineResult(const BaselineConfig &)>>
+                    std::function<chan::ChannelResult(const ChannelConfig &)>>
         runners[] = {
-            {"LRU", [](const BaselineConfig &c) { return runLruChannel(c); }},
+            {"LRU", [](const ChannelConfig &c) { return runLruChannel(c); }},
             {"Prime+Probe",
-             [](const BaselineConfig &c) { return runPrimeProbeChannel(c); }},
+             [](const ChannelConfig &c) { return runPrimeProbeChannel(c); }},
             {"Flush+Reload",
-             [](const BaselineConfig &c) {
+             [](const ChannelConfig &c) {
                  return runFlushChannel(c, FlushKind::FlushReload);
              }},
             {"Flush+Flush",
-             [](const BaselineConfig &c) {
+             [](const ChannelConfig &c) {
                  return runFlushChannel(c, FlushKind::FlushFlush);
              }},
             {"CoherenceState",
-             [](const BaselineConfig &c) {
+             [](const ChannelConfig &c) {
                  return runFlushChannel(c, FlushKind::CoherenceState);
              }},
             {"Hit+Hit",
-             [](const BaselineConfig &c) { return runHitHitChannel(c); }},
+             [](const ChannelConfig &c) { return runHitHitChannel(c); }},
         };
     for (const auto &[name, run] : runners) {
+        ChannelConfig cfg;
+        cfg.protocol.frames = 2;
         for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-            BaselineConfig cfg;
-            cfg.frames = 2;
             cfg.seed = seed;
             // A co-resident noise process on odd seeds.
             cfg.noiseProcesses = seed % 2;
@@ -332,25 +319,44 @@ TEST(TraceEquivalence, BaselineChannels)
                             std::string(name) + " seed " +
                                 std::to_string(seed));
         }
+        // The shared same-core wiring's scheduler path: three
+        // co-runners splitting the parties' traces.
+        cfg.seed = 1;
+        cfg.noiseProcesses = 0;
+        cfg.scheduler = sim::platform(cfg.platformName).noisePreset;
+        cfg.scheduler.coRunners = sim::SchedulerConfig::mixOf(3);
+        const auto [traced, stepped] = tracedAndStepped(cfg, run);
+        EXPECT_GT(traced.schedulerStats.coRunnerAccesses, 0u) << name;
+        expectIdentical(traced, stepped, std::string(name) + " mixOf(3)");
     }
 }
 
 TEST(TraceEquivalence, CrossCorePrimeProbe)
 {
-    baselines::BaselineConfig cfg;
+    chan::ChannelConfig cfg;
     cfg.usePlatform("desktop-inclusive-4core");
-    cfg.ts = cfg.tr = 12000;
-    cfg.frames = 2;
-    cfg.targetSet = 37;
+    cfg.protocol.ts = cfg.protocol.tr = 12000;
+    cfg.protocol.frames = 2;
+    cfg.protocol.targetSet = 37;
     for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
         cfg.seed = seed;
         const auto [traced, stepped] =
-            tracedAndStepped(cfg, [](const baselines::BaselineConfig &c) {
+            tracedAndStepped(cfg, [](const chan::ChannelConfig &c) {
                 return baselines::runCrossCorePrimeProbe(c, 2, 4);
             });
         expectIdentical(traced, stepped,
                         "cross-core P+P seed " + std::to_string(seed));
     }
+    // The shared two-core wiring's scheduler path.
+    cfg.seed = 1;
+    cfg.scheduler = sim::platform(cfg.platformName).noisePreset;
+    cfg.scheduler.coRunners = sim::SchedulerConfig::mixOf(3);
+    const auto [traced, stepped] =
+        tracedAndStepped(cfg, [](const chan::ChannelConfig &c) {
+            return baselines::runCrossCorePrimeProbe(c, 2, 4);
+        });
+    EXPECT_GT(traced.schedulerStats.coRunnerAccesses, 0u);
+    expectIdentical(traced, stepped, "cross-core P+P mixOf(3)");
 }
 
 /**
