@@ -141,8 +141,8 @@ runFlushChannel(const chan::ChannelConfig &cfg, FlushKind kind)
             FlushReceiver receiver(sharedVa, kind, proto.tr,
                                    wiring.schedule().sampleCount);
             FlushSender sender(sharedVa, kind, bits, proto.ts);
-            chan::pipeline::RawRun raw = wiring.run(
-                {sender, receiver, senderSpace, receiverSpace});
+            chan::pipeline::RawRun raw =
+                wiring.run(sender, receiver, senderSpace, receiverSpace);
             raw.calibration = calibration;
             return raw;
         },

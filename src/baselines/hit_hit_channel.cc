@@ -84,7 +84,7 @@ runHitHitChannel(const chan::ChannelConfig &cfg, unsigned burst)
             HitHitReceiver receiver(/*line=*/0x4000, burst, proto.tr,
                                     wiring.schedule().sampleCount);
             HitHitSender sender(/*line=*/0x8000, bits, proto.ts);
-            chan::pipeline::RawRun raw = wiring.run({sender, receiver});
+            chan::pipeline::RawRun raw = wiring.run(sender, receiver);
             raw.calibration = calibration;
             return raw;
         }};

@@ -91,7 +91,7 @@ runLruChannel(const chan::ChannelConfig &cfg, Cycles modulateCycles)
             LruReceiver receiver(rxLines, proto.tr,
                                  wiring.schedule().sampleCount);
             LruSender sender(txLine, bits, proto.ts, modulateCycles);
-            chan::pipeline::RawRun raw = wiring.run({sender, receiver});
+            chan::pipeline::RawRun raw = wiring.run(sender, receiver);
             raw.calibration = calibration;
             return raw;
         }};

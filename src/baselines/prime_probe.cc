@@ -107,7 +107,7 @@ runPrimeProbeChannel(const chan::ChannelConfig &cfg, unsigned linesPerOne)
             PrimeProbeReceiver receiver(rxLines, proto.tr,
                                         wiring.schedule().sampleCount);
             PrimeProbeSender sender(txLines, linesPerOne, bits, proto.ts);
-            chan::pipeline::RawRun raw = wiring.run({sender, receiver});
+            chan::pipeline::RawRun raw = wiring.run(sender, receiver);
             raw.calibration = calibration;
             return raw;
         }};
@@ -185,7 +185,7 @@ runCrossCorePrimeProbe(const chan::ChannelConfig &cfg, unsigned linesPerOne,
                                         wiring.schedule().sampleCount,
                                         /*reprimeEachSlot=*/true);
             PrimeProbeSender sender(txLines, linesPerOne, bits, proto.ts);
-            chan::pipeline::RawRun raw = wiring.run({sender, receiver});
+            chan::pipeline::RawRun raw = wiring.run(sender, receiver);
             raw.calibration = calibration;
             return raw;
         }};

@@ -73,7 +73,7 @@ runRawSequence(const ChannelConfig &cfg, const std::vector<unsigned> &dSeq)
                                  ? CalibrationProbe::FlushLatency
                                  : CalibrationProbe::LoadTiming);
 
-    pipeline::RawRun raw = wiring.run({sender, receiver});
+    pipeline::RawRun raw = wiring.run(sender, receiver);
     raw.calibration = std::move(calibration);
     raw.evictionDiscoveryVerified = discoveryVerified;
     return raw;

@@ -80,7 +80,7 @@ runCrossCoreRaw(const CrossCoreChannelConfig &cfg,
     SenderProgram sender(sets.senderLines, dSeq, proto.ts);
     ReceiverProgram receiver(sets.replacementA, sets.replacementB,
                              proto.tr, wiring.schedule().sampleCount);
-    pipeline::RawRun raw = wiring.run({sender, receiver});
+    pipeline::RawRun raw = wiring.run(sender, receiver);
     raw.calibration = std::move(calibration);
     return raw;
 }

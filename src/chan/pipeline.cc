@@ -110,13 +110,14 @@ SameCoreWiring::SameCoreWiring(const ChannelConfig &cfg, std::size_t slots,
 }
 
 RawRun
-SameCoreWiring::run(const Parties &parties)
+SameCoreWiring::run(sim::Program &sender, PacedProgram &receiver,
+                    const sim::AddressSpace &senderSpace,
+                    const sim::AddressSpace &receiverSpace)
 {
     RawRun raw;
-    raw.senderTid = core_->addThread(&parties.sender, parties.senderSpace,
-                                     schedule_.senderStart);
-    raw.receiverTid =
-        core_->addThread(&parties.receiver, parties.receiverSpace, 0);
+    raw.senderTid =
+        core_->addThread(&sender, senderSpace, schedule_.senderStart);
+    raw.receiverTid = core_->addThread(&receiver, receiverSpace, 0);
 
     // Co-resident noise processes on the target set (Sec. VI).
     std::vector<std::unique_ptr<NoiseProcess>> noisePrograms;
@@ -134,7 +135,7 @@ SameCoreWiring::run(const Parties &parties)
     raw.simulatedCycles =
         sched_ ? sched_->run(schedule_.horizon * sched_->horizonStretch())
                : core_->run(schedule_.horizon);
-    raw.latencies = parties.receiver.latencies();
+    raw.latencies = receiver.latencies();
     raw.senderCounters = hierarchy_.counters(raw.senderTid);
     raw.receiverCounters = hierarchy_.counters(raw.receiverTid);
     if (sched_)
@@ -164,19 +165,20 @@ CrossCoreWiring::CrossCoreWiring(const LinkConfig &cfg, unsigned cores,
 }
 
 RawRun
-CrossCoreWiring::run(const Parties &parties)
+CrossCoreWiring::run(sim::Program &sender, PacedProgram &receiver,
+                     const sim::AddressSpace &senderSpace,
+                     const sim::AddressSpace &receiverSpace)
 {
     RawRun raw;
-    raw.senderTid = senderFront_->addThread(
-        &parties.sender, parties.senderSpace, schedule_.senderStart);
-    raw.receiverTid = receiverFront_->addThread(
-        &parties.receiver, parties.receiverSpace, 0);
+    raw.senderTid = senderFront_->addThread(&sender, senderSpace,
+                                            schedule_.senderStart);
+    raw.receiverTid = receiverFront_->addThread(&receiver, receiverSpace, 0);
 
     raw.simulatedCycles =
         os_ ? os_->run(schedule_.horizon * os_->horizonStretch())
             : sim::runCores({senderFront_, receiverFront_},
                             schedule_.horizon);
-    raw.latencies = parties.receiver.latencies();
+    raw.latencies = receiver.latencies();
     raw.senderCounters = mc_.counters(senderCore_, raw.senderTid);
     if (os_) {
         // A migrated receiver charged counters on every core it

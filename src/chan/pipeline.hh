@@ -58,15 +58,6 @@ struct Pass
     bool invert = false;
 };
 
-/** The two programs of one pass and the address spaces they run in. */
-struct Parties
-{
-    sim::Program &sender;
-    PacedProgram &receiver;
-    sim::AddressSpace senderSpace = sim::AddressSpace(1);
-    sim::AddressSpace receiverSpace = sim::AddressSpace(2);
-};
-
 /**
  * The same-core platform wiring (the WB same-core placement and every
  * same-core baseline): one Hierarchy and its front-end — a Scheduler's
@@ -93,9 +84,12 @@ class SameCoreWiring
      *  horizon. */
     const TransmissionSchedule &schedule() const { return schedule_; }
 
-    /** Launch @p parties, run to the horizon; the run-side half of a
-     *  RawRun (calibration left empty). */
-    RawRun run(const Parties &parties);
+    /** Launch the parties in their address spaces, run to the
+     *  horizon; the run-side half of a RawRun (calibration empty). */
+    RawRun run(sim::Program &sender, PacedProgram &receiver,
+               const sim::AddressSpace &senderSpace = sim::AddressSpace(1),
+               const sim::AddressSpace &receiverSpace =
+                   sim::AddressSpace(2));
 
   private:
     const ChannelConfig &cfg_;
@@ -126,9 +120,12 @@ class CrossCoreWiring
 
     const TransmissionSchedule &schedule() const { return schedule_; }
 
-    /** Launch @p parties, run to the horizon; the run-side half of a
-     *  RawRun (calibration left empty). */
-    RawRun run(const Parties &parties);
+    /** Launch the parties in their address spaces, run to the
+     *  horizon; the run-side half of a RawRun (calibration empty). */
+    RawRun run(sim::Program &sender, PacedProgram &receiver,
+               const sim::AddressSpace &senderSpace = sim::AddressSpace(1),
+               const sim::AddressSpace &receiverSpace =
+                   sim::AddressSpace(2));
 
   private:
     unsigned senderCore_;
