@@ -83,11 +83,14 @@ class Rng
     std::uint64_t
     below(std::uint64_t bound)
     {
-        // Debiased via rejection sampling on the top of the range.
-        const std::uint64_t threshold = -bound % bound;
+        // Debiased by rejection: a draw below -bound % bound (2^64 mod
+        // bound) is redrawn, which leaves a multiple of bound values.
+        // That threshold is below bound, so a draw r >= bound is
+        // accepted without it: the threshold's division is paid only
+        // for r < bound, a fraction bound/2^64 of draws.
         for (;;) {
-            std::uint64_t r = next();
-            if (r >= threshold)
+            const std::uint64_t r = next();
+            if (r >= bound || r >= -bound % bound)
                 return r % bound;
         }
     }

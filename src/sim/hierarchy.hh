@@ -15,7 +15,6 @@
 #ifndef WB_SIM_HIERARCHY_HH
 #define WB_SIM_HIERARCHY_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -111,6 +110,22 @@ struct LatencyModel
      */
     double noiseSigma = 0.6;
 };
+
+/**
+ * One access's Gaussian measurement noise in whole cycles:
+ * lround(max(lat.noiseSigma * g, 0)) for the next cached deviate g of
+ * @p rng, or 0 when @p rng is null or the sigma is not positive.
+ * Hierarchy and MultiCoreSystem both charge it on every access, so it
+ * is inline and branch-free past the (predictable) enable check: the
+ * clamp is roundPositivePart(), not a test of the deviate's sign.
+ */
+inline Cycles
+measurementNoise(const LatencyModel &lat, Rng *rng)
+{
+    if (rng == nullptr || lat.noiseSigma <= 0.0)
+        return 0;
+    return roundPositivePart(lat.noiseSigma * rng->gaussianCached());
+}
 
 /** Per-thread (and global) demand-access counters, perf-style. */
 struct PerfCounters
@@ -431,21 +446,8 @@ class Hierarchy final : public MemorySystem
     static constexpr std::uint64_t kPendingWbCap = 16;
 
   private:
-    /**
-     * Gaussian measurement noise (>= 0), 0 when rng or sigma absent.
-     * Inline, drawing from the Rng's precomputed deviate block, so the
-     * batched access loop never leaves straight-line code for noise.
-     */
-    Cycles
-    noise()
-    {
-        if (rng_ == nullptr || params_.lat.noiseSigma <= 0.0)
-            return 0;
-        const double n = params_.lat.noiseSigma * rng_->gaussianCached();
-        // max() instead of a sign test: the deviate's sign is a coin
-        // flip, so a branch here mispredicts every other access.
-        return roundNonNegative(std::max(n, 0.0));
-    }
+    /** Gaussian measurement noise (>= 0), see measurementNoise(). */
+    Cycles noise() { return measurementNoise(params_.lat, rng_); }
 
     /**
      * One demand access: the inline L1-hit fast path shared verbatim

@@ -41,13 +41,11 @@
 #ifndef WB_SIM_MULTICORE_HH
 #define WB_SIM_MULTICORE_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/rng.hh"
-#include "common/round.hh"
 #include "common/types.hh"
 #include "sim/cache.hh"
 #include "sim/hierarchy.hh"
@@ -307,14 +305,7 @@ class MultiCoreSystem
     Core &coreRef(unsigned core);
 
     /** Gaussian measurement noise (same contract as Hierarchy). */
-    Cycles
-    noise()
-    {
-        if (rng_ == nullptr || params_.lat.noiseSigma <= 0.0)
-            return 0;
-        const double n = params_.lat.noiseSigma * rng_->gaussianCached();
-        return roundNonNegative(std::max(n, 0.0));
-    }
+    Cycles noise() { return measurementNoise(params_.lat, rng_); }
 
     // --- access path. Dir selects the coherence implementation at
     // compile time (true: sharer directory, false: global scan); the

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/round.hh"
@@ -50,6 +51,57 @@ TEST(Rng, BelowOneIsAlwaysZero)
     Rng rng(7);
     for (int i = 0; i < 50; ++i)
         EXPECT_EQ(rng.below(1), 0u);
+}
+
+/**
+ * Reference for below(): the rejection loop with its threshold
+ * computed up front, two 64-bit divisions per call. Counts its raw
+ * draws in @p draws.
+ */
+std::uint64_t
+belowTwoDivisions(Rng &rng, std::uint64_t bound, std::uint64_t &draws)
+{
+    const std::uint64_t threshold = -bound % bound;
+    for (;;) {
+        const std::uint64_t r = rng.next();
+        ++draws;
+        if (r >= threshold)
+            return r % bound;
+    }
+}
+
+TEST(Rng, BelowMatchesTwoDivisionReference)
+{
+    constexpr int kDraws = 100000;
+    // 2^63 + 1 rejects about half of all raw draws (its threshold is
+    // 2^63 - 1), so the redraw loop runs there.
+    for (std::uint64_t bound :
+         {1ull, 2ull, 3ull, 191ull, 192ull, 4096ull, (1ull << 32) + 1,
+          (1ull << 63) + 1, ~0ull}) {
+        Rng fast(bound), ref(bound);
+        std::uint64_t mismatches = 0, draws = 0;
+        for (int i = 0; i < kDraws; ++i)
+            if (fast.below(bound) != belowTwoDivisions(ref, bound, draws))
+                ++mismatches;
+        EXPECT_EQ(mismatches, 0u) << "bound " << bound;
+        // Both consumed the same number of raw draws.
+        EXPECT_EQ(fast.next(), ref.next()) << "bound " << bound;
+        if (bound == (1ull << 63) + 1)
+            EXPECT_GT(draws, kDraws + kDraws / 4);
+    }
+
+    // The co-runner pointer-chase shuffle: 192 lines.
+    std::vector<unsigned> shuffled(192), reference(192);
+    for (unsigned i = 0; i < shuffled.size(); ++i)
+        shuffled[i] = reference[i] = i;
+    Rng fast(19), ref(19);
+    fast.shuffle(shuffled);
+    std::uint64_t draws = 0;
+    for (std::size_t i = reference.size(); i > 1; --i)
+        std::swap(reference[i - 1],
+                  reference[belowTwoDivisions(ref, i, draws)]);
+    EXPECT_EQ(shuffled, reference);
+    EXPECT_EQ(fast.next(), ref.next());
 }
 
 TEST(Rng, RangeInclusive)
@@ -286,16 +338,56 @@ TEST(RoundNonNegative, MatchesLroundOnEdgeCases)
     }
 }
 
+/** roundPositivePart(x) and std::lround(std::max(x, 0.0)) agree. */
+::testing::AssertionResult
+clampsLikeLround(double x)
+{
+    const auto want =
+        static_cast<std::uint64_t>(std::lround(std::max(x, 0.0)));
+    const std::uint64_t got = roundPositivePart(x);
+    if (got == want)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "x = " << std::hexfloat << x << std::defaultfloat
+           << ": lround(max(x, 0)) " << want << ", roundPositivePart "
+           << got;
+}
+
+TEST(RoundNonNegative, PositivePartMatchesClampedLroundOnEdgeCases)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    // Every negative input clamps to 0, whatever its magnitude:
+    // -0.0 (sign bit only), the smallest negative subnormal, -1e300.
+    for (double x : {-0.0, -tiny, -1e300, -inf, -0.5, -1.0, 0.0, tiny,
+                     0.49999999999999994, 0.5, 1.0})
+        EXPECT_TRUE(clampsLikeLround(x));
+    // k + 0.5 and its neighbours, on both sides of zero.
+    for (double k = 0; k < 4096; ++k) {
+        for (double sign : {1.0, -1.0}) {
+            const double half = sign * (k + 0.5);
+            EXPECT_TRUE(clampsLikeLround(half));
+            EXPECT_TRUE(clampsLikeLround(std::nextafter(half, 0.0)));
+            EXPECT_TRUE(clampsLikeLround(std::nextafter(half, sign * inf)));
+            EXPECT_TRUE(clampsLikeLround(sign * k));
+        }
+    }
+}
+
 TEST(RoundNonNegative, MatchesLroundOnNoiseDraws)
 {
-    // The clamped sigma * g values the per-access noise rounds, over
-    // sigmas from the presets' 0.6 up to far wider than any preset.
+    // The sigma * g values the per-access noise rounds, over sigmas
+    // from the presets' 0.6 up to far wider than any preset: clamped
+    // by hand through roundNonNegative, and unclamped through
+    // roundPositivePart, which the noise draw calls.
     Rng rng(41);
     std::uint64_t mismatches = 0;
     for (double sigma : {0.6, 1.0, 2.5, 40.0, 1e6}) {
         for (int i = 0; i < 250000; ++i) {
-            const double x = std::max(sigma * rng.gaussianCached(), 0.0);
-            if (!roundsLikeLround(x))
+            const double n = sigma * rng.gaussianCached();
+            if (!roundsLikeLround(std::max(n, 0.0)))
+                ++mismatches;
+            if (!clampsLikeLround(n))
                 ++mismatches;
         }
     }
