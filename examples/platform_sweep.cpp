@@ -9,11 +9,13 @@
  * The same protocol (rate, encoding, seed) runs unchanged on each
  * preset; only the machine differs. The paper's Xeon carries the
  * channel cleanly; the write-through ARM-style core has no dirty L1
- * lines at all (BER ~ 0.5, no calibration signal); the DAWG-defended
- * variant removes the cross-thread replacement signal; the
- * inclusive-LLC desktop part still leaks. The calibrated signal gap
- * (median latency difference between d = 0 and the top encoding
- * level) separates "physically removed" from "merely degraded".
+ * lines at all; the DAWG-defended variant removes the cross-thread
+ * replacement signal; the inclusive-LLC desktop part still leaks. The
+ * calibrated signal gap (median latency difference between d = 0 and
+ * the top encoding level) separates "physically removed" from "merely
+ * degraded": a run whose calibration shows no gap between adjacent
+ * levels (ChannelResult::closed) prints "closed" instead of a BER,
+ * which would be chance rather than a measurement.
  *
  * A second table runs the *cross-core* WB channel (sender on core 0,
  * receiver on core 1, shared LLC) on every multi-core preset: the
@@ -49,6 +51,39 @@ signalGapOf(const chan::ChannelResult &res, unsigned top)
     if (top >= res.calibrationMedians.size())
         return 0.0;
     return res.calibrationMedians[top] - res.calibrationMedians[0];
+}
+
+/** BER cell: "closed" when the run's calibration saw no signal. */
+std::string
+berCell(const chan::ChannelResult &res)
+{
+    return res.closed ? "closed" : Table::pct(res.ber, 2);
+}
+
+/** Goodput cell: "-" for a closed channel, whose BER is not measured. */
+std::string
+goodputCell(const chan::ChannelResult &res)
+{
+    return res.closed ? "-" : Table::num(res.goodputKbps, 0);
+}
+
+/**
+ * Add @p rows to @p table, and the note explaining "closed" when a
+ * row printed it. Both tables put the BER cell third.
+ */
+void
+addRows(Table &table, std::vector<std::vector<std::string>> rows)
+{
+    bool anyClosed = false;
+    for (auto &row : rows) {
+        anyClosed |= row[2] == "closed";
+        table.row(std::move(row));
+    }
+    if (anyClosed) {
+        table.note("\"closed\": the run's calibration showed no signal "
+                   "gap between adjacent encoding levels, so its BER "
+                   "would be chance, not a measurement.");
+    }
 }
 
 } // namespace
@@ -98,14 +133,13 @@ main(int argc, char **argv)
             return std::vector<std::string>{
                 platform->name,
                 platform->description.substr(0, 40),
-                Table::pct(res.ber, 2),
-                Table::num(res.goodputKbps, 0),
+                berCell(res),
+                goodputCell(res),
                 Table::num(signalGap, 1),
                 std::to_string(res.receiverCounters.l1DirtyWritebacks +
                                res.senderCounters.l1DirtyWritebacks)};
         });
-    for (auto row : rows)
-        table.row(std::move(row));
+    addRows(table, rows);
 
     table.note("signal gap: calibrated median latency difference "
                "between d=0 and the top encoding level (cycles); ~0 "
@@ -138,8 +172,8 @@ main(int argc, char **argv)
             return std::vector<std::string>{
                 platform->name,
                 std::to_string(platform->cores),
-                Table::pct(res.ber, 2),
-                Table::num(res.goodputKbps, 0),
+                berCell(res),
+                goodputCell(res),
                 Table::num(signalGap, 1),
                 std::to_string(res.receiverCounters.llcDirtyEvictions),
                 Table::num(res.calibrationMedians.empty()
@@ -147,17 +181,17 @@ main(int argc, char **argv)
                                : res.calibrationMedians[0],
                            0)};
         });
-    for (auto row : xcRows)
-        xc.row(std::move(row));
+    addRows(xc, xcRows);
 
     xc.note("LLC dirty evicts: receiver-charged LLC evictions that "
             "drained dirty data (the back-invalidation channel); 0 on "
             "the non-inclusive Xeon means the channel is closed.");
-    xc.note("dc-sliced presets sit near coin-flip BER by design: the "
-            "hand-built line pools here assume a monolithic LLC, and "
-            "the slice hash scatters them — runtime eviction-set "
-            "discovery (example_tenant_scaling) is what recovers the "
-            "channel there.");
+    xc.note("dc-sliced presets read closed by design: the hand-built "
+            "line pools here assume a monolithic LLC, and the slice "
+            "hash scatters them, so the receiver's probes drain no "
+            "dirty line — runtime eviction-set discovery "
+            "(example_tenant_scaling) is what recovers the channel "
+            "there.");
     xc.print();
     return 0;
 }
