@@ -5,7 +5,7 @@
  * migration periods on the multi-core platform presets, with the
  * resilient transport (chan/transport.hh) on and off.
  *
- *   $ ./example_capacity_frontier [seeds]
+ *   $ ./example_capacity_frontier [seeds] [-j N]
  *
  * Each row contrasts the legacy single-shot protocol against the
  * transport session on the identical platform/noise/seed pool:
@@ -30,55 +30,37 @@
  * CI uploads this output as the capacity-frontier artifact; the
  * reference run is summarized in docs/TRANSPORT.md.
  *
- * `-j N` fans the frontier cells over a sim::SweepRunner pool; cells
- * are assembled in fixed (platform, mix, migration) order, so the
- * output is byte-identical at any -j.
+ * `-j N` fans every (cell, seed) run over a sim::SweepRunner pool
+ * (chan/sweep.hh); cells are assembled in fixed (platform, mix,
+ * migration) order, so the output is byte-identical at any -j.
  */
 
-#include <cstring>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "chan/cross_core.hh"
+#include "chan/sweep.hh"
 #include "chan/transport.hh"
 #include "common/table.hh"
 #include "sim/platform.hh"
 #include "sim/scheduler.hh"
-#include "sim/sweep_runner.hh"
 
 using namespace wb;
 
 namespace
 {
 
-unsigned gSeeds = 3;
-
-/** One cell of the frontier, averaged over the seed pool. */
-struct FrontierPoint
-{
-    double rawKbps = 0.0;
-    double singleShotBer = 0.0;
-    double singleShotGoodput = 0.0;
-    double transportGoodput = 0.0;
-    double deliveredFrac = 0.0;
-    double finalRung = 0.0;
-    double syncEvents = 0.0;
-    unsigned closedShots = 0;      //!< single shots reporting closed
-    unsigned closedTransports = 0; //!< sessions stopped as closed
-};
-
 chan::CrossCoreChannelConfig
-baseConfig(const std::string &platformName,
+baseConfig(const sim::Platform &platform,
            const std::vector<sim::CoRunnerKind> &mix,
            Cycles migrationPeriod)
 {
     chan::CrossCoreChannelConfig cfg;
-    cfg.usePlatform(platformName);
+    cfg.usePlatform(platform.name);
     cfg.protocol.frames = 2;
     cfg.calibration.measurements = 40;
-    cfg.scheduler = sim::platform(platformName).noisePreset;
+    cfg.scheduler = platform.noisePreset;
     cfg.scheduler.coRunners = mix;
     cfg.scheduler.migrationPeriod = migrationPeriod;
 
@@ -93,67 +75,14 @@ baseConfig(const std::string &platformName,
     return cfg;
 }
 
-FrontierPoint
-measure(const std::string &platformName,
-        const std::vector<sim::CoRunnerKind> &mix, Cycles migrationPeriod)
-{
-    FrontierPoint pt;
-    for (unsigned s = 0; s < gSeeds; ++s) {
-        chan::CrossCoreChannelConfig cfg =
-            baseConfig(platformName, mix, migrationPeriod);
-        cfg.seed = 1 + s;
-
-        const chan::ChannelResult single = chan::runCrossCoreChannel(cfg);
-        pt.rawKbps += single.rateKbps;
-        pt.singleShotBer += single.ber;
-        pt.singleShotGoodput += single.goodputKbps;
-        pt.closedShots += single.closed;
-
-        cfg.transport.enabled = true;
-        const chan::TransportResult xport =
-            chan::runCrossCoreTransport(cfg);
-        pt.transportGoodput += xport.goodputKbps;
-        pt.deliveredFrac += xport.framesTotal
-                                ? double(xport.framesDelivered) /
-                                      double(xport.framesTotal)
-                                : 0.0;
-        pt.finalRung += xport.finalRateLevel;
-        pt.syncEvents += xport.syncLosses + xport.resyncs;
-        pt.closedTransports += xport.closed;
-    }
-    pt.rawKbps /= gSeeds;
-    pt.singleShotBer /= gSeeds;
-    pt.singleShotGoodput /= gSeeds;
-    pt.transportGoodput /= gSeeds;
-    pt.deliveredFrac /= gSeeds;
-    pt.finalRung /= gSeeds;
-    pt.syncEvents /= gSeeds;
-    return pt;
-}
-
-std::string
-fixed(double v, int prec)
-{
-    std::ostringstream os;
-    os.setf(std::ios::fixed);
-    os.precision(prec);
-    os << v;
-    return os.str();
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc)
-            jobs = unsigned(std::stoul(argv[++i]));
-        else
-            gSeeds = std::max(1u, unsigned(std::stoul(argv[i])));
-    }
-    sim::SweepRunner pool(jobs);
+    const chan::SweepArgs args = chan::parseSweepArgs(argc, argv, "seeds", 3);
+    sim::SweepRunner pool(args.jobs);
+    const std::vector<std::uint64_t> seeds = chan::seedRange(args.count);
 
     using sim::SchedulerConfig;
 
@@ -173,53 +102,75 @@ main(int argc, char **argv)
         {"400k", 400'000},
     };
 
-    // Flat (platform x mix x migration) work-list: every cell is an
-    // independent seed-pool average, fanned over the pool and read
-    // back by grid index.
+    // Every (platform, mix, migration) cell runs each seed twice: the
+    // single-shot protocol, then the transport session.
     std::vector<const sim::Platform *> frontier;
+    std::vector<chan::SweepCell<chan::CrossCoreChannelConfig>> cells;
     // The frontier is a cross-core story; sliced-LLC presets need
     // runtime eviction-set discovery first and are swept by
     // example_tenant_scaling instead.
-    for (const sim::Platform *p : sim::allPlatforms())
-        if (p->cores >= 2 && p->params.llcSlices <= 1)
-            frontier.push_back(p);
-    const std::size_t cellsPerPlatform = mixes.size() * migrations.size();
-    const auto points = pool.map<FrontierPoint>(
-        frontier.size() * cellsPerPlatform, [&](std::size_t i) {
-            const sim::Platform *p = frontier[i / cellsPerPlatform];
-            const std::size_t cell = i % cellsPerPlatform;
-            const MixSpec &m = mixes[cell / migrations.size()];
-            const Cycles period =
-                migrations[cell % migrations.size()].second;
-            return measure(p->name, m.mix, period);
+    for (const sim::Platform *p : sim::allPlatforms()) {
+        if (p->cores < 2 || p->params.llcSlices > 1)
+            continue;
+        frontier.push_back(p);
+        for (const MixSpec &m : mixes)
+            for (const auto &migration : migrations)
+                cells.push_back(
+                    {baseConfig(*p, m.mix, migration.second), seeds});
+    }
+    const auto shots = chan::fanOutSeeds<chan::ChannelResult>(
+        pool, cells, chan::runCrossCoreChannel);
+    for (auto &cell : cells)
+        cell.cfg.transport.enabled = true;
+    const auto xports = chan::fanOutSeeds<chan::TransportResult>(
+        pool, cells, [](const chan::CrossCoreChannelConfig &cfg) {
+            return chan::runCrossCoreTransport(cfg);
         });
 
     for (std::size_t pi = 0; pi < frontier.size(); ++pi) {
-        const sim::Platform *p = frontier[pi];
-        Table t("Capacity frontier on " + p->name +
+        Table t("Capacity frontier on " + frontier[pi]->name +
                 ": single-shot protocol vs resilient transport "
                 "(rate x error x goodput per co-runner mix and "
                 "migration period)");
         t.header({"co-runners", "migr", "raw kbps", "1shot BER",
                   "1shot good", "xport good", "dlvr", "rung", "sync"});
-        std::size_t cell = pi * cellsPerPlatform;
+        std::size_t cell = pi * mixes.size() * migrations.size();
         bool anyClosed = false;
         for (const MixSpec &m : mixes) {
-            for (const auto &[migLabel, period] : migrations) {
-                (void)period;
-                const FrontierPoint &pt = points[cell++];
-                const bool shotsClosed = pt.closedShots == gSeeds;
-                anyClosed |= shotsClosed || pt.closedTransports == gSeeds;
-                t.row({m.label, migLabel, fixed(pt.rawKbps, 1),
-                       shotsClosed ? "closed"
-                                   : Table::pct(pt.singleShotBer, 1),
-                       shotsClosed ? "-" : fixed(pt.singleShotGoodput, 1),
-                       fixed(pt.transportGoodput, 1),
-                       Table::pct(pt.deliveredFrac, 0),
-                       pt.closedTransports == gSeeds
-                           ? "closed"
-                           : fixed(pt.finalRung, 1),
-                       fixed(pt.syncEvents, 1)});
+            for (const auto &migration : migrations) {
+                const auto &shot = shots[cell];
+                const auto &xport = xports[cell++];
+                const chan::ChannelPool single = chan::poolSeeds(shot);
+                unsigned closedTransports = 0;
+                for (const chan::TransportResult &x : xport)
+                    closedTransports += x.closed;
+                const bool xportClosed = closedTransports == xport.size();
+                anyClosed |= single.allClosed() || xportClosed;
+                const double delivered = chan::meanOf(
+                    xport, [](const chan::TransportResult &x) {
+                        return x.framesTotal ? double(x.framesDelivered) /
+                                                   double(x.framesTotal)
+                                             : 0.0;
+                    });
+                const double sync = chan::meanOf(
+                    xport, [](const chan::TransportResult &x) {
+                        return x.syncLosses + x.resyncs;
+                    });
+                const double rung = chan::meanOf(
+                    xport, &chan::TransportResult::finalRateLevel);
+                t.row({m.label, migration.first,
+                       Table::num(chan::meanOf(
+                                      shot, &chan::ChannelResult::rateKbps),
+                                  1),
+                       chan::berText(single, 1),
+                       chan::goodputText(single, 1),
+                       Table::num(chan::meanOf(
+                                      xport,
+                                      &chan::TransportResult::goodputKbps),
+                                  1),
+                       Table::pct(delivered, 0),
+                       xportClosed ? "closed" : Table::num(rung, 1),
+                       Table::num(sync, 1)});
             }
         }
         t.note("\"1shot good\" counts random bits at high BER; "
@@ -230,7 +181,7 @@ main(int argc, char **argv)
                    "signal gap; the transport stopped after its first "
                    "burst instead of walking the rate ladder.");
         }
-        t.note("seeds averaged per cell: " + std::to_string(gSeeds));
+        t.note("seeds averaged per cell: " + std::to_string(args.count));
         t.print();
         std::cout << "\n";
     }

@@ -29,21 +29,20 @@
  * CI uploads this output as the detection-roc artifact;
  * docs/DETECTION.md records a reference run and the methodology.
  *
- * `-j N` fans the runs over a sim::SweepRunner pool (N = 0 picks the
- * hardware concurrency); every cell is an independent simulation and
- * results are assembled in fixed order, so output is byte-identical
- * at any -j.
+ * `-j N` fans every (cell, seed) run over a sim::SweepRunner pool
+ * (chan/sweep.hh; N = 0 picks the hardware concurrency); every run is
+ * an independent simulation and results are assembled in fixed order,
+ * so output is byte-identical at any -j.
  */
 
 #include <algorithm>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "chan/sweep.hh"
 #include "common/table.hh"
 #include "perfmon/arms_race.hh"
-#include "sim/sweep_runner.hh"
 
 using namespace wb;
 using namespace wb::perfmon;
@@ -51,9 +50,8 @@ using namespace wb::perfmon;
 namespace
 {
 
-unsigned gSeeds = 16;
-
 const std::vector<unsigned> kMixes = {0, 2, 4};
+const std::vector<std::string> kMixNames = {"mix 0", "mix 2", "mix 4"};
 const std::vector<double> kThresholds = {0.25, 0.5, 0.75, 1.0, 1.5, 2.5};
 constexpr double kOperatingPoint = 1.0;
 
@@ -64,13 +62,16 @@ const std::vector<DetectionScenario> kScenarios = {
     DetectionScenario::CrossCoreWb,
 };
 
-ArmsRaceConfig
-baseConfig(unsigned mix, std::uint64_t seed)
+/** One detection run: a scenario on the arms-race machine. */
+struct ScenarioRun : ArmsRaceConfig
 {
-    ArmsRaceConfig cfg;
-    cfg.coRunners = mix;
-    cfg.seed = seed;
-    return cfg;
+    DetectionScenario scenario = DetectionScenario::IdlePair;
+};
+
+ScenarioOutcome
+runScenario(const ScenarioRun &run)
+{
+    return runDetectionScenario(run, run.scenario, run.seed);
 }
 
 /** "12.5% [8.2,18.1]" — a pooled rate with its Wilson interval. */
@@ -91,69 +92,80 @@ pooled(const std::vector<ScenarioOutcome> &outs, double thr)
     return buildRoc(outs, {thr}).front();
 }
 
+/** The covert pair's (attack) or loudest benign tenant's peak score. */
+double
+peakScore(const ScenarioOutcome &o)
+{
+    const auto &v = o.isAttack ? o.pairSmoothed : o.benignSmoothed;
+    double peak = 0.0;
+    for (double s : v)
+        peak = std::max(peak, s);
+    return peak;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc)
-            jobs = unsigned(std::stoul(argv[++i]));
-        else
-            gSeeds = std::max(1u, unsigned(std::stoul(argv[i])));
-    }
-    sim::SweepRunner pool(jobs);
+    const chan::SweepArgs args =
+        chan::parseSweepArgs(argc, argv, "seeds", 16);
+    sim::SweepRunner pool(args.jobs);
+    const unsigned nSeeds = args.count;
+    const std::vector<std::uint64_t> seeds = chan::seedRange(nSeeds);
+    const unsigned busy = unsigned(kMixes.size()) - 1;
 
-    // --- Every (mix, scenario, seed) cell, in one fan-out ---
-    const std::size_t perMix = kScenarios.size() * gSeeds;
-    const auto outcomes = pool.map<ScenarioOutcome>(
-        kMixes.size() * perMix, [&](std::size_t i) {
-            const unsigned mix = kMixes[i / perMix];
-            const std::size_t j = i % perMix;
-            const DetectionScenario sc = kScenarios[j / gSeeds];
-            const std::uint64_t seed = 1 + j % gSeeds;
-            return runDetectionScenario(baseConfig(mix, seed), sc, seed);
-        });
-    const auto cellsOf = [&](unsigned mixIdx, DetectionScenario sc) {
-        std::vector<ScenarioOutcome> group;
-        for (std::size_t j = 0; j < perMix; ++j)
-            if (kScenarios[j / gSeeds] == sc)
-                group.push_back(outcomes[mixIdx * perMix + j]);
-        return group;
+    std::vector<std::string> thresholds;
+    for (double thr : kThresholds)
+        thresholds.push_back(Table::num(thr, 2));
+
+    // --- Every (mix, scenario) cell over the seed pool, one fan-out ---
+    std::vector<chan::SweepCell<ScenarioRun>> cells;
+    for (unsigned mix : kMixes) {
+        for (DetectionScenario sc : kScenarios) {
+            ScenarioRun run;
+            run.coRunners = mix;
+            run.scenario = sc;
+            cells.push_back({run, seeds});
+        }
+    }
+    const auto outcomes =
+        chan::fanOutSeeds<ScenarioOutcome>(pool, cells, runScenario);
+    const auto cellOf = [&](unsigned mixIdx, DetectionScenario sc)
+        -> const std::vector<ScenarioOutcome> & {
+        const auto at = std::find(kScenarios.begin(), kScenarios.end(), sc);
+        return outcomes[mixIdx * kScenarios.size() +
+                        std::size_t(at - kScenarios.begin())];
     };
     const auto mixAll = [&](unsigned mixIdx) {
-        std::vector<ScenarioOutcome> group(
-            outcomes.begin() + long(mixIdx * perMix),
-            outcomes.begin() + long((mixIdx + 1) * perMix));
+        std::vector<ScenarioOutcome> group;
+        for (DetectionScenario sc : kScenarios) {
+            const auto &cell = cellOf(mixIdx, sc);
+            group.insert(group.end(), cell.begin(), cell.end());
+        }
         return group;
     };
 
     // --- Table 1: peak scores, covert pairs vs the benign band ---
-    Table t1("Peak smoothed detector score per tenant (mean over " +
-             std::to_string(gSeeds) + " seeds): covert pairs vs the "
-             "benign band, by co-runner mix");
-    t1.header({"scenario", "kind", "mix 0", "mix 2", "mix 4"});
-    for (DetectionScenario sc : kScenarios) {
-        std::vector<std::string> row{scenarioName(sc),
-                                     scenarioIsAttack(sc) ? "attack"
-                                                          : "benign"};
-        for (unsigned m = 0; m < kMixes.size(); ++m) {
-            double sum = 0.0;
-            unsigned n = 0;
-            for (const ScenarioOutcome &o : cellsOf(m, sc)) {
-                const auto &v = scenarioIsAttack(sc) ? o.pairSmoothed
-                                                     : o.benignSmoothed;
-                double peak = 0.0;
-                for (double s : v)
-                    peak = std::max(peak, s);
-                sum += peak;
-                ++n;
-            }
-            row.push_back(n ? Table::num(sum / n, 2) : "-");
-        }
-        t1.row(std::move(row));
-    }
+    // Column 0 is the kind; the mix columns follow.
+    std::vector<std::string> scenarioNames;
+    for (DetectionScenario sc : kScenarios)
+        scenarioNames.push_back(scenarioName(sc));
+    Table t1 = chan::gridTable(
+        "Peak smoothed detector score per tenant (mean over " +
+            std::to_string(nSeeds) + " seeds): covert pairs vs the "
+            "benign band, by co-runner mix",
+        "scenario", scenarioNames, {"kind", "mix 0", "mix 2", "mix 4"},
+        [&](std::size_t s, std::size_t c) {
+            if (c == 0)
+                return std::string(scenarioIsAttack(kScenarios[s])
+                                       ? "attack"
+                                       : "benign");
+            return Table::num(
+                chan::meanOf(cellOf(unsigned(c - 1), kScenarios[s]),
+                             peakScore),
+                2);
+        });
     t1.note("attack rows: the covert pair's peak (max over its two "
             "tids); benign rows: the loudest benign tenant's peak.");
     t1.note("the same-core WB pair sits BELOW the mixed co-runner "
@@ -163,18 +175,15 @@ main(int argc, char **argv)
     std::cout << "\n";
 
     // --- Table 2: benign FPR vs threshold, per mix ---
-    Table t2("Benign false-positive rate vs alarm threshold "
-             "(pooled benign (tid,window) samples, all scenarios, " +
-             std::to_string(gSeeds) + " seeds, Wilson 99%)");
-    t2.header({"threshold", "mix 0", "mix 2", "mix 4"});
-    for (double thr : kThresholds) {
-        std::vector<std::string> row{Table::num(thr, 2)};
-        for (unsigned m = 0; m < kMixes.size(); ++m) {
-            const RocPoint pt = pooled(mixAll(m), thr);
-            row.push_back(rateCell(pt.benignAlarms, pt.benignSamples));
-        }
-        t2.row(std::move(row));
-    }
+    Table t2 = chan::gridTable(
+        "Benign false-positive rate vs alarm threshold "
+        "(pooled benign (tid,window) samples, all scenarios, " +
+            std::to_string(nSeeds) + " seeds, Wilson 99%)",
+        "threshold", thresholds, kMixNames,
+        [&](std::size_t t, std::size_t m) {
+            const RocPoint pt = pooled(mixAll(unsigned(m)), kThresholds[t]);
+            return rateCell(pt.benignAlarms, pt.benignSamples);
+        });
     t2.note("benign samples include the co-runners of attack runs: "
             "tenants sharing a machine with a live channel are benign "
             "too.");
@@ -182,21 +191,18 @@ main(int argc, char **argv)
     std::cout << "\n";
 
     // --- Table 3: detection vs threshold per channel, busy machine ---
-    const unsigned busy = unsigned(kMixes.size()) - 1;
-    Table t3("Detection rate vs threshold on the busy machine (4 mixed "
-             "co-runners; attack-pair windows, Wilson 99%)");
-    t3.header({"threshold", "WB d=1", "WB d=8", "LRU", "cross-core"});
-    for (double thr : kThresholds) {
-        std::vector<std::string> row{Table::num(thr, 2)};
-        for (DetectionScenario sc :
-             {DetectionScenario::WbChannel, DetectionScenario::WbChannelD8,
-              DetectionScenario::LruChannel,
-              DetectionScenario::CrossCoreWb}) {
-            const RocPoint pt = pooled(cellsOf(busy, sc), thr);
-            row.push_back(rateCell(pt.attackAlarms, pt.attackWindows));
-        }
-        t3.row(std::move(row));
-    }
+    const std::vector<DetectionScenario> channels = {
+        DetectionScenario::WbChannel, DetectionScenario::WbChannelD8,
+        DetectionScenario::LruChannel, DetectionScenario::CrossCoreWb};
+    Table t3 = chan::gridTable(
+        "Detection rate vs threshold on the busy machine (4 mixed "
+        "co-runners; attack-pair windows, Wilson 99%)",
+        "threshold", thresholds, {"WB d=1", "WB d=8", "LRU", "cross-core"},
+        [&](std::size_t t, std::size_t c) {
+            const RocPoint pt =
+                pooled(cellOf(busy, channels[c]), kThresholds[t]);
+            return rateCell(pt.attackAlarms, pt.attackWindows);
+        });
     t3.note("by coherence/miss features the LRU pair is QUIETER than "
             "the WB pair: its Table-VI loudness is raw access "
             "footprint, which a window detector cannot use without "
@@ -205,59 +211,60 @@ main(int argc, char **argv)
     std::cout << "\n";
 
     // --- Table 4: the WB channel's ROC across mixes ---
-    Table t4("WB channel (d=1) detection rate vs threshold across "
-             "co-runner mixes (Wilson 99%)");
-    t4.header({"threshold", "mix 0", "mix 2", "mix 4"});
-    for (double thr : kThresholds) {
-        std::vector<std::string> row{Table::num(thr, 2)};
-        for (unsigned m = 0; m < kMixes.size(); ++m) {
-            const RocPoint pt =
-                pooled(cellsOf(m, DetectionScenario::WbChannel), thr);
-            row.push_back(rateCell(pt.attackAlarms, pt.attackWindows));
-        }
-        t4.row(std::move(row));
-    }
-    t4.print();
+    chan::gridTable("WB channel (d=1) detection rate vs threshold across "
+                    "co-runner mixes (Wilson 99%)",
+                    "threshold", thresholds, kMixNames,
+                    [&](std::size_t t, std::size_t m) {
+                        const RocPoint pt = pooled(
+                            cellOf(unsigned(m), DetectionScenario::WbChannel),
+                            kThresholds[t]);
+                        return rateCell(pt.attackAlarms, pt.attackWindows);
+                    })
+        .print();
     std::cout << "\n";
 
     // --- Table 5: the adaptive-stealth session ---
-    const auto sessions = pool.map<StealthOutcome>(gSeeds, [&](std::size_t s) {
-        ArmsRaceConfig cfg = baseConfig(kMixes[busy], 1 + s);
-        StealthConfig st;
-        return runStealthSession(cfg, st);
-    });
+    std::vector<chan::SweepCell<ArmsRaceConfig>> sessionCell(1);
+    sessionCell[0] = {ArmsRaceConfig{}, seeds};
+    sessionCell[0].cfg.coRunners = kMixes[busy];
+    const auto sessions = chan::fanOutSeeds<StealthOutcome>(
+        pool, sessionCell, [](const ArmsRaceConfig &cfg) {
+            return runStealthSession(cfg, StealthConfig{});
+        })[0];
     Table t5("Adaptive-stealth WB session: the sender throttles down "
              "the rate ladder until the pair sits under budget "
              "(budget 0.8 x threshold " + Table::num(kOperatingPoint, 1) +
-             ", " + std::to_string(gSeeds) + " sessions)");
+             ", " + std::to_string(nSeeds) + " sessions)");
     t5.header({"round", "rung", "Ts", "d", "mean BER", "mean peak",
                "over budget"});
     const std::size_t rounds = sessions.front().rounds.size();
     for (std::size_t r = 0; r < rounds; ++r) {
-        double sumBer = 0.0, sumPeak = 0.0;
-        unsigned over = 0;
         const StealthRound &ref = sessions.front().rounds[r];
-        for (const StealthOutcome &s : sessions) {
-            sumBer += s.rounds[r].ber;
-            sumPeak += s.rounds[r].pairPeak;
+        unsigned over = 0;
+        for (const StealthOutcome &s : sessions)
             over += s.rounds[r].overBudget ? 1 : 0;
-        }
         t5.row({std::to_string(r), std::to_string(ref.rung),
                 std::to_string(ref.ts), std::to_string(ref.d),
-                Table::pct(sumBer / double(gSeeds), 1),
-                Table::num(sumPeak / double(gSeeds), 2),
-                std::to_string(over) + "/" + std::to_string(gSeeds)});
+                Table::pct(chan::meanOf(sessions,
+                                        [r](const StealthOutcome &s) {
+                                            return s.rounds[r].ber;
+                                        }),
+                           1),
+                Table::num(chan::meanOf(sessions,
+                                        [r](const StealthOutcome &s) {
+                                            return s.rounds[r].pairPeak;
+                                        }),
+                           2),
+                std::to_string(over) + "/" + std::to_string(nSeeds)});
     }
     std::uint64_t bitsTotal = 0, bitsCorrect = 0;
-    double settledPeak = 0.0, goodputSum = 0.0;
-    std::uint64_t greedyBits = 0, greedyCorrect = 0;
+    double settledPeak = 0.0;
+    std::uint64_t greedyCorrect = 0;
     Cycles greedyCycles = 0;
     for (const StealthOutcome &s : sessions) {
         bitsTotal += s.bitsTotal;
         bitsCorrect += s.bitsCorrect;
         settledPeak = std::max(settledPeak, s.settledPeak);
-        goodputSum += s.goodputKbps;
-        greedyBits += s.rounds.front().payloadBits;
         greedyCorrect += s.rounds.front().correctBits;
         greedyCycles += s.rounds.front().simulatedCycles;
     }
@@ -271,7 +278,8 @@ main(int argc, char **argv)
             Table::pct(bitIv.lo, 1) + "," + Table::pct(bitIv.hi, 1) +
             "] -- statistically nonzero goodput while under budget.");
     t5.note("goodput cost of stealth: settled session mean " +
-            Table::num(goodputSum / double(gSeeds), 1) +
+            Table::num(chan::meanOf(sessions, &StealthOutcome::goodputKbps),
+                       1) +
             " kbps vs greedy rung-0 rate " +
             Table::num(double(greedyCorrect) * 2.2e6 /
                        double(std::max<Cycles>(1, greedyCycles)), 1) +
@@ -287,43 +295,36 @@ main(int argc, char **argv)
         {defense::DefenseKind::PlCache, 0},
         {defense::DefenseKind::PrefetchGuard, 30},
     };
-    const auto defended = pool.map<ScenarioOutcome>(
-        specs.size() * gSeeds, [&](std::size_t i) {
-            ArmsRaceConfig cfg = baseConfig(kMixes[busy], 1 + i % gSeeds);
-            cfg.ts = 2750; // the attacker's greedy (loud) rate
-            cfg.defense = specs[i / gSeeds];
-            return runDetectionScenario(
-                cfg, DetectionScenario::WbChannelD8, cfg.seed);
-        });
+    std::vector<chan::SweepCell<ScenarioRun>> defendedCells;
+    for (const defense::DefenseSpec &spec : specs) {
+        ScenarioRun run;
+        run.coRunners = kMixes[busy];
+        run.ts = 2750; // the attacker's greedy (loud) rate
+        run.defense = spec;
+        run.scenario = DetectionScenario::WbChannelD8;
+        defendedCells.push_back({run, seeds});
+    }
+    const auto defended =
+        chan::fanOutSeeds<ScenarioOutcome>(pool, defendedCells, runScenario);
     Table t6("Defense ROC shift under scheduler noise: greedy WB "
              "channel (d=8, Ts=2750) per defense, scored at the "
              "operating threshold -- not by idle-machine closure");
     t6.header({"defense", "mean BER", "detect @" +
                Table::num(kOperatingPoint, 1), "mean pair peak"});
     for (std::size_t d = 0; d < specs.size(); ++d) {
-        std::vector<ScenarioOutcome> group(
-            defended.begin() + long(d * gSeeds),
-            defended.begin() + long((d + 1) * gSeeds));
-        double sumBer = 0.0, sumPeak = 0.0;
-        for (const ScenarioOutcome &o : group) {
-            sumBer += o.ber;
-            double peak = 0.0;
-            for (double s : o.pairSmoothed)
-                peak = std::max(peak, s);
-            sumPeak += peak;
-        }
-        const RocPoint pt = pooled(group, kOperatingPoint);
+        const RocPoint pt = pooled(defended[d], kOperatingPoint);
         t6.row({defense::defenseName(specs[d]),
-                Table::pct(sumBer / double(gSeeds), 1),
+                Table::pct(chan::meanOf(defended[d], &ScenarioOutcome::ber),
+                           1),
                 rateCell(pt.attackAlarms, pt.attackWindows),
-                Table::num(sumPeak / double(gSeeds), 2)});
+                Table::num(chan::meanOf(defended[d], peakScore), 2)});
     }
     t6.note("a defense that closes the channel (BER -> ~50%) can still "
             "leave the pair loud (the receiver keeps sweeping); one "
             "that merely adds noise can lower detection while the "
             "channel keeps working -- the ROC shift is the honest "
             "score.");
-    t6.note("seeds per row: " + std::to_string(gSeeds));
+    t6.note("seeds per row: " + std::to_string(nSeeds));
     t6.print();
     return 0;
 }

@@ -3,7 +3,7 @@
  * OS-noise sweep: the Table-VII-style robustness tables, produced by
  * the sim::Scheduler subsystem on every platform registry preset.
  *
- *   $ ./example_noise_sweep [seeds]
+ *   $ ./example_noise_sweep [seeds] [-j N]
  *
  * Three tables:
  *
@@ -29,107 +29,34 @@
  * CI uploads this output as the noise-sweep artifact; docs/PERF.md
  * "Noise robustness" records a reference run.
  *
- * `-j N` fans the sweep cells over a sim::SweepRunner thread pool
- * (N = 0 picks the hardware concurrency). Every cell is an
- * independent shared-nothing simulation and results are assembled in
- * fixed grid order, so the output is byte-identical at any -j.
+ * `-j N` fans every (cell, seed) run over a sim::SweepRunner thread
+ * pool (chan/sweep.hh; N = 0 picks the hardware concurrency). Every
+ * run is an independent shared-nothing simulation and results are
+ * assembled in fixed grid order, so the output is byte-identical at
+ * any -j.
  */
 
-#include <cstring>
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "chan/channel.hh"
 #include "chan/cross_core.hh"
+#include "chan/sweep.hh"
 #include "common/table.hh"
 #include "sidechan/attack.hh"
 #include "sim/platform.hh"
 #include "sim/scheduler.hh"
-#include "sim/sweep_runner.hh"
 
 using namespace wb;
-
-namespace
-{
-
-unsigned gSeeds = 3;
-
-/** Average single-core channel BER over the seed pool. */
-double
-meanChannelBer(const std::string &platformName,
-               const std::vector<sim::CoRunnerKind> &mix)
-{
-    double sum = 0.0;
-    for (unsigned s = 0; s < gSeeds; ++s) {
-        chan::ChannelConfig cfg;
-        cfg.usePlatform(platformName);
-        cfg.noise = sim::NoiseModel::quiet();
-        cfg.platform.lat.noiseSigma = 0.0;
-        cfg.protocol.ts = cfg.protocol.tr = 5500;
-        cfg.protocol.encoding =
-            chan::Encoding::binary(std::min(4u, cfg.platform.l1.ways));
-        cfg.protocol.frames = 3;
-        cfg.calibration.measurements = 60;
-        cfg.seed = 1 + s;
-        cfg.scheduler = sim::platform(platformName).noisePreset;
-        cfg.scheduler.coRunners = mix;
-        sum += chan::runChannel(cfg).ber;
-    }
-    return sum / gSeeds;
-}
-
-/** Average cross-core attack accuracy over the seed pool. */
-double
-meanAttackAccuracy(const std::string &platformName, Cycles migrationPeriod)
-{
-    double sum = 0.0;
-    for (unsigned s = 0; s < gSeeds; ++s) {
-        sidechan::AttackConfig cfg;
-        cfg.usePlatform(platformName);
-        cfg.crossCore = true;
-        cfg.scenario = sidechan::Scenario::DirtyProbe;
-        cfg.trials = 96;
-        cfg.calibration = 80;
-        cfg.seed = 1 + s;
-        cfg.scheduler = sim::platform(platformName).noisePreset;
-        cfg.scheduler.migrationPeriod = migrationPeriod;
-        sum += sidechan::runAttack(cfg).accuracy;
-    }
-    return sum / gSeeds;
-}
-
-/** Average cross-core channel BER over the seed pool. */
-double
-meanCrossCoreBer(const std::string &platformName,
-                 const std::vector<sim::CoRunnerKind> &mix)
-{
-    double sum = 0.0;
-    for (unsigned s = 0; s < gSeeds; ++s) {
-        chan::CrossCoreChannelConfig cfg;
-        cfg.usePlatform(platformName);
-        cfg.protocol.frames = 2;
-        cfg.seed = 1 + s;
-        cfg.scheduler = sim::platform(platformName).noisePreset;
-        cfg.scheduler.coRunners = mix;
-        sum += chan::runCrossCoreChannel(cfg).ber;
-    }
-    return sum / gSeeds;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc)
-            jobs = unsigned(std::stoul(argv[++i]));
-        else
-            gSeeds = std::max(1u, unsigned(std::stoul(argv[i])));
-    }
-    sim::SweepRunner pool(jobs);
+    const chan::SweepArgs args = chan::parseSweepArgs(argc, argv, "seeds", 3);
+    sim::SweepRunner pool(args.jobs);
+    const std::vector<std::uint64_t> seeds = chan::seedRange(args.count);
 
     using sim::CoRunnerKind;
     using sim::SchedulerConfig;
@@ -142,103 +69,132 @@ main(int argc, char **argv)
         SchedulerConfig::mixOf(2),
         SchedulerConfig::mixOf(4),
     };
-    std::vector<const sim::Platform *> t1Platforms;
-    for (const sim::Platform *p : sim::allPlatforms())
-        if (p->cores <= 1) // the multi-core presets repeat their base
-            t1Platforms.push_back(p);
-    const auto t1Bers = pool.map<double>(
-        t1Platforms.size() * t1Mixes.size(), [&](std::size_t i) {
-            return meanChannelBer(t1Platforms[i / t1Mixes.size()]->name,
-                                  t1Mixes[i % t1Mixes.size()]);
-        });
-
-    Table t1("Single-core WB channel under OS noise: BER vs co-runners "
-             "(timesliced core sharing + context-switch pollution)");
-    t1.header({"platform", "none", "2 idle", "1 mixed", "2 mixed",
-               "4 mixed"});
-    for (std::size_t r = 0; r < t1Platforms.size(); ++r) {
-        std::vector<std::string> row{t1Platforms[r]->name};
-        for (std::size_t c = 0; c < t1Mixes.size(); ++c)
-            row.push_back(
-                Table::pct(t1Bers[r * t1Mixes.size() + c], 2));
-        t1.row(std::move(row));
+    std::vector<std::string> t1Platforms;
+    std::vector<chan::SweepCell<chan::ChannelConfig>> t1Cells;
+    for (const sim::Platform *p : sim::allPlatforms()) {
+        if (p->cores > 1) // the multi-core presets repeat their base
+            continue;
+        t1Platforms.push_back(p->name);
+        for (const auto &mix : t1Mixes) {
+            chan::ChannelConfig cfg;
+            cfg.usePlatform(p->name);
+            cfg.noise = sim::NoiseModel::quiet();
+            cfg.platform.lat.noiseSigma = 0.0;
+            cfg.protocol.ts = cfg.protocol.tr = 5500;
+            cfg.protocol.encoding =
+                chan::Encoding::binary(std::min(4u, cfg.platform.l1.ways));
+            cfg.protocol.frames = 3;
+            cfg.calibration.measurements = 60;
+            cfg.scheduler = p->noisePreset;
+            cfg.scheduler.coRunners = mix;
+            t1Cells.push_back({cfg, seeds});
+        }
     }
-    t1.note("mixed co-runners cycle streaming -> pointer-chase -> "
-            "random-store -> idle (SchedulerConfig::mixOf).");
-    t1.note("cortexA53-wt (write-through) and xeonE5-2650-dawg "
-            "(partitioned) have no WB channel in any column.");
-    t1.note("seeds averaged per cell: " + std::to_string(gSeeds));
-    t1.print();
+    const auto t1 = chan::poolCells(chan::fanOutSeeds<chan::ChannelResult>(
+        pool, t1Cells, chan::runChannel));
+
+    Table t1Table = chan::gridTable(
+        "Single-core WB channel under OS noise: BER vs co-runners "
+        "(timesliced core sharing + context-switch pollution)",
+        "platform", t1Platforms,
+        {"none", "2 idle", "1 mixed", "2 mixed", "4 mixed"},
+        [&](std::size_t r, std::size_t c) {
+            return Table::pct(t1[r * t1Mixes.size() + c].ber, 2);
+        });
+    t1Table.note("mixed co-runners cycle streaming -> pointer-chase -> "
+                 "random-store -> idle (SchedulerConfig::mixOf).");
+    t1Table.note("cortexA53-wt (write-through) and xeonE5-2650-dawg "
+                 "(partitioned) have no WB channel in any column.");
+    t1Table.note("seeds averaged per cell: " + std::to_string(args.count));
+    t1Table.print();
     std::cout << "\n";
 
     // --- Table 2: cross-core attack, accuracy vs migration period ---
     const std::vector<Cycles> t2Periods = {0, 48, 12, 3};
-    std::vector<const sim::Platform *> t2Platforms;
+    std::vector<std::string> t2Platforms;
+    std::vector<std::string> t2Cores;
+    std::vector<chan::SweepCell<sidechan::AttackConfig>> t2Cells;
     for (const sim::Platform *p : sim::allPlatforms()) {
         // Sliced LLCs scatter the attack's hand-built line pools
         // across slices; those presets are measured by the tenant
         // sweep (example_tenant_scaling), not this grid.
-        if (sim::multiCoreCapable(p->params) && p->params.llcSlices <= 1)
-            t2Platforms.push_back(p);
+        if (!sim::multiCoreCapable(p->params) || p->params.llcSlices > 1)
+            continue;
+        t2Platforms.push_back(p->name);
+        t2Cores.push_back(std::to_string(std::max(2u, p->cores)));
+        for (Cycles period : t2Periods) {
+            sidechan::AttackConfig cfg;
+            cfg.usePlatform(p->name);
+            cfg.crossCore = true;
+            cfg.scenario = sidechan::Scenario::DirtyProbe;
+            cfg.trials = 96;
+            cfg.calibration = 80;
+            cfg.scheduler = p->noisePreset;
+            cfg.scheduler.migrationPeriod = period;
+            t2Cells.push_back({cfg, seeds});
+        }
     }
-    const auto t2Accs = pool.map<double>(
-        t2Platforms.size() * t2Periods.size(), [&](std::size_t i) {
-            return meanAttackAccuracy(
-                t2Platforms[i / t2Periods.size()]->name,
-                t2Periods[i % t2Periods.size()]);
-        });
+    const auto t2 = chan::fanOutSeeds<sidechan::AttackResult>(
+        pool, t2Cells, sidechan::runAttack);
 
-    Table t2("Cross-core store-gadget attack: accuracy vs attacker "
-             "migration period (trials between forced core hops)");
-    t2.header({"platform", "cores", "pinned", "every 48", "every 12",
-               "every 3"});
-    for (std::size_t r = 0; r < t2Platforms.size(); ++r) {
-        const sim::Platform *p = t2Platforms[r];
-        std::vector<std::string> row{
-            p->name, std::to_string(std::max(2u, p->cores))};
-        for (std::size_t c = 0; c < t2Periods.size(); ++c)
-            row.push_back(
-                Table::pct(t2Accs[r * t2Periods.size() + c], 1));
-        t2.row(std::move(row));
-    }
-    t2.note("single-core presets run their 2-core cross-core "
-            "instantiation; non-inclusive LLCs have no cross-core "
-            "channel, so those rows sit at coin-flip accuracy.");
-    t2.print();
+    // Column 0 is the core count; the grid's period columns follow.
+    Table t2Table = chan::gridTable(
+        "Cross-core store-gadget attack: accuracy vs attacker "
+        "migration period (trials between forced core hops)",
+        "platform", t2Platforms,
+        {"cores", "pinned", "every 48", "every 12", "every 3"},
+        [&](std::size_t r, std::size_t c) {
+            if (c == 0)
+                return t2Cores[r];
+            return Table::pct(
+                chan::meanOf(t2[r * t2Periods.size() + c - 1],
+                             &sidechan::AttackResult::accuracy),
+                1);
+        });
+    t2Table.note("single-core presets run their 2-core cross-core "
+                 "instantiation; non-inclusive LLCs have no cross-core "
+                 "channel, so those rows sit at coin-flip accuracy.");
+    t2Table.print();
     std::cout << "\n";
 
     // --- Table 3: cross-core channel, BER vs co-runner count ---
-    Table t3("Cross-core WB channel under OS noise: BER vs co-runners "
-             "(multi-core presets; co-runners fill free cores first, "
-             "then share the parties' cores)");
-    t3.header({"platform", "none", "1", "2", "3", "4"});
     const std::vector<unsigned> t3Counts = {0, 1, 2, 3, 4};
-    std::vector<const sim::Platform *> t3Platforms;
-    for (const sim::Platform *p : sim::allPlatforms())
-        if (p->cores >= 2 && p->params.llcSlices <= 1)
-            t3Platforms.push_back(p);
-    const auto t3Bers = pool.map<double>(
-        t3Platforms.size() * t3Counts.size(), [&](std::size_t i) {
-            return meanCrossCoreBer(
-                t3Platforms[i / t3Counts.size()]->name,
-                SchedulerConfig::mixOf(t3Counts[i % t3Counts.size()]));
-        });
-    for (std::size_t r = 0; r < t3Platforms.size(); ++r) {
-        std::vector<std::string> row{t3Platforms[r]->name};
-        for (std::size_t c = 0; c < t3Counts.size(); ++c)
-            row.push_back(
-                Table::pct(t3Bers[r * t3Counts.size() + c], 2));
-        t3.row(std::move(row));
+    std::vector<std::string> t3Platforms;
+    std::vector<chan::SweepCell<chan::CrossCoreChannelConfig>> t3Cells;
+    for (const sim::Platform *p : sim::allPlatforms()) {
+        if (p->cores < 2 || p->params.llcSlices > 1)
+            continue;
+        t3Platforms.push_back(p->name);
+        for (unsigned count : t3Counts) {
+            chan::CrossCoreChannelConfig cfg;
+            cfg.usePlatform(p->name);
+            cfg.protocol.frames = 2;
+            cfg.scheduler = p->noisePreset;
+            cfg.scheduler.coRunners = SchedulerConfig::mixOf(count);
+            t3Cells.push_back({cfg, seeds});
+        }
     }
-    t3.note("on the 4-core desktop, co-runners 1-2 land on the free "
-            "cores: their shared-LLC traffic is absorbed by the "
-            "multi-level encoding (the paper's noisy-line robustness). "
-            "Co-runner 3 starts time-sharing the sender's core: unlike "
-            "the SMT deployment, cross-core parties cannot co-schedule "
-            "through a deschedule, so the channel collapses.");
-    t3.note("the non-inclusive xeonE5-2650-2core row is the closed "
-            "channel (and its co-runners share party cores "
-            "immediately).");
-    t3.print();
+    const auto t3 = chan::poolCells(chan::fanOutSeeds<chan::ChannelResult>(
+        pool, t3Cells, chan::runCrossCoreChannel));
+
+    Table t3Table = chan::gridTable(
+        "Cross-core WB channel under OS noise: BER vs co-runners "
+        "(multi-core presets; co-runners fill free cores first, "
+        "then share the parties' cores)",
+        "platform", t3Platforms, {"none", "1", "2", "3", "4"},
+        [&](std::size_t r, std::size_t c) {
+            return Table::pct(t3[r * t3Counts.size() + c].ber, 2);
+        });
+    t3Table.note("on the 4-core desktop, co-runners 1-2 land on the free "
+                 "cores: their shared-LLC traffic is absorbed by the "
+                 "multi-level encoding (the paper's noisy-line "
+                 "robustness). Co-runner 3 starts time-sharing the "
+                 "sender's core: unlike the SMT deployment, cross-core "
+                 "parties cannot co-schedule through a deschedule, so "
+                 "the channel collapses.");
+    t3Table.note("the non-inclusive xeonE5-2650-2core row is the closed "
+                 "channel (and its co-runners share party cores "
+                 "immediately).");
+    t3Table.print();
     return 0;
 }

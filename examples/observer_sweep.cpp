@@ -4,7 +4,7 @@
  * channel family still delivers when the attacker's measurement
  * apparatus is degraded (sim/observer.hh, chan/degraded.hh).
  *
- *   $ ./example_observer_sweep [seeds]
+ *   $ ./example_observer_sweep [seeds] [-j N]
  *
  * Four tables:
  *
@@ -30,14 +30,14 @@
  * docs/OBSERVERS.md and docs/README.md's taxonomy table record a
  * reference run.
  *
- * `-j N` fans the sweep cells over a sim::SweepRunner thread pool
- * (N = 0 picks the hardware concurrency). Every cell is an
- * independent shared-nothing simulation and results are assembled in
- * fixed grid order, so the output is byte-identical at any -j.
+ * `-j N` fans every (cell, seed) run over a sim::SweepRunner thread
+ * pool (chan/sweep.hh; N = 0 picks the hardware concurrency). Every
+ * run is an independent shared-nothing simulation and results are
+ * assembled in fixed grid order, so the output is byte-identical at
+ * any -j.
  */
 
 #include <algorithm>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -45,52 +45,23 @@
 #include "baselines/flush_channels.hh"
 #include "chan/channel.hh"
 #include "chan/degraded.hh"
+#include "chan/sweep.hh"
 #include "common/table.hh"
 #include "defense/defense.hh"
 #include "sim/observer.hh"
-#include "sim/platform.hh"
-#include "sim/sweep_runner.hh"
 
 using namespace wb;
 
 namespace
 {
 
-unsigned gSeeds = 3;
-
-/** One named observer capability class. */
-struct ObsSpec
-{
-    const char *name;
-    sim::ObserverModel model;
-};
-
-std::vector<ObsSpec>
-observerGrid()
-{
-    return {
-        {"cycle-accurate", sim::ObserverModel{}},
-        {"coarse-us", sim::ObserverModel::sandboxTimer()},
-        {"flush-latency", sim::ObserverModel::flushLatency()},
-        {"eviction-only", sim::ObserverModel::evictionOnly()},
-    };
-}
-
-/** Aggregated WB-channel cell over the seed pool. */
-struct WbCell
-{
-    double ber = 1.0;
-    double goodputKbps = 0.0;
-    unsigned repetition = 1;
-    bool discoveryVerified = true;
-};
-
 /** Small frames keep the amplified cells affordable. */
 chan::ChannelConfig
-baseConfig(const std::string &platformName)
+baseConfig(const std::string &platformName, const sim::ObserverModel &obs)
 {
     chan::ChannelConfig cfg;
     cfg.usePlatform(platformName);
+    cfg.noise.observer = obs;
     cfg.protocol.encoding =
         chan::Encoding::binary(std::min(8u, cfg.platform.l1.ways));
     cfg.protocol.frameBits = 32;
@@ -98,92 +69,70 @@ baseConfig(const std::string &platformName)
     return cfg;
 }
 
-WbCell
-wbCell(chan::ChannelConfig cfg, const sim::ObserverModel &obs)
+/** A flush-family baseline run: the channel config plus its kind. */
+struct FlushRun : chan::ChannelConfig
 {
-    cfg.noise.observer = obs;
-    WbCell cell;
-    cell.ber = 0.0;
-    for (unsigned s = 0; s < gSeeds; ++s) {
-        cfg.seed = 1 + s;
-        const chan::ChannelResult res = chan::runChannel(cfg);
-        cell.ber += res.ber / gSeeds;
-        cell.goodputKbps += res.goodputKbps / gSeeds;
-        cell.repetition = std::max(cell.repetition, res.repetition);
-        cell.discoveryVerified =
-            cell.discoveryVerified && res.evictionDiscoveryVerified;
-    }
-    return cell;
-}
-
-/** Flush-family baseline cell: mean BER, or denial. */
-std::string
-flushCell(baselines::FlushKind kind, const sim::ObserverModel &obs)
-{
-    chan::ChannelConfig cfg;
-    cfg.noise.observer = obs;
-    if (!baselines::flushChannelAvailable(cfg))
-        return "denied";
-    cfg.protocol.frameBits = 32;
-    cfg.protocol.frames = 4;
-    double ber = 0.0;
-    for (unsigned s = 0; s < gSeeds; ++s) {
-        cfg.seed = 1 + s;
-        ber += baselines::runFlushChannel(cfg, kind).ber / gSeeds;
-    }
-    return Table::pct(ber, 2);
-}
-
-std::string
-goodputLabel(const WbCell &cell)
-{
-    std::string s = Table::num(cell.goodputKbps, 3) + " kbps";
-    if (cell.repetition > 1)
-        s += " (R=" + std::to_string(cell.repetition) + ")";
-    if (!cell.discoveryVerified)
-        s += " [fallback sets]";
-    return s;
-}
+    baselines::FlushKind kind;
+};
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc)
-            jobs = unsigned(std::stoul(argv[++i]));
-        else
-            gSeeds = std::max(1u, unsigned(std::stoul(argv[i])));
-    }
-    sim::SweepRunner pool(jobs);
+    const chan::SweepArgs args = chan::parseSweepArgs(argc, argv, "seeds", 3);
+    sim::SweepRunner pool(args.jobs);
+    const std::vector<std::uint64_t> seeds = chan::seedRange(args.count);
 
-    const std::vector<ObsSpec> observers = observerGrid();
+    const std::vector<std::string> observerNames = {
+        "cycle-accurate", "coarse-us", "flush-latency", "eviction-only"};
+    const std::vector<sim::ObserverModel> observers = {
+        sim::ObserverModel{}, sim::ObserverModel::sandboxTimer(),
+        sim::ObserverModel::flushLatency(),
+        sim::ObserverModel::evictionOnly()};
     const std::vector<std::string> platforms = {
         "xeonE5-2650", "desktop-inclusive", "cortexA53-wt",
         "xeonE5-2650-dawg"};
+    const std::vector<defense::DefenseSpec> defenses = {
+        {defense::DefenseKind::None, 0},
+        {defense::DefenseKind::WriteThrough, 0},
+        {defense::DefenseKind::FuzzyTime, 64},
+        {defense::DefenseKind::PrefetchGuard, 10}};
+    const std::vector<unsigned> noiseCounts = {0, 2, 4};
+
+    // Every WB cell of tables 1, 2, 4a and 4b, observer-major, in one
+    // fan-out: the observer x platform grid, then observer x defense
+    // and observer x noise on the Xeon preset.
+    std::vector<chan::SweepCell<chan::ChannelConfig>> wbCells;
+    for (const sim::ObserverModel &obs : observers)
+        for (const std::string &platform : platforms)
+            wbCells.push_back({baseConfig(platform, obs), seeds});
+    for (const sim::ObserverModel &obs : observers)
+        for (const defense::DefenseSpec &d : defenses)
+            wbCells.push_back({defense::applyDefense(
+                                   baseConfig("xeonE5-2650", obs), d),
+                               seeds});
+    for (const sim::ObserverModel &obs : observers) {
+        for (unsigned n : noiseCounts) {
+            chan::ChannelConfig cfg = baseConfig("xeonE5-2650", obs);
+            cfg.noiseProcesses = n;
+            wbCells.push_back({cfg, seeds});
+        }
+    }
+    const auto wb = chan::poolCells(chan::fanOutSeeds<chan::ChannelResult>(
+        pool, wbCells, chan::runChannel));
+    const auto grid = wb.begin();
+    const auto defended = grid + long(observers.size() * platforms.size());
+    const auto noisy = defended + long(observers.size() * defenses.size());
 
     // --- Tables 1 + 2: WB channel, observer x platform ---
-    const auto grid = pool.map<WbCell>(
-        observers.size() * platforms.size(), [&](std::size_t i) {
-            return wbCell(baseConfig(platforms[i % platforms.size()]),
-                          observers[i / platforms.size()].model);
+    Table t1 = chan::gridTable(
+        "WB channel BER by observer capability class "
+        "(degraded apparatus; chan/degraded.hh plans)",
+        "observer", observerNames, platforms,
+        [&](std::size_t o, std::size_t p) {
+            return Table::pct(grid[long(o * platforms.size() + p)].ber, 2);
         });
-
-    Table t1("WB channel BER by observer capability class "
-             "(degraded apparatus; chan/degraded.hh plans)");
-    {
-        std::vector<std::string> head{"observer"};
-        head.insert(head.end(), platforms.begin(), platforms.end());
-        t1.header(head);
-    }
-    for (std::size_t o = 0; o < observers.size(); ++o) {
-        std::vector<std::string> row{observers[o].name};
-        for (std::size_t p = 0; p < platforms.size(); ++p)
-            row.push_back(Table::pct(grid[o * platforms.size() + p].ber, 2));
-        t1.row(std::move(row));
-    }
     t1.note("coarse-us = " + std::to_string(sim::kSandboxTimerGranule) +
             "-cycle (~1 us) timer floor, repetition-amplified; "
             "flush-latency = timed clflush reads the pending "
@@ -192,64 +141,72 @@ main(int argc, char **argv)
     t1.note("cortexA53-wt (write-through) and xeonE5-2650-dawg "
             "(partitioned) stay closed for every observer — a weaker "
             "observer never reopens a closed channel.");
-    t1.note("seeds averaged per cell: " + std::to_string(gSeeds));
+    t1.note("seeds averaged per cell: " + std::to_string(args.count));
     t1.print();
     std::cout << "\n";
 
-    Table t2("WB channel effective goodput for the same grid "
-             "(kbps after dividing by the repetition factor R)");
-    {
-        std::vector<std::string> head{"observer"};
-        head.insert(head.end(), platforms.begin(), platforms.end());
-        t2.header(head);
-    }
-    for (std::size_t o = 0; o < observers.size(); ++o) {
-        std::vector<std::string> row{observers[o].name};
-        for (std::size_t p = 0; p < platforms.size(); ++p)
-            row.push_back(goodputLabel(grid[o * platforms.size() + p]));
-        t2.row(std::move(row));
-    }
+    Table t2 = chan::gridTable(
+        "WB channel effective goodput for the same grid "
+        "(kbps after dividing by the repetition factor R)",
+        "observer", observerNames, platforms,
+        [&](std::size_t o, std::size_t p) {
+            const chan::ChannelPool &cell =
+                grid[long(o * platforms.size() + p)];
+            std::string s = Table::num(cell.goodputKbps, 3) + " kbps";
+            if (cell.repetition > 1)
+                s += " (R=" + std::to_string(cell.repetition) + ")";
+            if (!cell.discoveryVerified)
+                s += " [fallback sets]";
+            return s;
+        });
     t2.note("the coarse-timer rows report the *effective* bit rate: "
             "raw slot rate / R, times (1 - BER). R is auto-scaled per "
             "cell from a planning calibration; closed channels get "
-            "the bounded R=" + std::to_string(chan::kClosedChannelRepetition) +
+            "the bounded R=" +
+            std::to_string(chan::kClosedChannelRepetition) +
             " budget instead of the full ceiling.");
     t2.print();
     std::cout << "\n";
 
     // --- Table 3: channel family x observer on the Xeon preset ---
-    const std::vector<std::pair<std::string, baselines::FlushKind>> family =
-        {{"Flush+Reload", baselines::FlushKind::FlushReload},
-         {"Flush+Flush", baselines::FlushKind::FlushFlush},
-         {"CoherenceState", baselines::FlushKind::CoherenceState}};
-    const auto familyCells = pool.map<std::string>(
-        family.size() * observers.size(), [&](std::size_t i) {
-            return flushCell(family[i / observers.size()].second,
-                             observers[i % observers.size()].model);
-        });
+    const std::vector<std::string> familyNames = {
+        "Flush+Reload", "Flush+Flush", "CoherenceState"};
+    const std::vector<baselines::FlushKind> family = {
+        baselines::FlushKind::FlushReload, baselines::FlushKind::FlushFlush,
+        baselines::FlushKind::CoherenceState};
+    std::vector<chan::SweepCell<FlushRun>> flushCells;
+    for (baselines::FlushKind kind : family) {
+        for (const sim::ObserverModel &obs : observers) {
+            FlushRun run{chan::ChannelConfig{}, kind};
+            run.noise.observer = obs;
+            run.protocol.frameBits = 32;
+            run.protocol.frames = 4;
+            // A denied primitive runs no seed at all.
+            flushCells.push_back(
+                {run, baselines::flushChannelAvailable(run)
+                          ? seeds
+                          : std::vector<std::uint64_t>{}});
+        }
+    }
+    const auto flush = chan::poolCells(chan::fanOutSeeds<chan::ChannelResult>(
+        pool, flushCells,
+        [](const FlushRun &run) {
+            return baselines::runFlushChannel(run, run.kind);
+        }));
 
-    Table t3("Channel families under degraded observers (Xeon preset): "
-             "BER, or denial of the required primitive");
-    {
-        std::vector<std::string> head{"channel"};
-        for (const ObsSpec &o : observers)
-            head.push_back(o.name);
-        t3.header(head);
-    }
-    {
-        std::vector<std::string> wbRow{"WB (this paper)"};
-        const std::size_t xeonCol = 0; // platforms[0]
-        for (std::size_t o = 0; o < observers.size(); ++o)
-            wbRow.push_back(
-                Table::pct(grid[o * platforms.size() + xeonCol].ber, 2));
-        t3.row(std::move(wbRow));
-    }
-    for (std::size_t f = 0; f < family.size(); ++f) {
-        std::vector<std::string> row{family[f].first};
-        for (std::size_t o = 0; o < observers.size(); ++o)
-            row.push_back(familyCells[f * observers.size() + o]);
-        t3.row(std::move(row));
-    }
+    std::vector<std::string> t3Rows{"WB (this paper)"};
+    t3Rows.insert(t3Rows.end(), familyNames.begin(), familyNames.end());
+    Table t3 = chan::gridTable(
+        "Channel families under degraded observers (Xeon preset): "
+        "BER, or denial of the required primitive",
+        "channel", t3Rows, observerNames,
+        [&](std::size_t f, std::size_t o) {
+            if (f == 0) // the WB row: the Xeon column of table 1
+                return Table::pct(grid[long(o * platforms.size())].ber, 2);
+            const chan::ChannelPool &cell =
+                flush[(f - 1) * observers.size() + o];
+            return cell.seeds() == 0 ? "denied" : Table::pct(cell.ber, 2);
+        });
     t3.note("the flush family requires clflush: the eviction-only "
             "column is denied outright (flushChannelAvailable). Under "
             "the coarse timer the baselines have no repetition plan, "
@@ -259,33 +216,15 @@ main(int argc, char **argv)
     std::cout << "\n";
 
     // --- Table 4a: observer x defense on the Xeon preset ---
-    const std::vector<defense::DefenseSpec> defenses = {
-        {defense::DefenseKind::None, 0},
-        {defense::DefenseKind::WriteThrough, 0},
-        {defense::DefenseKind::FuzzyTime, 64},
-        {defense::DefenseKind::PrefetchGuard, 10}};
-    const auto defenseCells = pool.map<WbCell>(
-        observers.size() * defenses.size(), [&](std::size_t i) {
-            const chan::ChannelConfig defended = defense::applyDefense(
-                baseConfig("xeonE5-2650"),
-                defenses[i % defenses.size()]);
-            return wbCell(defended, observers[i / defenses.size()].model);
+    std::vector<std::string> defenseNames;
+    for (const defense::DefenseSpec &d : defenses)
+        defenseNames.push_back(defense::defenseName(d));
+    Table t4 = chan::gridTable(
+        "WB channel BER, observer x defense (Xeon preset)", "observer",
+        observerNames, defenseNames, [&](std::size_t o, std::size_t d) {
+            return Table::pct(defended[long(o * defenses.size() + d)].ber,
+                              2);
         });
-
-    Table t4("WB channel BER, observer x defense (Xeon preset)");
-    {
-        std::vector<std::string> head{"observer"};
-        for (const defense::DefenseSpec &d : defenses)
-            head.push_back(defense::defenseName(d));
-        t4.header(head);
-    }
-    for (std::size_t o = 0; o < observers.size(); ++o) {
-        std::vector<std::string> row{observers[o].name};
-        for (std::size_t d = 0; d < defenses.size(); ++d)
-            row.push_back(
-                Table::pct(defenseCells[o * defenses.size() + d].ber, 2));
-        t4.row(std::move(row));
-    }
     t4.note("FuzzyTime's TSC granularity and the observer's timer "
             "floor combine by max at the same quantization choke "
             "point (NoiseModel::timerGranule) — the coarse-us row is "
@@ -295,24 +234,14 @@ main(int argc, char **argv)
     std::cout << "\n";
 
     // --- Table 4b: observer x co-resident noise on the Xeon preset ---
-    const std::vector<unsigned> noiseCounts = {0, 2, 4};
-    const auto noiseCells = pool.map<WbCell>(
-        observers.size() * noiseCounts.size(), [&](std::size_t i) {
-            chan::ChannelConfig cfg = baseConfig("xeonE5-2650");
-            cfg.noiseProcesses = noiseCounts[i % noiseCounts.size()];
-            return wbCell(cfg, observers[i / noiseCounts.size()].model);
+    Table t5 = chan::gridTable(
+        "WB channel BER, observer x co-resident noise processes "
+        "(Xeon preset)",
+        "observer", observerNames, {"0", "2", "4"},
+        [&](std::size_t o, std::size_t n) {
+            return Table::pct(noisy[long(o * noiseCounts.size() + n)].ber,
+                              2);
         });
-
-    Table t5("WB channel BER, observer x co-resident noise processes "
-             "(Xeon preset)");
-    t5.header({"observer", "0", "2", "4"});
-    for (std::size_t o = 0; o < observers.size(); ++o) {
-        std::vector<std::string> row{observers[o].name};
-        for (std::size_t n = 0; n < noiseCounts.size(); ++n)
-            row.push_back(Table::pct(
-                noiseCells[o * noiseCounts.size() + n].ber, 2));
-        t5.row(std::move(row));
-    }
     t5.note("noise processes burst-dirty the target set "
             "(chan/noise_process.hh); the repetition decoder averages "
             "over their bursts like any other dispersion source, so "

@@ -4,7 +4,7 @@
  * registered in the sim::platform registry and compare the channel
  * quality side by side.
  *
- *   $ ./example_platform_sweep [frames]
+ *   $ ./example_platform_sweep [frames] [-j N]
  *
  * The same protocol (rate, encoding, seed) runs unchanged on each
  * preset; only the machine differs. The paper's Xeon carries the
@@ -23,21 +23,20 @@
  * non-inclusive Xeon does not. CI uploads this output as the
  * cross-core sweep artifact.
  *
- * `-j N` fans the per-platform runs over a sim::SweepRunner pool;
- * rows are emitted in registry order regardless of completion order,
- * so the output is byte-identical at any -j.
+ * `-j N` fans the per-platform runs over a sim::SweepRunner pool
+ * (chan/sweep.hh); rows are emitted in registry order regardless of
+ * completion order, so the output is byte-identical at any -j.
  */
 
-#include <cstring>
-#include <iostream>
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "chan/channel.hh"
 #include "chan/cross_core.hh"
+#include "chan/sweep.hh"
 #include "common/table.hh"
 #include "sim/platform.hh"
-#include "sim/sweep_runner.hh"
 
 using namespace wb;
 
@@ -53,36 +52,17 @@ signalGapOf(const chan::ChannelResult &res, unsigned top)
     return res.calibrationMedians[top] - res.calibrationMedians[0];
 }
 
-/** BER cell: "closed" when the run's calibration saw no signal. */
-std::string
-berCell(const chan::ChannelResult &res)
-{
-    return res.closed ? "closed" : Table::pct(res.ber, 2);
-}
-
-/** Goodput cell: "-" for a closed channel, whose BER is not measured. */
-std::string
-goodputCell(const chan::ChannelResult &res)
-{
-    return res.closed ? "-" : Table::num(res.goodputKbps, 0);
-}
-
-/**
- * Add @p rows to @p table, and the note explaining "closed" when a
- * row printed it. Both tables put the BER cell third.
- */
+/** The note explaining "closed", when a row of @p pools printed it. */
 void
-addRows(Table &table, std::vector<std::vector<std::string>> rows)
+noteClosed(Table &table, const std::vector<chan::ChannelPool> &pools)
 {
-    bool anyClosed = false;
-    for (auto &row : rows) {
-        anyClosed |= row[2] == "closed";
-        table.row(std::move(row));
-    }
-    if (anyClosed) {
-        table.note("\"closed\": the run's calibration showed no signal "
-                   "gap between adjacent encoding levels, so its BER "
-                   "would be chance, not a measurement.");
+    for (const chan::ChannelPool &pool : pools) {
+        if (pool.allClosed()) {
+            table.note("\"closed\": the run's calibration showed no "
+                       "signal gap between adjacent encoding levels, so "
+                       "its BER would be chance, not a measurement.");
+            return;
+        }
     }
 }
 
@@ -91,98 +71,91 @@ addRows(Table &table, std::vector<std::vector<std::string>> rows)
 int
 main(int argc, char **argv)
 {
-    unsigned frames = 1;
-    unsigned jobs = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc)
-            jobs = unsigned(std::stoul(argv[++i]));
-        else
-            frames = static_cast<unsigned>(std::stoul(argv[i]));
+    const chan::SweepArgs args =
+        chan::parseSweepArgs(argc, argv, "frames", 1);
+    sim::SweepRunner pool(args.jobs);
+
+    const auto allRegistered = sim::allPlatforms();
+    std::vector<const sim::Platform *> platforms;
+    std::vector<chan::SweepCell<chan::ChannelConfig>> cells;
+    for (const sim::Platform *platform : allRegistered) {
+        // Sliced-LLC presets have no single-core instantiation (the
+        // Hierarchy is fatal on llcSlices > 1); they appear in the
+        // cross-core table below and in the tenant-scaling sweep.
+        if (platform->params.llcSlices > 1)
+            continue;
+        chan::ChannelConfig cfg;
+        cfg.usePlatform(platform->name);
+        cfg.protocol.ts = cfg.protocol.tr = 5500;
+        cfg.protocol.encoding =
+            chan::Encoding::binary(std::min(4u, cfg.platform.l1.ways));
+        cfg.protocol.frames = args.count;
+        cfg.calibration.measurements = 80;
+        platforms.push_back(platform);
+        cells.push_back({cfg, {7}});
     }
-    sim::SweepRunner pool(jobs);
+    const auto runs =
+        chan::fanOutSeeds<chan::ChannelResult>(pool, cells, chan::runChannel);
+    const auto pools = chan::poolCells(runs);
 
     Table table("WB covert channel, one configuration on every "
                 "registered platform");
     table.header({"platform", "description", "BER", "goodput kbps",
                   "signal gap", "dirty WBs"});
-
-    const auto allRegistered = sim::allPlatforms();
-    std::vector<const sim::Platform *> platforms;
-    for (const sim::Platform *platform : allRegistered) {
-        // Sliced-LLC presets have no single-core instantiation (the
-        // Hierarchy is fatal on llcSlices > 1); they appear in the
-        // cross-core table below and in the tenant-scaling sweep.
-        if (platform->params.llcSlices <= 1)
-            platforms.push_back(platform);
+    for (std::size_t i = 0; i < platforms.size(); ++i) {
+        const chan::ChannelResult &res = runs[i].front();
+        table.row({platforms[i]->name,
+                   platforms[i]->description.substr(0, 40),
+                   chan::berText(pools[i], 2),
+                   chan::goodputText(pools[i], 0),
+                   Table::num(signalGapOf(res, cells[i].cfg.protocol
+                                                   .encoding.maxLevel()),
+                              1),
+                   std::to_string(res.receiverCounters.l1DirtyWritebacks +
+                                  res.senderCounters.l1DirtyWritebacks)});
     }
-    const auto rows = pool.map<std::vector<std::string>>(
-        platforms.size(), [&](std::size_t i) {
-            const sim::Platform *platform = platforms[i];
-            chan::ChannelConfig cfg;
-            cfg.usePlatform(platform->name);
-            cfg.protocol.ts = cfg.protocol.tr = 5500;
-            cfg.protocol.encoding = chan::Encoding::binary(
-                std::min(4u, cfg.platform.l1.ways));
-            cfg.protocol.frames = frames;
-            cfg.calibration.measurements = 80;
-            cfg.seed = 7;
-
-            const chan::ChannelResult res = chan::runChannel(cfg);
-            const double signalGap =
-                signalGapOf(res, cfg.protocol.encoding.maxLevel());
-            return std::vector<std::string>{
-                platform->name,
-                platform->description.substr(0, 40),
-                berCell(res),
-                goodputCell(res),
-                Table::num(signalGap, 1),
-                std::to_string(res.receiverCounters.l1DirtyWritebacks +
-                               res.senderCounters.l1DirtyWritebacks)};
-        });
-    addRows(table, rows);
-
+    noteClosed(table, pools);
     table.note("signal gap: calibrated median latency difference "
                "between d=0 and the top encoding level (cycles); ~0 "
                "means the platform removed the physical signal.");
-    table.note("frames per platform: " + std::to_string(frames));
+    table.note("frames per platform: " + std::to_string(args.count));
     table.print();
 
     // --- Cross-core sweep over the multi-core presets ---
+    std::vector<const sim::Platform *> multiCore;
+    std::vector<chan::SweepCell<chan::CrossCoreChannelConfig>> xcCells;
+    for (const sim::Platform *platform : allRegistered) {
+        if (platform->cores < 2)
+            continue;
+        chan::CrossCoreChannelConfig cfg;
+        cfg.usePlatform(platform->name);
+        cfg.protocol.frames = args.count;
+        multiCore.push_back(platform);
+        xcCells.push_back({cfg, {7}});
+    }
+    const auto xcRuns = chan::fanOutSeeds<chan::ChannelResult>(
+        pool, xcCells, chan::runCrossCoreChannel);
+    const auto xcPools = chan::poolCells(xcRuns);
+
     Table xc("Cross-core WB channel (sender core 0, receiver core 1, "
              "shared LLC)");
     xc.header({"platform", "cores", "BER", "goodput kbps", "signal gap",
                "LLC dirty evicts", "median lat d=0"});
-
-    std::vector<const sim::Platform *> multiCore;
-    for (const sim::Platform *platform : allRegistered)
-        if (platform->cores >= 2)
-            multiCore.push_back(platform);
-    const auto xcRows = pool.map<std::vector<std::string>>(
-        multiCore.size(), [&](std::size_t i) {
-            const sim::Platform *platform = multiCore[i];
-            chan::CrossCoreChannelConfig cfg;
-            cfg.usePlatform(platform->name);
-            cfg.protocol.frames = std::max(1u, frames);
-            cfg.seed = 7;
-
-            const chan::ChannelResult res =
-                chan::runCrossCoreChannel(cfg);
-            const double signalGap =
-                signalGapOf(res, cfg.protocol.encoding.maxLevel());
-            return std::vector<std::string>{
-                platform->name,
-                std::to_string(platform->cores),
-                berCell(res),
-                goodputCell(res),
-                Table::num(signalGap, 1),
+    for (std::size_t i = 0; i < multiCore.size(); ++i) {
+        const chan::ChannelResult &res = xcRuns[i].front();
+        xc.row({multiCore[i]->name, std::to_string(multiCore[i]->cores),
+                chan::berText(xcPools[i], 2),
+                chan::goodputText(xcPools[i], 0),
+                Table::num(signalGapOf(res, xcCells[i].cfg.protocol
+                                                .encoding.maxLevel()),
+                           1),
                 std::to_string(res.receiverCounters.llcDirtyEvictions),
                 Table::num(res.calibrationMedians.empty()
                                ? 0.0
                                : res.calibrationMedians[0],
-                           0)};
-        });
-    addRows(xc, xcRows);
-
+                           0)});
+    }
+    noteClosed(xc, xcPools);
     xc.note("LLC dirty evicts: receiver-charged LLC evictions that "
             "drained dirty data (the back-invalidation channel); 0 on "
             "the non-inclusive Xeon means the channel is closed.");

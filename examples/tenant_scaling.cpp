@@ -29,66 +29,42 @@
  * CI uploads this output as the tenant-scaling artifact; docs/TENANTS.md
  * records a reference run.
  *
- * `-j N` fans the grid points over a sim::SweepRunner pool; points
- * are assembled in fixed order, so output is byte-identical at any -j.
+ * `-j N` fans the grid points over a sim::SweepRunner pool
+ * (chan/sweep.hh); points are assembled in fixed order, so output is
+ * byte-identical at any -j.
  */
 
-#include <cstring>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "chan/sweep.hh"
 #include "chan/tenant.hh"
 #include "common/table.hh"
-#include "sim/platform.hh"
-#include "sim/sweep_runner.hh"
 
 using namespace wb;
-
-namespace
-{
-
-std::string
-fixed(double v, int prec)
-{
-    std::ostringstream os;
-    os.setf(std::ios::fixed);
-    os.precision(prec);
-    os << v;
-    return os.str();
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = 1;
-    unsigned maxPairs = 1024;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc)
-            jobs = unsigned(std::stoul(argv[++i]));
-        else
-            maxPairs = std::max(1u, unsigned(std::stoul(argv[i])));
-    }
-    sim::SweepRunner pool(jobs);
+    const chan::SweepArgs args =
+        chan::parseSweepArgs(argc, argv, "maxPairs", 1024);
+    sim::SweepRunner pool(args.jobs);
 
     const char *platformName = "dc-sliced-64core";
     std::vector<unsigned> grid;
-    for (unsigned p = 16; p <= maxPairs; p *= 4)
+    for (unsigned p = 16; p <= args.count; p *= 4)
         grid.push_back(p);
     if (grid.empty())
-        grid.push_back(maxPairs);
-
-    const auto points = pool.map<chan::TenantSweepResult>(
-        grid.size(), [&](std::size_t i) {
-            chan::TenantSweepConfig cfg;
-            cfg.usePlatform(platformName);
-            cfg.pairs = grid[i];
-            cfg.seed = 1;
-            return chan::runTenantSweep(cfg);
-        });
+        grid.push_back(args.count);
+    std::vector<chan::SweepCell<chan::TenantSweepConfig>> cells;
+    for (unsigned pairs : grid) {
+        chan::TenantSweepConfig cfg;
+        cfg.usePlatform(platformName);
+        cfg.pairs = pairs;
+        cells.push_back({cfg, {1}});
+    }
+    const auto points = chan::fanOutSeeds<chan::TenantSweepResult>(
+        pool, cells, chan::runTenantSweep);
 
     Table t(std::string("Many-tenant WB-channel scaling on ") +
             platformName +
@@ -96,20 +72,20 @@ main(int argc, char **argv)
     t.header({"pairs", "disc", "collide", "BER mean", "BER clean",
               "BER coll", "bits/slot", "kbps", "util", "probe win"});
     for (std::size_t i = 0; i < grid.size(); ++i) {
-        const chan::TenantSweepResult &r = points[i];
+        const unsigned pairs = grid[i];
+        const chan::TenantSweepResult &r = points[i].front();
         const double dirProbes = double(r.coherence.privateProbes);
         const double win = dirProbes > 0.0
                                ? double(r.scanProbeEquivalent) / dirProbes
                                : 0.0;
-        t.row({std::to_string(grid[i]),
-               std::to_string(r.discovered) + "/" +
-                   std::to_string(grid[i]),
+        t.row({std::to_string(pairs),
+               std::to_string(r.discovered) + "/" + std::to_string(pairs),
                std::to_string(r.collidingPairs),
                Table::pct(r.meanBer, 2), Table::pct(r.meanBerClean, 2),
                Table::pct(r.meanBerColliding, 2),
-               fixed(r.aggregateBitsPerSlot, 1),
-               fixed(r.aggregateKbps, 0), fixed(r.busiestCoreUtil, 2),
-               fixed(win, 0) + "x"});
+               Table::num(r.aggregateBitsPerSlot, 1),
+               Table::num(r.aggregateKbps, 0),
+               Table::num(r.busiestCoreUtil, 2), Table::num(win, 0) + "x"});
     }
     t.note("every receiver discovers its eviction set by timing alone "
            "(group-testing reduction, no slice-hash knowledge); every "
