@@ -35,6 +35,7 @@
  * migration) order, so the output is byte-identical at any -j.
  */
 
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -85,13 +86,9 @@ main(int argc, char **argv)
     const std::vector<std::uint64_t> seeds = chan::seedRange(args.count);
 
     using sim::SchedulerConfig;
+    using Mix = std::vector<sim::CoRunnerKind>;
 
-    struct MixSpec
-    {
-        const char *label;
-        std::vector<sim::CoRunnerKind> mix;
-    };
-    const std::vector<MixSpec> mixes = {
+    const std::vector<std::pair<const char *, Mix>> mixes = {
         {"none", {}},
         {"2 mixed (free cores)", SchedulerConfig::mixOf(2)},
         {"3 mixed (party core shared)", SchedulerConfig::mixOf(3)},
@@ -113,20 +110,20 @@ main(int argc, char **argv)
         if (p->cores < 2 || p->params.llcSlices > 1)
             continue;
         frontier.push_back(p);
-        for (const MixSpec &m : mixes)
-            for (const auto &migration : migrations)
-                cells.push_back(
-                    {baseConfig(*p, m.mix, migration.second), seeds});
+        for (const auto &[label, mix] : mixes)
+            for (const auto &[migLabel, period] : migrations)
+                cells.push_back({baseConfig(*p, mix, period), seeds});
     }
-    const auto shots = chan::fanOutSeeds<chan::ChannelResult>(
-        pool, cells, chan::runCrossCoreChannel);
+    const auto shots =
+        chan::fanOutSeeds(pool, cells, chan::runCrossCoreChannel);
     for (auto &cell : cells)
         cell.cfg.transport.enabled = true;
-    const auto xports = chan::fanOutSeeds<chan::TransportResult>(
+    const auto xports = chan::fanOutSeeds(
         pool, cells, [](const chan::CrossCoreChannelConfig &cfg) {
             return chan::runCrossCoreTransport(cfg);
         });
 
+    using chan::TransportResult;
     for (std::size_t pi = 0; pi < frontier.size(); ++pi) {
         Table t("Capacity frontier on " + frontier[pi]->name +
                 ": single-shot protocol vs resilient transport "
@@ -135,39 +132,38 @@ main(int argc, char **argv)
         t.header({"co-runners", "migr", "raw kbps", "1shot BER",
                   "1shot good", "xport good", "dlvr", "rung", "sync"});
         std::size_t cell = pi * mixes.size() * migrations.size();
-        bool anyClosed = false;
-        for (const MixSpec &m : mixes) {
-            for (const auto &migration : migrations) {
+        std::vector<chan::ChannelPool> singles;
+        bool anyXportClosed = false;
+        for (const auto &[label, mix] : mixes) {
+            for (const auto &[migLabel, period] : migrations) {
                 const auto &shot = shots[cell];
                 const auto &xport = xports[cell++];
-                const chan::ChannelPool single = chan::poolSeeds(shot);
-                unsigned closedTransports = 0;
-                for (const chan::TransportResult &x : xport)
-                    closedTransports += x.closed;
-                const bool xportClosed = closedTransports == xport.size();
-                anyClosed |= single.allClosed() || xportClosed;
-                const double delivered = chan::meanOf(
-                    xport, [](const chan::TransportResult &x) {
+                singles.push_back(chan::poolSeeds(shot));
+                const bool xportClosed =
+                    std::all_of(xport.begin(), xport.end(),
+                                [](const auto &x) { return x.closed; });
+                anyXportClosed |= xportClosed;
+                const auto xportMean = [&](const auto &field) {
+                    return chan::meanOf(xport, field);
+                };
+                const double delivered =
+                    xportMean([](const TransportResult &x) {
                         return x.framesTotal ? double(x.framesDelivered) /
                                                    double(x.framesTotal)
                                              : 0.0;
                     });
-                const double sync = chan::meanOf(
-                    xport, [](const chan::TransportResult &x) {
-                        return x.syncLosses + x.resyncs;
-                    });
-                const double rung = chan::meanOf(
-                    xport, &chan::TransportResult::finalRateLevel);
-                t.row({m.label, migration.first,
-                       Table::num(chan::meanOf(
-                                      shot, &chan::ChannelResult::rateKbps),
-                                  1),
-                       chan::berText(single, 1),
-                       chan::goodputText(single, 1),
-                       Table::num(chan::meanOf(
-                                      xport,
-                                      &chan::TransportResult::goodputKbps),
-                                  1),
+                const double sync = xportMean([](const TransportResult &x) {
+                    return x.syncLosses + x.resyncs;
+                });
+                const double rung =
+                    xportMean(&TransportResult::finalRateLevel);
+                t.row({label, migLabel,
+                       Table::num(
+                           chan::meanOf(shot, &chan::ChannelResult::rateKbps),
+                           1),
+                       chan::berText(singles.back(), 1),
+                       chan::goodputText(singles.back(), 1),
+                       Table::num(xportMean(&TransportResult::goodputKbps), 1),
                        Table::pct(delivered, 0),
                        xportClosed ? "closed" : Table::num(rung, 1),
                        Table::num(sync, 1)});
@@ -176,10 +172,11 @@ main(int argc, char **argv)
         t.note("\"1shot good\" counts random bits at high BER; "
                "\"xport good\" only counts CRC-validated payload "
                "bits (retransmissions and rate fallback included).");
-        if (anyClosed) {
-            t.note("\"closed\": every run's calibration showed no "
-                   "signal gap; the transport stopped after its first "
-                   "burst instead of walking the rate ladder.");
+        chan::noteOutcomes(t, singles);
+        if (anyXportClosed) {
+            t.note("rung \"closed\": every transport session stopped "
+                   "after the burst that found its link closed, instead "
+                   "of walking the rate ladder.");
         }
         t.note("seeds averaged per cell: " + std::to_string(args.count));
         t.print();

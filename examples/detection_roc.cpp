@@ -74,10 +74,17 @@ runScenario(const ScenarioRun &run)
     return runDetectionScenario(run, run.scenario, run.seed);
 }
 
-/** "12.5% [8.2,18.1]" — a pooled rate with its Wilson interval. */
+/**
+ * "12.5% [8.2,18.1]": the alarm rate at threshold @p thr pooled over
+ * @p outs — over attack-pair windows, or over benign samples — with
+ * its Wilson interval.
+ */
 std::string
-rateCell(unsigned k, unsigned n)
+rocCell(const std::vector<ScenarioOutcome> &outs, double thr, bool attack)
 {
+    const RocPoint pt = buildRoc(outs, {thr}).front();
+    const unsigned k = attack ? pt.attackAlarms : pt.benignAlarms;
+    const unsigned n = attack ? pt.attackWindows : pt.benignSamples;
     if (n == 0)
         return "-";
     const WilsonInterval iv = wilsonInterval(k, n);
@@ -85,22 +92,13 @@ rateCell(unsigned k, unsigned n)
            Table::pct(iv.lo, 1) + "," + Table::pct(iv.hi, 1) + "]";
 }
 
-/** Pool one threshold over @p outs and return the RocPoint. */
-RocPoint
-pooled(const std::vector<ScenarioOutcome> &outs, double thr)
-{
-    return buildRoc(outs, {thr}).front();
-}
-
 /** The covert pair's (attack) or loudest benign tenant's peak score. */
 double
 peakScore(const ScenarioOutcome &o)
 {
     const auto &v = o.isAttack ? o.pairSmoothed : o.benignSmoothed;
-    double peak = 0.0;
-    for (double s : v)
-        peak = std::max(peak, s);
-    return peak;
+    const auto top = std::max_element(v.begin(), v.end());
+    return top == v.end() ? 0.0 : std::max(0.0, *top);
 }
 
 } // namespace
@@ -108,11 +106,9 @@ peakScore(const ScenarioOutcome &o)
 int
 main(int argc, char **argv)
 {
-    const chan::SweepArgs args =
-        chan::parseSweepArgs(argc, argv, "seeds", 16);
+    const chan::SweepArgs args = chan::parseSweepArgs(argc, argv, "seeds", 16);
     sim::SweepRunner pool(args.jobs);
-    const unsigned nSeeds = args.count;
-    const std::vector<std::uint64_t> seeds = chan::seedRange(nSeeds);
+    const std::vector<std::uint64_t> seeds = chan::seedRange(args.count);
     const unsigned busy = unsigned(kMixes.size()) - 1;
 
     std::vector<std::string> thresholds;
@@ -129,22 +125,18 @@ main(int argc, char **argv)
             cells.push_back({run, seeds});
         }
     }
-    const auto outcomes =
-        chan::fanOutSeeds<ScenarioOutcome>(pool, cells, runScenario);
+    const auto outcomes = chan::fanOutSeeds(pool, cells, runScenario);
     const auto cellOf = [&](unsigned mixIdx, DetectionScenario sc)
         -> const std::vector<ScenarioOutcome> & {
         const auto at = std::find(kScenarios.begin(), kScenarios.end(), sc);
         return outcomes[mixIdx * kScenarios.size() +
                         std::size_t(at - kScenarios.begin())];
     };
-    const auto mixAll = [&](unsigned mixIdx) {
-        std::vector<ScenarioOutcome> group;
-        for (DetectionScenario sc : kScenarios) {
-            const auto &cell = cellOf(mixIdx, sc);
-            group.insert(group.end(), cell.begin(), cell.end());
-        }
-        return group;
-    };
+    std::vector<std::vector<ScenarioOutcome>> byMix(kMixes.size());
+    for (std::size_t c = 0; c < outcomes.size(); ++c) {
+        auto &all = byMix[c / kScenarios.size()];
+        all.insert(all.end(), outcomes[c].begin(), outcomes[c].end());
+    }
 
     // --- Table 1: peak scores, covert pairs vs the benign band ---
     // Column 0 is the kind; the mix columns follow.
@@ -153,7 +145,7 @@ main(int argc, char **argv)
         scenarioNames.push_back(scenarioName(sc));
     Table t1 = chan::gridTable(
         "Peak smoothed detector score per tenant (mean over " +
-            std::to_string(nSeeds) + " seeds): covert pairs vs the "
+            std::to_string(args.count) + " seeds): covert pairs vs the "
             "benign band, by co-runner mix",
         "scenario", scenarioNames, {"kind", "mix 0", "mix 2", "mix 4"},
         [&](std::size_t s, std::size_t c) {
@@ -161,10 +153,8 @@ main(int argc, char **argv)
                 return std::string(scenarioIsAttack(kScenarios[s])
                                        ? "attack"
                                        : "benign");
-            return Table::num(
-                chan::meanOf(cellOf(unsigned(c - 1), kScenarios[s]),
-                             peakScore),
-                2);
+            const auto &runs = cellOf(unsigned(c - 1), kScenarios[s]);
+            return Table::num(chan::meanOf(runs, peakScore), 2);
         });
     t1.note("attack rows: the covert pair's peak (max over its two "
             "tids); benign rows: the loudest benign tenant's peak.");
@@ -178,11 +168,10 @@ main(int argc, char **argv)
     Table t2 = chan::gridTable(
         "Benign false-positive rate vs alarm threshold "
         "(pooled benign (tid,window) samples, all scenarios, " +
-            std::to_string(nSeeds) + " seeds, Wilson 99%)",
+            std::to_string(args.count) + " seeds, Wilson 99%)",
         "threshold", thresholds, kMixNames,
         [&](std::size_t t, std::size_t m) {
-            const RocPoint pt = pooled(mixAll(unsigned(m)), kThresholds[t]);
-            return rateCell(pt.benignAlarms, pt.benignSamples);
+            return rocCell(byMix[m], kThresholds[t], false);
         });
     t2.note("benign samples include the co-runners of attack runs: "
             "tenants sharing a machine with a live channel are benign "
@@ -199,9 +188,7 @@ main(int argc, char **argv)
         "co-runners; attack-pair windows, Wilson 99%)",
         "threshold", thresholds, {"WB d=1", "WB d=8", "LRU", "cross-core"},
         [&](std::size_t t, std::size_t c) {
-            const RocPoint pt =
-                pooled(cellOf(busy, channels[c]), kThresholds[t]);
-            return rateCell(pt.attackAlarms, pt.attackWindows);
+            return rocCell(cellOf(busy, channels[c]), kThresholds[t], true);
         });
     t3.note("by coherence/miss features the LRU pair is QUIETER than "
             "the WB pair: its Table-VI loudness is raw access "
@@ -215,10 +202,9 @@ main(int argc, char **argv)
                     "co-runner mixes (Wilson 99%)",
                     "threshold", thresholds, kMixNames,
                     [&](std::size_t t, std::size_t m) {
-                        const RocPoint pt = pooled(
-                            cellOf(unsigned(m), DetectionScenario::WbChannel),
-                            kThresholds[t]);
-                        return rateCell(pt.attackAlarms, pt.attackWindows);
+                        return rocCell(cellOf(unsigned(m),
+                                              DetectionScenario::WbChannel),
+                                       kThresholds[t], true);
                     })
         .print();
     std::cout << "\n";
@@ -227,35 +213,32 @@ main(int argc, char **argv)
     std::vector<chan::SweepCell<ArmsRaceConfig>> sessionCell(1);
     sessionCell[0] = {ArmsRaceConfig{}, seeds};
     sessionCell[0].cfg.coRunners = kMixes[busy];
-    const auto sessions = chan::fanOutSeeds<StealthOutcome>(
+    const auto sessions = chan::fanOutSeeds(
         pool, sessionCell, [](const ArmsRaceConfig &cfg) {
             return runStealthSession(cfg, StealthConfig{});
         })[0];
     Table t5("Adaptive-stealth WB session: the sender throttles down "
              "the rate ladder until the pair sits under budget "
              "(budget 0.8 x threshold " + Table::num(kOperatingPoint, 1) +
-             ", " + std::to_string(nSeeds) + " sessions)");
+             ", " + std::to_string(args.count) + " sessions)");
     t5.header({"round", "rung", "Ts", "d", "mean BER", "mean peak",
                "over budget"});
     const std::size_t rounds = sessions.front().rounds.size();
     for (std::size_t r = 0; r < rounds; ++r) {
         const StealthRound &ref = sessions.front().rounds[r];
+        const auto roundMean = [&](double StealthRound::*field) {
+            return chan::meanOf(sessions, [&](const StealthOutcome &s) {
+                return s.rounds[r].*field;
+            });
+        };
         unsigned over = 0;
         for (const StealthOutcome &s : sessions)
             over += s.rounds[r].overBudget ? 1 : 0;
         t5.row({std::to_string(r), std::to_string(ref.rung),
                 std::to_string(ref.ts), std::to_string(ref.d),
-                Table::pct(chan::meanOf(sessions,
-                                        [r](const StealthOutcome &s) {
-                                            return s.rounds[r].ber;
-                                        }),
-                           1),
-                Table::num(chan::meanOf(sessions,
-                                        [r](const StealthOutcome &s) {
-                                            return s.rounds[r].pairPeak;
-                                        }),
-                           2),
-                std::to_string(over) + "/" + std::to_string(nSeeds)});
+                Table::pct(roundMean(&StealthRound::ber), 1),
+                Table::num(roundMean(&StealthRound::pairPeak), 2),
+                std::to_string(over) + "/" + std::to_string(args.count)});
     }
     std::uint64_t bitsTotal = 0, bitsCorrect = 0;
     double settledPeak = 0.0;
@@ -304,19 +287,17 @@ main(int argc, char **argv)
         run.scenario = DetectionScenario::WbChannelD8;
         defendedCells.push_back({run, seeds});
     }
-    const auto defended =
-        chan::fanOutSeeds<ScenarioOutcome>(pool, defendedCells, runScenario);
+    const auto defended = chan::fanOutSeeds(pool, defendedCells, runScenario);
     Table t6("Defense ROC shift under scheduler noise: greedy WB "
              "channel (d=8, Ts=2750) per defense, scored at the "
              "operating threshold -- not by idle-machine closure");
     t6.header({"defense", "mean BER", "detect @" +
                Table::num(kOperatingPoint, 1), "mean pair peak"});
     for (std::size_t d = 0; d < specs.size(); ++d) {
-        const RocPoint pt = pooled(defended[d], kOperatingPoint);
         t6.row({defense::defenseName(specs[d]),
                 Table::pct(chan::meanOf(defended[d], &ScenarioOutcome::ber),
                            1),
-                rateCell(pt.attackAlarms, pt.attackWindows),
+                rocCell(defended[d], kOperatingPoint, true),
                 Table::num(chan::meanOf(defended[d], peakScore), 2)});
     }
     t6.note("a defense that closes the channel (BER -> ~50%) can still "
@@ -324,7 +305,7 @@ main(int argc, char **argv)
             "that merely adds noise can lower detection while the "
             "channel keeps working -- the ROC shift is the honest "
             "score.");
-    t6.note("seeds per row: " + std::to_string(nSeeds));
+    t6.note("seeds per row: " + std::to_string(args.count));
     t6.print();
     return 0;
 }

@@ -90,23 +90,18 @@ main(int argc, char **argv)
             t1Cells.push_back({cfg, seeds});
         }
     }
-    const auto t1 = chan::poolCells(chan::fanOutSeeds<chan::ChannelResult>(
-        pool, t1Cells, chan::runChannel));
+    const auto t1Bers =
+        chan::poolCells(chan::fanOutSeeds(pool, t1Cells, chan::runChannel));
 
-    Table t1Table = chan::gridTable(
+    Table t1 = chan::berGrid(
         "Single-core WB channel under OS noise: BER vs co-runners "
         "(timesliced core sharing + context-switch pollution)",
         "platform", t1Platforms,
-        {"none", "2 idle", "1 mixed", "2 mixed", "4 mixed"},
-        [&](std::size_t r, std::size_t c) {
-            return Table::pct(t1[r * t1Mixes.size() + c].ber, 2);
-        });
-    t1Table.note("mixed co-runners cycle streaming -> pointer-chase -> "
-                 "random-store -> idle (SchedulerConfig::mixOf).");
-    t1Table.note("cortexA53-wt (write-through) and xeonE5-2650-dawg "
-                 "(partitioned) have no WB channel in any column.");
-    t1Table.note("seeds averaged per cell: " + std::to_string(args.count));
-    t1Table.print();
+        {"none", "2 idle", "1 mixed", "2 mixed", "4 mixed"}, t1Bers, 2);
+    t1.note("mixed co-runners cycle streaming -> pointer-chase -> "
+            "random-store -> idle (SchedulerConfig::mixOf).");
+    t1.note("seeds averaged per cell: " + std::to_string(args.count));
+    t1.print();
     std::cout << "\n";
 
     // --- Table 2: cross-core attack, accuracy vs migration period ---
@@ -134,11 +129,10 @@ main(int argc, char **argv)
             t2Cells.push_back({cfg, seeds});
         }
     }
-    const auto t2 = chan::fanOutSeeds<sidechan::AttackResult>(
-        pool, t2Cells, sidechan::runAttack);
+    const auto t2Runs = chan::fanOutSeeds(pool, t2Cells, sidechan::runAttack);
 
     // Column 0 is the core count; the grid's period columns follow.
-    Table t2Table = chan::gridTable(
+    Table t2 = chan::gridTable(
         "Cross-core store-gadget attack: accuracy vs attacker "
         "migration period (trials between forced core hops)",
         "platform", t2Platforms,
@@ -146,15 +140,14 @@ main(int argc, char **argv)
         [&](std::size_t r, std::size_t c) {
             if (c == 0)
                 return t2Cores[r];
+            const auto &runs = t2Runs[r * t2Periods.size() + c - 1];
             return Table::pct(
-                chan::meanOf(t2[r * t2Periods.size() + c - 1],
-                             &sidechan::AttackResult::accuracy),
-                1);
+                chan::meanOf(runs, &sidechan::AttackResult::accuracy), 1);
         });
-    t2Table.note("single-core presets run their 2-core cross-core "
-                 "instantiation; non-inclusive LLCs have no cross-core "
-                 "channel, so those rows sit at coin-flip accuracy.");
-    t2Table.print();
+    t2.note("single-core presets run their 2-core cross-core "
+            "instantiation; non-inclusive LLCs have no cross-core "
+            "channel, so those rows sit at coin-flip accuracy.");
+    t2.print();
     std::cout << "\n";
 
     // --- Table 3: cross-core channel, BER vs co-runner count ---
@@ -174,27 +167,24 @@ main(int argc, char **argv)
             t3Cells.push_back({cfg, seeds});
         }
     }
-    const auto t3 = chan::poolCells(chan::fanOutSeeds<chan::ChannelResult>(
-        pool, t3Cells, chan::runCrossCoreChannel));
+    const auto t3Bers = chan::poolCells(
+        chan::fanOutSeeds(pool, t3Cells, chan::runCrossCoreChannel));
 
-    Table t3Table = chan::gridTable(
+    Table t3 = chan::berGrid(
         "Cross-core WB channel under OS noise: BER vs co-runners "
         "(multi-core presets; co-runners fill free cores first, "
         "then share the parties' cores)",
-        "platform", t3Platforms, {"none", "1", "2", "3", "4"},
-        [&](std::size_t r, std::size_t c) {
-            return Table::pct(t3[r * t3Counts.size() + c].ber, 2);
-        });
-    t3Table.note("on the 4-core desktop, co-runners 1-2 land on the free "
-                 "cores: their shared-LLC traffic is absorbed by the "
-                 "multi-level encoding (the paper's noisy-line "
-                 "robustness). Co-runner 3 starts time-sharing the "
-                 "sender's core: unlike the SMT deployment, cross-core "
-                 "parties cannot co-schedule through a deschedule, so "
-                 "the channel collapses.");
-    t3Table.note("the non-inclusive xeonE5-2650-2core row is the closed "
-                 "channel (and its co-runners share party cores "
-                 "immediately).");
-    t3Table.print();
+        "platform", t3Platforms, {"none", "1", "2", "3", "4"}, t3Bers, 2);
+    t3.note("on the 4-core desktop, co-runners 1-2 land on the free "
+            "cores: their shared-LLC traffic is absorbed by the "
+            "multi-level encoding (the paper's noisy-line robustness). "
+            "Co-runner 3 starts time-sharing the sender's core: unlike "
+            "the SMT deployment, cross-core parties cannot co-schedule "
+            "through a deschedule, so the channel collapses: most seeds "
+            "align no frame at all.");
+    t3.note("the non-inclusive xeonE5-2650-2core row is the closed "
+            "channel (and its co-runners share party cores "
+            "immediately).");
+    t3.print();
     return 0;
 }

@@ -93,6 +93,7 @@ main(int argc, char **argv)
     const std::vector<std::string> platforms = {
         "xeonE5-2650", "desktop-inclusive", "cortexA53-wt",
         "xeonE5-2650-dawg"};
+    const std::string &xeon = platforms[0];
     const std::vector<defense::DefenseSpec> defenses = {
         {defense::DefenseKind::None, 0},
         {defense::DefenseKind::WriteThrough, 0},
@@ -100,47 +101,42 @@ main(int argc, char **argv)
         {defense::DefenseKind::PrefetchGuard, 10}};
     const std::vector<unsigned> noiseCounts = {0, 2, 4};
 
-    // Every WB cell of tables 1, 2, 4a and 4b, observer-major, in one
-    // fan-out: the observer x platform grid, then observer x defense
-    // and observer x noise on the Xeon preset.
-    std::vector<chan::SweepCell<chan::ChannelConfig>> wbCells;
-    for (const sim::ObserverModel &obs : observers)
-        for (const std::string &platform : platforms)
-            wbCells.push_back({baseConfig(platform, obs), seeds});
-    for (const sim::ObserverModel &obs : observers)
-        for (const defense::DefenseSpec &d : defenses)
-            wbCells.push_back({defense::applyDefense(
-                                   baseConfig("xeonE5-2650", obs), d),
-                               seeds});
-    for (const sim::ObserverModel &obs : observers) {
-        for (unsigned n : noiseCounts) {
-            chan::ChannelConfig cfg = baseConfig("xeonE5-2650", obs);
-            cfg.noiseProcesses = n;
-            wbCells.push_back({cfg, seeds});
-        }
-    }
-    const auto wb = chan::poolCells(chan::fanOutSeeds<chan::ChannelResult>(
-        pool, wbCells, chan::runChannel));
-    const auto grid = wb.begin();
-    const auto defended = grid + long(observers.size() * platforms.size());
-    const auto noisy = defended + long(observers.size() * defenses.size());
+    // The WB cells of tables 1, 2, 4a and 4b: observer-major grids
+    // whose column c runs cfgOf(observer, c).
+    const auto wbGrid = [&](std::size_t columns, const auto &cfgOf) {
+        std::vector<chan::SweepCell<chan::ChannelConfig>> cells;
+        for (const sim::ObserverModel &obs : observers)
+            for (std::size_t c = 0; c < columns; ++c)
+                cells.push_back({cfgOf(obs, c), seeds});
+        return chan::poolCells(
+            chan::fanOutSeeds(pool, cells, chan::runChannel));
+    };
+    const auto grid = wbGrid(platforms.size(), [&](auto &obs, auto p) {
+        return baseConfig(platforms[p], obs);
+    });
+    const auto defended = wbGrid(defenses.size(), [&](auto &obs, auto d) {
+        return defense::applyDefense(baseConfig(xeon, obs), defenses[d]);
+    });
+    const auto noisy = wbGrid(noiseCounts.size(), [&](auto &obs, auto n) {
+        chan::ChannelConfig cfg = baseConfig(xeon, obs);
+        cfg.noiseProcesses = noiseCounts[n];
+        return cfg;
+    });
 
     // --- Tables 1 + 2: WB channel, observer x platform ---
-    Table t1 = chan::gridTable(
-        "WB channel BER by observer capability class "
-        "(degraded apparatus; chan/degraded.hh plans)",
-        "observer", observerNames, platforms,
-        [&](std::size_t o, std::size_t p) {
-            return Table::pct(grid[long(o * platforms.size() + p)].ber, 2);
-        });
+    Table t1 = chan::berGrid("WB channel BER by observer capability class "
+                             "(degraded apparatus; chan/degraded.hh plans)",
+                             "observer", observerNames, platforms, grid, 2);
     t1.note("coarse-us = " + std::to_string(sim::kSandboxTimerGranule) +
             "-cycle (~1 us) timer floor, repetition-amplified; "
             "flush-latency = timed clflush reads the pending "
             "write-back drain; eviction-only = discovered sets, no "
             "clflush anywhere.");
-    t1.note("cortexA53-wt (write-through) and xeonE5-2650-dawg "
-            "(partitioned) stay closed for every observer — a weaker "
-            "observer never reopens a closed channel.");
+    t1.note("cortexA53-wt (write-through) stays closed for every "
+            "observer. xeonE5-2650-dawg (partitioned) stays closed "
+            "for every observer but flush-latency: DAWG partitions "
+            "the ways, not the write-back queue a timed clflush "
+            "drains.");
     t1.note("seeds averaged per cell: " + std::to_string(args.count));
     t1.print();
     std::cout << "\n";
@@ -150,9 +146,10 @@ main(int argc, char **argv)
         "(kbps after dividing by the repetition factor R)",
         "observer", observerNames, platforms,
         [&](std::size_t o, std::size_t p) {
-            const chan::ChannelPool &cell =
-                grid[long(o * platforms.size() + p)];
-            std::string s = Table::num(cell.goodputKbps, 3) + " kbps";
+            const chan::ChannelPool &cell = grid[o * platforms.size() + p];
+            if (cell.allClosed())
+                return chan::goodputText(cell, 3);
+            std::string s = chan::goodputText(cell, 3) + " kbps";
             if (cell.repetition > 1)
                 s += " (R=" + std::to_string(cell.repetition) + ")";
             if (!cell.discoveryVerified)
@@ -164,13 +161,12 @@ main(int argc, char **argv)
             "cell from a planning calibration; closed channels get "
             "the bounded R=" +
             std::to_string(chan::kClosedChannelRepetition) +
-            " budget instead of the full ceiling.");
+            " budget instead of the full ceiling; \"-\" marks a cell "
+            "whose every seed was closed (table 1).");
     t2.print();
     std::cout << "\n";
 
     // --- Table 3: channel family x observer on the Xeon preset ---
-    const std::vector<std::string> familyNames = {
-        "Flush+Reload", "Flush+Flush", "CoherenceState"};
     const std::vector<baselines::FlushKind> family = {
         baselines::FlushKind::FlushReload, baselines::FlushKind::FlushFlush,
         baselines::FlushKind::CoherenceState};
@@ -188,30 +184,30 @@ main(int argc, char **argv)
                           : std::vector<std::uint64_t>{}});
         }
     }
-    const auto flush = chan::poolCells(chan::fanOutSeeds<chan::ChannelResult>(
-        pool, flushCells,
-        [](const FlushRun &run) {
+    const auto flush = chan::poolCells(
+        chan::fanOutSeeds(pool, flushCells, [](const FlushRun &run) {
             return baselines::runFlushChannel(run, run.kind);
         }));
 
-    std::vector<std::string> t3Rows{"WB (this paper)"};
-    t3Rows.insert(t3Rows.end(), familyNames.begin(), familyNames.end());
+    std::vector<chan::ChannelPool> t3Pools; // the WB row: table 1's Xeon
+    for (std::size_t o = 0; o < observers.size(); ++o)
+        t3Pools.push_back(grid[o * platforms.size()]);
+    t3Pools.insert(t3Pools.end(), flush.begin(), flush.end());
     Table t3 = chan::gridTable(
         "Channel families under degraded observers (Xeon preset): "
         "BER, or denial of the required primitive",
-        "channel", t3Rows, observerNames,
-        [&](std::size_t f, std::size_t o) {
-            if (f == 0) // the WB row: the Xeon column of table 1
-                return Table::pct(grid[long(o * platforms.size())].ber, 2);
-            const chan::ChannelPool &cell =
-                flush[(f - 1) * observers.size() + o];
-            return cell.seeds() == 0 ? "denied" : Table::pct(cell.ber, 2);
+        "channel",
+        {"WB (this paper)", "Flush+Reload", "Flush+Flush", "CoherenceState"},
+        observerNames, [&](std::size_t f, std::size_t o) {
+            const chan::ChannelPool &cell = t3Pools[f * observers.size() + o];
+            return cell.seeds() == 0 ? "denied" : chan::berText(cell, 2);
         });
+    chan::noteOutcomes(t3, t3Pools);
     t3.note("the flush family requires clflush: the eviction-only "
             "column is denied outright (flushChannelAvailable). Under "
             "the coarse timer the baselines have no repetition plan, "
-            "so their BER collapses to the coin-flip regime — only "
-            "the WB channel amplifies through that column.");
+            "so no seed aligns a single frame — only the WB channel "
+            "amplifies through that column.");
     t3.print();
     std::cout << "\n";
 
@@ -219,12 +215,9 @@ main(int argc, char **argv)
     std::vector<std::string> defenseNames;
     for (const defense::DefenseSpec &d : defenses)
         defenseNames.push_back(defense::defenseName(d));
-    Table t4 = chan::gridTable(
+    Table t4 = chan::berGrid(
         "WB channel BER, observer x defense (Xeon preset)", "observer",
-        observerNames, defenseNames, [&](std::size_t o, std::size_t d) {
-            return Table::pct(defended[long(o * defenses.size() + d)].ber,
-                              2);
-        });
+        observerNames, defenseNames, defended, 2);
     t4.note("FuzzyTime's TSC granularity and the observer's timer "
             "floor combine by max at the same quantization choke "
             "point (NoiseModel::timerGranule) — the coarse-us row is "
@@ -234,14 +227,10 @@ main(int argc, char **argv)
     std::cout << "\n";
 
     // --- Table 4b: observer x co-resident noise on the Xeon preset ---
-    Table t5 = chan::gridTable(
-        "WB channel BER, observer x co-resident noise processes "
-        "(Xeon preset)",
-        "observer", observerNames, {"0", "2", "4"},
-        [&](std::size_t o, std::size_t n) {
-            return Table::pct(noisy[long(o * noiseCounts.size() + n)].ber,
-                              2);
-        });
+    Table t5 = chan::berGrid("WB channel BER, observer x co-resident "
+                             "noise processes (Xeon preset)",
+                             "observer", observerNames, {"0", "2", "4"},
+                             noisy, 2);
     t5.note("noise processes burst-dirty the target set "
             "(chan/noise_process.hh); the repetition decoder averages "
             "over their bursts like any other dispersion source, so "

@@ -52,27 +52,12 @@ signalGapOf(const chan::ChannelResult &res, unsigned top)
     return res.calibrationMedians[top] - res.calibrationMedians[0];
 }
 
-/** The note explaining "closed", when a row of @p pools printed it. */
-void
-noteClosed(Table &table, const std::vector<chan::ChannelPool> &pools)
-{
-    for (const chan::ChannelPool &pool : pools) {
-        if (pool.allClosed()) {
-            table.note("\"closed\": the run's calibration showed no "
-                       "signal gap between adjacent encoding levels, so "
-                       "its BER would be chance, not a measurement.");
-            return;
-        }
-    }
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const chan::SweepArgs args =
-        chan::parseSweepArgs(argc, argv, "frames", 1);
+    const chan::SweepArgs args = chan::parseSweepArgs(argc, argv, "frames", 1);
     sim::SweepRunner pool(args.jobs);
 
     const auto allRegistered = sim::allPlatforms();
@@ -94,8 +79,7 @@ main(int argc, char **argv)
         platforms.push_back(platform);
         cells.push_back({cfg, {7}});
     }
-    const auto runs =
-        chan::fanOutSeeds<chan::ChannelResult>(pool, cells, chan::runChannel);
+    const auto runs = chan::fanOutSeeds(pool, cells, chan::runChannel);
     const auto pools = chan::poolCells(runs);
 
     Table table("WB covert channel, one configuration on every "
@@ -104,17 +88,15 @@ main(int argc, char **argv)
                   "signal gap", "dirty WBs"});
     for (std::size_t i = 0; i < platforms.size(); ++i) {
         const chan::ChannelResult &res = runs[i].front();
+        const unsigned top = cells[i].cfg.protocol.encoding.maxLevel();
         table.row({platforms[i]->name,
                    platforms[i]->description.substr(0, 40),
-                   chan::berText(pools[i], 2),
-                   chan::goodputText(pools[i], 0),
-                   Table::num(signalGapOf(res, cells[i].cfg.protocol
-                                                   .encoding.maxLevel()),
-                              1),
+                   chan::berText(pools[i], 2), chan::goodputText(pools[i], 0),
+                   Table::num(signalGapOf(res, top), 1),
                    std::to_string(res.receiverCounters.l1DirtyWritebacks +
                                   res.senderCounters.l1DirtyWritebacks)});
     }
-    noteClosed(table, pools);
+    chan::noteOutcomes(table, pools);
     table.note("signal gap: calibrated median latency difference "
                "between d=0 and the top encoding level (cycles); ~0 "
                "means the platform removed the physical signal.");
@@ -133,8 +115,8 @@ main(int argc, char **argv)
         multiCore.push_back(platform);
         xcCells.push_back({cfg, {7}});
     }
-    const auto xcRuns = chan::fanOutSeeds<chan::ChannelResult>(
-        pool, xcCells, chan::runCrossCoreChannel);
+    const auto xcRuns =
+        chan::fanOutSeeds(pool, xcCells, chan::runCrossCoreChannel);
     const auto xcPools = chan::poolCells(xcRuns);
 
     Table xc("Cross-core WB channel (sender core 0, receiver core 1, "
@@ -143,19 +125,17 @@ main(int argc, char **argv)
                "LLC dirty evicts", "median lat d=0"});
     for (std::size_t i = 0; i < multiCore.size(); ++i) {
         const chan::ChannelResult &res = xcRuns[i].front();
+        const unsigned top = xcCells[i].cfg.protocol.encoding.maxLevel();
         xc.row({multiCore[i]->name, std::to_string(multiCore[i]->cores),
-                chan::berText(xcPools[i], 2),
-                chan::goodputText(xcPools[i], 0),
-                Table::num(signalGapOf(res, xcCells[i].cfg.protocol
-                                                .encoding.maxLevel()),
-                           1),
+                chan::berText(xcPools[i], 2), chan::goodputText(xcPools[i], 0),
+                Table::num(signalGapOf(res, top), 1),
                 std::to_string(res.receiverCounters.llcDirtyEvictions),
                 Table::num(res.calibrationMedians.empty()
                                ? 0.0
                                : res.calibrationMedians[0],
                            0)});
     }
-    noteClosed(xc, xcPools);
+    chan::noteOutcomes(xc, xcPools);
     xc.note("LLC dirty evicts: receiver-charged LLC evictions that "
             "drained dirty data (the back-invalidation channel); 0 on "
             "the non-inclusive Xeon means the channel is closed.");

@@ -63,8 +63,7 @@ main(int argc, char **argv)
         cfg.pairs = pairs;
         cells.push_back({cfg, {1}});
     }
-    const auto points = chan::fanOutSeeds<chan::TenantSweepResult>(
-        pool, cells, chan::runTenantSweep);
+    const auto points = chan::fanOutSeeds(pool, cells, chan::runTenantSweep);
 
     Table t(std::string("Many-tenant WB-channel scaling on ") +
             platformName +

@@ -10,9 +10,15 @@
  *    (cell, seed) run is one job of a single SweepRunner::map, and the
  *    results come back as one vector per cell in seed order, so a
  *    table assembled from them is byte-identical at any -j;
- *  - poolSeeds: the one pooling rule for a cell's ChannelResults;
- *  - berText / goodputText / gridTable: one rendering of a pooled
- *    cell and of a rows x columns table.
+ *  - poolSeeds: the one pooling rule for a cell's ChannelResults.
+ *    Each seed is measured, unaligned or closed; the BER pools
+ *    measured seeds only and the goodput every seed that was not
+ *    closed, so no sentinel BER is ever averaged into a mean;
+ *  - berText / goodputText / noteOutcomes / gridTable / berGrid: one
+ *    rendering of a pooled cell, its legend, and a rows x columns
+ *    table. A cell reads "closed" only when every seed was closed;
+ *    otherwise it reads the BER over its m measured seeds of n, with
+ *    "(m/n)" appended when m < n, or "no frame" when m = 0.
  */
 
 #ifndef WB_CHAN_SWEEP_HH
@@ -22,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -43,11 +50,10 @@ struct SweepArgs
  * Parse `[count] [-j N]`. @p countName names the positional count in
  * messages; @p defaultCount applies when it is absent. Fatal, naming
  * the argument, on a non-numeric count or -j value, a -j without a
- * value, a count of 0, or a second positional argument.
+ * value, or a count of 0.
  */
 SweepArgs parseSweepArgs(int argc, const char *const *argv,
-                         const std::string &countName,
-                         unsigned defaultCount);
+                         const std::string &countName, unsigned defaultCount);
 
 /** Seeds 1..n: the seed list every multi-seed sweep cell runs. */
 std::vector<std::uint64_t> seedRange(unsigned n);
@@ -66,7 +72,8 @@ struct SweepCell
  * per cell, in seed order; a cell with no seeds gets an empty vector.
  * @p run must be shared-nothing (SweepRunner's contract).
  */
-template <typename Result, typename Config, typename Run>
+template <typename Config, typename Run,
+          typename Result = std::invoke_result_t<Run &, const Config &>>
 std::vector<std::vector<Result>>
 fanOutSeeds(sim::SweepRunner &pool,
             const std::vector<SweepCell<Config>> &cells, Run &&run)
@@ -99,25 +106,19 @@ meanOf(const std::vector<Run> &runs, Field &&field)
     return sum / double(runs.size());
 }
 
-/** What one seed's run of a channel cell delivered. */
-enum class SeedOutcome
-{
-    Measured,  //!< at least one frame scored: ber is a measurement
-    Unaligned, //!< no frame scored (framesScored == 0): ber is a sentinel
-    Closed,    //!< calibration saw no signal gap: ber is chance
-};
-
-/** Classify one run; a closed run is Closed whether or not it aligned. */
-SeedOutcome outcomeOf(const ChannelResult &res);
-
-/** One channel cell's seeds, pooled. */
+/**
+ * One channel cell's seeds, pooled. Each seed's run is closed
+ * (ChannelResult::closed: its calibration saw no signal gap, so its
+ * BER is chance), unaligned (not closed, but framesScored == 0: its
+ * BER is a sentinel) or measured (a frame scored).
+ */
 struct ChannelPool
 {
     unsigned measured = 0;
     unsigned unaligned = 0;
     unsigned closed = 0;
-    double ber = 0.0;          //!< mean BER over every seed
-    double goodputKbps = 0.0;  //!< mean goodput over every seed
+    double ber = 0.0;          //!< mean over measured seeds (0 if none)
+    double goodputKbps = 0.0;  //!< mean over seeds not closed (0 if none)
     unsigned repetition = 1;   //!< largest repetition factor R
     bool discoveryVerified = true; //!< every seed verified its sets
 
@@ -132,11 +133,22 @@ ChannelPool poolSeeds(const std::vector<ChannelResult> &runs);
 std::vector<ChannelPool>
 poolCells(const std::vector<std::vector<ChannelResult>> &cells);
 
-/** BER cell: "closed" when every seed was closed, else the BER. */
+/**
+ * BER cell: "closed" when every seed was closed, "no frame" when no
+ * seed was measured, else the BER with "(m/n)" when only m of the n
+ * seeds were measured.
+ */
 std::string berText(const ChannelPool &pool, int precision);
 
 /** Goodput cell: "-" when every seed was closed, else the goodput. */
 std::string goodputText(const ChannelPool &pool, int precision);
+
+/**
+ * Note under @p table what each of "closed", "no frame" and "(m/n)"
+ * means, for those that a cell of @p pools renders. Pools with no
+ * seeds (cells that did not run) are skipped.
+ */
+void noteOutcomes(Table &table, const std::vector<ChannelPool> &pools);
 
 /**
  * A rows x columns table: header {corner, columns...}, and row r is
@@ -147,6 +159,15 @@ Table gridTable(std::string title, std::string corner,
                 const std::vector<std::string> &columns,
                 const std::function<std::string(std::size_t, std::size_t)>
                     &cell);
+
+/**
+ * gridTable of BER cells: cell (r, c) is berText of
+ * pools[r * columns.size() + c], and noteOutcomes explains them.
+ */
+Table berGrid(std::string title, std::string corner,
+              const std::vector<std::string> &rows,
+              const std::vector<std::string> &columns,
+              const std::vector<ChannelPool> &pools, int precision);
 
 } // namespace wb::chan
 
