@@ -10,9 +10,12 @@
 #ifndef WB_COMMON_RNG_HH
 #define WB_COMMON_RNG_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
+
+#include "common/round.hh"
 
 namespace wb
 {
@@ -136,6 +139,32 @@ class Rng
         if (gaussPos_ >= gaussFill_)
             refillGaussians();
         return gaussBlock_[gaussPos_++];
+    }
+
+    /**
+     * The sum of roundPositivePart(sigma * gaussianCached()) over the
+     * next @p k deviates, bit for bit, in one call. It refills the
+     * block at exactly the points where @p k gaussianCached() calls
+     * would, so the raw stream around it does not move. The batched
+     * L1 hit runs of Hierarchy and MultiCoreSystem charge a whole
+     * run's measurement noise with it: the terms are independent, so
+     * the loop carries no dependency from one access to the next.
+     */
+    std::uint64_t
+    gaussianCachedRoundedSum(double sigma, std::size_t k)
+    {
+        std::uint64_t sum = 0;
+        while (k > 0) {
+            if (gaussPos_ >= gaussFill_)
+                refillGaussians();
+            const std::size_t take = std::min(k, gaussFill_ - gaussPos_);
+            const double *d = &gaussBlock_[gaussPos_];
+            for (std::size_t i = 0; i < take; ++i)
+                sum += roundPositivePart(sigma * d[i]);
+            gaussPos_ += take;
+            k -= take;
+        }
+        return sum;
     }
 
     /** Number of deviates precomputed per gaussianCached() refill. */

@@ -297,19 +297,42 @@ naiveFind(const std::vector<Line> &lines, Addr paddr)
  * under random fill/hit/invalidate/downgrade traffic, for the
  * unrolled stripe widths (4, 8, 16), the runtime-width fallback (12)
  * and a probe-isolated L1 partitioned per core.
+ *
+ * The stripe compare matches 64-bit line addresses, in two 32-bit
+ * halves where it is vectorised. Two tag pools test each half alone:
+ * in one, line addresses agree in their low 32 bits and differ only
+ * above them (as co-runner address spaces do, in the asid bits at
+ * paddr bit 44); in the other they share nonzero high 32 bits and
+ * differ only below. A compare that checks one half fails one pool.
  */
 TEST(Cache, ResidencyLookupsMatchANaiveScan)
 {
+    enum class Tags
+    {
+        Small,        //!< tags below 3 * ways
+        SameLowHalf,  //!< differ only above line-address bit 31
+        SameHighHalf, //!< share high 32 bits, differ only below
+    };
     struct Variant
     {
         unsigned ways;
         bool partitioned;
+        Tags tags = Tags::Small;
     };
-    for (const Variant v : {Variant{4, false}, Variant{8, false},
-                            Variant{16, false}, Variant{12, false},
-                            Variant{8, true}}) {
+    for (const Variant v :
+         {Variant{4, false}, Variant{8, false}, Variant{16, false},
+          Variant{12, false}, Variant{8, true},
+          Variant{8, false, Tags::SameLowHalf},
+          Variant{16, false, Tags::SameLowHalf},
+          Variant{8, false, Tags::SameHighHalf},
+          Variant{4, false, Tags::SameHighHalf}}) {
         SCOPED_TRACE("ways " + std::to_string(v.ways) +
-                     (v.partitioned ? " partitioned" : ""));
+                     (v.partitioned ? " partitioned" : "") +
+                     (v.tags == Tags::SameLowHalf    ? " same-low-half"
+                      : v.tags == Tags::SameHighHalf ? " same-high-half"
+                                                     : ""));
+        // 8 sets: a line address is (tag << 3) | set.
+        constexpr unsigned kTagShiftToBit32 = 32 - 3;
         CacheParams p;
         p.ways = v.ways;
         p.sizeBytes = std::size_t(8) * v.ways * lineBytes; // 8 sets
@@ -328,8 +351,13 @@ TEST(Cache, ResidencyLookupsMatchANaiveScan)
             // Three times the capacity of a set in tags, so lookups
             // both hit and miss and fills keep evicting. Tag 0 puts
             // line 0 in play: invalid ways also read line address 0.
-            const Addr a = c.layout().compose(
-                unsigned(traffic.below(8)), traffic.below(3 * v.ways));
+            Addr tag = traffic.below(3 * v.ways);
+            if (v.tags == Tags::SameLowHalf)
+                tag = traffic.below(v.ways) +
+                      (traffic.below(3) << kTagShiftToBit32);
+            else if (v.tags == Tags::SameHighHalf)
+                tag |= Addr(0x2b) << kTagShiftToBit32;
+            const Addr a = c.layout().compose(unsigned(traffic.below(8)), tag);
             const ThreadId tid = ThreadId(traffic.below(2));
             const auto before = c.setContents(c.layout().setIndex(a));
             const Line *line = naiveFind(before, a);

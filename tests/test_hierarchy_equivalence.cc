@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -330,6 +331,238 @@ INSTANTIATE_TEST_SUITE_P(
                 ch = '_';
         return name;
     });
+
+/** One chunk of a hit-run stream (see makeHitRunStream). */
+struct RunChunk
+{
+    unsigned core = 0;
+    ThreadId tid = 0;
+    bool isWrite = false;
+    std::vector<Addr> paddrs;
+};
+
+/**
+ * A stream of long L1 hit runs, the shape the batched hit-run kernel
+ * takes apart. Chunks hold up to 1500 accesses, drawn mostly from 32
+ * hot lines that every preset's L1 keeps resident, broken by cold
+ * lines crowded into two LLC sets. The cold lines miss, evict in L2
+ * and the LLC (a random-replacement LLC draws its victim from the
+ * shared Rng there, in the middle of a batch), and push hot lines out
+ * of L1 now and then. A fifth of the chunks are hot-only, so one run
+ * spans the whole chunk. Every core shares the hot lines: store hits
+ * find lines clean (a remote load downgraded them) as well as dirty.
+ */
+std::vector<RunChunk>
+makeHitRunStream(const HierarchyParams &hp, unsigned cores,
+                 std::uint64_t seed, std::size_t chunks)
+{
+    const AddressLayout llcLayout(hp.llc.numSets());
+    Rng rng(seed);
+    std::vector<RunChunk> stream;
+    stream.reserve(chunks);
+    for (std::size_t c = 0; c < chunks; ++c) {
+        RunChunk chunk;
+        chunk.core = static_cast<unsigned>(rng.below(cores));
+        chunk.tid = static_cast<ThreadId>(rng.below(2));
+        chunk.isWrite = rng.chance(0.35);
+        const double coldProb = rng.chance(0.2) ? 0.0 : 0.02;
+        const std::size_t len =
+            1 + rng.below(rng.chance(0.2) ? 1500 : 300);
+        chunk.paddrs.reserve(len);
+        for (std::size_t i = 0; i < len; ++i) {
+            if (rng.chance(coldProb)) {
+                const unsigned set =
+                    3 + 2 * static_cast<unsigned>(rng.below(2));
+                chunk.paddrs.push_back(llcLayout.compose(
+                    set, 1 + rng.below(4 * hp.llc.ways)));
+            } else {
+                chunk.paddrs.push_back((Addr(0x4000) + rng.below(32))
+                                       << lineShift);
+            }
+        }
+        stream.push_back(std::move(chunk));
+    }
+    return stream;
+}
+
+/** Fold one scalar access into a batch-shaped total. */
+void
+addScalar(BatchAccessResult &total, const AccessResult &r)
+{
+    ++total.accesses;
+    total.l1Hits += r.l1Hit ? 1 : 0;
+    total.l1DirtyEvictions += r.l1VictimDirty ? 1 : 0;
+    total.totalLatency += r.latency;
+}
+
+/** Hit-run cases: a preset, and whether its LLC replaces at random. */
+using HitRunCase = std::tuple<std::string, bool, std::uint64_t>;
+
+std::string
+hitRunName(const ::testing::TestParamInfo<HitRunCase> &info)
+{
+    const auto &[platformName, randomLlc, seed] = info.param;
+    std::string name = platformName + (randomLlc ? "_randomLlc" : "") +
+                       "_s" + std::to_string(seed);
+    for (char &ch : name)
+        if (ch == '-')
+            ch = '_';
+    return name;
+}
+
+/**
+ * Long L1 hit runs through Hierarchy::accessBatch() match the scalar
+ * path bit for bit, on a write-back and a write-through L1 (where a
+ * store hit forwards to L2 and so ends a run), with and without an
+ * LLC that draws random victims from the shared Rng.
+ */
+class HierarchyHitRuns : public ::testing::TestWithParam<HitRunCase>
+{
+};
+
+TEST_P(HierarchyHitRuns, BatchedMatchesScalarBitExactly)
+{
+    const auto &[platformName, randomLlc, seed] = GetParam();
+    HierarchyParams hp = platform(platformName).params;
+    if (randomLlc)
+        hp.llc.policy = PolicyKind::RandomIid;
+    const std::string label = hitRunName({GetParam(), 0});
+
+    Rng rngScalar(seed * 104729 + 3);
+    Rng rngBatched(seed * 104729 + 3);
+    Hierarchy scalar(hp, &rngScalar);
+    Hierarchy batched(hp, &rngBatched);
+
+    const auto stream = makeHitRunStream(hp, 1, seed ^ 0x41751, 150);
+    std::uint64_t hits = 0;
+    std::uint64_t accesses = 0;
+    for (std::size_t c = 0; c < stream.size(); ++c) {
+        const RunChunk &chunk = stream[c];
+        BatchAccessResult viaScalar;
+        for (Addr paddr : chunk.paddrs)
+            addScalar(viaScalar,
+                      scalar.access(chunk.tid, paddr, chunk.isWrite));
+        const BatchAccessResult viaBatch =
+            batched.accessBatch(chunk.tid, chunk.paddrs, chunk.isWrite);
+        ASSERT_EQ(viaScalar.accesses, viaBatch.accesses)
+            << label << " chunk " << c;
+        ASSERT_EQ(viaScalar.l1Hits, viaBatch.l1Hits)
+            << label << " chunk " << c;
+        ASSERT_EQ(viaScalar.l1DirtyEvictions, viaBatch.l1DirtyEvictions)
+            << label << " chunk " << c;
+        ASSERT_EQ(viaScalar.totalLatency, viaBatch.totalLatency)
+            << label << " chunk " << c;
+        hits += viaBatch.l1Hits;
+        accesses += viaBatch.accesses;
+    }
+    // The stream is what it claims to be: mostly hits, some misses.
+    EXPECT_GT(hits, accesses * 9 / 10) << label;
+    EXPECT_LT(hits, accesses) << label;
+
+    for (ThreadId tid = 0; tid < 2; ++tid) {
+        expectCountersEqual(scalar.counters(tid), batched.counters(tid),
+                            label + " tid " + std::to_string(tid));
+    }
+    expectCacheStateEqual(scalar.l1(), batched.l1(), label + " L1");
+    expectCacheStateEqual(scalar.l2(), batched.l2(), label + " L2");
+    expectCacheStateEqual(scalar.llc(), batched.llc(), label + " LLC");
+    // Both styles drew the same number of raw values.
+    EXPECT_EQ(rngScalar.next(), rngBatched.next()) << label;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, HierarchyHitRuns,
+    ::testing::Combine(::testing::Values(std::string("xeonE5-2650"),
+                                         std::string("cortexA53-wt")),
+                       ::testing::Bool(), ::testing::Values(1ULL, 2ULL)),
+    hitRunName);
+
+/**
+ * Long L1 hit runs through MultiCoreSystem::accessBatch() match the
+ * scalar path bit for bit. A store hit on a clean line must upgrade
+ * it (invalidating the other cores' copies), so it ends a run; a store
+ * hit on a dirty line does not.
+ */
+class MultiCoreHitRuns : public ::testing::TestWithParam<HitRunCase>
+{
+};
+
+TEST_P(MultiCoreHitRuns, BatchedMatchesScalarBitExactly)
+{
+    const auto &[platformName, randomLlc, seed] = GetParam();
+    const Platform &plat = platform(platformName);
+    HierarchyParams hp = plat.params;
+    if (randomLlc)
+        hp.llc.policy = PolicyKind::RandomIid;
+    const unsigned cores = std::max(2u, plat.cores);
+    const std::string label = hitRunName({GetParam(), 0});
+
+    Rng rngScalar(seed * 7877 + 9);
+    Rng rngBatched(seed * 7877 + 9);
+    MultiCoreSystem scalar(hp, cores, &rngScalar);
+    MultiCoreSystem batched(hp, cores, &rngBatched);
+
+    const auto stream = makeHitRunStream(hp, cores, seed ^ 0x3c0de, 150);
+    std::uint64_t hits = 0;
+    std::uint64_t accesses = 0;
+    for (std::size_t c = 0; c < stream.size(); ++c) {
+        const RunChunk &chunk = stream[c];
+        BatchAccessResult viaScalar;
+        for (Addr paddr : chunk.paddrs)
+            addScalar(viaScalar, scalar.access(chunk.core, chunk.tid,
+                                               paddr, chunk.isWrite));
+        const BatchAccessResult viaBatch = batched.accessBatch(
+            chunk.core, chunk.tid, chunk.paddrs, chunk.isWrite);
+        ASSERT_EQ(viaScalar.accesses, viaBatch.accesses)
+            << label << " chunk " << c;
+        ASSERT_EQ(viaScalar.l1Hits, viaBatch.l1Hits)
+            << label << " chunk " << c;
+        ASSERT_EQ(viaScalar.l1DirtyEvictions, viaBatch.l1DirtyEvictions)
+            << label << " chunk " << c;
+        ASSERT_EQ(viaScalar.totalLatency, viaBatch.totalLatency)
+            << label << " chunk " << c;
+        hits += viaBatch.l1Hits;
+        accesses += viaBatch.accesses;
+    }
+    EXPECT_GT(hits, accesses * 3 / 4) << label;
+    EXPECT_LT(hits, accesses) << label;
+
+    for (unsigned core = 0; core < cores; ++core) {
+        for (ThreadId tid = 0; tid < 2; ++tid) {
+            const std::string where = label + " core " +
+                                      std::to_string(core) + " tid " +
+                                      std::to_string(tid);
+            expectCountersEqual(scalar.counters(core, tid),
+                                batched.counters(core, tid), where);
+            EXPECT_EQ(scalar.counters(core, tid).llcDirtyEvictions,
+                      batched.counters(core, tid).llcDirtyEvictions)
+                << where;
+            EXPECT_EQ(scalar.counters(core, tid).crossCoreSnoops,
+                      batched.counters(core, tid).crossCoreSnoops)
+                << where;
+        }
+        expectCacheStateEqual(scalar.l1(core), batched.l1(core),
+                              label + " L1 core " + std::to_string(core));
+        expectCacheStateEqual(scalar.l2(core), batched.l2(core),
+                              label + " L2 core " + std::to_string(core));
+    }
+    expectCacheStateEqual(scalar.llc(), batched.llc(), label + " LLC");
+    EXPECT_EQ(scalar.coherenceStats().invalidateEvents,
+              batched.coherenceStats().invalidateEvents)
+        << label;
+    EXPECT_EQ(scalar.coherenceStats().privateProbes,
+              batched.coherenceStats().privateProbes)
+        << label;
+    EXPECT_EQ(rngScalar.next(), rngBatched.next()) << label;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, MultiCoreHitRuns,
+    ::testing::Combine(::testing::Values(std::string("xeonE5-2650-2core"),
+                                         std::string(
+                                             "desktop-inclusive-4core")),
+                       ::testing::Bool(), ::testing::Values(1ULL, 2ULL)),
+    hitRunName);
 
 /**
  * Scheduler-interleaving equivalence: running the identical chunked

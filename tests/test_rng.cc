@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <vector>
@@ -291,6 +292,59 @@ TEST(Rng, DiscardCachedDeviatesRefillsFromCurrentStream)
     for (int i = 0; i < 300; ++i)
         EXPECT_EQ(used.gaussianCached(), fresh.gaussianCached())
             << "deviate " << i;
+}
+
+TEST(Rng, RoundedSumMatchesTheScalarNoiseLoop)
+{
+    // gaussianCachedRoundedSum(sigma, k) is k per-access noise draws
+    // in one call. Against the loop it replaces, over runs of 1..600
+    // deviates (so runs start, end and cross 256-deviate refills at
+    // every offset), several sigmas, reseeds, discards and foreign raw
+    // draws between runs, it must return the same sum and leave the
+    // generator in the same state.
+    const double sigmas[] = {0.5, 2.5, 0.6, 1e7, 3.0e-3};
+    std::uint64_t deviates = 0;
+    for (std::uint64_t seed : {1ULL, 2ULL, 0xdeadbeefULL, 101ULL}) {
+        Rng block(seed);
+        Rng scalar(seed);
+        Rng plan(seed ^ 0x5eed);
+        for (int run = 0; run < 1000; ++run) {
+            const double sigma = sigmas[plan.below(std::size(sigmas))];
+            const std::size_t k = 1 + plan.below(600);
+            std::uint64_t want = 0;
+            for (std::size_t i = 0; i < k; ++i)
+                want += roundPositivePart(sigma * scalar.gaussianCached());
+            ASSERT_EQ(block.gaussianCachedRoundedSum(sigma, k), want)
+                << "seed " << seed << " run " << run << " k " << k
+                << " sigma " << sigma;
+            deviates += k;
+            switch (plan.below(16)) {
+              case 0: {
+                const std::uint64_t reseed = plan.next();
+                block.reseed(reseed);
+                block.discardCachedDeviates();
+                scalar.reseed(reseed);
+                scalar.discardCachedDeviates();
+                break;
+              }
+              case 1:
+                block.discardCachedDeviates();
+                scalar.discardCachedDeviates();
+                break;
+              case 2:
+                // Another consumer of the raw stream (a replacement
+                // victim draw) between two runs.
+                ASSERT_EQ(block.next(), scalar.next());
+                break;
+              default:
+                break;
+            }
+        }
+        // Both sides drew the same number of raw values.
+        EXPECT_EQ(block.next(), scalar.next()) << "seed " << seed;
+        EXPECT_EQ(block.gaussianCached(), scalar.gaussianCached());
+    }
+    EXPECT_GE(deviates, 1000000u);
 }
 
 // --------------------------------------------- roundNonNegative
