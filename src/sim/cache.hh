@@ -23,6 +23,10 @@
 #include <utility>
 #include <vector>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "sim/address.hh"
@@ -319,6 +323,78 @@ class Cache
         policy_.onHit(set, way);
     }
 
+    /** Where hitRun() stopped. */
+    struct RunStop
+    {
+        std::size_t index = 0; //!< the access that ended the run, or n
+        Addr paddr = 0;        //!< its address
+        unsigned set = 0;      //!< its set in this cache
+        int way = -1;          //!< its probed way, or -1 on a miss
+    };
+
+    /** Hits probed per hitRun() phase (the run's scratch buffer). */
+    static constexpr std::size_t kHitRunChunk = 64;
+
+    /**
+     * The batched hit-run kernel behind Hierarchy::accessBatch() and
+     * MultiCoreSystem::accessBatch(). From access @p i of a batch of
+     * @p n (addresses from @p addrAt, one store flag for the batch),
+     * it works in two phases, up to kHitRunChunk hits at a time:
+     *
+     *  1. probe: each access is probed against the cache as it stands,
+     *     for as long as it is a pure hit: resident, and @p pureHit
+     *     (set, way) allows it. A hit never changes residency, so
+     *     every probe of the run reads the state the first one read;
+     *  2. commit: hitFast() for each hit, in order, then
+     *     @p commit(k) once for the k hits (counters, latency and the
+     *     run's noise, as one Rng call).
+     *
+     * The access that ends the run is probed once, here; the caller
+     * finishes it from the returned RunStop without probing again.
+     * Bit-identical to calling the per-access body n times, because a
+     * hit draws nothing from the shared Rng but its noise deviate
+     * (no PolicyKind's onHit draws), so the run's deviates are all
+     * taken before the stopping access runs, as they are one by one.
+     */
+    template <typename AddrAt, typename PureHit, typename Commit>
+#if defined(__GNUC__) || defined(__clang__)
+    __attribute__((always_inline))
+#endif
+    RunStop
+    hitRun(std::size_t i, std::size_t n, ThreadId tid, bool isWrite,
+           AddrAt &&addrAt, PureHit &&pureHit, Commit &&commit)
+    {
+        struct Hit
+        {
+            unsigned set;
+            unsigned way;
+        };
+        Hit hits[kHitRunChunk];
+        for (;;) {
+            RunStop stop;
+            stop.index = n;
+            std::size_t k = 0;
+            while (i < n && k < kHitRunChunk) {
+                const Addr paddr = addrAt(i);
+                const unsigned set = layout_.setIndex(paddr);
+                const int way =
+                    probeWay(AddressLayout::lineAddr(paddr), set, tid);
+                if (way < 0 || !pureHit(set, static_cast<unsigned>(way))) {
+                    stop = {i, paddr, set, way};
+                    break;
+                }
+                hits[k++] = {set, static_cast<unsigned>(way)};
+                ++i;
+            }
+            for (std::size_t j = 0; j < k; ++j)
+                hitFast(hits[j].set, hits[j].way, isWrite);
+            if (k > 0)
+                commit(k);
+            if (k < kHitRunChunk || i == n)
+                return stop;
+        }
+    }
+
     /**
      * Hot-path fill: fill() with the resident-line scan optionally
      * skipped. @p checkResident may be false only when the caller
@@ -399,23 +475,44 @@ class Cache
         return tid < fillMask_.size() ? fillMask_[tid] : allMask_;
     }
 
-    /** Fixed-width stripe compare (vectorizable): match bitmask. */
+    /**
+     * Fixed-width stripe compare: match bitmask. SSE2 has no 64-bit
+     * lane compare, so each pair of ways is compared as four 32-bit
+     * lanes (pcmpeqd); a way matches when both of its halves do, which
+     * an AND with the halves swapped puts in each lane's high half,
+     * where movmskpd reads it. Without SSE2 the scalar loop stays.
+     */
     template <unsigned Ways>
     static std::uint32_t
     stripeMatch(const Addr *stripe, Addr la)
     {
         std::uint32_t eq = 0;
+#if defined(__SSE2__)
+        static_assert(Ways % 2 == 0);
+        const __m128i key = _mm_set1_epi64x(static_cast<long long>(la));
+        for (unsigned w = 0; w < Ways; w += 2) {
+            const __m128i half = _mm_cmpeq_epi32(
+                _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(stripe + w)),
+                key);
+            const __m128i both = _mm_and_si128(
+                half, _mm_shuffle_epi32(half, _MM_SHUFFLE(2, 3, 0, 1)));
+            eq |= static_cast<std::uint32_t>(
+                      _mm_movemask_pd(_mm_castsi128_pd(both)))
+                  << w;
+        }
+#else
         for (unsigned w = 0; w < Ways; ++w)
             eq |= static_cast<std::uint32_t>(stripe[w] == la) << w;
+#endif
         return eq;
     }
 
     /**
      * Valid ways of @p set holding line @p la (zero or one bit): a
      * branchless compare of the whole set stripe. The common widths
-     * run a compile-time-bound loop so the compiler unrolls and
-     * vectorizes the compares (the runtime-bound fallback stays
-     * scalar). Ignores probe isolation.
+     * (4, 8, 16) run stripeMatch's SSE2 compare; the runtime-bound
+     * fallback stays scalar. Ignores probe isolation.
      */
     std::uint32_t
     residentMask(Addr la, unsigned set) const

@@ -302,18 +302,10 @@ Hierarchy::missPath(ThreadId tid, Addr paddr, bool isWrite,
 }
 
 inline AccessResult
-Hierarchy::accessOne(ThreadId tid, Addr paddr, bool isWrite,
-                     PerfCounters &ctr)
+Hierarchy::accessProbed(ThreadId tid, Addr paddr, unsigned set, int way,
+                        bool isWrite, PerfCounters &ctr)
 {
-    if (isWrite)
-        ++ctr.stores;
-    else
-        ++ctr.loads;
-
     // --- Inline L1-hit fast path: no out-of-line calls ---
-    const Addr la = AddressLayout::lineAddr(paddr);
-    const unsigned set = l1_.layout().setIndex(paddr);
-    const int way = l1_.probeWay(la, set, tid);
     if (way < 0) {
         return plainMissPath_ ? missPath<true>(tid, paddr, isWrite, ctr)
                               : missPath<false>(tid, paddr, isWrite, ctr);
@@ -333,6 +325,20 @@ Hierarchy::accessOne(ThreadId tid, Addr paddr, bool isWrite,
     return res;
 }
 
+inline AccessResult
+Hierarchy::accessOne(ThreadId tid, Addr paddr, bool isWrite,
+                     PerfCounters &ctr)
+{
+    if (isWrite)
+        ++ctr.stores;
+    else
+        ++ctr.loads;
+
+    const unsigned set = l1_.layout().setIndex(paddr);
+    const int way = l1_.probeWay(AddressLayout::lineAddr(paddr), set, tid);
+    return accessProbed(tid, paddr, set, way, isWrite, ctr);
+}
+
 AccessResult
 Hierarchy::access(ThreadId tid, Addr paddr, bool isWrite)
 {
@@ -344,23 +350,45 @@ BatchAccessResult
 Hierarchy::accessBatchImpl(ThreadId tid, std::size_t n, bool isWrite,
                            AddrAt addrAt)
 {
-    // The fused sweep loop: L1 hits retire inside the inlined
-    // accessOne() fast path and only misses escalate into missPath().
-    // accessOne() is the same code access() runs, so batched and
-    // scalar execution are bit-identical
-    // (tests/test_hierarchy_equivalence.cc). Counter deltas accumulate
-    // in a loop-local struct — with the whole body inlined its fields
-    // live in registers instead of per-access heap read-modify-writes
-    // — and merge into the thread's counters once at the end.
+    // The fused sweep loop: runs of pure L1 hits retire through the
+    // two-phase Cache::hitRun kernel (probe the run, then commit its
+    // replacement touches, counters and noise in bulk), and the access
+    // that ends each run through accessProbed(), the same code
+    // access() runs after its probe, so batched and scalar execution
+    // are bit-identical (tests/test_hierarchy_equivalence.cc). A store
+    // hit in a write-through L1 forwards to L2, so it ends a run.
+    // Counter deltas accumulate in a loop-local struct and merge into
+    // the thread's counters once at the end.
     BatchAccessResult batch;
     batch.accesses = n;
     PerfCounters local;
-    for (std::size_t i = 0; i < n; ++i) {
-        const AccessResult res =
-            accessOne(tid, addrAt(i), isWrite, local);
+    if (isWrite)
+        local.stores = n;
+    else
+        local.loads = n;
+    const LatencyModel &lat = params_.lat;
+    const Cycles hitLatency = lat.l1Hit + (isWrite ? lat.storeExtra : 0);
+    const bool hitsArePure =
+        !isWrite || params_.l1.writePolicy != WritePolicy::WriteThrough;
+    const auto pureHit = [hitsArePure](unsigned, unsigned) {
+        return hitsArePure;
+    };
+    const auto commit = [&](std::size_t k) {
+        local.l1Hits += k;
+        batch.l1Hits += k;
+        batch.totalLatency += k * hitLatency + noiseSum(k);
+    };
+    for (std::size_t i = 0; i < n;) {
+        const Cache::RunStop stop =
+            l1_.hitRun(i, n, tid, isWrite, addrAt, pureHit, commit);
+        if (stop.index == n)
+            break;
+        const AccessResult res = accessProbed(tid, stop.paddr, stop.set,
+                                              stop.way, isWrite, local);
         batch.l1Hits += res.l1Hit ? 1 : 0;
         batch.l1DirtyEvictions += res.l1VictimDirty ? 1 : 0;
         batch.totalLatency += res.latency;
+        i = stop.index + 1;
     }
     counters(tid).merge(local);
     return batch;

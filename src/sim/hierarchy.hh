@@ -127,6 +127,19 @@ measurementNoise(const LatencyModel &lat, Rng *rng)
     return roundPositivePart(lat.noiseSigma * rng->gaussianCached());
 }
 
+/**
+ * measurementNoise() summed over the next @p k accesses: the same k
+ * deviates, drawn in one Rng call (the commit of a batched L1 hit
+ * run, see Cache::hitRun).
+ */
+inline Cycles
+measurementNoiseSum(const LatencyModel &lat, Rng *rng, std::size_t k)
+{
+    if (rng == nullptr || lat.noiseSigma <= 0.0)
+        return 0;
+    return rng->gaussianCachedRoundedSum(lat.noiseSigma, k);
+}
+
 /** Per-thread (and global) demand-access counters, perf-style. */
 struct PerfCounters
 {
@@ -449,18 +462,39 @@ class Hierarchy final : public MemorySystem
     /** Gaussian measurement noise (>= 0), see measurementNoise(). */
     Cycles noise() { return measurementNoise(params_.lat, rng_); }
 
+    /** noise() summed over @p k accesses, in one Rng call. */
+    Cycles
+    noiseSum(std::size_t k)
+    {
+        return measurementNoiseSum(params_.lat, rng_, k);
+    }
+
     /**
-     * One demand access: the inline L1-hit fast path shared verbatim
-     * by access() and the accessBatch() loop (the batched-vs-scalar
-     * equivalence suite relies on this being one code path). Resolves
-     * L1 hits with no out-of-line calls; everything else escalates to
-     * missPath() / writeThroughL1Hit().
+     * One demand access, as access() runs it: count it, probe L1 and
+     * finish in accessProbed().
      */
 #if defined(__GNUC__) || defined(__clang__)
     __attribute__((always_inline))
 #endif
     inline AccessResult accessOne(ThreadId tid, Addr paddr, bool isWrite,
                                   PerfCounters &ctr);
+
+    /**
+     * The rest of one demand access once L1 was probed (@p way, or -1
+     * on a miss, in @p set): the inline L1-hit fast path shared
+     * verbatim by access() and the accessBatch() loop, which calls it
+     * for each access that ends a hit run (the batched-vs-scalar
+     * equivalence suite relies on this being one code path). Resolves
+     * L1 hits with no out-of-line calls; everything else escalates to
+     * missPath() / writeThroughL1Hit(). Loads and stores are counted
+     * by the caller.
+     */
+#if defined(__GNUC__) || defined(__clang__)
+    __attribute__((always_inline))
+#endif
+    inline AccessResult accessProbed(ThreadId tid, Addr paddr,
+                                     unsigned set, int way, bool isWrite,
+                                     PerfCounters &ctr);
 
     /**
      * The fused L1-miss → L2 → LLC → fill/write-back path. Flattened:

@@ -498,17 +498,10 @@ MultiCoreSystem::missPath(Core &c, unsigned core, ThreadId tid, Addr paddr,
 
 template <bool Dir>
 inline AccessResult
-MultiCoreSystem::accessOne(Core &c, unsigned core, ThreadId tid, Addr paddr,
-                           bool isWrite, PerfCounters &ctr)
+MultiCoreSystem::accessProbed(Core &c, unsigned core, ThreadId tid,
+                              Addr paddr, unsigned set, int way,
+                              bool isWrite, PerfCounters &ctr)
 {
-    if (isWrite)
-        ++ctr.stores;
-    else
-        ++ctr.loads;
-
-    const Addr la = AddressLayout::lineAddr(paddr);
-    const unsigned set = c.l1.layout().setIndex(paddr);
-    const int way = c.l1.probeWay(la, set, tid);
     if (way < 0)
         return missPath<Dir>(c, core, tid, paddr, isWrite, ctr);
 
@@ -517,6 +510,7 @@ MultiCoreSystem::accessOne(Core &c, unsigned core, ThreadId tid, Addr paddr,
         // E/S -> M upgrade on a store hit to a clean line: remote
         // copies are invalidated. A store to an already-dirty line
         // needs no message — M guarantees exclusivity.
+        const Addr la = AddressLayout::lineAddr(paddr);
         invalidateRemote<Dir>(core, paddr, la, sliceHash_.sliceOf(la));
     }
     c.l1.hitFast(set, static_cast<unsigned>(way), isWrite);
@@ -526,6 +520,22 @@ MultiCoreSystem::accessOne(Core &c, unsigned core, ThreadId tid, Addr paddr,
     res.latency = params_.lat.l1Hit +
                   (isWrite ? params_.lat.storeExtra : Cycles(0)) + noise();
     return res;
+}
+
+template <bool Dir>
+inline AccessResult
+MultiCoreSystem::accessOne(Core &c, unsigned core, ThreadId tid, Addr paddr,
+                           bool isWrite, PerfCounters &ctr)
+{
+    if (isWrite)
+        ++ctr.stores;
+    else
+        ++ctr.loads;
+
+    const unsigned set = c.l1.layout().setIndex(paddr);
+    const int way =
+        c.l1.probeWay(AddressLayout::lineAddr(paddr), set, tid);
+    return accessProbed<Dir>(c, core, tid, paddr, set, way, isWrite, ctr);
 }
 
 AccessResult
@@ -544,20 +554,42 @@ BatchAccessResult
 MultiCoreSystem::sweep(unsigned core, ThreadId tid, std::size_t n,
                        bool isWrite, AddrAt addrAt)
 {
-    // Same shape as Hierarchy::accessBatchImpl: the loop runs the
-    // identical accessOne body the scalar entry point runs, so batched
-    // and scalar execution are bit-identical, and counter deltas
-    // accumulate in a loop-local struct merged once at the end.
+    // Same shape as Hierarchy::accessBatchImpl: runs of pure L1 hits
+    // go through Cache::hitRun, and the access that ends each run
+    // through accessProbed, the body the scalar entry point runs after
+    // its probe. A store hit is pure only on a dirty line: a clean one
+    // needs the M upgrade. Counter deltas accumulate in a loop-local
+    // struct merged once at the end.
     Core &c = coreRef(core);
     BatchAccessResult batch;
     batch.accesses = n;
     PerfCounters local;
-    for (std::size_t i = 0; i < n; ++i) {
+    if (isWrite)
+        local.stores = n;
+    else
+        local.loads = n;
+    const Cycles hitLatency =
+        params_.lat.l1Hit + (isWrite ? params_.lat.storeExtra : Cycles(0));
+    const auto pureHit = [&](unsigned set, unsigned way) {
+        return !isWrite || c.l1.lineDirty(set, way);
+    };
+    const auto commit = [&](std::size_t k) {
+        local.l1Hits += k;
+        batch.l1Hits += k;
+        batch.totalLatency += k * hitLatency + noiseSum(k);
+    };
+    for (std::size_t i = 0; i < n;) {
+        const Cache::RunStop stop =
+            c.l1.hitRun(i, n, tid, isWrite, addrAt, pureHit, commit);
+        if (stop.index == n)
+            break;
         const AccessResult res =
-            accessOne<Dir>(c, core, tid, addrAt(i), isWrite, local);
+            accessProbed<Dir>(c, core, tid, stop.paddr, stop.set, stop.way,
+                              isWrite, local);
         batch.l1Hits += res.l1Hit ? 1 : 0;
         batch.l1DirtyEvictions += res.l1VictimDirty ? 1 : 0;
         batch.totalLatency += res.latency;
+        i = stop.index + 1;
     }
     counters(core, tid).merge(local);
     return batch;

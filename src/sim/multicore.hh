@@ -35,7 +35,9 @@
  *
  * Scalar access() and the batched accessBatch() sweeps share one
  * per-access body, so batched and scalar execution are bit-identical
- * (tests/test_hierarchy_equivalence.cc, MultiCoreEquivalence).
+ * (tests/test_hierarchy_equivalence.cc, MultiCoreEquivalence). The
+ * sweeps take runs of L1 hits through the two-phase Cache::hitRun
+ * kernel and only the access that ends a run through that body.
  */
 
 #ifndef WB_SIM_MULTICORE_HH
@@ -307,15 +309,21 @@ class MultiCoreSystem
     /** Gaussian measurement noise (same contract as Hierarchy). */
     Cycles noise() { return measurementNoise(params_.lat, rng_); }
 
+    /** noise() summed over @p k accesses, in one Rng call. */
+    Cycles
+    noiseSum(std::size_t k)
+    {
+        return measurementNoiseSum(params_.lat, rng_, k);
+    }
+
     // --- access path. Dir selects the coherence implementation at
     // compile time (true: sharer directory, false: global scan); the
     // entry points read directoryCoherence_ once per access() call and
     // once per accessBatch() sweep. ---
 
     /**
-     * One demand access: the single body shared by access() and the
-     * accessBatch() loops (bit-exact batched-vs-scalar execution).
-     * Resolves L1 hits inline; misses escalate to missPath().
+     * One demand access, as access() runs it: count it, probe L1 and
+     * finish in accessProbed().
      */
     template <bool Dir>
 #if defined(__GNUC__) || defined(__clang__)
@@ -324,6 +332,23 @@ class MultiCoreSystem
     inline AccessResult accessOne(Core &c, unsigned core, ThreadId tid,
                                   Addr paddr, bool isWrite,
                                   PerfCounters &ctr);
+
+    /**
+     * The rest of one demand access once L1 was probed (@p way, or -1
+     * on a miss, in @p set): the single body shared by access() and
+     * the accessBatch() loops, which call it for each access that ends
+     * a hit run (bit-exact batched-vs-scalar execution). Resolves L1
+     * hits inline, with the M upgrade of a store to a clean line;
+     * misses escalate to missPath(). Loads and stores are counted by
+     * the caller.
+     */
+    template <bool Dir>
+#if defined(__GNUC__) || defined(__clang__)
+    __attribute__((always_inline))
+#endif
+    inline AccessResult accessProbed(Core &c, unsigned core, ThreadId tid,
+                                     Addr paddr, unsigned set, int way,
+                                     bool isWrite, PerfCounters &ctr);
 
     /**
      * The L1-miss path: L2 -> snoop -> LLC -> DRAM, fills, coherence.
