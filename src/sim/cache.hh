@@ -323,46 +323,40 @@ class Cache
         policy_.onHit(set, way);
     }
 
-    /** Where hitRun() stopped. */
-    struct RunStop
-    {
-        std::size_t index = 0; //!< the access that ended the run, or n
-        Addr paddr = 0;        //!< its address
-        unsigned set = 0;      //!< its set in this cache
-        int way = -1;          //!< its probed way, or -1 on a miss
-    };
-
-    /** Hits probed per hitRun() phase (the run's scratch buffer). */
+    /** Hits probed per hitRuns() phase (the run's scratch buffer). */
     static constexpr std::size_t kHitRunChunk = 64;
 
     /**
      * The batched hit-run kernel behind Hierarchy::accessBatch() and
-     * MultiCoreSystem::accessBatch(). From access @p i of a batch of
-     * @p n (addresses from @p addrAt, one store flag for the batch),
-     * it works in two phases, up to kHitRunChunk hits at a time:
+     * MultiCoreSystem::accessBatch(): a batch of @p n accesses
+     * (addresses from @p addrAt, one store flag for the batch) cut
+     * into runs of pure L1 hits, each taken in two phases, up to
+     * kHitRunChunk hits at a time:
      *
      *  1. probe: each access is probed against the cache as it stands,
      *     for as long as it is a pure hit: resident, and @p pureHit
      *     (set, way) allows it. A hit never changes residency, so
      *     every probe of the run reads the state the first one read;
      *  2. commit: hitFast() for each hit, in order, then
-     *     @p commit(k) once for the k hits (counters, latency and the
-     *     run's noise, as one Rng call).
+     *     @p commitRun(k) once for the k hits (counters, latency and
+     *     the run's noise, as one Rng call).
      *
-     * The access that ends the run is probed once, here; the caller
-     * finishes it from the returned RunStop without probing again.
-     * Bit-identical to calling the per-access body n times, because a
-     * hit draws nothing from the shared Rng but its noise deviate
-     * (no PolicyKind's onHit draws), so the run's deviates are all
-     * taken before the stopping access runs, as they are one by one.
+     * The access that ends a run goes to @p finish(paddr, set, way),
+     * with way -1 on a miss, which completes it from the probe made
+     * here without probing again. Bit-identical to running the
+     * per-access body n times: a hit draws nothing from the shared
+     * Rng but its noise deviate (no PolicyKind's onHit draws), so a
+     * run's deviates are all taken before the access that ends it
+     * runs, as they are one access at a time.
      */
-    template <typename AddrAt, typename PureHit, typename Commit>
+    template <typename AddrAt, typename PureHit, typename CommitRun,
+              typename Finish>
 #if defined(__GNUC__) || defined(__clang__)
     __attribute__((always_inline))
 #endif
-    RunStop
-    hitRun(std::size_t i, std::size_t n, ThreadId tid, bool isWrite,
-           AddrAt &&addrAt, PureHit &&pureHit, Commit &&commit)
+    void
+    hitRuns(std::size_t n, ThreadId tid, bool isWrite, AddrAt &&addrAt,
+            PureHit &&pureHit, CommitRun &&commitRun, Finish &&finish)
     {
         struct Hit
         {
@@ -370,28 +364,31 @@ class Cache
             unsigned way;
         };
         Hit hits[kHitRunChunk];
-        for (;;) {
-            RunStop stop;
-            stop.index = n;
+        std::size_t i = 0;
+        while (i < n) {
             std::size_t k = 0;
-            while (i < n && k < kHitRunChunk) {
-                const Addr paddr = addrAt(i);
-                const unsigned set = layout_.setIndex(paddr);
-                const int way =
-                    probeWay(AddressLayout::lineAddr(paddr), set, tid);
+            bool stopped = false;
+            Addr paddr = 0;
+            unsigned set = 0;
+            int way = -1;
+            for (; i < n && k < kHitRunChunk; ++i) {
+                paddr = addrAt(i);
+                set = layout_.setIndex(paddr);
+                way = probeWay(AddressLayout::lineAddr(paddr), set, tid);
                 if (way < 0 || !pureHit(set, static_cast<unsigned>(way))) {
-                    stop = {i, paddr, set, way};
+                    stopped = true;
                     break;
                 }
                 hits[k++] = {set, static_cast<unsigned>(way)};
-                ++i;
             }
             for (std::size_t j = 0; j < k; ++j)
                 hitFast(hits[j].set, hits[j].way, isWrite);
             if (k > 0)
-                commit(k);
-            if (k < kHitRunChunk || i == n)
-                return stop;
+                commitRun(k);
+            if (stopped) {
+                finish(paddr, set, way);
+                ++i;
+            }
         }
     }
 

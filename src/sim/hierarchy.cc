@@ -351,7 +351,7 @@ Hierarchy::accessBatchImpl(ThreadId tid, std::size_t n, bool isWrite,
                            AddrAt addrAt)
 {
     // The fused sweep loop: runs of pure L1 hits retire through the
-    // two-phase Cache::hitRun kernel (probe the run, then commit its
+    // two-phase Cache::hitRuns kernel (probe the run, then commit its
     // replacement touches, counters and noise in bulk), and the access
     // that ends each run through accessProbed(), the same code
     // access() runs after its probe, so batched and scalar execution
@@ -373,23 +373,19 @@ Hierarchy::accessBatchImpl(ThreadId tid, std::size_t n, bool isWrite,
     const auto pureHit = [hitsArePure](unsigned, unsigned) {
         return hitsArePure;
     };
-    const auto commit = [&](std::size_t k) {
+    const auto commitRun = [&](std::size_t k) {
         local.l1Hits += k;
         batch.l1Hits += k;
         batch.totalLatency += k * hitLatency + noiseSum(k);
     };
-    for (std::size_t i = 0; i < n;) {
-        const Cache::RunStop stop =
-            l1_.hitRun(i, n, tid, isWrite, addrAt, pureHit, commit);
-        if (stop.index == n)
-            break;
-        const AccessResult res = accessProbed(tid, stop.paddr, stop.set,
-                                              stop.way, isWrite, local);
+    const auto finish = [&](Addr paddr, unsigned set, int way) {
+        const AccessResult res =
+            accessProbed(tid, paddr, set, way, isWrite, local);
         batch.l1Hits += res.l1Hit ? 1 : 0;
         batch.l1DirtyEvictions += res.l1VictimDirty ? 1 : 0;
         batch.totalLatency += res.latency;
-        i = stop.index + 1;
-    }
+    };
+    l1_.hitRuns(n, tid, isWrite, addrAt, pureHit, commitRun, finish);
     counters(tid).merge(local);
     return batch;
 }

@@ -130,7 +130,7 @@ measurementNoise(const LatencyModel &lat, Rng *rng)
 /**
  * measurementNoise() summed over the next @p k accesses: the same k
  * deviates, drawn in one Rng call (the commit of a batched L1 hit
- * run, see Cache::hitRun).
+ * run, see Cache::hitRuns).
  */
 inline Cycles
 measurementNoiseSum(const LatencyModel &lat, Rng *rng, std::size_t k)

@@ -555,7 +555,7 @@ MultiCoreSystem::sweep(unsigned core, ThreadId tid, std::size_t n,
                        bool isWrite, AddrAt addrAt)
 {
     // Same shape as Hierarchy::accessBatchImpl: runs of pure L1 hits
-    // go through Cache::hitRun, and the access that ends each run
+    // go through Cache::hitRuns, and the access that ends each run
     // through accessProbed, the body the scalar entry point runs after
     // its probe. A store hit is pure only on a dirty line: a clean one
     // needs the M upgrade. Counter deltas accumulate in a loop-local
@@ -573,24 +573,19 @@ MultiCoreSystem::sweep(unsigned core, ThreadId tid, std::size_t n,
     const auto pureHit = [&](unsigned set, unsigned way) {
         return !isWrite || c.l1.lineDirty(set, way);
     };
-    const auto commit = [&](std::size_t k) {
+    const auto commitRun = [&](std::size_t k) {
         local.l1Hits += k;
         batch.l1Hits += k;
         batch.totalLatency += k * hitLatency + noiseSum(k);
     };
-    for (std::size_t i = 0; i < n;) {
-        const Cache::RunStop stop =
-            c.l1.hitRun(i, n, tid, isWrite, addrAt, pureHit, commit);
-        if (stop.index == n)
-            break;
-        const AccessResult res =
-            accessProbed<Dir>(c, core, tid, stop.paddr, stop.set, stop.way,
-                              isWrite, local);
+    const auto finish = [&](Addr paddr, unsigned set, int way) {
+        const AccessResult res = accessProbed<Dir>(c, core, tid, paddr, set,
+                                                   way, isWrite, local);
         batch.l1Hits += res.l1Hit ? 1 : 0;
         batch.l1DirtyEvictions += res.l1VictimDirty ? 1 : 0;
         batch.totalLatency += res.latency;
-        i = stop.index + 1;
-    }
+    };
+    c.l1.hitRuns(n, tid, isWrite, addrAt, pureHit, commitRun, finish);
     counters(core, tid).merge(local);
     return batch;
 }

@@ -36,7 +36,7 @@
  * Scalar access() and the batched accessBatch() sweeps share one
  * per-access body, so batched and scalar execution are bit-identical
  * (tests/test_hierarchy_equivalence.cc, MultiCoreEquivalence). The
- * sweeps take runs of L1 hits through the two-phase Cache::hitRun
+ * sweeps take runs of L1 hits through the two-phase Cache::hitRuns
  * kernel and only the access that ends a run through that body.
  */
 
