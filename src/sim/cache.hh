@@ -323,15 +323,12 @@ class Cache
         policy_.onHit(set, way);
     }
 
-    /** Hits probed per hitRuns() phase (the run's scratch buffer). */
-    static constexpr std::size_t kHitRunChunk = 64;
-
     /**
      * The batched hit-run kernel behind Hierarchy::accessBatch() and
      * MultiCoreSystem::accessBatch(): a batch of @p n accesses
      * (addresses from @p addrAt, one store flag for the batch) cut
-     * into runs of pure L1 hits, each taken in two phases, up to
-     * kHitRunChunk hits at a time:
+     * into runs of pure L1 hits, each taken in two phases, up to 64
+     * hits at a time (the run's scratch buffer):
      *
      *  1. probe: each access is probed against the cache as it stands,
      *     for as long as it is a pure hit: resident, and @p pureHit
@@ -363,7 +360,8 @@ class Cache
             unsigned set;
             unsigned way;
         };
-        Hit hits[kHitRunChunk];
+        constexpr std::size_t kChunk = 64;
+        Hit hits[kChunk];
         std::size_t i = 0;
         while (i < n) {
             std::size_t k = 0;
@@ -371,7 +369,7 @@ class Cache
             Addr paddr = 0;
             unsigned set = 0;
             int way = -1;
-            for (; i < n && k < kHitRunChunk; ++i) {
+            for (; i < n && k < kChunk; ++i) {
                 paddr = addrAt(i);
                 set = layout_.setIndex(paddr);
                 way = probeWay(AddressLayout::lineAddr(paddr), set, tid);

@@ -376,7 +376,8 @@ Hierarchy::accessBatchImpl(ThreadId tid, std::size_t n, bool isWrite,
     const auto commitRun = [&](std::size_t k) {
         local.l1Hits += k;
         batch.l1Hits += k;
-        batch.totalLatency += k * hitLatency + noiseSum(k);
+        batch.totalLatency +=
+            k * hitLatency + measurementNoiseSum(params_.lat, rng_, k);
     };
     const auto finish = [&](Addr paddr, unsigned set, int way) {
         const AccessResult res =

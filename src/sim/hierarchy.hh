@@ -462,13 +462,6 @@ class Hierarchy final : public MemorySystem
     /** Gaussian measurement noise (>= 0), see measurementNoise(). */
     Cycles noise() { return measurementNoise(params_.lat, rng_); }
 
-    /** noise() summed over @p k accesses, in one Rng call. */
-    Cycles
-    noiseSum(std::size_t k)
-    {
-        return measurementNoiseSum(params_.lat, rng_, k);
-    }
-
     /**
      * One demand access, as access() runs it: count it, probe L1 and
      * finish in accessProbed().

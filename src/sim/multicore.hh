@@ -309,13 +309,6 @@ class MultiCoreSystem
     /** Gaussian measurement noise (same contract as Hierarchy). */
     Cycles noise() { return measurementNoise(params_.lat, rng_); }
 
-    /** noise() summed over @p k accesses, in one Rng call. */
-    Cycles
-    noiseSum(std::size_t k)
-    {
-        return measurementNoiseSum(params_.lat, rng_, k);
-    }
-
     // --- access path. Dir selects the coherence implementation at
     // compile time (true: sharer directory, false: global scan); the
     // entry points read directoryCoherence_ once per access() call and
