@@ -325,10 +325,10 @@ Hierarchy::accessProbed(ThreadId tid, Addr paddr, unsigned set, int way,
     return res;
 }
 
-inline AccessResult
-Hierarchy::accessOne(ThreadId tid, Addr paddr, bool isWrite,
-                     PerfCounters &ctr)
+AccessResult
+Hierarchy::access(ThreadId tid, Addr paddr, bool isWrite)
 {
+    PerfCounters &ctr = counters(tid);
     if (isWrite)
         ++ctr.stores;
     else
@@ -337,12 +337,6 @@ Hierarchy::accessOne(ThreadId tid, Addr paddr, bool isWrite,
     const unsigned set = l1_.layout().setIndex(paddr);
     const int way = l1_.probeWay(AddressLayout::lineAddr(paddr), set, tid);
     return accessProbed(tid, paddr, set, way, isWrite, ctr);
-}
-
-AccessResult
-Hierarchy::access(ThreadId tid, Addr paddr, bool isWrite)
-{
-    return accessOne(tid, paddr, isWrite, counters(tid));
 }
 
 template <typename AddrAt>
@@ -377,7 +371,7 @@ Hierarchy::accessBatchImpl(ThreadId tid, std::size_t n, bool isWrite,
         local.l1Hits += k;
         batch.l1Hits += k;
         batch.totalLatency +=
-            k * hitLatency + measurementNoiseSum(params_.lat, rng_, k);
+            k * hitLatency + measurementNoiseSum(lat, rng_, k);
     };
     const auto finish = [&](Addr paddr, unsigned set, int way) {
         const AccessResult res =

@@ -463,16 +463,6 @@ class Hierarchy final : public MemorySystem
     Cycles noise() { return measurementNoise(params_.lat, rng_); }
 
     /**
-     * One demand access, as access() runs it: count it, probe L1 and
-     * finish in accessProbed().
-     */
-#if defined(__GNUC__) || defined(__clang__)
-    __attribute__((always_inline))
-#endif
-    inline AccessResult accessOne(ThreadId tid, Addr paddr, bool isWrite,
-                                  PerfCounters &ctr);
-
-    /**
      * The rest of one demand access once L1 was probed (@p way, or -1
      * on a miss, in @p set): the inline L1-hit fast path shared
      * verbatim by access() and the accessBatch() loop, which calls it

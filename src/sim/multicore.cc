@@ -522,11 +522,12 @@ MultiCoreSystem::accessProbed(Core &c, unsigned core, ThreadId tid,
     return res;
 }
 
-template <bool Dir>
-inline AccessResult
-MultiCoreSystem::accessOne(Core &c, unsigned core, ThreadId tid, Addr paddr,
-                           bool isWrite, PerfCounters &ctr)
+AccessResult
+MultiCoreSystem::access(unsigned core, ThreadId tid, Addr paddr,
+                        bool isWrite)
 {
+    Core &c = coreRef(core);
+    PerfCounters &ctr = counters(core, tid);
     if (isWrite)
         ++ctr.stores;
     else
@@ -535,18 +536,11 @@ MultiCoreSystem::accessOne(Core &c, unsigned core, ThreadId tid, Addr paddr,
     const unsigned set = c.l1.layout().setIndex(paddr);
     const int way =
         c.l1.probeWay(AddressLayout::lineAddr(paddr), set, tid);
-    return accessProbed<Dir>(c, core, tid, paddr, set, way, isWrite, ctr);
-}
-
-AccessResult
-MultiCoreSystem::access(unsigned core, ThreadId tid, Addr paddr,
-                        bool isWrite)
-{
-    Core &c = coreRef(core);
-    PerfCounters &ctr = counters(core, tid);
     return directoryCoherence_
-               ? accessOne<true>(c, core, tid, paddr, isWrite, ctr)
-               : accessOne<false>(c, core, tid, paddr, isWrite, ctr);
+               ? accessProbed<true>(c, core, tid, paddr, set, way, isWrite,
+                                    ctr)
+               : accessProbed<false>(c, core, tid, paddr, set, way, isWrite,
+                                     ctr);
 }
 
 template <bool Dir, typename AddrAt>

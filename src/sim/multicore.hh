@@ -315,18 +315,6 @@ class MultiCoreSystem
     // once per accessBatch() sweep. ---
 
     /**
-     * One demand access, as access() runs it: count it, probe L1 and
-     * finish in accessProbed().
-     */
-    template <bool Dir>
-#if defined(__GNUC__) || defined(__clang__)
-    __attribute__((always_inline))
-#endif
-    inline AccessResult accessOne(Core &c, unsigned core, ThreadId tid,
-                                  Addr paddr, bool isWrite,
-                                  PerfCounters &ctr);
-
-    /**
      * The rest of one demand access once L1 was probed (@p way, or -1
      * on a miss, in @p set): the single body shared by access() and
      * the accessBatch() loops, which call it for each access that ends

@@ -231,7 +231,7 @@ INSTANTIATE_TEST_SUITE_P(AllPresetsAndDefenses, HierarchyEquivalence,
 
 /**
  * Cross-core batched-vs-scalar equivalence: MultiCoreSystem's
- * accessBatch() runs the identical accessOne body the scalar access()
+ * accessBatch() runs the identical accessProbed body the scalar access()
  * runs, per core, including every coherence action (remote
  * invalidations, snoop downgrades, inclusive back-invalidation) and
  * the noise draw order. Randomized multi-core, multi-thread streams
