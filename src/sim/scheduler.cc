@@ -337,7 +337,30 @@ Scheduler::run(Cycles horizon)
 {
     materialize();
     const std::size_t nFe = frontEnds_.size();
+
+    // Once every party has halted, nothing a co-runner still does can
+    // reach a latency, a decoded bit or a party counter, so the run
+    // ends there. A sampling hook keeps the horizon (the online
+    // detector reads every window up to it), and so does a run with
+    // no party to wait for.
+    std::size_t liveParties = 0;
+    bool anyParty = false;
+    for (const auto &fe : frontEnds_) {
+        if (!fe->isParty)
+            continue;
+        anyParty = true;
+        if (fe->core->nextTime() != SmtCore::noPendingTime)
+            ++liveParties;
+    }
+    const bool stopAtPartyEnd = anyParty && !cfg_.sampling();
+    const auto noteHalt = [&liveParties](const FrontEnd &fe) {
+        if (fe.isParty && fe.core->nextTime() == SmtCore::noPendingTime)
+            --liveParties;
+    };
+
     for (;;) {
+        if (stopAtPartyEnd && liveParties == 0)
+            break;
         FrontEnd *pick = nullptr;
         std::size_t pickIdx = 0;
         Cycles t = SmtCore::noPendingTime;
@@ -401,6 +424,7 @@ Scheduler::run(Cycles horizon)
                 // budget: let it finish exactly one op, then re-check
                 // ownership — the grace overrun is per-op by design.
                 pick->core->stepEarliest(horizon);
+                noteHalt(*pick);
                 continue;
             }
             if (slice != lastSlice_[core]) {
@@ -426,6 +450,7 @@ Scheduler::run(Cycles horizon)
             bound = std::min(bound, i < pickIdx ? n : n + 1);
         }
         pick->core->runUntil(bound);
+        noteHalt(*pick);
     }
 
     // Every operation issued before `horizon` has now executed, so

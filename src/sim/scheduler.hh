@@ -298,8 +298,11 @@ class Scheduler
     SmtCore &party(unsigned core, bool migratable = false);
 
     /**
-     * Run every front-end to completion or @p horizon under the
-     * configured noise regime. @return largest thread time reached.
+     * Run the front-ends under the configured noise regime until
+     * every party front-end has halted or @p horizon is reached. With
+     * a sampling hook installed, or with no party registered, the run
+     * goes on to @p horizon (co-runners keep running after the
+     * parties halt). @return the latest clock any front-end reached.
      */
     Cycles run(Cycles horizon);
 

@@ -16,6 +16,7 @@
 #include "chan/channel.hh"
 #include "chan/cross_core.hh"
 #include "common/rng.hh"
+#include "digest.hh"
 #include "sim/multicore.hh"
 #include "sim/platform.hh"
 #include "sim/scheduler.hh"
@@ -371,6 +372,196 @@ TEST(Scheduler, MixOfCyclesKinds)
     EXPECT_EQ(mix[3], CoRunnerKind::Idle);
     EXPECT_EQ(mix[4], CoRunnerKind::Streaming);
     EXPECT_STREQ(coRunnerKindName(mix[2]), "random-store");
+}
+
+// ------------------------------------------------------------------
+// The run ends when the last party halts.
+// ------------------------------------------------------------------
+
+/**
+ * A no-op sampling hook: it fires every window up to the horizon,
+ * which keeps the run going after the parties halt, and it is
+ * invisible to the simulation (tests/test_detection.cc,
+ * SamplingHookIsInvisible). Running a config with and without it is
+ * the oracle for the party-end stop.
+ */
+void
+keepHorizon(SchedulerConfig &cfg)
+{
+    cfg.samplePeriod = 100'000;
+    cfg.sampleHook = [](Scheduler &, Cycles) {};
+}
+
+void
+expectPartyViewEqual(const chan::ChannelResult &full,
+                     const chan::ChannelResult &stopped,
+                     const std::string &label)
+{
+    EXPECT_EQ(full.latencies, stopped.latencies) << label;
+    EXPECT_EQ(full.decodedBits, stopped.decodedBits) << label;
+    EXPECT_EQ(full.ber, stopped.ber) << label;
+    EXPECT_EQ(full.framesScored, stopped.framesScored) << label;
+    expectCountersEqual(full.senderCounters, stopped.senderCounters,
+                        label + " sender");
+    expectCountersEqual(full.receiverCounters, stopped.receiverCounters,
+                        label + " receiver");
+    EXPECT_LE(stopped.simulatedCycles, full.simulatedCycles) << label;
+}
+
+/**
+ * Same-core and cross-core wiring, mixOf(2)..mixOf(4), pinned and
+ * migrating parties, three seeds: stopping at the last party's halt
+ * leaves every party-visible output as the full-horizon run has it.
+ */
+TEST(SchedulerPartyEnd, StopLeavesPartyOutputsUnchanged)
+{
+    unsigned shortened = 0;
+    for (unsigned mix = 2; mix <= 4; ++mix) {
+        for (Cycles migration : {Cycles(0), Cycles(400'000)}) {
+            for (std::uint64_t seed : {1u, 2u, 3u}) {
+                const std::string label =
+                    "mix " + std::to_string(mix) + " migration " +
+                    std::to_string(migration) + " seed " +
+                    std::to_string(seed);
+
+                chan::ChannelConfig same;
+                same.usePlatform("xeonE5-2650");
+                same.protocol.frameBits = 64;
+                same.protocol.frames = 2;
+                same.scheduler = platform("xeonE5-2650").noisePreset;
+                same.scheduler.coRunners = SchedulerConfig::mixOf(mix);
+                same.scheduler.migrationPeriod = migration;
+                same.seed = seed;
+                chan::ChannelConfig sameFull = same;
+                keepHorizon(sameFull.scheduler);
+                const auto a = chan::runChannel(sameFull);
+                const auto b = chan::runChannel(same);
+                expectPartyViewEqual(a, b, "same-core " + label);
+                shortened += b.simulatedCycles < a.simulatedCycles;
+
+                chan::CrossCoreChannelConfig cross;
+                cross.usePlatform("desktop-inclusive-4core");
+                cross.protocol.frameBits = 64;
+                cross.protocol.frames = 2;
+                cross.scheduler =
+                    platform("desktop-inclusive-4core").noisePreset;
+                cross.scheduler.coRunners = SchedulerConfig::mixOf(mix);
+                cross.scheduler.migrationPeriod = migration;
+                cross.seed = seed;
+                chan::CrossCoreChannelConfig crossFull = cross;
+                keepHorizon(crossFull.scheduler);
+                const auto c = chan::runCrossCoreChannel(crossFull);
+                const auto d = chan::runCrossCoreChannel(cross);
+                expectPartyViewEqual(c, d, "cross-core " + label);
+                shortened += d.simulatedCycles < c.simulatedCycles;
+            }
+        }
+    }
+    EXPECT_GT(shortened, 0u) << "no run ended before its horizon";
+}
+
+/** An ARQ session replays its rounds, rungs and frame tallies. */
+TEST(SchedulerPartyEnd, TransportSessionUnchanged)
+{
+    chan::CrossCoreChannelConfig cfg;
+    cfg.usePlatform("desktop-inclusive-4core");
+    cfg.protocol.frames = 2;
+    cfg.calibration.measurements = 40;
+    cfg.scheduler = platform("desktop-inclusive-4core").noisePreset;
+    cfg.scheduler.coRunners = SchedulerConfig::mixOf(3);
+    test::smallTransport(cfg.transport);
+    cfg.transport.messageFrames = 1;
+    cfg.transport.windowFrames = 1;
+    cfg.seed = 5;
+    chan::CrossCoreChannelConfig full = cfg;
+    keepHorizon(full.scheduler);
+
+    const chan::TransportResult a = chan::runCrossCoreTransport(full);
+    const chan::TransportResult b = chan::runCrossCoreTransport(cfg);
+    EXPECT_GT(a.rounds, 1u) << "pick a session that walks the ladder";
+    EXPECT_EQ(a.rounds, b.rounds);
+    EXPECT_EQ(a.rateLevelByRound, b.rateLevelByRound);
+    EXPECT_EQ(a.finalRateLevel, b.finalRateLevel);
+    EXPECT_EQ(a.framesSent, b.framesSent);
+    EXPECT_EQ(a.framesDelivered, b.framesDelivered);
+    EXPECT_EQ(a.framesFailed, b.framesFailed);
+    EXPECT_EQ(a.residualBitErrors, b.residualBitErrors);
+    EXPECT_LE(b.simulatedCycles, a.simulatedCycles);
+}
+
+/** A party thread that dirties a line, spins to @p until and halts. */
+std::vector<MemOp>
+haltAt(Cycles until)
+{
+    const Addr line = AddressLayout(64).compose(3, 1);
+    return {MemOp::store(line), MemOp::spinUntil(until), MemOp::load(line)};
+}
+
+/**
+ * Two parties on cores 0 and 1 (halting at 100k and 300k cycles), the
+ * co-runners of @p cfg after them.
+ */
+struct TwoPartyRig
+{
+    Rng rng{17};
+    MultiCoreSystem mc{platform("desktop-inclusive-4core").params, 4, &rng};
+    Scheduler sched;
+    TraceProgram early{haltAt(100'000)};
+    TraceProgram late{haltAt(300'000)};
+    SmtCore &earlyCore;
+    SmtCore &lateCore;
+    ThreadId lateTid = 0;
+
+    explicit TwoPartyRig(const SchedulerConfig &cfg)
+        : sched(mc, NoiseModel{}, rng, cfg, /*masterSeed=*/17),
+          earlyCore(sched.party(0)), lateCore(sched.party(1))
+    {
+        earlyCore.addThread(&early, AddressSpace(1));
+        lateTid = lateCore.addThread(&late, AddressSpace(2));
+    }
+};
+
+SchedulerConfig
+twoCoRunners()
+{
+    SchedulerConfig cfg;
+    cfg.coRunners = SchedulerConfig::mixOf(2);
+    return cfg;
+}
+
+TEST(SchedulerPartyEnd, NoPartyRunsToHorizon)
+{
+    Rng rng(17);
+    MultiCoreSystem mc(platform("desktop-inclusive-4core").params, 4, &rng);
+    Scheduler sched(mc, NoiseModel{}, rng, twoCoRunners(), 17);
+    EXPECT_GE(sched.run(1'000'000), 1'000'000u);
+    EXPECT_GT(sched.stats().coRunnerAccesses, 0u);
+}
+
+TEST(SchedulerPartyEnd, StopsAfterTheLaterPartyHalts)
+{
+    TwoPartyRig rig(twoCoRunners());
+    const Cycles end = rig.sched.run(10'000'000);
+    EXPECT_TRUE(rig.lateCore.halted(rig.lateTid));
+    EXPECT_GE(rig.lateCore.threadTime(rig.lateTid), 300'000u);
+    EXPECT_GE(end, 300'000u);
+    EXPECT_LT(end, 1'000'000u) << "co-runners ran on to the horizon";
+}
+
+TEST(SchedulerPartyEnd, SamplingHookKeepsEveryWindow)
+{
+    SchedulerConfig cfg = twoCoRunners();
+    std::vector<Cycles> windows;
+    cfg.samplePeriod = 100'000;
+    cfg.sampleHook = [&windows](Scheduler &, Cycles at) {
+        windows.push_back(at);
+    };
+    TwoPartyRig rig(cfg);
+    const Cycles end = rig.sched.run(1'000'000);
+    EXPECT_GE(end, 1'000'000u) << "co-runners stopped before the horizon";
+    ASSERT_EQ(windows.size(), 10u);
+    for (std::size_t w = 0; w < windows.size(); ++w)
+        EXPECT_EQ(windows[w], Cycles(w + 1) * 100'000);
 }
 
 } // namespace
