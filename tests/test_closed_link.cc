@@ -110,7 +110,9 @@ TEST(ClosedLinkPins, CrossCoreOpenTransportUnderCoRunners)
     cfg.transport.windowFrames = 1;
     const TransportResult r = runCrossCoreTransport(cfg);
     EXPECT_GT(r.rounds, 1u) << "pin a session that walks the ladder";
-    EXPECT_EQ(transportDigest(r), 2221769323959436924ull);
+    // Re-captured when Scheduler::run began stopping at the last
+    // party's halt: only simulatedCycles and the scheduler stats moved.
+    EXPECT_EQ(transportDigest(r), 11794573029806029206ull);
 }
 
 TEST(ClosedLinkPins, SingleShotsOnClosedPresets)
@@ -119,9 +121,11 @@ TEST(ClosedLinkPins, SingleShotsOnClosedPresets)
               8202371797904233430ull);
     EXPECT_EQ(shotDigest(runChannel(sameCoreShot("xeonE5-2650-dawg", 7))),
               2710645944314479803ull);
+    // Re-captured when Scheduler::run began stopping at the last
+    // party's halt: only simulatedCycles and the scheduler stats moved.
     EXPECT_EQ(shotDigest(runCrossCoreChannel(
                   crossCoreConfig("xeonE5-2650-2core", 3, 7))),
-              12429082487540015054ull);
+              4418903304822500680ull);
 }
 
 // ------------------------------------------------------------------
