@@ -1,6 +1,7 @@
 #include "common/edit_distance.hh"
 
 #include <algorithm>
+#include <limits>
 
 namespace wb
 {
@@ -26,30 +27,87 @@ editDistance(const std::vector<bool> &sent, const std::vector<bool> &received)
     return prev[m];
 }
 
+namespace
+{
+
+/** Value of a cell the band leaves out (never on an optimal path). */
+constexpr std::size_t kFar = std::numeric_limits<std::size_t>::max() / 2;
+
+/**
+ * The Wagner-Fischer table restricted to the diagonal band
+ * |i - j| <= k, row-major with 2k + 1 cells per row.
+ */
+class BandTable
+{
+  public:
+    /** Fill the band of @p sent x @p received for half-width @p k. */
+    void
+    fill(const std::vector<bool> &sent, const std::vector<bool> &received,
+         std::size_t k)
+    {
+        const std::size_t n = sent.size();
+        const std::size_t m = received.size();
+        k_ = k;
+        width_ = 2 * k + 1;
+        d_.assign((n + 1) * width_, kFar);
+        for (std::size_t i = 0; i <= n; ++i) {
+            const std::size_t lo = i > k ? i - k : 0;
+            const std::size_t hi = std::min(m, i + k);
+            for (std::size_t j = lo; j <= hi; ++j) {
+                std::size_t v;
+                if (i == 0)
+                    v = j;
+                else if (j == 0)
+                    v = i;
+                else
+                    v = std::min({at(i - 1, j - 1) +
+                                      (sent[i - 1] == received[j - 1] ? 0
+                                                                      : 1),
+                                  at(i - 1, j) + 1, at(i, j - 1) + 1});
+                d_[i * width_ + j + k - i] = v;
+            }
+        }
+    }
+
+    /** Cell (i, j); kFar outside the band. */
+    std::size_t
+    at(std::size_t i, std::size_t j) const
+    {
+        if (j + k_ < i || j > i + k_)
+            return kFar;
+        return d_[i * width_ + j + k_ - i];
+    }
+
+  private:
+    std::size_t k_ = 0;
+    std::size_t width_ = 1;
+    std::vector<std::size_t> d_;
+};
+
+} // namespace
+
 EditBreakdown
 editBreakdown(const std::vector<bool> &sent, const std::vector<bool> &received)
 {
     const std::size_t n = sent.size();
     const std::size_t m = received.size();
-    // Full DP table for backtrace, in one row-major allocation;
-    // sequences in this project are short (hundreds of bits), so
-    // O(n*m) memory is fine.
-    const std::size_t cols = m + 1;
-    std::vector<std::size_t> d((n + 1) * cols);
-    const auto at = [&d, cols](std::size_t i, std::size_t j) -> std::size_t & {
-        return d[i * cols + j];
-    };
-    for (std::size_t i = 0; i <= n; ++i)
-        at(i, 0) = i;
-    for (std::size_t j = 0; j <= m; ++j)
-        at(0, j) = j;
-    for (std::size_t i = 1; i <= n; ++i) {
-        for (std::size_t j = 1; j <= m; ++j) {
-            const std::size_t sub =
-                at(i - 1, j - 1) + (sent[i - 1] == received[j - 1] ? 0 : 1);
-            at(i, j) = std::min({sub, at(i - 1, j) + 1, at(i, j - 1) + 1});
-        }
+    // Ukkonen's band: every cell on an optimal path has
+    // |i - j| <= distance, so a band of half-width k >= distance holds
+    // each such cell at its full-table value. A cell it leaves out, or
+    // holds above k, can never equal a path cell's value minus its
+    // step cost, so the backtrace below takes the same steps as over
+    // the full table. Double k until the corner's value is within it.
+    BandTable band;
+    std::size_t k = std::max<std::size_t>(n > m ? n - m : m - n, 4);
+    for (;;) {
+        band.fill(sent, received, k);
+        if (band.at(n, m) <= k)
+            break;
+        k *= 2;
     }
+    const auto at = [&band](std::size_t i, std::size_t j) {
+        return band.at(i, j);
+    };
 
     EditBreakdown out;
     out.distance = at(n, m);

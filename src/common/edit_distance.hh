@@ -39,7 +39,9 @@ std::size_t editDistance(const std::vector<bool> &sent,
 
 /**
  * Edit distance plus a breakdown into error types from one optimal
- * edit script (backtrace; ties resolved substitution-first).
+ * edit script (backtrace; ties resolved substitution-first). Only a
+ * diagonal band of the table as wide as the distance is computed
+ * (Ukkonen), with the same result as the full table.
  */
 EditBreakdown editBreakdown(const std::vector<bool> &sent,
                             const std::vector<bool> &received);

@@ -108,7 +108,7 @@ TEST(EditBreakdown, LengthDeltaShowsUp)
 }
 
 /**
- * Naive oracle: the textbook table of row vectors with the same
+ * Naive oracle: the full textbook table of row vectors with the same
  * tie-break order (diagonal, then deletion, then insertion) in the
  * backtrace, so a storage change in editBreakdown cannot move a
  * single count.
@@ -178,6 +178,79 @@ TEST(EditBreakdown, RandomPairsMatchDistanceAndBacktrace)
         EXPECT_EQ(br.substitutions, ref.substitutions);
         EXPECT_EQ(br.insertions, ref.insertions);
         EXPECT_EQ(br.deletions, ref.deletions);
+    }
+}
+
+/**
+ * One random pair of the banded-table sweep, drawn from the shapes a
+ * decoded frame takes and the band's edge cases: sparse flips on
+ * equal lengths, unrelated sequences, an empty side, every bit
+ * flipped, and insertion or deletion bursts.
+ */
+std::pair<BitVec, BitVec>
+bandCasePair(unsigned shape, Rng &rng)
+{
+    BitVec a = randomBits(rng.below(65), rng);
+    BitVec b = a;
+    switch (shape) {
+      case 0: // sparse flips, equal lengths
+        for (std::size_t i = 0; i < b.size(); ++i)
+            if (rng.below(16) == 0)
+                b[i] = !b[i];
+        break;
+      case 1: // unrelated, any lengths
+        b = randomBits(rng.below(65), rng);
+        break;
+      case 2: // one side (or both) empty
+        if (rng.flip())
+            a.clear();
+        else
+            b.clear();
+        if (rng.below(8) == 0)
+            a.clear(), b.clear();
+        break;
+      case 3: // every bit flipped
+        for (std::size_t i = 0; i < b.size(); ++i)
+            b[i] = !b[i];
+        break;
+      case 4: { // an insertion burst
+        const std::size_t at = rng.below(b.size() + 1);
+        const BitVec burst = randomBits(1 + rng.below(24), rng);
+        b.insert(b.begin() + static_cast<std::ptrdiff_t>(at), burst.begin(),
+                 burst.end());
+        break;
+      }
+      default: { // a deletion burst, plus a few flips
+        const std::size_t at = rng.below(b.size() + 1);
+        const std::size_t len =
+            std::min<std::size_t>(b.size() - at, 1 + rng.below(24));
+        b.erase(b.begin() + static_cast<std::ptrdiff_t>(at),
+                b.begin() + static_cast<std::ptrdiff_t>(at + len));
+        for (std::size_t i = 0; i < b.size(); ++i)
+            if (rng.below(32) == 0)
+                b[i] = !b[i];
+        break;
+      }
+    }
+    return {a, b};
+}
+
+/**
+ * editBreakdown computes only a diagonal band of the table; 10^5
+ * pairs must give the full table's distance and the same split into
+ * substitutions, insertions and deletions.
+ */
+TEST(EditBreakdown, BandMatchesFullTable)
+{
+    Rng rng(23);
+    for (unsigned trial = 0; trial < 100'000; ++trial) {
+        const auto [a, b] = bandCasePair(trial % 6, rng);
+        const auto br = editBreakdown(a, b);
+        const auto ref = referenceBreakdown(a, b);
+        ASSERT_EQ(br.distance, ref.distance) << "trial " << trial;
+        ASSERT_EQ(br.substitutions, ref.substitutions) << "trial " << trial;
+        ASSERT_EQ(br.insertions, ref.insertions) << "trial " << trial;
+        ASSERT_EQ(br.deletions, ref.deletions) << "trial " << trial;
     }
 }
 
