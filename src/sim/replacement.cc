@@ -63,6 +63,8 @@ PolicyTable::PolicyTable(PolicyKind kind, unsigned sets, unsigned ways,
                 victimLut_[bits] =
                     static_cast<std::uint8_t>(node - nodes_);
             }
+            if (kind_ == PolicyKind::TreePlru)
+                agreeSlot_.assign(std::size_t(1) << ways_, 0);
         }
     }
 
@@ -134,6 +136,22 @@ PolicyTable::bestAgreement(std::uint64_t bits,
     return best;
 }
 
+const std::uint8_t *
+PolicyTable::agreementLut(std::uint32_t eligibleMask)
+{
+    const std::size_t patterns = victimLut_.size();
+    std::uint16_t &slot = agreeSlot_[eligibleMask];
+    if (slot == 0) {
+        const std::size_t base = agreeLut_.size();
+        agreeLut_.resize(base + patterns);
+        for (std::size_t bits = 0; bits < patterns; ++bits)
+            agreeLut_[base + bits] = static_cast<std::uint8_t>(
+                bestAgreement(bits, eligibleMask));
+        slot = static_cast<std::uint16_t>(base / patterns + 1);
+    }
+    return &agreeLut_[(slot - 1) * patterns];
+}
+
 unsigned
 PolicyTable::victimSlow(unsigned set, std::uint32_t eligibleMask)
 {
@@ -145,6 +163,9 @@ PolicyTable::victimSlow(unsigned set, std::uint32_t eligibleMask)
 
     switch (kind_) {
       case PolicyKind::TreePlru:
+        if (!agreeSlot_.empty())
+            return agreementLut(eligibleMask)[setWord_[set] &
+                                               (victimLut_.size() - 1)];
         return bestAgreement(setWord_[set], eligibleMask);
       case PolicyKind::QuadAgeLru:
         return lowestWay(eligibleMask);

@@ -176,6 +176,13 @@ class PolicyTable
     unsigned bestAgreement(std::uint64_t bits,
                            std::uint32_t eligibleMask) const;
 
+    /**
+     * bestAgreement(bits, @p eligibleMask) for every bit pattern of a
+     * tree of at most 7 nodes, indexed by bits; built on the mask's
+     * first use by calling bestAgreement once per pattern.
+     */
+    const std::uint8_t *agreementLut(std::uint32_t eligibleMask);
+
     /** Uncommon victim cases kept out of line (SRRIP aging, random). */
     unsigned victimSlow(unsigned set, std::uint32_t eligibleMask);
 
@@ -195,6 +202,16 @@ class PolicyTable
     std::vector<std::uint64_t> touchMask_;
     std::vector<std::uint64_t> touchVal_;
     std::vector<std::uint8_t> victimLut_;
+
+    /**
+     * TreePlru's ineligible-leaf fallback for the same small trees:
+     * one victimLut_-sized table per distinct eligible mask (a
+     * partitioned cache uses one or two), stored back to back in
+     * agreeLut_. agreeSlot_[mask] is 1 + the mask's table index, 0
+     * until the mask first reaches the fallback.
+     */
+    std::vector<std::uint16_t> agreeSlot_;
+    std::vector<std::uint8_t> agreeLut_;
 
     /**
      * One word per set: tree bits (TreePlru/QuadAgeLru), MRU bits

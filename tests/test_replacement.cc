@@ -89,6 +89,68 @@ TEST(TreePlru, RequiresPowerOfTwo)
                  "power-of-two");
 }
 
+/**
+ * Touch sequences from the reset state to every tree-bit pattern of a
+ * @p ways-way PLRU tree (breadth-first over the touch rule: promoting
+ * a way points each node on its path at the sibling subtree).
+ */
+std::vector<std::vector<unsigned>>
+pathsToEveryTreeState(unsigned ways)
+{
+    const unsigned nodes = ways - 1;
+    std::vector<std::vector<unsigned>> path(std::size_t(1) << nodes);
+    std::vector<bool> seen(path.size(), false);
+    std::vector<unsigned> queue{0};
+    seen[0] = true;
+    for (std::size_t q = 0; q < queue.size(); ++q) {
+        const unsigned bits = queue[q];
+        for (unsigned w = 0; w < ways; ++w) {
+            unsigned next = bits;
+            for (unsigned node = nodes + w; node != 0;) {
+                const unsigned parent = (node - 1) / 2;
+                next &= ~(1u << parent);
+                if (node == 2 * parent + 1)
+                    next |= 1u << parent;
+                node = parent;
+            }
+            if (seen[next])
+                continue;
+            seen[next] = true;
+            path[next] = path[bits];
+            path[next].push_back(w);
+            queue.push_back(next);
+        }
+    }
+    EXPECT_EQ(queue.size(), path.size()) << "unreachable tree state";
+    return path;
+}
+
+/**
+ * Partitioned and locked ways send fills past the PLRU leaf to the
+ * best-agreement fallback, which the table memoizes per eligible
+ * mask. Every (tree bits, mask) pair of the 4- and 8-way trees picks
+ * the reference policy's victim.
+ */
+TEST(PolicyTable, TreePlruFallbackMatchesReferenceForEveryMask)
+{
+    for (unsigned ways : {4u, 8u}) {
+        PolicyTable table(PolicyKind::TreePlru, 1, ways, nullptr);
+        auto ref = makePolicy(PolicyKind::TreePlru, ways, nullptr);
+        for (const std::vector<unsigned> &path :
+             pathsToEveryTreeState(ways)) {
+            table.reset();
+            ref->reset();
+            for (unsigned w : path) {
+                table.onHit(0, w);
+                ref->onHit(w);
+            }
+            for (std::uint32_t mask = 1; mask <= wayMaskAll(ways); ++mask)
+                ASSERT_EQ(table.victim(0, mask), ref->victim(mask))
+                    << ways << " ways, mask " << mask;
+        }
+    }
+}
+
 TEST(PolicyTable, RequiresPowerOfTwoForTree)
 {
     EXPECT_DEATH(PolicyTable(PolicyKind::TreePlru, 4, 6, nullptr),
