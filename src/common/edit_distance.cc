@@ -1,6 +1,7 @@
 #include "common/edit_distance.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 namespace wb
@@ -35,38 +36,44 @@ constexpr std::size_t kFar = std::numeric_limits<std::size_t>::max() / 2;
 
 /**
  * The Wagner-Fischer table restricted to the diagonal band
- * |i - j| <= k, row-major with 2k + 1 cells per row.
+ * |i - j| <= k. Cell (i, j) sits in row i at column j - i + k + 1;
+ * columns 0 and 2k + 2 stay kFar, so the fill reads its out-of-band
+ * neighbours without a branch.
  */
 class BandTable
 {
   public:
-    /** Fill the band of @p sent x @p received for half-width @p k. */
-    void
-    fill(const std::vector<bool> &sent, const std::vector<bool> &received,
-         std::size_t k)
+    /**
+     * Fill the band of @p sent x @p received for half-width @p k.
+     * @return the corner cell (n, m); the caller keeps k >= |n - m|.
+     */
+    std::size_t
+    fill(const std::vector<std::uint8_t> &sent,
+         const std::vector<std::uint8_t> &received, std::size_t k)
     {
         const std::size_t n = sent.size();
         const std::size_t m = received.size();
         k_ = k;
-        width_ = 2 * k + 1;
-        d_.assign((n + 1) * width_, kFar);
-        for (std::size_t i = 0; i <= n; ++i) {
-            const std::size_t lo = i > k ? i - k : 0;
-            const std::size_t hi = std::min(m, i + k);
-            for (std::size_t j = lo; j <= hi; ++j) {
-                std::size_t v;
-                if (i == 0)
-                    v = j;
-                else if (j == 0)
-                    v = i;
-                else
-                    v = std::min({at(i - 1, j - 1) +
-                                      (sent[i - 1] == received[j - 1] ? 0
-                                                                      : 1),
-                                  at(i - 1, j) + 1, at(i, j - 1) + 1});
-                d_[i * width_ + j + k - i] = v;
+        stride_ = 2 * k + 3;
+        d_.assign((n + 1) * stride_, kFar);
+        for (std::size_t j = 0; j <= std::min(m, k); ++j)
+            d_[j + k + 1] = j;
+        for (std::size_t i = 1; i <= n; ++i) {
+            std::size_t *cur = &d_[i * stride_];
+            const std::size_t *prev = cur - stride_;
+            std::size_t j = i > k ? i - k : 0;
+            if (j == 0) {
+                cur[k + 1 - i] = i;
+                j = 1;
+            }
+            const std::uint8_t s = sent[i - 1];
+            for (const std::size_t hi = std::min(m, i + k); j <= hi; ++j) {
+                const std::size_t c = j + k + 1 - i;
+                cur[c] = std::min({prev[c] + (s == received[j - 1] ? 0 : 1),
+                                   prev[c + 1] + 1, cur[c - 1] + 1});
             }
         }
+        return at(n, m);
     }
 
     /** Cell (i, j); kFar outside the band. */
@@ -75,36 +82,41 @@ class BandTable
     {
         if (j + k_ < i || j > i + k_)
             return kFar;
-        return d_[i * width_ + j + k_ - i];
+        return d_[i * stride_ + j + k_ + 1 - i];
     }
 
   private:
     std::size_t k_ = 0;
-    std::size_t width_ = 1;
+    std::size_t stride_ = 3;
     std::vector<std::size_t> d_;
 };
 
 } // namespace
 
 EditBreakdown
-editBreakdown(const std::vector<bool> &sent, const std::vector<bool> &received)
+editBreakdown(const std::vector<bool> &sentBits,
+              const std::vector<bool> &receivedBits)
 {
-    const std::size_t n = sent.size();
-    const std::size_t m = received.size();
+    const std::size_t n = sentBits.size();
+    const std::size_t m = receivedBits.size();
+    // Bytes, not packed bits: the fill reads one of each per cell.
+    const std::vector<std::uint8_t> sent(sentBits.begin(), sentBits.end());
+    const std::vector<std::uint8_t> received(receivedBits.begin(),
+                                             receivedBits.end());
     // Ukkonen's band: every cell on an optimal path has
     // |i - j| <= distance, so a band of half-width k >= distance holds
     // each such cell at its full-table value. A cell it leaves out, or
     // holds above k, can never equal a path cell's value minus its
     // step cost, so the backtrace below takes the same steps as over
-    // the full table. Double k until the corner's value is within it.
+    // the full table. A narrow band settles a frame with few errors in
+    // one pass; otherwise its corner, the cost of an edit script that
+    // stays inside it, bounds the distance, and a second pass that
+    // wide is exact.
     BandTable band;
-    std::size_t k = std::max<std::size_t>(n > m ? n - m : m - n, 4);
-    for (;;) {
-        band.fill(sent, received, k);
-        if (band.at(n, m) <= k)
-            break;
-        k *= 2;
-    }
+    const std::size_t k = std::max<std::size_t>(n > m ? n - m : m - n, 4);
+    const std::size_t corner = band.fill(sent, received, k);
+    if (corner > k)
+        band.fill(sent, received, corner);
     const auto at = [&band](std::size_t i, std::size_t j) {
         return band.at(i, j);
     };
