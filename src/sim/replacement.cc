@@ -63,8 +63,6 @@ PolicyTable::PolicyTable(PolicyKind kind, unsigned sets, unsigned ways,
                 victimLut_[bits] =
                     static_cast<std::uint8_t>(node - nodes_);
             }
-            if (kind_ == PolicyKind::TreePlru)
-                agreeSlot_.assign(std::size_t(1) << ways_, 0);
         }
     }
 
@@ -140,6 +138,8 @@ const std::uint8_t *
 PolicyTable::agreementLut(std::uint32_t eligibleMask)
 {
     const std::size_t patterns = victimLut_.size();
+    if (agreeSlot_.empty())
+        agreeSlot_.assign(std::size_t(1) << ways_, 0);
     std::uint16_t &slot = agreeSlot_[eligibleMask];
     if (slot == 0) {
         const std::size_t base = agreeLut_.size();
@@ -163,7 +163,7 @@ PolicyTable::victimSlow(unsigned set, std::uint32_t eligibleMask)
 
     switch (kind_) {
       case PolicyKind::TreePlru:
-        if (!agreeSlot_.empty())
+        if (!victimLut_.empty())
             return agreementLut(eligibleMask)[setWord_[set] &
                                                (victimLut_.size() - 1)];
         return bestAgreement(setWord_[set], eligibleMask);

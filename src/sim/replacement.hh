@@ -208,7 +208,8 @@ class PolicyTable
      * one victimLut_-sized table per distinct eligible mask (a
      * partitioned cache uses one or two), stored back to back in
      * agreeLut_. agreeSlot_[mask] is 1 + the mask's table index, 0
-     * until the mask first reaches the fallback.
+     * until the mask first reaches the fallback; both stay empty in a
+     * cache whose fills never do.
      */
     std::vector<std::uint16_t> agreeSlot_;
     std::vector<std::uint8_t> agreeLut_;
