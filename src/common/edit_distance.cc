@@ -94,15 +94,14 @@ class BandTable
 } // namespace
 
 EditBreakdown
-editBreakdown(const std::vector<bool> &sentBits,
-              const std::vector<bool> &receivedBits)
+editBreakdown(const std::vector<bool> &sent, const std::vector<bool> &received)
 {
-    const std::size_t n = sentBits.size();
-    const std::size_t m = receivedBits.size();
+    const std::size_t n = sent.size();
+    const std::size_t m = received.size();
     // Bytes, not packed bits: the fill reads one of each per cell.
-    const std::vector<std::uint8_t> sent(sentBits.begin(), sentBits.end());
-    const std::vector<std::uint8_t> received(receivedBits.begin(),
-                                             receivedBits.end());
+    const std::vector<std::uint8_t> sentBytes(sent.begin(), sent.end());
+    const std::vector<std::uint8_t> receivedBytes(received.begin(),
+                                                  received.end());
     // Ukkonen's band: every cell on an optimal path has
     // |i - j| <= distance, so a band of half-width k >= distance holds
     // each such cell at its full-table value. A cell it leaves out, or
@@ -114,9 +113,9 @@ editBreakdown(const std::vector<bool> &sentBits,
     // wide is exact.
     BandTable band;
     const std::size_t k = std::max<std::size_t>(n > m ? n - m : m - n, 4);
-    const std::size_t corner = band.fill(sent, received, k);
+    const std::size_t corner = band.fill(sentBytes, receivedBytes, k);
     if (corner > k)
-        band.fill(sent, received, corner);
+        band.fill(sentBytes, receivedBytes, corner);
     const auto at = [&band](std::size_t i, std::size_t j) {
         return band.at(i, j);
     };
