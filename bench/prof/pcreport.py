@@ -54,6 +54,8 @@ def is_pie(binary):
 
 def resolve(binary, addrs):
     """addr2line -i over @addrs: address -> [(function, file:line)]."""
+    if not os.path.isfile(binary):
+        return {}  # [vdso] and other mappings with no file behind them
     out = subprocess.run(
         ["addr2line", "-e", binary, "-a", "-f", "-C", "-i"],
         input="".join("%x\n" % a for a in addrs),
