@@ -84,8 +84,9 @@ class SameCoreWiring
      *  horizon. */
     const TransmissionSchedule &schedule() const { return schedule_; }
 
-    /** Launch the parties in their address spaces, run to the
-     *  horizon; the run-side half of a RawRun (calibration empty). */
+    /** Launch the parties in their address spaces, run until they
+     *  halt or the horizon passes (Scheduler::run); the run-side half
+     *  of a RawRun (calibration empty). */
     RawRun run(sim::Program &sender, PacedProgram &receiver,
                const sim::AddressSpace &senderSpace = sim::AddressSpace(1),
                const sim::AddressSpace &receiverSpace =
@@ -120,8 +121,9 @@ class CrossCoreWiring
 
     const TransmissionSchedule &schedule() const { return schedule_; }
 
-    /** Launch the parties in their address spaces, run to the
-     *  horizon; the run-side half of a RawRun (calibration empty). */
+    /** Launch the parties in their address spaces, run until they
+     *  halt or the horizon passes (Scheduler::run); the run-side half
+     *  of a RawRun (calibration empty). */
     RawRun run(sim::Program &sender, PacedProgram &receiver,
                const sim::AddressSpace &senderSpace = sim::AddressSpace(1),
                const sim::AddressSpace &receiverSpace =
