@@ -3,11 +3,12 @@
  * bench_micro — self-contained microbenchmark harness for the
  * simulator hot paths, with machine-readable output.
  *
- * Measures accesses/second for the cache-layer workloads the channel
- * experiments are built from, on both the production flat
- * structure-of-arrays Cache and the seed-layout RefCache (so the
- * refactor speedup is measured within one binary), plus two end-to-end
- * hierarchy workloads:
+ * Measures ops/second from the cache-layer workloads the channel
+ * experiments are built from (on the production flat
+ * structure-of-arrays Cache) up to whole frames. Three engine layers
+ * are measured as flat/reference pairs, the production mode against
+ * its slower reference mode in one binary: hierarchy-access,
+ * llc-slice-evict and trace-step. The workloads:
  *
  *   probe-hit        resident-line probeBatch sweeps (receiver decode)
  *   fill-evict       eviction sweeps with dirty fills (sender encode)
@@ -51,7 +52,6 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "chan/calibration.hh"
@@ -64,7 +64,6 @@
 #include "sim/cache.hh"
 #include "sim/hierarchy.hh"
 #include "sim/multicore.hh"
-#include "sim/ref_cache.hh"
 #include "sim/smt_core.hh"
 #include "sim/sweep_runner.hh"
 
@@ -177,97 +176,64 @@ sweepAddrs(const AddressLayout &layout, unsigned tagsPerSet)
     return addrs;
 }
 
-/** Drive one pass of fills over @p addrs on either cache model. */
-template <typename CacheT>
-void
-fillPass(CacheT &cache, const std::vector<Addr> &addrs, ThreadId tid,
-         bool asDirty)
-{
-    if constexpr (std::is_same_v<CacheT, Cache>) {
-        cache.fillBatch(addrs, tid, asDirty);
-    } else {
-        for (Addr a : addrs)
-            cache.fill(a, tid, asDirty);
-    }
-}
-
-/** Drive one pass of probes over @p addrs on either cache model. */
-template <typename CacheT>
-std::uint64_t
-probePass(CacheT &cache, const std::vector<Addr> &addrs, ThreadId tid)
-{
-    if constexpr (std::is_same_v<CacheT, Cache>) {
-        return cache.probeBatch(addrs, tid).hits;
-    } else {
-        std::uint64_t hits = 0;
-        for (Addr a : addrs)
-            hits += cache.probe(a, tid).has_value() ? 1 : 0;
-        return hits;
-    }
-}
-
 /** probe-hit: every set full, probes always hit (receiver steady state). */
-template <typename CacheT>
 BenchResult
-benchProbeHit(const std::string &impl, double budgetSec)
+benchProbeHit(double budgetSec)
 {
     const CacheParams p = l1Params();
     Rng rng(1);
-    CacheT cache(p, &rng);
+    Cache cache(p, &rng);
     const auto addrs = sweepAddrs(cache.layout(), p.ways);
-    fillPass(cache, addrs, 0, false); // make every probe a hit
+    cache.fillBatch(addrs, 0, false); // make every probe a hit
     std::uint64_t sink = 0;
-    auto res = measure("probe-hit", impl, cacheConfigJson(p), budgetSec,
+    auto res = measure("probe-hit", "flat", cacheConfigJson(p), budgetSec,
                        addrs.size(),
-                       [&]() { sink += probePass(cache, addrs, 0); });
+                       [&]() { sink += cache.probeBatch(addrs, 0).hits; });
     if (sink == ~std::uint64_t(0))
         std::cerr << ""; // defeat dead-code elimination of the probes
     return res;
 }
 
 /** fill-evict: 2W distinct lines per set, dirty fills, every op evicts. */
-template <typename CacheT>
 BenchResult
-benchFillEvict(const std::string &impl, double budgetSec)
+benchFillEvict(double budgetSec)
 {
     const CacheParams p = l1Params();
     Rng rng(2);
-    CacheT cache(p, &rng);
+    Cache cache(p, &rng);
     const auto addrs = sweepAddrs(cache.layout(), 2 * p.ways);
-    return measure("fill-evict", impl,
+    return measure("fill-evict", "flat",
                    cacheConfigJson(p, "\"asDirty\":true"), budgetSec,
                    addrs.size(),
-                   [&]() { fillPass(cache, addrs, 0, true); });
+                   [&]() { cache.fillBatch(addrs, 0, true); });
 }
 
 /** partitioned: the fill-evict sweep under NoMo-style way masks. */
-template <typename CacheT>
 BenchResult
-benchPartitioned(const std::string &impl, double budgetSec)
+benchPartitioned(double budgetSec)
 {
     CacheParams p = l1Params();
     p.fillMaskPerThread = {wayMaskRange(0, 4), wayMaskRange(4, 8)};
     Rng rng(3);
-    CacheT cache(p, &rng);
+    Cache cache(p, &rng);
     const auto addrs = sweepAddrs(cache.layout(), 2 * p.ways);
     ThreadId tid = 0;
     return measure(
-        "partitioned", impl,
+        "partitioned", "flat",
         cacheConfigJson(p, "\"fillMasks\":[\"0x0f\",\"0xf0\"]"),
         budgetSec, addrs.size(), [&]() {
-            fillPass(cache, addrs, tid, true);
+            cache.fillBatch(addrs, tid, true);
             tid ^= 1u;
         });
 }
 
 /** plcache-locked: half of every set locked, fills dodge the locks. */
-template <typename CacheT>
 BenchResult
-benchPlcacheLocked(const std::string &impl, double budgetSec)
+benchPlcacheLocked(double budgetSec)
 {
     const CacheParams p = l1Params();
     Rng rng(4);
-    CacheT cache(p, &rng);
+    Cache cache(p, &rng);
     const auto &layout = cache.layout();
     // Pin half of each set: fill then lock W/2 protected lines.
     for (unsigned set = 0; set < layout.numSets(); ++set) {
@@ -278,10 +244,10 @@ benchPlcacheLocked(const std::string &impl, double budgetSec)
         }
     }
     const auto addrs = sweepAddrs(layout, 2 * p.ways);
-    return measure("plcache-locked", impl,
+    return measure("plcache-locked", "flat",
                    cacheConfigJson(p, "\"lockedWaysPerSet\":4"),
                    budgetSec, addrs.size(),
-                   [&]() { fillPass(cache, addrs, 1, false); });
+                   [&]() { cache.fillBatch(addrs, 1, false); });
 }
 
 /**
@@ -755,14 +721,10 @@ main(int argc, char **argv)
     gWindows = quick ? 5 : 3;
 
     std::vector<BenchResult> results;
-    results.push_back(benchProbeHit<Cache>("flat", budget));
-    results.push_back(benchProbeHit<RefCache>("reference", budget));
-    results.push_back(benchFillEvict<Cache>("flat", budget));
-    results.push_back(benchFillEvict<RefCache>("reference", budget));
-    results.push_back(benchPartitioned<Cache>("flat", budget));
-    results.push_back(benchPartitioned<RefCache>("reference", budget));
-    results.push_back(benchPlcacheLocked<Cache>("flat", budget));
-    results.push_back(benchPlcacheLocked<RefCache>("reference", budget));
+    results.push_back(benchProbeHit(budget));
+    results.push_back(benchFillEvict(budget));
+    results.push_back(benchPartitioned(budget));
+    results.push_back(benchPlcacheLocked(budget));
     results.push_back(benchHierarchyAccess("flat", budget));
     results.push_back(benchHierarchyAccess("reference", budget));
     results.push_back(benchMulticoreAccess(budget));

@@ -2,22 +2,17 @@
  * @file
  * Cache replacement policies.
  *
- * Two implementations of the same per-set replacement semantics live
- * here:
+ * One implementation, PolicyTable: a flat, devirtualized table holds
+ * the replacement state of *all* sets of a cache level inline (no
+ * per-set heap objects, no virtual dispatch): one 64-bit word per set
+ * (tree-PLRU bits / MRU bits / NRU bits / LFSR state / stamp clock,
+ * interpreted per PolicyKind) plus, for stamp- and RRPV-based
+ * policies, one 64-bit word per line.
  *
- *  - PolicyTable — the production hot path. One flat, devirtualized
- *    table holds the replacement state of *all* sets of a cache level
- *    inline (no per-set heap objects, no virtual dispatch): one 64-bit
- *    word per set (tree-PLRU bits / MRU bits / NRU bits / LFSR state /
- *    stamp clock, interpreted per PolicyKind) plus, for stamp- and
- *    RRPV-based policies, one 64-bit word per line.
- *
- *  - ReplacementPolicy — the original virtual per-set interface, kept
- *    as a thin single-set adapter for unit tests and as an independent
- *    reference implementation for the cache equivalence suite. The two
- *    implementations are RNG-draw compatible: fed the same operation
- *    sequence and identically seeded Rngs they produce bit-identical
- *    victim sequences.
+ * Its independent oracle lives under tests/: the naive per-set model
+ * in tests/naive_cache.hh, which makes the same Rng draws in the same
+ * order and must pick the same victims
+ * (tests/test_replacement.cc, tests/test_cache_equivalence.cc).
  *
  * Eligibility is communicated as a 32-bit way bitmask everywhere: bit w
  * set means way w may be evicted (not locked, inside the requesting
@@ -45,7 +40,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -111,7 +105,17 @@ lfsrStep(std::uint64_t s)
 constexpr unsigned srripBits = 2;
 constexpr std::uint64_t srripMax = (1u << srripBits) - 1;
 
-/** Fraction of QuadAgeLru fills whose tree update is perturbed. */
+/**
+ * Fraction of QuadAgeLru fills whose tree update is perturbed.
+ * QuadAgeLru stands in for the undocumented Sandy Bridge L1D policy
+ * (paper Table II, "Intel Xeon E5-2650" row): tree-PLRU whose state is
+ * perturbed by the rest of the core (TLB walks, instruction-side
+ * traffic, the sibling thread), modeled as a random tree-bit flip on
+ * this fraction of fills. A recently written line then survives an
+ * 8- or 9-line sweep with sizable probability but is gone after 10+;
+ * the exact percentages are calibration, not microarchitecture (see
+ * DESIGN.md and bench/table2_eviction).
+ */
 constexpr double quadAgePerturbProb = 0.55;
 
 } // namespace detail
@@ -156,15 +160,6 @@ class PolicyTable
      */
     unsigned victim(unsigned set, std::uint32_t eligibleMask);
 
-    /** The policy governing every set. */
-    PolicyKind kind() const { return kind_; }
-
-    /** Associativity this table manages. */
-    unsigned ways() const { return ways_; }
-
-    /** Number of sets this table manages. */
-    unsigned sets() const { return sets_; }
-
   private:
     /** Promote @p way to most-recently-used (tree/MRU-bit policies). */
     void touch(unsigned set, unsigned way);
@@ -187,7 +182,6 @@ class PolicyTable
     unsigned victimSlow(unsigned set, std::uint32_t eligibleMask);
 
     PolicyKind kind_;
-    unsigned sets_;
     unsigned ways_;
     unsigned nodes_; //!< tree node count for the PLRU policies
     Rng *rng_;
@@ -228,64 +222,6 @@ class PolicyTable
      */
     std::vector<std::uint64_t> lineWord_;
 };
-
-/**
- * Replacement state for one cache set behind a virtual interface.
- *
- * This is not on the simulator hot path (Cache uses PolicyTable); it
- * exists as a convenient handle for unit tests and as the independent
- * reference implementation the equivalence suite cross-checks the flat
- * table against.
- */
-class ReplacementPolicy
-{
-  public:
-    virtual ~ReplacementPolicy() = default;
-
-    /** Reset to the initial (power-on) state. */
-    virtual void reset() = 0;
-
-    /** Note that @p way was just filled with a new line. */
-    virtual void onFill(unsigned way) = 0;
-
-    /** Note a hit on @p way. */
-    virtual void onHit(unsigned way) = 0;
-
-    /**
-     * Choose a victim among eligible ways.
-     *
-     * @param eligibleMask per-way eligibility (bit w set = way w may be
-     *        evicted); must be non-zero.
-     * @return the victim way index
-     */
-    virtual unsigned victim(std::uint32_t eligibleMask) = 0;
-
-    /** Associativity this instance manages. */
-    unsigned ways() const { return ways_; }
-
-  protected:
-    explicit ReplacementPolicy(unsigned ways) : ways_(ways) {}
-
-    /** Abort unless at least one way is eligible. */
-    static void checkCandidates(std::uint32_t eligibleMask);
-
-    unsigned ways_;
-};
-
-/**
- * Create a policy instance for one set.
- *
- * @param kind which policy
- * @param ways set associativity (power of two required for TreePlru)
- * @param rng randomness source; required by RandomIid, used for seeding
- *        LfsrRandom and perturbing QuadAgeLru; may be nullptr for
- *        fully deterministic policies
- */
-std::unique_ptr<ReplacementPolicy>
-makePolicy(PolicyKind kind, unsigned ways, Rng *rng);
-
-/** All policy kinds, for parameterized tests and benches. */
-const std::vector<PolicyKind> &allPolicies();
 
 // ------------------------------------------------------------------
 // PolicyTable hot-path definitions. Kept in the header so the owning

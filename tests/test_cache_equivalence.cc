@@ -1,8 +1,8 @@
 /**
  * @file
  * Randomized equivalence suite for the flat structure-of-arrays Cache
- * against the seed-semantics RefCache (nested vectors + one virtual
- * policy object per set).
+ * against NaiveCache (tests/naive_cache.hh: nested vectors and one
+ * naive policy object per set).
  *
  * For every PolicyKind × write-policy × partitioning/locking scenario
  * it replays a long mixed stream of probe / hit / fill / invalidate /
@@ -10,8 +10,9 @@
  * own identically seeded Rng, so the stochastic policies' draw
  * sequences must also line up — and asserts bit-identical hit / miss /
  * evict / dirty behavior at every step, plus periodic full-state
- * comparisons. Across the whole parameter grid roughly 100k operations
- * are replayed.
+ * comparisons. A second geometry (8 ways × 4 sets, true LRU) replays
+ * eight longer streams. Across both grids roughly 150k operations are
+ * replayed.
  */
 
 #include <gtest/gtest.h>
@@ -20,8 +21,8 @@
 #include <string>
 
 #include "common/rng.hh"
+#include "naive_cache.hh"
 #include "sim/cache.hh"
-#include "sim/ref_cache.hh"
 
 namespace wb::sim
 {
@@ -99,16 +100,19 @@ expectSameLine(const Line &a, const Line &b, const std::string &ctx)
 }
 
 void
-expectSameState(const Cache &flat, const RefCache &ref,
+expectSameState(const Cache &flat, const NaiveCache &ref,
                 const std::string &ctx)
 {
     for (unsigned s = 0; s < flat.numSets(); ++s) {
-        ASSERT_EQ(flat.validCountInSet(s), ref.validCountInSet(s))
-            << ctx << " set " << s;
-        ASSERT_EQ(flat.dirtyCountInSet(s), ref.dirtyCountInSet(s))
-            << ctx << " set " << s;
         const auto fl = flat.setContents(s);
-        const auto rl = ref.setContents(s);
+        const auto &rl = ref.setContents(s);
+        unsigned valid = 0, dirty = 0;
+        for (const Line &l : rl) {
+            valid += l.valid ? 1 : 0;
+            dirty += l.valid && l.dirty ? 1 : 0;
+        }
+        ASSERT_EQ(flat.validCountInSet(s), valid) << ctx << " set " << s;
+        ASSERT_EQ(flat.dirtyCountInSet(s), dirty) << ctx << " set " << s;
         ASSERT_EQ(fl.size(), rl.size());
         for (unsigned w = 0; w < fl.size(); ++w) {
             expectSameLine(fl[w], rl[w],
@@ -123,6 +127,11 @@ struct GridCase
     PolicyKind policy;
     WritePolicy wp;
     Scenario scenario;
+    unsigned ways = 4;
+    unsigned sets = 8;
+    unsigned tagsPerSet = 12; //!< tag pool, so sets run full
+    int ops = 1500;
+    std::uint64_t seed = 0;
 };
 
 class CacheEquivalence : public ::testing::TestWithParam<GridCase>
@@ -144,30 +153,24 @@ gridCaseName(const ::testing::TestParamInfo<GridCase> &info)
 
 TEST_P(CacheEquivalence, MixedOpStreamIsBitIdentical)
 {
-    const auto [policy, wp, scenario] = GetParam();
-    const unsigned ways = 4;
-    const unsigned sets = 8;
+    const auto [policy, wp, scenario, ways, sets, tagsPerSet, ops, seed] =
+        GetParam();
     const CacheParams params = paramsFor(policy, wp, scenario, ways, sets);
 
-    const std::uint64_t seed =
-        0xabcd'0000 + static_cast<unsigned>(policy) * 64 +
-        static_cast<unsigned>(wp) * 8 +
-        static_cast<unsigned>(scenario);
     Rng flatRng(seed);
     Rng refRng(seed);
     Cache flat(params, &flatRng);
-    RefCache ref(params, &refRng);
+    NaiveCache ref(params, &refRng);
 
     // Small tag pool so addresses alias heavily and sets run full.
     Rng opRng(seed ^ 0x5eed);
     const auto &layout = flat.layout();
     auto randomAddr = [&]() {
         const auto set = static_cast<unsigned>(opRng.below(sets));
-        const Addr tag = 1 + opRng.below(3 * ways);
+        const Addr tag = 1 + opRng.below(tagsPerSet);
         return layout.compose(set, tag) + opRng.below(lineBytes);
     };
 
-    const int ops = 1500;
     for (int i = 0; i < ops; ++i) {
         const Addr a = randomAddr();
         const auto tid = static_cast<ThreadId>(opRng.below(2));
@@ -246,13 +249,35 @@ fullGrid()
         for (WritePolicy wp :
              {WritePolicy::WriteBack, WritePolicy::WriteThrough})
             for (Scenario s : {Scenario::None, Scenario::NoMo,
-                               Scenario::Dawg, Scenario::PlCache})
-                grid.push_back({policy, wp, s});
+                               Scenario::Dawg, Scenario::PlCache}) {
+                GridCase gc{policy, wp, s};
+                gc.seed = 0xabcd'0000 + static_cast<unsigned>(policy) * 64 +
+                          static_cast<unsigned>(wp) * 8 +
+                          static_cast<unsigned>(s);
+                grid.push_back(gc);
+            }
     return grid;
 }
 
 INSTANTIATE_TEST_SUITE_P(FullGrid, CacheEquivalence,
                          ::testing::ValuesIn(fullGrid()), gridCaseName);
+
+/** Eight longer true-LRU streams on a wider set (8 ways × 4 sets). */
+std::vector<GridCase>
+lruStreams()
+{
+    std::vector<GridCase> grid;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed)
+        grid.push_back({PolicyKind::TrueLru, WritePolicy::WriteBack,
+                        Scenario::None, 8, 4, 14, 5000, seed});
+    return grid;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LruStreams, CacheEquivalence, ::testing::ValuesIn(lruStreams()),
+    [](const ::testing::TestParamInfo<GridCase> &info) {
+        return "TrueLRU_8way_seed" + std::to_string(info.param.seed);
+    });
 
 /**
  * fillBatch() must be exactly a loop of fill(): two identically seeded

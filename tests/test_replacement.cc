@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit and property tests for the replacement policies
- * (sim/replacement.hh): the virtual single-set reference classes, the
- * flat PolicyTable hot path, and their bit-exact agreement.
+ * (sim/replacement.hh): each policy's behaviour on a one-set
+ * PolicyTable, and the table's bit-exact agreement with the naive
+ * per-set model in tests/naive_cache.hh.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <set>
 
 #include "common/rng.hh"
+#include "naive_cache.hh"
 #include "sim/replacement.hh"
 
 namespace wb::sim
@@ -27,66 +29,60 @@ TEST(WayMask, Helpers)
     EXPECT_EQ(wayMaskRange(3, 3), 0u);
 }
 
+/** A one-set PolicyTable after a fill of every way, 0 first. */
+PolicyTable
+filledSet(PolicyKind kind, unsigned ways, Rng *rng = nullptr)
+{
+    PolicyTable p(kind, 1, ways, rng);
+    for (unsigned w = 0; w < ways; ++w)
+        p.onFill(0, w);
+    return p;
+}
+
 TEST(TrueLru, EvictsOldest)
 {
-    auto p = makePolicy(PolicyKind::TrueLru, 4, nullptr);
-    for (unsigned w = 0; w < 4; ++w)
-        p->onFill(w);
+    PolicyTable p = filledSet(PolicyKind::TrueLru, 4);
     // Way 0 is oldest.
-    EXPECT_EQ(p->victim(wayMaskAll(4)), 0u);
-    p->onHit(0);
+    EXPECT_EQ(p.victim(0, wayMaskAll(4)), 0u);
+    p.onHit(0, 0);
     // Now way 1 is oldest.
-    EXPECT_EQ(p->victim(wayMaskAll(4)), 1u);
+    EXPECT_EQ(p.victim(0, wayMaskAll(4)), 1u);
 }
 
 TEST(TrueLru, FullTurnoverInWaysFills)
 {
     // After W distinct fills, every original line would be gone:
     // victim choices never repeat within one sweep.
-    auto p = makePolicy(PolicyKind::TrueLru, 8, nullptr);
-    for (unsigned w = 0; w < 8; ++w)
-        p->onFill(w);
+    PolicyTable p = filledSet(PolicyKind::TrueLru, 8);
     std::set<unsigned> victims;
     for (unsigned i = 0; i < 8; ++i) {
-        const unsigned v = p->victim(wayMaskAll(8));
+        const unsigned v = p.victim(0, wayMaskAll(8));
         victims.insert(v);
-        p->onFill(v);
+        p.onFill(0, v);
     }
     EXPECT_EQ(victims.size(), 8u);
 }
 
 TEST(TrueLru, RespectsCandidateMask)
 {
-    auto p = makePolicy(PolicyKind::TrueLru, 4, nullptr);
-    for (unsigned w = 0; w < 4; ++w)
-        p->onFill(w);
-    EXPECT_EQ(p->victim(0b1100u), 2u); // oldest among eligible
+    PolicyTable p = filledSet(PolicyKind::TrueLru, 4);
+    EXPECT_EQ(p.victim(0, 0b1100u), 2u); // oldest among eligible
 }
 
 TEST(TreePlru, PointsAwayFromRecentlyTouched)
 {
-    auto p = makePolicy(PolicyKind::TreePlru, 8, nullptr);
-    for (unsigned w = 0; w < 8; ++w)
-        p->onFill(w);
+    PolicyTable p = filledSet(PolicyKind::TreePlru, 8);
     // Way 7 was last touched; the victim must not be 7.
-    EXPECT_NE(p->victim(wayMaskAll(8)), 7u);
+    EXPECT_NE(p.victim(0, wayMaskAll(8)), 7u);
 }
 
 TEST(TreePlru, VictimChangesAfterTouch)
 {
-    auto p = makePolicy(PolicyKind::TreePlru, 8, nullptr);
-    for (unsigned w = 0; w < 8; ++w)
-        p->onFill(w);
-    const unsigned v1 = p->victim(wayMaskAll(8));
-    p->onHit(v1); // touch the would-be victim
-    const unsigned v2 = p->victim(wayMaskAll(8));
+    PolicyTable p = filledSet(PolicyKind::TreePlru, 8);
+    const unsigned v1 = p.victim(0, wayMaskAll(8));
+    p.onHit(0, v1); // touch the would-be victim
+    const unsigned v2 = p.victim(0, wayMaskAll(8));
     EXPECT_NE(v1, v2);
-}
-
-TEST(TreePlru, RequiresPowerOfTwo)
-{
-    EXPECT_DEATH((void)makePolicy(PolicyKind::TreePlru, 6, nullptr),
-                 "power-of-two");
 }
 
 /**
@@ -129,23 +125,23 @@ pathsToEveryTreeState(unsigned ways)
  * Partitioned and locked ways send fills past the PLRU leaf to the
  * best-agreement fallback, which the table memoizes per eligible
  * mask. Every (tree bits, mask) pair of the 4- and 8-way trees picks
- * the reference policy's victim.
+ * the naive model's victim.
  */
 TEST(PolicyTable, TreePlruFallbackMatchesReferenceForEveryMask)
 {
     for (unsigned ways : {4u, 8u}) {
         PolicyTable table(PolicyKind::TreePlru, 1, ways, nullptr);
-        auto ref = makePolicy(PolicyKind::TreePlru, ways, nullptr);
+        NaivePolicy ref(PolicyKind::TreePlru, ways, nullptr);
         for (const std::vector<unsigned> &path :
              pathsToEveryTreeState(ways)) {
             table.reset();
-            ref->reset();
+            ref.reset();
             for (unsigned w : path) {
                 table.onHit(0, w);
-                ref->onHit(w);
+                ref.onHit(w);
             }
             for (std::uint32_t mask = 1; mask <= wayMaskAll(ways); ++mask)
-                ASSERT_EQ(table.victim(0, mask), ref->victim(mask))
+                ASSERT_EQ(table.victim(0, mask), ref.victim(mask))
                     << ways << " ways, mask " << mask;
         }
     }
@@ -154,6 +150,10 @@ TEST(PolicyTable, TreePlruFallbackMatchesReferenceForEveryMask)
 TEST(PolicyTable, RequiresPowerOfTwoForTree)
 {
     EXPECT_DEATH(PolicyTable(PolicyKind::TreePlru, 4, 6, nullptr),
+                 "power-of-two");
+    EXPECT_DEATH(PolicyTable(PolicyKind::TreePlru, 1, 6, nullptr),
+                 "power-of-two");
+    EXPECT_DEATH(PolicyTable(PolicyKind::QuadAgeLru, 1, 12, nullptr),
                  "power-of-two");
 }
 
@@ -165,41 +165,36 @@ TEST(PolicyTable, RejectsOversizedAssociativity)
 
 TEST(BitPlru, ResetsWhenAllMru)
 {
-    auto p = makePolicy(PolicyKind::BitPlru, 4, nullptr);
-    for (unsigned w = 0; w < 4; ++w)
-        p->onFill(w); // fourth fill clears others' MRU bits
+    // The fourth fill clears the others' MRU bits.
+    PolicyTable p = filledSet(PolicyKind::BitPlru, 4);
     // Ways 0..2 cleared, way 3 still MRU: victim is way 0.
-    EXPECT_EQ(p->victim(wayMaskAll(4)), 0u);
+    EXPECT_EQ(p.victim(0, wayMaskAll(4)), 0u);
 }
 
 TEST(Nru, AgingFindsVictim)
 {
-    auto p = makePolicy(PolicyKind::Nru, 4, nullptr);
-    for (unsigned w = 0; w < 4; ++w)
-        p->onFill(w); // all "recent"
+    PolicyTable p = filledSet(PolicyKind::Nru, 4); // all "recent"
     // Aging pass must still return some way.
-    const unsigned v = p->victim(wayMaskAll(4));
+    const unsigned v = p.victim(0, wayMaskAll(4));
     EXPECT_LT(v, 4u);
 }
 
 TEST(Fifo, IgnoresHits)
 {
-    auto p = makePolicy(PolicyKind::Fifo, 4, nullptr);
-    for (unsigned w = 0; w < 4; ++w)
-        p->onFill(w);
-    p->onHit(0);
-    p->onHit(0); // hits must not refresh
-    EXPECT_EQ(p->victim(wayMaskAll(4)), 0u);
+    PolicyTable p = filledSet(PolicyKind::Fifo, 4);
+    p.onHit(0, 0);
+    p.onHit(0, 0); // hits must not refresh
+    EXPECT_EQ(p.victim(0, wayMaskAll(4)), 0u);
 }
 
 TEST(RandomIid, UniformVictims)
 {
     Rng rng(3);
-    auto p = makePolicy(PolicyKind::RandomIid, 8, &rng);
+    PolicyTable p(PolicyKind::RandomIid, 1, 8, &rng);
     std::vector<unsigned> counts(8, 0);
     const int n = 8000;
     for (int i = 0; i < n; ++i)
-        ++counts[p->victim(wayMaskAll(8))];
+        ++counts[p.victim(0, wayMaskAll(8))];
     for (unsigned w = 0; w < 8; ++w)
         EXPECT_NEAR(counts[w] / double(n), 0.125, 0.02);
 }
@@ -207,45 +202,45 @@ TEST(RandomIid, UniformVictims)
 TEST(RandomIid, RespectsMask)
 {
     Rng rng(5);
-    auto p = makePolicy(PolicyKind::RandomIid, 8, &rng);
+    PolicyTable p(PolicyKind::RandomIid, 1, 8, &rng);
     for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(p->victim(1u << 5), 5u);
+        EXPECT_EQ(p.victim(0, 1u << 5), 5u);
 }
 
 TEST(LfsrRandom, DeterministicFromReset)
 {
     Rng rng(7);
-    auto p = makePolicy(PolicyKind::LfsrRandom, 8, &rng);
-    p->reset();
+    PolicyTable p(PolicyKind::LfsrRandom, 1, 8, &rng);
+    p.reset();
     std::vector<unsigned> first;
     for (int i = 0; i < 20; ++i)
-        first.push_back(p->victim(wayMaskAll(8)));
-    p->reset();
+        first.push_back(p.victim(0, wayMaskAll(8)));
+    p.reset();
     for (int i = 0; i < 20; ++i)
-        EXPECT_EQ(p->victim(wayMaskAll(8)), first[i]);
+        EXPECT_EQ(p.victim(0, wayMaskAll(8)), first[i]);
 }
 
 TEST(LfsrRandom, AccessesAdvanceState)
 {
     Rng rng(9);
-    auto p = makePolicy(PolicyKind::LfsrRandom, 8, &rng);
-    p->reset();
-    const unsigned v1 = p->victim(wayMaskAll(8));
-    p->reset();
-    p->onHit(0); // clocks the LFSR
-    const unsigned v2 = p->victim(wayMaskAll(8));
+    PolicyTable p(PolicyKind::LfsrRandom, 1, 8, &rng);
+    p.reset();
+    const unsigned v1 = p.victim(0, wayMaskAll(8));
+    p.reset();
+    p.onHit(0, 0); // clocks the LFSR
+    const unsigned v2 = p.victim(0, wayMaskAll(8));
     // With the x^15+x^14+1 LFSR, one step changes the low bits almost
     // always; allow equality only if the full 20-victim sequence also
     // shifted.
     if (v1 == v2) {
-        p->reset();
+        p.reset();
         std::vector<unsigned> a, b;
         for (int i = 0; i < 20; ++i)
-            a.push_back(p->victim(wayMaskAll(8)));
-        p->reset();
-        p->onHit(0);
+            a.push_back(p.victim(0, wayMaskAll(8)));
+        p.reset();
+        p.onHit(0, 0);
         for (int i = 0; i < 20; ++i)
-            b.push_back(p->victim(wayMaskAll(8)));
+            b.push_back(p.victim(0, wayMaskAll(8)));
         EXPECT_NE(a, b);
     }
 }
@@ -273,13 +268,13 @@ TEST_P(PolicyProperty, VictimAlwaysEligible)
     if (kind == PolicyKind::TreePlru && (ways & (ways - 1)) != 0)
         GTEST_SKIP() << "TreePLRU requires power-of-two ways";
     Rng rng(1234 + ways);
-    auto p = makePolicy(kind, ways, &rng);
+    PolicyTable p(kind, 1, ways, &rng);
     for (int iter = 0; iter < 500; ++iter) {
         const auto action = rng.below(3);
         if (action == 0) {
-            p->onFill(static_cast<unsigned>(rng.below(ways)));
+            p.onFill(0, static_cast<unsigned>(rng.below(ways)));
         } else if (action == 1) {
-            p->onHit(static_cast<unsigned>(rng.below(ways)));
+            p.onHit(0, static_cast<unsigned>(rng.below(ways)));
         } else {
             std::uint32_t mask = 0;
             for (unsigned w = 0; w < ways; ++w)
@@ -287,7 +282,7 @@ TEST_P(PolicyProperty, VictimAlwaysEligible)
                     mask |= 1u << w;
             if (mask == 0)
                 mask |= 1u << rng.below(ways);
-            const unsigned v = p->victim(mask);
+            const unsigned v = p.victim(0, mask);
             ASSERT_LT(v, ways);
             ASSERT_TRUE((mask >> v) & 1u);
         }
@@ -304,24 +299,24 @@ TEST_P(PolicyProperty, ResetIsReproducible)
         GTEST_SKIP() << "policy draws fresh randomness per victim";
     }
     Rng rng(99);
-    auto p = makePolicy(kind, ways, &rng);
+    PolicyTable p(kind, 1, ways, &rng);
     auto run = [&]() {
         std::vector<unsigned> seq;
         for (unsigned i = 0; i < 2 * ways; ++i) {
-            p->onFill(i % ways);
-            seq.push_back(p->victim(wayMaskAll(ways)));
+            p.onFill(0, i % ways);
+            seq.push_back(p.victim(0, wayMaskAll(ways)));
         }
         return seq;
     };
-    p->reset();
+    p.reset();
     const auto a = run();
-    p->reset();
+    p.reset();
     const auto b = run();
     EXPECT_EQ(a, b);
 }
 
 /**
- * Property: the flat PolicyTable and the virtual reference classes are
+ * Property: the flat PolicyTable and one NaivePolicy per set are
  * bit-identical — same ops, identically seeded Rngs, same victims.
  * Multiple sets are driven in an interleaved pattern to exercise the
  * table's per-set state separation.
@@ -338,9 +333,9 @@ TEST_P(PolicyProperty, TableMatchesReference)
     Rng tableRng(4242);
     Rng refRng(4242);
     PolicyTable table(kind, sets, ways, &tableRng);
-    std::vector<std::unique_ptr<ReplacementPolicy>> refs;
+    std::vector<NaivePolicy> refs;
     for (unsigned s = 0; s < sets; ++s)
-        refs.push_back(makePolicy(kind, ways, &refRng));
+        refs.emplace_back(kind, ways, &refRng);
 
     Rng opRng(7 + ways);
     for (int iter = 0; iter < 2000; ++iter) {
@@ -349,11 +344,11 @@ TEST_P(PolicyProperty, TableMatchesReference)
         if (action == 0) {
             const auto w = static_cast<unsigned>(opRng.below(ways));
             table.onFill(set, w);
-            refs[set]->onFill(w);
+            refs[set].onFill(w);
         } else if (action == 1) {
             const auto w = static_cast<unsigned>(opRng.below(ways));
             table.onHit(set, w);
-            refs[set]->onHit(w);
+            refs[set].onHit(w);
         } else if (action == 2) {
             std::uint32_t mask = 0;
             for (unsigned w = 0; w < ways; ++w)
@@ -361,14 +356,14 @@ TEST_P(PolicyProperty, TableMatchesReference)
                     mask |= 1u << w;
             if (mask == 0)
                 mask |= 1u << opRng.below(ways);
-            ASSERT_EQ(table.victim(set, mask), refs[set]->victim(mask))
+            ASSERT_EQ(table.victim(set, mask), refs[set].victim(mask))
                 << policyName(kind) << " ways=" << ways
                 << " iter=" << iter;
         } else if (iter % 97 == 0) {
             // Occasional reset (rare so stateful histories build up).
             table.reset();
             for (auto &r : refs)
-                r->reset();
+                r.reset();
         }
     }
 }
