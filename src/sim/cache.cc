@@ -12,9 +12,10 @@ namespace
 {
 
 // Runs before any member initializer: numSets() divides by ways, and
-// PolicyTable's own ways check would lose the cache name.
+// AddressLayout's and PolicyTable's own checks would panic without the
+// cache name.
 const CacheParams &
-validated(const CacheParams &params)
+validated(const CacheParams &params, const Rng *rng)
 {
     if (params.ways == 0)
         fatalf(params.name, ": zero ways");
@@ -22,13 +23,26 @@ validated(const CacheParams &params)
         fatalf(params.name, ": more than 32 ways unsupported");
     if (params.sizeBytes % (params.ways * lineBytes) != 0)
         fatalf(params.name, ": size not divisible by way size");
+    const unsigned sets = params.numSets();
+    if (!std::has_single_bit(sets))
+        fatalf(params.name, ": sizeBytes ", params.sizeBytes, " gives ",
+               sets, " sets of ", params.ways,
+               " ways; the set count must be a nonzero power of two");
+    if ((params.policy == PolicyKind::TreePlru ||
+         params.policy == PolicyKind::QuadAgeLru) &&
+        !std::has_single_bit(params.ways))
+        fatalf(params.name, ": policy ", policyName(params.policy),
+               " requires power-of-two ways, got ways = ", params.ways);
+    if (params.policy == PolicyKind::RandomIid && rng == nullptr)
+        fatalf(params.name, ": policy ", policyName(params.policy),
+               " requires an Rng, got none");
     return params;
 }
 
 } // namespace
 
 Cache::Cache(const CacheParams &params, Rng *rng)
-    : params_(validated(params)), layout_(params.numSets()),
+    : params_(validated(params, rng)), layout_(params.numSets()),
       policy_(params.policy, params.numSets(), params.ways, rng)
 {
     const std::size_t lines =

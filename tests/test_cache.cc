@@ -281,6 +281,40 @@ TEST(Cache, SetContentsSnapshot)
     EXPECT_EQ(valid, 1u);
 }
 
+/**
+ * Impossible geometries exit through fatal() naming the cache and the
+ * parameter, instead of panicking in AddressLayout or PolicyTable.
+ */
+TEST(Cache, BadGeometryFailsWithTheCacheNamed)
+{
+    const auto fails = ::testing::ExitedWithCode(1);
+    CacheParams p;
+    p.name = "LLC-test";
+
+    p.ways = 12;
+    p.sizeBytes = std::size_t(12) * 64 * lineBytes;
+    p.policy = PolicyKind::TreePlru;
+    EXPECT_EXIT(Cache(p, nullptr), fails,
+                "LLC-test: policy TreePLRU requires power-of-two ways, "
+                "got ways = 12");
+    p.policy = PolicyKind::QuadAgeLru;
+    EXPECT_EXIT(Cache(p, nullptr), fails, "LLC-test: policy QuadAgeLRU");
+
+    p.ways = 8;
+    p.policy = PolicyKind::TrueLru;
+    p.sizeBytes = std::size_t(8) * 1536 * lineBytes;
+    EXPECT_EXIT(Cache(p, nullptr), fails,
+                "LLC-test: sizeBytes 786432 gives 1536 sets");
+    p.sizeBytes = 0;
+    EXPECT_EXIT(Cache(p, nullptr), fails,
+                "LLC-test: sizeBytes 0 gives 0 sets");
+
+    p.sizeBytes = std::size_t(8) * 64 * lineBytes;
+    p.policy = PolicyKind::RandomIid;
+    EXPECT_EXIT(Cache(p, nullptr), fails,
+                "LLC-test: policy RandomIID requires an Rng");
+}
+
 /** Naive residency lookup: scan the set snapshot for a valid line. */
 const Line *
 naiveFind(const std::vector<Line> &lines, Addr paddr)
