@@ -34,13 +34,17 @@ main()
     t1.header({"d", "BER", "rate", "signal (cyc)",
                "sender loads/bit"});
     for (unsigned d : {2u, 4u, 8u}) {
-        chan::L2ChannelConfig cfg;
-        cfg.d = d;
-        cfg.frames = 15;
+        chan::ChannelConfig cfg;
+        cfg.protocol.ts = cfg.protocol.tr = 30000; // the push costs more
+        cfg.protocol.encoding = chan::Encoding::binary(d);
+        cfg.protocol.targetSet = 137; // an L2 set
+        cfg.protocol.replacementSize = 12;
+        cfg.protocol.frames = 15;
+        cfg.calibration.measurements = 150;
         cfg.seed = 3;
-        auto res = chan::runL2Channel(cfg);
+        auto res = chan::runL2Channel(cfg, /*pusherLines=*/10);
         const double bits =
-            double(cfg.frames) * cfg.frameBits;
+            double(cfg.protocol.frames) * cfg.protocol.frameBits;
         t1.row({std::to_string(d), Table::pct(res.ber, 2),
                 Table::num(res.rateKbps, 0) + " kbps",
                 Table::num(res.calibrationMedians[1] -
@@ -62,12 +66,14 @@ main()
     for (auto [k, ts] :
          {std::pair<unsigned, Cycles>{1, 5500}, {2, 5500}, {4, 5500},
           {8, 5500}, {4, 2750}, {6, 2750}, {8, 2750}}) {
-        chan::MultiSetConfig cfg;
-        cfg.setCount = k;
-        cfg.ts = cfg.tr = ts;
-        cfg.frames = 15;
+        chan::ChannelConfig cfg;
+        cfg.protocol.ts = cfg.protocol.tr = ts;
+        cfg.protocol.encoding = chan::Encoding::binary(4);
+        cfg.protocol.targetSet = 8; // stripes on sets 8, 16, ...
+        cfg.protocol.frames = 15;
+        cfg.calibration.measurements = 150;
         cfg.seed = 3;
-        auto res = chan::runMultiSetChannel(cfg);
+        auto res = chan::runMultiSetChannel(cfg, k);
         t2.row({std::to_string(k), std::to_string(ts),
                 Table::num(res.rateKbps, 0) + " kbps",
                 Table::pct(res.ber, 2),

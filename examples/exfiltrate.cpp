@@ -40,12 +40,14 @@ main(int argc, char **argv)
     // Ship the coded bits through the striped channel. We reuse the
     // frame machinery by transmitting the coded stream as the payload
     // of consecutive frames.
-    MultiSetConfig cfg;
-    cfg.setCount = k;
-    cfg.ts = cfg.tr = ts;
-    cfg.frames = 12;
+    ChannelConfig cfg;
+    cfg.protocol.ts = cfg.protocol.tr = ts;
+    cfg.protocol.encoding = Encoding::binary(4); // 4 dirty lines per 1-bit
+    cfg.protocol.targetSet = 8;                  // stripes on sets 8, 16, ...
+    cfg.protocol.frames = 12;
+    cfg.calibration.measurements = 150;
     cfg.seed = 5;
-    auto res = runMultiSetChannel(cfg);
+    auto res = runMultiSetChannel(cfg, k);
     std::cout << "  channel: " << k << " sets, Ts=" << ts << " -> "
               << Table::num(res.rateKbps, 0) << " kbps aggregate, raw "
               << "BER " << Table::pct(res.ber, 2) << "\n";

@@ -4,7 +4,6 @@
 #include "chan/receiver.hh"
 #include "chan/set_mapping.hh"
 #include "common/log.hh"
-#include "sim/smt_core.hh"
 
 namespace wb::chan
 {
@@ -15,6 +14,11 @@ makeL2Sets(const sim::AddressLayout &l1Layout,
            unsigned senderCount, unsigned pusherCount,
            unsigned replacementSize)
 {
+    if (l2Layout.numSets() <= l1Layout.numSets())
+        fatalf("makeL2Sets: the L2 has ", l2Layout.numSets(),
+               " sets, no more than the L1's ", l1Layout.numSets(),
+               ": no other L2 set shares an L1 set, so no pusher "
+               "line exists");
     L2Sets sets;
     sets.senderLines =
         linesForSet(l2Layout, targetL2Set, senderCount, /*tagBase=*/1);
@@ -83,14 +87,15 @@ namespace
  * a 0-bit, level 1 a 1-bit (d lines written and pushed into L2).
  */
 Calibration
-calibrateL2(const L2ChannelConfig &cfg, const L2Sets &sets, Rng &rng)
+calibrateL2(const ChannelConfig &cfg, const L2Sets &sets, unsigned d,
+            Rng &rng)
 {
     sim::Hierarchy hierarchy(cfg.platform, &rng);
     const sim::AddressSpace senderSpace(1);
     const auto pushIntoL2 = [&](unsigned level) {
         if (level == 0)
             return;
-        for (unsigned i = 0; i < cfg.d; ++i) {
+        for (unsigned i = 0; i < d; ++i) {
             hierarchy.access(0, senderSpace.translate(sets.senderLines[i]),
                              true);
             // Push the dirty line out of L1 into L2.
@@ -98,7 +103,7 @@ calibrateL2(const L2ChannelConfig &cfg, const L2Sets &sets, Rng &rng)
         }
     };
     CalibrationConfig calCfg;
-    calCfg.measurements = cfg.calMeasurements;
+    calCfg.measurements = cfg.calibration.measurements;
     calCfg.discard = 4;
     // Three warm-up sweeps: the first pass pulls the sets from DRAM.
     const CalibrationPorts ports{hierarchy, /*senderTid=*/0, hierarchy,
@@ -108,62 +113,54 @@ calibrateL2(const L2ChannelConfig &cfg, const L2Sets &sets, Rng &rng)
                             calCfg, cfg.noise, rng);
 }
 
-/** The L2 placement's pass: SMT siblings sharing one L2 set. */
-pipeline::RawRun
-runL2Raw(const L2ChannelConfig &cfg, const std::vector<unsigned> &levels,
-         Rng &calRng, Rng &runRng)
-{
-    const L2Sets sets = makeL2Sets(
-        sim::AddressLayout(cfg.platform.l1.numSets()),
-        sim::AddressLayout(cfg.platform.l2.numSets()), cfg.targetL2Set,
-        cfg.platform.l2.ways, cfg.pusherLines, cfg.replacementSize);
-    pipeline::RawRun raw;
-    raw.calibration = calibrateL2(cfg, sets, calRng);
-
-    sim::Hierarchy hierarchy(cfg.platform, &runRng);
-    sim::SmtCore core(hierarchy, cfg.noise, runRng);
-
-    // A nonzero level is a 1-bit.
-    const std::vector<bool> bits(levels.begin(), levels.end());
-    L2SenderProgram sender(sets.senderLines, sets.pushers, bits, cfg.d,
-                           cfg.ts);
-    const std::size_t sampleCount = bits.size() + 8 + 96;
-    ReceiverProgram receiver(sets.replacementA, sets.replacementB,
-                             cfg.tr, sampleCount, /*warmupSweeps=*/3);
-
-    const Cycles senderStart = 8 * cfg.ts;
-    raw.senderTid =
-        core.addThread(&sender, sim::AddressSpace(1), senderStart);
-    raw.receiverTid = core.addThread(&receiver, sim::AddressSpace(2), 0);
-
-    const Cycles horizon = senderStart +
-        Cycles(bits.size() + 8) * (cfg.ts + 60) + 400000;
-    raw.simulatedCycles = core.run(horizon);
-    raw.latencies = receiver.latencies();
-    raw.senderCounters = hierarchy.counters(raw.senderTid);
-    raw.receiverCounters = hierarchy.counters(raw.receiverTid);
-    return raw;
-}
-
 } // namespace
 
 ChannelResult
-runL2Channel(const L2ChannelConfig &cfg)
+runL2Channel(const ChannelConfig &cfg, unsigned pusherLines)
 {
-    pipeline::requireSetIndex("L2ChannelConfig::targetL2Set",
-                              cfg.targetL2Set, cfg.platform.l2.numSets());
+    const ProtocolConfig &proto = cfg.protocol;
+    pipeline::requireSetIndex("ProtocolConfig::targetSet", proto.targetSet,
+                              cfg.platform.l2.numSets());
+    const unsigned d =
+        pipeline::binaryTopLevel("runL2Channel", proto.encoding);
+    if (cfg.noiseProcesses != 0)
+        fatalf("runL2Channel: ChannelConfig::noiseProcesses = ",
+               cfg.noiseProcesses, " is not modeled on the L2 channel "
+               "(noise processes sit on an L1 set; targetSet is an L2 "
+               "index)");
     Rng rootRng(cfg.seed);
     Rng calRng = rootRng.split();
     Rng frameRng = rootRng.split();
     Rng runRng = rootRng.split();
-    const BitVec frame = randomFrame(cfg.frameBits - 16, frameRng);
+    const BitVec frame = randomFrame(proto.frameBits - 16, frameRng);
 
-    // Binary symbols, calibrated per symbol (see calibrateL2).
+    const L2Sets sets = makeL2Sets(
+        sim::AddressLayout(cfg.platform.l1.numSets()),
+        sim::AddressLayout(cfg.platform.l2.numSets()), proto.targetSet,
+        cfg.platform.l2.ways, pusherLines, proto.replacementSize);
+
+    // Binary symbols, calibrated per symbol (see calibrateL2): the pass
+    // runs on levels 0/1 whatever d is.
     const pipeline::Pass pass{
-        Encoding::binary(1), 1, cfg.rateKbps(), [&](const auto &levels) {
-            return runL2Raw(cfg, levels, calRng, runRng);
+        Encoding::binary(1), 1, proto.rateKbps(),
+        [&](const std::vector<unsigned> &levels) {
+            // A nonzero level is a 1-bit.
+            const std::vector<bool> bits(levels.begin(), levels.end());
+            // Built first: it rejects a d beyond the target set.
+            L2SenderProgram sender(sets.senderLines, sets.pushers, bits, d,
+                                   proto.ts);
+            const Calibration calibration =
+                calibrateL2(cfg, sets, d, calRng);
+            pipeline::SameCoreWiring wiring(cfg, bits.size(), runRng);
+            ReceiverProgram receiver(sets.replacementA, sets.replacementB,
+                                     proto.tr,
+                                     wiring.schedule().sampleCount,
+                                     /*warmupSweeps=*/3);
+            pipeline::RawRun raw = wiring.run(sender, receiver);
+            raw.calibration = calibration;
+            return raw;
         }};
-    return pipeline::runFrames(pass, frame, cfg.frames);
+    return pipeline::runFrames(pass, frame, proto.frames);
 }
 
 } // namespace wb::chan

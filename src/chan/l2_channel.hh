@@ -32,40 +32,6 @@
 namespace wb::chan
 {
 
-/** L2-channel experiment configuration. */
-struct L2ChannelConfig
-{
-    /** Registry preset this config was built from (see usePlatform). */
-    std::string platformName = sim::kDefaultPlatform;
-    sim::HierarchyParams platform = sim::xeonE5_2650Params();
-    sim::NoiseModel noise;
-    Cycles ts = 30000;   //!< slots are longer: encode costs more
-    Cycles tr = 30000;
-    unsigned frames = 20;
-    unsigned frameBits = 128;
-    unsigned d = 4;              //!< dirty L2 lines per 1-bit
-    unsigned targetL2Set = 137;  //!< agreed L2 set
-    unsigned replacementSize = 12; //!< receiver lines per probe
-    unsigned pusherLines = 10;   //!< L1-eviction sweep size
-    unsigned calMeasurements = 150;
-    std::uint64_t seed = 1;
-    double cpuGhz = 2.2;
-
-    /** Channel rate in kbps. */
-    double rateKbps() const { return cpuGhz * 1e6 / double(ts); }
-
-    /**
-     * Reconfigure for a named registry preset (hierarchy parameters +
-     * noise model). Fatal on an unknown name. @return *this.
-     */
-    L2ChannelConfig &
-    usePlatform(const std::string &name)
-    {
-        sim::applyPlatform(name, platformName, platform, noise);
-        return *this;
-    }
-};
-
 /**
  * Sender for the L2 channel: per 1-bit, writes d target-set lines and
  * evicts each from L1 through the pusher sweep.
@@ -96,8 +62,13 @@ class L2SenderProgram : public PacedProgram
     unsigned d_;
 };
 
-/** Run the L2-level covert channel end to end. */
-ChannelResult runL2Channel(const L2ChannelConfig &cfg);
+/**
+ * Run the L2-level covert channel end to end.
+ *
+ * @param pusherLines size of the sender's L1-eviction sweep
+ */
+ChannelResult runL2Channel(const ChannelConfig &cfg,
+                           unsigned pusherLines = 10);
 
 /**
  * Helper: lines mapping to a given L2 set (they also share one L1
@@ -108,7 +79,8 @@ struct L2Sets : ChannelSets
     std::vector<Addr> pushers;
 };
 
-/** Build the L2-channel line pools. */
+/** Build the L2-channel line pools. Fatal when the L2 has no more
+ *  sets than the L1: no other L2 set then holds a pusher line. */
 L2Sets makeL2Sets(const sim::AddressLayout &l1Layout,
                   const sim::AddressLayout &l2Layout, unsigned targetL2Set,
                   unsigned senderCount, unsigned pusherCount,

@@ -4,7 +4,6 @@
 #include "chan/pipeline.hh"
 #include "chan/set_mapping.hh"
 #include "common/log.hh"
-#include "sim/smt_core.hh"
 
 namespace wb::chan
 {
@@ -64,15 +63,11 @@ MultiSetReceiver::MultiSetReceiver(std::vector<std::vector<Addr>> replA,
 }
 
 void
-MultiSetReceiver::buildSlot(std::size_t index, const sim::OpResult &start,
+MultiSetReceiver::buildSlot(std::size_t index, const sim::OpResult &,
                             sim::ProcView &view)
 {
     if (index == 0)
         return;
-    // Slot overrun: the previous slot's k chases spilling past the
-    // boundary shows up as an immediately released spin.
-    if (start.latency == 0)
-        ++overruns_;
     chases_ = useA_ ? &chaseA_ : &chaseB_;
     useA_ = !useA_;
     setIdx_ = 0;
@@ -93,85 +88,65 @@ MultiSetReceiver::onSample(sim::ProcView &view)
         (*chases_)[setIdx_].reshuffle(view.rng());
 }
 
-namespace
+ChannelResult
+runMultiSetChannel(const ChannelConfig &cfg, unsigned setCount)
 {
+    const ProtocolConfig &proto = cfg.protocol;
+    // Stripe j sits on (targetSet + 8j) mod 64: past 8 stripes, or from
+    // a targetSet past 63, stripes silently reuse sets.
+    if (setCount == 0 || setCount > 8 || proto.targetSet >= 64)
+        fatalf("runMultiSetChannel: setCount = ", setCount,
+               " / ProtocolConfig::targetSet = ", proto.targetSet,
+               " is out of range: 1..8 stripes from a set below 64");
+    const auto stripeSet = [&](unsigned j) {
+        return (proto.targetSet + 8 * j) % 64;
+    };
+    for (unsigned j = 0; j < setCount; ++j)
+        pipeline::requireSetIndex("runMultiSetChannel: stripe set",
+                                  stripeSet(j), cfg.platform.l1.numSets());
+    const unsigned d =
+        pipeline::binaryTopLevel("runMultiSetChannel", proto.encoding);
+    Rng rootRng(cfg.seed);
+    Rng calRng = rootRng.split();
+    Rng frameRng = rootRng.split();
+    Rng runRng = rootRng.split();
+    const BitVec frame = randomFrame(proto.frameBits - 16, frameRng);
 
-/** The multi-set placement's pass: k L1 sets striped per slot. */
-pipeline::RawRun
-runMultiSetRaw(const MultiSetConfig &cfg,
-               const std::vector<unsigned> &levels, Rng &calRng,
-               Rng &runRng)
-{
-    // Calibrate once on set 0 (sets are symmetric by construction).
-    CalibrationConfig calCfg;
-    calCfg.targetSet = cfg.targetSet(0);
-    calCfg.replacementSize = cfg.replacementSize;
-    calCfg.measurements = cfg.calMeasurements;
-    calCfg.levelsMix = {0, cfg.d};
-    pipeline::RawRun raw;
-    raw.calibration = calibrate(cfg.platform, cfg.noise, calCfg, calRng);
-
-    sim::Hierarchy hierarchy(cfg.platform, &runRng);
-    sim::SmtCore core(hierarchy, cfg.noise, runRng);
-    const auto &layout = hierarchy.l1().layout();
-    const unsigned k = cfg.setCount;
-
+    const sim::AddressLayout layout(cfg.platform.l1.numSets());
     std::vector<std::vector<Addr>> senderPools, replA, replB;
-    for (unsigned j = 0; j < k; ++j) {
-        ChannelSets sets = makeChannelSets(layout, cfg.targetSet(j),
+    for (unsigned j = 0; j < setCount; ++j) {
+        ChannelSets sets = makeChannelSets(layout, stripeSet(j),
                                            cfg.platform.l1.ways,
-                                           cfg.replacementSize);
+                                           proto.replacementSize);
         senderPools.push_back(std::move(sets.senderLines));
         replA.push_back(std::move(sets.replacementA));
         replB.push_back(std::move(sets.replacementB));
     }
 
-    // A nonzero level is a 1-bit.
-    const std::vector<bool> bits(levels.begin(), levels.end());
-    MultiSetSender sender(senderPools, bits, cfg.d, cfg.ts);
-    const std::size_t slots = (bits.size() + k - 1) / k + 8 + 64;
-    MultiSetReceiver receiver(replA, replB, cfg.tr, slots);
-
-    const Cycles senderStart = 8 * cfg.ts;
-    raw.senderTid =
-        core.addThread(&sender, sim::AddressSpace(1), senderStart);
-    raw.receiverTid = core.addThread(&receiver, sim::AddressSpace(2), 0);
-
-    const Cycles horizon =
-        senderStart + Cycles(slots + 8) * (cfg.ts + 60) + 400000;
-    raw.simulatedCycles = core.run(horizon);
-    raw.latencies = receiver.latencies();
-    raw.senderCounters = hierarchy.counters(raw.senderTid);
-    raw.receiverCounters = hierarchy.counters(raw.receiverTid);
-    return raw;
-}
-
-} // namespace
-
-ChannelResult
-runMultiSetChannel(const MultiSetConfig &cfg)
-{
-    // targetSet(j) strides 8 sets modulo 64: past 8 stripes, or from a
-    // firstSet past 63, stripes silently reuse sets.
-    if (cfg.setCount == 0 || cfg.setCount > 8 || cfg.firstSet >= 64)
-        fatalf("MultiSetConfig::setCount = ", cfg.setCount,
-               " / firstSet = ", cfg.firstSet,
-               " is out of range: 1..8 stripes from a set below 64");
-    for (unsigned j = 0; j < cfg.setCount; ++j)
-        pipeline::requireSetIndex("MultiSetConfig::targetSet(j)",
-                                  cfg.targetSet(j),
-                                  cfg.platform.l1.numSets());
-    Rng rootRng(cfg.seed);
-    Rng calRng = rootRng.split();
-    Rng frameRng = rootRng.split();
-    Rng runRng = rootRng.split();
-    const BitVec frame = randomFrame(cfg.frameBits - 16, frameRng);
+    // Calibrate once on stripe 0 (sets are symmetric by construction).
+    CalibrationConfig calCfg = cfg.calibration;
+    if (calCfg.levelsMix.empty())
+        calCfg.levelsMix = proto.encoding.levels();
+    calCfg.targetSet = proto.targetSet;
+    calCfg.replacementSize = proto.replacementSize;
 
     const pipeline::Pass pass{
-        Encoding::binary(cfg.d), 1, cfg.rateKbps(), [&](const auto &levels) {
-            return runMultiSetRaw(cfg, levels, calRng, runRng);
+        proto.encoding, 1, setCount * proto.rateKbps(),
+        [&](const std::vector<unsigned> &levels) {
+            const Calibration calibration =
+                calibrate(cfg.platform, cfg.noise, calCfg, calRng);
+            // A nonzero level is a 1-bit; k bits ride each slot.
+            const std::vector<bool> bits(levels.begin(), levels.end());
+            pipeline::SameCoreWiring wiring(
+                cfg, (bits.size() + setCount - 1) / setCount, runRng);
+            MultiSetSender sender(senderPools, bits, d, proto.ts);
+            MultiSetReceiver receiver(replA, replB, proto.tr,
+                                      wiring.schedule().sampleCount);
+            pipeline::RawRun raw = wiring.run(sender, receiver);
+            raw.calibration = calibration;
+            return raw;
         }};
-    return pipeline::runFrames(pass, frame, cfg.frames);
+    return pipeline::runFrames(pass, frame, proto.frames);
 }
 
 } // namespace wb::chan

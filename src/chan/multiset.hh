@@ -9,6 +9,15 @@
  * replacements, so the aggregate rate saturates near
  * k / (k * chase_time) ~ 1 / chase_time regardless of k; this module
  * measures exactly where that ceiling sits on the modeled Xeon.
+ *
+ * The channel runs on a same-core ChannelConfig and reads: platform,
+ * noise, seed and scheduler (co-runners share the parties' core);
+ * protocol.ts/tr/frames/frameBits/cpuGhz; protocol.targetSet as
+ * stripe 0's L1 set, stripe j using (targetSet + 8j) mod 64;
+ * protocol.replacementSize; the top level of the binary
+ * protocol.encoding as d, the dirty lines per 1-bit per set;
+ * calibration (run on stripe 0, as runChannel does); and
+ * noiseProcesses/noiseCfg, which land on stripe 0.
  */
 
 #ifndef WB_CHAN_MULTISET_HH
@@ -20,51 +29,6 @@
 
 namespace wb::chan
 {
-
-/** Multi-set experiment configuration. */
-struct MultiSetConfig
-{
-    /** Registry preset this config was built from (see usePlatform). */
-    std::string platformName = sim::kDefaultPlatform;
-    sim::HierarchyParams platform = sim::xeonE5_2650Params();
-    sim::NoiseModel noise;
-    Cycles ts = 5500;  //!< slot period
-    Cycles tr = 5500;
-    unsigned frames = 15;
-    unsigned frameBits = 128;
-    unsigned d = 4;             //!< dirty lines per 1-bit per set
-    unsigned setCount = 4;      //!< k parallel target sets
-    unsigned firstSet = 8;      //!< sets used: firstSet + 8*j
-    unsigned replacementSize = 10;
-    unsigned calMeasurements = 150;
-    std::uint64_t seed = 1;
-    double cpuGhz = 2.2;
-
-    /** Aggregate channel rate in kbps (k bits per slot). */
-    double
-    rateKbps() const
-    {
-        return setCount * cpuGhz * 1e6 / double(ts);
-    }
-
-    /** The j-th target set index. */
-    unsigned
-    targetSet(unsigned j) const
-    {
-        return (firstSet + 8 * j) % 64;
-    }
-
-    /**
-     * Reconfigure for a named registry preset (hierarchy parameters +
-     * noise model). Fatal on an unknown name. @return *this.
-     */
-    MultiSetConfig &
-    usePlatform(const std::string &name)
-    {
-        sim::applyPlatform(name, platformName, platform, noise);
-        return *this;
-    }
-};
 
 /** Striped sender: slot s, set j carries message bit s*k + j. */
 class MultiSetSender : public PacedProgram
@@ -103,9 +67,6 @@ class MultiSetReceiver : public PacedProgram
                      std::vector<std::vector<Addr>> replB, Cycles tr,
                      std::size_t slots);
 
-    /** True when the receiver's k chases no longer fit the slot. */
-    bool overran() const { return overruns_ > slots_ / 10; }
-
   private:
     /**
      * Slot 0 only waits; every later slot times all k sets' chases
@@ -125,11 +86,16 @@ class MultiSetReceiver : public PacedProgram
     std::vector<PointerChase> *chases_ = nullptr; //!< this slot's sets
     unsigned setIdx_ = 0;                         //!< set being timed
     bool useA_ = true;
-    std::size_t overruns_ = 0;
 };
 
-/** Run the striped multi-set channel end to end. */
-ChannelResult runMultiSetChannel(const MultiSetConfig &cfg);
+/**
+ * Run the striped multi-set channel end to end: the aggregate rate is
+ * setCount x protocol.rateKbps().
+ *
+ * @param setCount k, the parallel target sets (1..8)
+ */
+ChannelResult runMultiSetChannel(const ChannelConfig &cfg,
+                                 unsigned setCount = 4);
 
 } // namespace wb::chan
 

@@ -59,10 +59,11 @@ struct Pass
 };
 
 /**
- * The same-core platform wiring (the WB same-core placement and every
- * same-core baseline): one Hierarchy and its front-end — a Scheduler's
- * party core under an active cfg.scheduler, a plain SmtCore otherwise
- * (the scheduler loop degenerates to it; CoRunnerIsolation) — then
+ * The same-core platform wiring (the WB same-core, L2 and multi-set
+ * placements and every same-core baseline): one Hierarchy and its
+ * front-end — a Scheduler's party core under an active cfg.scheduler,
+ * a plain SmtCore otherwise (the scheduler loop degenerates to it;
+ * CoRunnerIsolation) — then
  * the parties, cfg's noise processes on protocol.targetSet, the run
  * and its counters. The platform takes @p runRng before anything
  * else does (set discovery, the parties), as every same-core pass's
@@ -152,6 +153,21 @@ requireSetIndex(const char *param, unsigned index, unsigned sets)
     if (index >= sets)
         fatalf(param, " = ", index, " is out of range: the cache has ",
                sets, " sets");
+}
+
+/**
+ * The top level d of a binary @p encoding (levels 0 and d), the dirty
+ * lines a 1-bit writes. Fatal, naming @p runner, for any other
+ * alphabet.
+ */
+inline unsigned
+binaryTopLevel(const char *runner, const Encoding &encoding)
+{
+    const unsigned d = encoding.maxLevel();
+    if (encoding.levels() != Encoding::binary(d).levels())
+        fatalf(runner, ": ProtocolConfig::encoding must be binary "
+               "(levels 0 and d), got ", encoding.symbols(), " levels");
+    return d;
 }
 
 /** Modulate @p frames copies of @p frame through @p pass and decode. */

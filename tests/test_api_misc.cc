@@ -198,25 +198,5 @@ TEST(Cache, FilledByTracksThread)
     EXPECT_TRUE(found);
 }
 
-TEST(L2Channel, ConfigRate)
-{
-    chan::L2ChannelConfig cfg;
-    cfg.ts = 22000;
-    EXPECT_NEAR(cfg.rateKbps(), 100.0, 0.1);
-}
-
-TEST(MultiSet, TargetSetsDisjointAndValid)
-{
-    chan::MultiSetConfig cfg;
-    cfg.setCount = 8;
-    std::set<unsigned> sets;
-    for (unsigned j = 0; j < cfg.setCount; ++j) {
-        const unsigned s = cfg.targetSet(j);
-        EXPECT_LT(s, 64u);
-        sets.insert(s);
-    }
-    EXPECT_EQ(sets.size(), 8u);
-}
-
 } // namespace
 } // namespace wb

@@ -16,6 +16,7 @@
 #include "chan/multiset.hh"
 #include "chan/pointer_chase.hh"
 #include "chan/set_mapping.hh"
+#include "placement_configs.hh"
 
 namespace wb::chan
 {
@@ -78,20 +79,50 @@ TEST(SetRange, RejectsLlcTargetSetBeyondTheCache)
 
 TEST(SetRange, RejectsL2TargetSetBeyondTheCache)
 {
-    L2ChannelConfig cfg;
-    cfg.targetL2Set = cfg.platform.l2.numSets() + 137;
-    EXPECT_DEATH((void)runL2Channel(cfg), "L2ChannelConfig::targetL2Set");
+    ChannelConfig cfg = test::l2Config();
+    cfg.protocol.targetSet = cfg.platform.l2.numSets() + 137;
+    EXPECT_DEATH((void)runL2Channel(cfg), "ProtocolConfig::targetSet = 649");
+}
+
+TEST(SetRange, RejectsAnL2WithNoPusherSet)
+{
+    // An L2 with as many sets as the L1 puts no other L2 set on the
+    // target's L1 set: the pusher search used to spin forever.
+    ChannelConfig cfg = test::l2Config();
+    cfg.protocol.targetSet = 13;
+    cfg.platform.l2.sizeBytes = 64 * cfg.platform.l2.ways * 64;
+    EXPECT_DEATH((void)runL2Channel(cfg),
+                 "the L2 has 64 sets, no more than the L1's 64");
 }
 
 TEST(SetRange, RejectsMultiSetStripesThatReuseASet)
 {
-    MultiSetConfig cfg;
-    cfg.setCount = 9; // stripe 8 would land on set 8 again
-    EXPECT_DEATH((void)runMultiSetChannel(cfg),
-                 "MultiSetConfig::setCount = 9");
-    cfg.setCount = 4;
-    cfg.firstSet = 72; // wraps onto firstSet 8
-    EXPECT_DEATH((void)runMultiSetChannel(cfg), "firstSet = 72");
+    ChannelConfig cfg = test::multiSetConfig();
+    // Stripe 8 would land on set 8 again.
+    EXPECT_DEATH((void)runMultiSetChannel(cfg, 9), "setCount = 9");
+    cfg.protocol.targetSet = 72; // wraps onto set 8
+    EXPECT_DEATH((void)runMultiSetChannel(cfg, 4),
+                 "ProtocolConfig::targetSet = 72");
+}
+
+// The L2 wiring would place noise processes on L1 set targetSet, but
+// that is an L2 index there: the runner refuses them, naming the field.
+TEST(L2Channel, RejectsNoiseProcesses)
+{
+    ChannelConfig cfg = test::l2Config();
+    cfg.noiseProcesses = 1;
+    EXPECT_DEATH((void)runL2Channel(cfg),
+                 "ChannelConfig::noiseProcesses = 1");
+}
+
+TEST(L2Channel, RejectsAMultiBitEncoding)
+{
+    // Both placements read d off a binary encoding.
+    ChannelConfig l2 = test::l2Config();
+    ChannelConfig multi = test::multiSetConfig();
+    l2.protocol.encoding = multi.protocol.encoding = Encoding::paperTwoBit();
+    EXPECT_DEATH((void)runL2Channel(l2), "encoding must be binary");
+    EXPECT_DEATH((void)runMultiSetChannel(multi), "encoding must be binary");
 }
 
 TEST(PointerChase, MeasurementOpsShape)

@@ -21,6 +21,7 @@
 #include "chan/l2_channel.hh"
 #include "chan/multiset.hh"
 #include "digest.hh"
+#include "placement_configs.hh"
 #include "sim/observer.hh"
 #include "stat_assert.hh"
 
@@ -272,19 +273,22 @@ TEST(ClosedLinkTest, L2AndMultiSetShotsCarryTheFlag)
     // The pipeline reads the flag off every placement's calibration.
     // Write-through closes both; the L2 channel crosses DAWG's L1-only
     // partition, so it stays open there.
-    L2ChannelConfig l2;
-    l2.frames = 1;
-    MultiSetConfig multi;
-    multi.frames = 1;
+    ChannelConfig l2 = test::l2Config();
+    l2.protocol.frames = 1;
+    ChannelConfig multi = test::multiSetConfig();
+    multi.protocol.frames = 1;
+    const auto runL2 = [](const ChannelConfig &c) { return runL2Channel(c); };
+    const auto runMulti = [](const ChannelConfig &c) {
+        return runMultiSetChannel(c);
+    };
     l2.usePlatform("cortexA53-wt");
     multi.usePlatform("cortexA53-wt");
-    EXPECT_CLOSED_ALMOST_ALWAYS(closedSweep(l2, runL2Channel, kFireSeeds));
-    EXPECT_CLOSED_ALMOST_ALWAYS(
-        closedSweep(multi, runMultiSetChannel, kFireSeeds));
+    EXPECT_CLOSED_ALMOST_ALWAYS(closedSweep(l2, runL2, kFireSeeds));
+    EXPECT_CLOSED_ALMOST_ALWAYS(closedSweep(multi, runMulti, kFireSeeds));
     l2.usePlatform("xeonE5-2650-dawg");
     multi.usePlatform("xeonE5-2650");
-    EXPECT_NEVER_CLOSED(closedSweep(l2, runL2Channel));
-    EXPECT_NEVER_CLOSED(closedSweep(multi, runMultiSetChannel));
+    EXPECT_NEVER_CLOSED(closedSweep(l2, runL2));
+    EXPECT_NEVER_CLOSED(closedSweep(multi, runMulti));
 }
 
 TEST(ClosedLinkTest, EmptyLevelShowsNoGap)

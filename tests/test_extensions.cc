@@ -11,6 +11,7 @@
 #include "chan/l2_channel.hh"
 #include "chan/multiset.hh"
 #include "perfmon/detector.hh"
+#include "placement_configs.hh"
 
 namespace wb
 {
@@ -103,25 +104,27 @@ TEST(L2Channel, SenderHaltsAfterItsLastSlot)
 
 TEST(L2Channel, TransmitsAtModerateRate)
 {
-    chan::L2ChannelConfig cfg;
-    cfg.frames = 8;
+    chan::ChannelConfig cfg = test::l2Config();
+    cfg.protocol.frames = 8;
     cfg.seed = 3;
     auto res = chan::runL2Channel(cfg);
     EXPECT_TRUE(res.aligned);
     EXPECT_LT(res.ber, 0.05);
     // The L2-level signal is the L2 dirty-evict penalty per line.
     EXPECT_GT(res.calibrationMedians[1] - res.calibrationMedians[0],
-              2.0 * cfg.d);
+              2.0 * cfg.protocol.encoding.maxLevel());
+    // 30000-cycle slots at 2.2 GHz.
+    EXPECT_NEAR(res.rateKbps, 73.3, 0.1);
 }
 
 TEST(L2Channel, SignalScalesWithD)
 {
-    chan::L2ChannelConfig cfg;
-    cfg.frames = 4;
+    chan::ChannelConfig cfg = test::l2Config();
+    cfg.protocol.frames = 4;
     cfg.seed = 3;
-    cfg.d = 2;
+    cfg.protocol.encoding = chan::Encoding::binary(2);
     auto small = chan::runL2Channel(cfg);
-    cfg.d = 8;
+    cfg.protocol.encoding = chan::Encoding::binary(8);
     auto big = chan::runL2Channel(cfg);
     EXPECT_GT(big.calibrationMedians[1] - big.calibrationMedians[0],
               small.calibrationMedians[1] - small.calibrationMedians[0]);
@@ -131,24 +134,24 @@ TEST(L2Channel, SenderPaysForThePush)
 {
     // The paper: deploying on L2 "requires more operations from the
     // sender" — visible as a much larger sender load count per bit.
-    chan::L2ChannelConfig cfg;
-    cfg.frames = 4;
+    chan::ChannelConfig cfg = test::l2Config();
+    cfg.protocol.frames = 4;
     cfg.seed = 3;
-    auto res = chan::runL2Channel(cfg);
+    const unsigned pusherLines = 10;
+    auto res = chan::runL2Channel(cfg, pusherLines);
     // Pusher sweeps: >= d * pusherLines loads per 1-bit.
     EXPECT_GT(res.senderCounters.loads,
-              res.senderCounters.stores * cfg.pusherLines / 2);
+              res.senderCounters.stores * pusherLines / 2);
 }
 
 // ---------------------------------------------------------- multiset
 
 TEST(MultiSet, SingleSetMatchesBaseChannel)
 {
-    chan::MultiSetConfig cfg;
-    cfg.setCount = 1;
-    cfg.frames = 6;
+    chan::ChannelConfig cfg = test::multiSetConfig();
+    cfg.protocol.frames = 6;
     cfg.seed = 3;
-    auto res = chan::runMultiSetChannel(cfg);
+    auto res = chan::runMultiSetChannel(cfg, 1);
     EXPECT_TRUE(res.aligned);
     EXPECT_LT(res.ber, 0.08);
     EXPECT_NEAR(res.rateKbps, 400.0, 1.0);
@@ -156,11 +159,10 @@ TEST(MultiSet, SingleSetMatchesBaseChannel)
 
 TEST(MultiSet, FourSetsQuadrupleRate)
 {
-    chan::MultiSetConfig cfg;
-    cfg.setCount = 4;
-    cfg.frames = 6;
+    chan::ChannelConfig cfg = test::multiSetConfig();
+    cfg.protocol.frames = 6;
     cfg.seed = 3;
-    auto res = chan::runMultiSetChannel(cfg);
+    auto res = chan::runMultiSetChannel(cfg, 4);
     EXPECT_TRUE(res.aligned);
     EXPECT_NEAR(res.rateKbps, 1600.0, 1.0);
     EXPECT_LT(res.ber, 0.05);
@@ -171,25 +173,26 @@ TEST(MultiSet, SaturatesWhenChasesOverflowSlot)
 {
     // k chases of ~230 cycles cannot fit a slot much smaller than
     // k * 250: BER must degrade noticeably vs. the comfortable case.
-    chan::MultiSetConfig cfg;
-    cfg.setCount = 8;
-    cfg.frames = 6;
+    chan::ChannelConfig cfg = test::multiSetConfig();
+    cfg.protocol.frames = 6;
     cfg.seed = 3;
-    cfg.ts = cfg.tr = 5500;
-    auto ok = chan::runMultiSetChannel(cfg);
-    cfg.ts = cfg.tr = 1700; // < 8 x chase
-    auto sat = chan::runMultiSetChannel(cfg);
+    cfg.protocol.ts = cfg.protocol.tr = 5500;
+    auto ok = chan::runMultiSetChannel(cfg, 8);
+    cfg.protocol.ts = cfg.protocol.tr = 1700; // < 8 x chase
+    auto sat = chan::runMultiSetChannel(cfg, 8);
+    // Eight disjoint stripes carry cleanly when the chases fit; two
+    // stripes on one set would garble each other.
+    EXPECT_LT(ok.ber, 0.05);
     EXPECT_GT(sat.ber, ok.ber + 0.05);
 }
 
 TEST(MultiSet, DeterministicPerSeed)
 {
-    chan::MultiSetConfig cfg;
-    cfg.setCount = 2;
-    cfg.frames = 3;
+    chan::ChannelConfig cfg = test::multiSetConfig();
+    cfg.protocol.frames = 3;
     cfg.seed = 11;
-    auto a = chan::runMultiSetChannel(cfg);
-    auto b = chan::runMultiSetChannel(cfg);
+    auto a = chan::runMultiSetChannel(cfg, 2);
+    auto b = chan::runMultiSetChannel(cfg, 2);
     EXPECT_EQ(a.ber, b.ber);
     EXPECT_EQ(a.latencies, b.latencies);
 }

@@ -22,6 +22,7 @@
 #include "chan/degraded.hh"
 #include "chan/multiset.hh"
 #include "digest.hh"
+#include "placement_configs.hh"
 #include "sim/hierarchy.hh"
 #include "sim/observer.hh"
 #include "sim/smt_core.hh"
@@ -403,8 +404,8 @@ TEST(JitteredTimer, ReceiverDurationsNeverWrap)
     const sim::ObserverModel jittery =
         sim::ObserverModel::sandboxTimer(1, 500.0);
 
-    MultiSetConfig multi;
-    multi.frames = 2;
+    ChannelConfig multi = test::multiSetConfig();
+    multi.protocol.frames = 2;
     multi.noise.observer = jittery;
     const std::vector<double> striped = runMultiSetChannel(multi).latencies;
 

@@ -26,6 +26,7 @@
 #include "chan/multiset.hh"
 #include "chan/tenant.hh"
 #include "digest.hh"
+#include "placement_configs.hh"
 #include "perfmon/arms_race.hh"
 #include "perfmon/detector.hh"
 #include "sim/observer.hh"
@@ -222,27 +223,28 @@ TEST(RunnerPins, CrossCoreTransport)
 }
 
 // ------------------------------------------------------------------
-// L2 and multi-set runners.
+// L2 and multi-set runners. Re-captured when both moved onto the
+// same-core wiring: its schedule ends the run earlier, so the trailing
+// receiver samples, the receiver counters and simulatedCycles moved;
+// BER, the decoded prefix and the sender counters did not.
 // ------------------------------------------------------------------
 
 TEST(RunnerPins, L2Channel)
 {
-    L2ChannelConfig cfg;
-    cfg.frames = 4;
-    cfg.frameBits = 64;
+    ChannelConfig cfg = test::l2Config();
+    cfg.protocol.frames = 4;
+    cfg.protocol.frameBits = 64;
     cfg.seed = 3;
     EXPECT_EQ(shotDigest(runL2Channel(cfg)), 15961193119866657692ull);
 }
 
 TEST(RunnerPins, MultiSetOneAndFourSets)
 {
-    MultiSetConfig cfg;
-    cfg.frames = 4;
+    ChannelConfig cfg = test::multiSetConfig();
+    cfg.protocol.frames = 4;
     cfg.seed = 3;
-    cfg.setCount = 1;
-    EXPECT_EQ(shotDigest(runMultiSetChannel(cfg)), 15663156891212111271ull);
-    cfg.setCount = 4;
-    EXPECT_EQ(shotDigest(runMultiSetChannel(cfg)), 15032222446862213736ull);
+    EXPECT_EQ(shotDigest(runMultiSetChannel(cfg, 1)), 15663156891212111271ull);
+    EXPECT_EQ(shotDigest(runMultiSetChannel(cfg, 4)), 15032222446862213736ull);
 }
 
 // ------------------------------------------------------------------
@@ -329,6 +331,31 @@ TEST(RunnerPins, BaselinesUnderCoRunners)
     const ChannelResult pp = baselines::runPrimeProbeChannel(cfg);
     EXPECT_GT(pp.schedulerStats.coRunnerAccesses, 0u);
     EXPECT_EQ(shotDigest(pp), 13167435631351888048ull);
+}
+
+TEST(RunnerPins, L2AndMultiSetUnderCoRunners)
+{
+    // The L2 and multi-set placements run on the same-core wiring too:
+    // three co-runners share the parties' core.
+    sim::SchedulerConfig noisy = sim::platform("xeonE5-2650").noisePreset;
+    noisy.coRunners = sim::SchedulerConfig::mixOf(3);
+
+    ChannelConfig l2 = test::l2Config();
+    l2.protocol.frames = 4;
+    l2.protocol.frameBits = 64;
+    l2.seed = 3;
+    l2.scheduler = noisy;
+    const ChannelResult l2Run = runL2Channel(l2);
+    EXPECT_GT(l2Run.schedulerStats.coRunnerAccesses, 0u);
+    EXPECT_EQ(shotDigest(l2Run), 10062791532575966133ull);
+
+    ChannelConfig multi = test::multiSetConfig();
+    multi.protocol.frames = 4;
+    multi.seed = 3;
+    multi.scheduler = noisy;
+    const ChannelResult multiRun = runMultiSetChannel(multi, 4);
+    EXPECT_GT(multiRun.schedulerStats.coRunnerAccesses, 0u);
+    EXPECT_EQ(shotDigest(multiRun), 10003281062617580281ull);
 }
 
 TEST(RunnerPins, BaselineCrossCorePrimeProbe)

@@ -42,6 +42,7 @@
 #include "chan/l2_channel.hh"
 #include "chan/multiset.hh"
 #include "perfmon/detector.hh"
+#include "placement_configs.hh"
 #include "sim/platform.hh"
 #include "sidechan/attack.hh"
 
@@ -262,21 +263,20 @@ tracedAndStepped(Config cfg, Run run)
 TEST(TraceEquivalence, L2AndMultiSetChannels)
 {
     for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-        chan::L2ChannelConfig l2;
-        l2.frames = 2;
-        l2.frameBits = 64;
+        chan::ChannelConfig l2 = test::l2Config();
+        l2.protocol.frames = 2;
+        l2.protocol.frameBits = 64;
         l2.seed = seed;
-        const auto [l2Traced, l2Stepped] =
-            tracedAndStepped(l2, chan::runL2Channel);
+        const auto [l2Traced, l2Stepped] = tracedAndStepped(
+            l2, [](const auto &c) { return chan::runL2Channel(c); });
         expectIdentical(l2Traced, l2Stepped,
                         "L2 seed " + std::to_string(seed));
 
-        chan::MultiSetConfig ms;
-        ms.frames = 2;
-        ms.setCount = 4;
+        chan::ChannelConfig ms = test::multiSetConfig();
+        ms.protocol.frames = 2;
         ms.seed = seed;
-        const auto [msTraced, msStepped] =
-            tracedAndStepped(ms, chan::runMultiSetChannel);
+        const auto [msTraced, msStepped] = tracedAndStepped(
+            ms, [](const auto &c) { return chan::runMultiSetChannel(c, 4); });
         expectIdentical(msTraced, msStepped,
                         "multi-set k=4 seed " + std::to_string(seed));
     }
