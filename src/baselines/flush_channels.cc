@@ -100,7 +100,6 @@ runFlushChannel(const chan::ChannelConfig &cfg, FlushKind kind)
     Rng rootRng(cfg.seed);
     Rng frameRng = rootRng.split();
     Rng runRng = rootRng.split();
-    const BitVec frame = randomFrame(proto.frameBits - 16, frameRng);
 
     // Both processes map the same physical page.
     sim::AddressSpace senderSpace(1), receiverSpace(2);
@@ -134,20 +133,21 @@ runFlushChannel(const chan::ChannelConfig &cfg, FlushKind kind)
     }
 
     const chan::pipeline::Pass pass{
-        proto.encoding, 1, proto.rateKbps(),
-        [&](const std::vector<unsigned> &levels) {
+        .encoding = proto.encoding,
+        .rateKbps = proto.rateKbps(),
+        .frame = randomFrame(proto.frameBits - 16, frameRng),
+        .calibration = std::move(calibration),
+        .run = [cfg, proto, kind, senderSpace, receiverSpace,
+                runRng](const std::vector<unsigned> &levels) {
             const std::vector<bool> bits(levels.begin(), levels.end());
             chan::pipeline::SameCoreWiring wiring(cfg, bits.size(), runRng);
             FlushReceiver receiver(sharedVa, kind, proto.tr,
                                    wiring.schedule().sampleCount);
             FlushSender sender(sharedVa, kind, bits, proto.ts);
-            chan::pipeline::RawRun raw =
-                wiring.run(sender, receiver, senderSpace, receiverSpace);
-            raw.calibration = calibration;
-            return raw;
+            return wiring.run(sender, receiver, senderSpace, receiverSpace);
         },
-        /*invert=*/kind == FlushKind::FlushReload};
-    return chan::pipeline::runFrames(pass, frame, proto.frames);
+        .invert = kind == FlushKind::FlushReload};
+    return chan::pipeline::runShot(pass, proto.frames);
 }
 
 } // namespace wb::baselines

@@ -7,7 +7,7 @@
  *
  * Every baseline is a placement of the channel pipeline
  * (chan/pipeline.hh), configured by a chan::ChannelConfig and reported
- * as a chan::ChannelResult: it hands one Pass to runFrames, on the
+ * as a chan::ChannelResult: it hands one Pass to runShot, on the
  * same platform wiring as the WB placement of its shape (same-core or
  * cross-core), so it honours cfg.scheduler and reports a closed flag.
  * Its pacing is Algorithm 3 (chan::PacedProgram) and its frames are

@@ -57,7 +57,6 @@ runHitHitChannel(const chan::ChannelConfig &cfg, unsigned burst)
     Rng rootRng(cfg.seed);
     Rng frameRng = rootRng.split();
     Rng runRng = rootRng.split();
-    const BitVec frame = randomFrame(proto.frameBits - 16, frameRng);
 
     // Centroids: an uncontended hit burst vs one whose every load
     // suffers expected port-contention delay. The per-access platform
@@ -73,22 +72,22 @@ runHitHitChannel(const chan::ChannelConfig &cfg, unsigned burst)
         double(cfg.noise.portContentionDelay);
     // With contention disabled (the no-medium control case) the gap is
     // 1e-6: the classifier stays well-formed and the run reads closed.
-    const chan::Calibration calibration =
-        closedFormCalibration(base, base + std::max(extra, 1e-6));
-
     const chan::pipeline::Pass pass{
-        proto.encoding, 1, proto.rateKbps(),
-        [&](const std::vector<unsigned> &levels) {
+        .encoding = proto.encoding,
+        .rateKbps = proto.rateKbps(),
+        .frame = randomFrame(proto.frameBits - 16, frameRng),
+        .calibration =
+            closedFormCalibration(base, base + std::max(extra, 1e-6)),
+        .run = [cfg, proto, burst,
+                runRng](const std::vector<unsigned> &levels) {
             const std::vector<bool> bits(levels.begin(), levels.end());
             chan::pipeline::SameCoreWiring wiring(cfg, bits.size(), runRng);
             HitHitReceiver receiver(/*line=*/0x4000, burst, proto.tr,
                                     wiring.schedule().sampleCount);
             HitHitSender sender(/*line=*/0x8000, bits, proto.ts);
-            chan::pipeline::RawRun raw = wiring.run(sender, receiver);
-            raw.calibration = calibration;
-            return raw;
+            return wiring.run(sender, receiver);
         }};
-    return chan::pipeline::runFrames(pass, frame, proto.frames);
+    return chan::pipeline::runShot(pass, proto.frames);
 }
 
 } // namespace wb::baselines

@@ -68,7 +68,6 @@ runLruChannel(const chan::ChannelConfig &cfg, Cycles modulateCycles)
     Rng rootRng(cfg.seed);
     Rng frameRng = rootRng.split();
     Rng runRng = rootRng.split();
-    const BitVec frame = randomFrame(proto.frameBits - 16, frameRng);
 
     const sim::AddressLayout layout(cfg.platform.l1.numSets());
     const auto rxLines = chan::linesForSet(
@@ -80,22 +79,22 @@ runLruChannel(const chan::ChannelConfig &cfg, Cycles modulateCycles)
     // bit 1 (single-load measurement bracketed by rdtscp).
     const auto &lat = cfg.platform.lat;
     const Cycles timing = cfg.noise.opOverhead + cfg.noise.tscReadCost;
-    const chan::Calibration calibration = closedFormCalibration(
-        double(lat.l1Hit + timing), double(lat.l2Hit + timing));
-
     const chan::pipeline::Pass pass{
-        proto.encoding, 1, proto.rateKbps(),
-        [&](const std::vector<unsigned> &levels) {
+        .encoding = proto.encoding,
+        .rateKbps = proto.rateKbps(),
+        .frame = randomFrame(proto.frameBits - 16, frameRng),
+        .calibration = closedFormCalibration(double(lat.l1Hit + timing),
+                                             double(lat.l2Hit + timing)),
+        .run = [cfg, proto, rxLines, txLine, modulateCycles,
+                runRng](const std::vector<unsigned> &levels) {
             const std::vector<bool> bits(levels.begin(), levels.end());
             chan::pipeline::SameCoreWiring wiring(cfg, bits.size(), runRng);
             LruReceiver receiver(rxLines, proto.tr,
                                  wiring.schedule().sampleCount);
             LruSender sender(txLine, bits, proto.ts, modulateCycles);
-            chan::pipeline::RawRun raw = wiring.run(sender, receiver);
-            raw.calibration = calibration;
-            return raw;
+            return wiring.run(sender, receiver);
         }};
-    return chan::pipeline::runFrames(pass, frame, proto.frames);
+    return chan::pipeline::runShot(pass, proto.frames);
 }
 
 } // namespace wb::baselines

@@ -80,7 +80,6 @@ runPrimeProbeChannel(const chan::ChannelConfig &cfg, unsigned linesPerOne)
     Rng rootRng(cfg.seed);
     Rng frameRng = rootRng.split();
     Rng runRng = rootRng.split();
-    const BitVec frame = randomFrame(proto.frameBits - 16, frameRng);
 
     const sim::AddressLayout layout(cfg.platform.l1.numSets());
     const unsigned ways = cfg.platform.l1.ways;
@@ -95,23 +94,24 @@ runPrimeProbeChannel(const chan::ChannelConfig &cfg, unsigned linesPerOne)
     const double perHit = static_cast<double>(lat.l1Hit + cfg.noise.opOverhead);
     const double base =
         perHit * ways + static_cast<double>(cfg.noise.tscReadCost);
-    const chan::Calibration calibration = closedFormCalibration(
-        base, base + static_cast<double>(linesPerOne) *
-                         static_cast<double>(lat.l2Hit - lat.l1Hit));
 
     const chan::pipeline::Pass pass{
-        proto.encoding, 1, proto.rateKbps(),
-        [&](const std::vector<unsigned> &levels) {
+        .encoding = proto.encoding,
+        .rateKbps = proto.rateKbps(),
+        .frame = randomFrame(proto.frameBits - 16, frameRng),
+        .calibration = closedFormCalibration(
+            base, base + static_cast<double>(linesPerOne) *
+                             static_cast<double>(lat.l2Hit - lat.l1Hit)),
+        .run = [cfg, proto, rxLines, txLines, linesPerOne,
+                runRng](const std::vector<unsigned> &levels) {
             const std::vector<bool> bits(levels.begin(), levels.end());
             chan::pipeline::SameCoreWiring wiring(cfg, bits.size(), runRng);
             PrimeProbeReceiver receiver(rxLines, proto.tr,
                                         wiring.schedule().sampleCount);
             PrimeProbeSender sender(txLines, linesPerOne, bits, proto.ts);
-            chan::pipeline::RawRun raw = wiring.run(sender, receiver);
-            raw.calibration = calibration;
-            return raw;
+            return wiring.run(sender, receiver);
         }};
-    return chan::pipeline::runFrames(pass, frame, proto.frames);
+    return chan::pipeline::runShot(pass, proto.frames);
 }
 
 chan::ChannelResult
@@ -132,7 +132,6 @@ runCrossCorePrimeProbe(const chan::ChannelConfig &cfg, unsigned linesPerOne,
     Rng frameRng = rootRng.split();
     Rng calRng = rootRng.split();
     Rng runRng = rootRng.split();
-    const BitVec frame = randomFrame(proto.frameBits - 16, frameRng);
 
     const sim::AddressLayout llcLayout(cfg.platform.llc.numSets());
     const auto rxLines = chan::linesForSet(
@@ -171,13 +170,15 @@ runCrossCorePrimeProbe(const chan::ChannelConfig &cfg, unsigned linesPerOne,
             byD[1].add(probeOnce());
         }
     }
-    const chan::Calibration calibration =
-        chan::Calibration::fromSamples(std::move(byD));
 
     // Sender on core 0, receiver on core 1 of the cross-core WB wiring.
     const chan::pipeline::Pass pass{
-        proto.encoding, 1, proto.rateKbps(),
-        [&](const std::vector<unsigned> &levels) {
+        .encoding = proto.encoding,
+        .rateKbps = proto.rateKbps(),
+        .frame = randomFrame(proto.frameBits - 16, frameRng),
+        .calibration = chan::Calibration::fromSamples(std::move(byD)),
+        .run = [cfg, proto, cores, rxLines, txLines, linesPerOne,
+                runRng](const std::vector<unsigned> &levels) {
             const std::vector<bool> bits(levels.begin(), levels.end());
             chan::pipeline::CrossCoreWiring wiring(cfg, cores, 0, 1,
                                                    bits.size(), runRng);
@@ -185,11 +186,9 @@ runCrossCorePrimeProbe(const chan::ChannelConfig &cfg, unsigned linesPerOne,
                                         wiring.schedule().sampleCount,
                                         /*reprimeEachSlot=*/true);
             PrimeProbeSender sender(txLines, linesPerOne, bits, proto.ts);
-            chan::pipeline::RawRun raw = wiring.run(sender, receiver);
-            raw.calibration = calibration;
-            return raw;
+            return wiring.run(sender, receiver);
         }};
-    return chan::pipeline::runFrames(pass, frame, proto.frames);
+    return chan::pipeline::runShot(pass, proto.frames);
 }
 
 } // namespace wb::baselines

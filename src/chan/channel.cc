@@ -1,7 +1,5 @@
 #include "chan/channel.hh"
 
-#include <optional>
-
 #include "common/log.hh"
 #include "chan/degraded.hh"
 #include "chan/pipeline.hh"
@@ -15,37 +13,18 @@ namespace wb::chan
 namespace
 {
 
-/** The same-core placement's pass: SMT siblings sharing one L1 set. */
-pipeline::RawRun
-runRawSequence(const ChannelConfig &cfg, const std::vector<unsigned> &dSeq)
+/** The same-core placement's run: SMT siblings sharing one L1 set. */
+ChannelResult
+runRawSequence(const ChannelConfig &cfg, const Rng &runRng,
+               Rng discoveryRng, const std::vector<unsigned> &dSeq)
 {
     const ProtocolConfig &proto = cfg.protocol;
     const sim::ObserverModel &obs = cfg.noise.observer;
 
-    Rng rootRng(cfg.seed);
-    Rng calRng = rootRng.split();
-    Rng runRng = rootRng.split();
-    // Third split only for observers that discover their sets, so the
-    // legacy calibration/run streams stay untouched for everyone else.
-    std::optional<Rng> discoveryRng;
-    if (obs.cls == sim::ObserverClass::EvictionOnly)
-        discoveryRng.emplace(rootRng.split());
-
-    // --- Offline calibration -> classifier centroids. The mix of
-    // dirty-line levels matches the live encoding so the measured
-    // steady-state baseline is the one the receiver will see. ---
-    CalibrationConfig calCfg = cfg.calibration;
-    if (calCfg.levelsMix.empty())
-        calCfg.levelsMix = proto.encoding.levels();
-    calCfg.targetSet = proto.targetSet;
-    calCfg.replacementSize = proto.replacementSize;
-    Calibration calibration =
-        calibrate(cfg.platform, cfg.noise, calCfg, calRng);
-
     pipeline::SameCoreWiring wiring(cfg, dSeq.size(), runRng);
     ChannelSets sets;
     bool discoveryVerified = true;
-    if (discoveryRng) {
+    if (obs.cls == sim::ObserverClass::EvictionOnly) {
         // Eviction-only observer: the receiver's replacement sets come
         // from live timing-test discovery, not set arithmetic. Runs
         // against the raw hierarchy before the parties launch (the
@@ -53,7 +32,7 @@ runRawSequence(const ChannelConfig &cfg, const std::vector<unsigned> &dSeq)
         // receiver tid's counters.
         sets = discoverChannelSets(wiring.hierarchy(), /*tid=*/1,
                                    proto.targetSet, cfg.platform.l1.ways,
-                                   proto.replacementSize, *discoveryRng,
+                                   proto.replacementSize, discoveryRng,
                                    &discoveryVerified);
     } else {
         sets = makeChannelSets(wiring.hierarchy().l1().layout(),
@@ -73,8 +52,7 @@ runRawSequence(const ChannelConfig &cfg, const std::vector<unsigned> &dSeq)
                                  ? CalibrationProbe::FlushLatency
                                  : CalibrationProbe::LoadTiming);
 
-    pipeline::RawRun raw = wiring.run(sender, receiver);
-    raw.calibration = std::move(calibration);
+    ChannelResult raw = wiring.run(sender, receiver);
     raw.evictionDiscoveryVerified = discoveryVerified;
     return raw;
 }
@@ -95,12 +73,36 @@ sameCorePass(const ChannelConfig &userCfg)
     if (top > userCfg.platform.l1.ways)
         fatalf("runChannel: encoding level ", top,
                " exceeds associativity ", userCfg.platform.l1.ways);
-    DegradedPlan plan = planDegraded(userCfg);
-    const ProtocolConfig &proto = plan.cfg.protocol;
-    return {proto.encoding, plan.repetition, proto.rateKbps(),
-            [cfg = std::move(plan.cfg)](const auto &levels) {
-                return runRawSequence(cfg, levels);
-            }};
+    const DegradedPlan plan = planDegraded(userCfg);
+    const ChannelConfig &cfg = plan.cfg;
+    const ProtocolConfig &proto = cfg.protocol;
+
+    Rng rootRng(cfg.seed);
+    Rng calRng = rootRng.split();
+    Rng runRng = rootRng.split();
+    // Split after the calibration and run streams, so they are the same
+    // for every observer; only eviction-only set discovery draws on it.
+    const Rng discoveryRng = rootRng.split();
+    Rng frameRng(cfg.seed ^ 0xf00dULL);
+
+    // --- Offline calibration -> classifier centroids. The mix of
+    // dirty-line levels matches the live encoding so the measured
+    // steady-state baseline is the one the receiver will see. ---
+    CalibrationConfig calCfg = cfg.calibration;
+    if (calCfg.levelsMix.empty())
+        calCfg.levelsMix = proto.encoding.levels();
+    calCfg.targetSet = proto.targetSet;
+    calCfg.replacementSize = proto.replacementSize;
+
+    return {
+        .encoding = proto.encoding,
+        .repetition = plan.repetition,
+        .rateKbps = proto.rateKbps(),
+        .frame = randomFrame(proto.frameBits - 16, frameRng),
+        .calibration = calibrate(cfg.platform, cfg.noise, calCfg, calRng),
+        .run = [cfg, runRng, discoveryRng](const auto &dSeq) {
+            return runRawSequence(cfg, runRng, discoveryRng, dSeq);
+        }};
 }
 
 } // namespace
@@ -108,7 +110,7 @@ sameCorePass(const ChannelConfig &userCfg)
 ChannelResult
 runChannel(const ChannelConfig &cfg)
 {
-    return pipeline::runShot(cfg, sameCorePass);
+    return pipeline::runShot(sameCorePass(cfg), cfg.protocol.frames);
 }
 
 TransportResult
@@ -158,15 +160,15 @@ std::string
 transmitString(const ChannelConfig &cfg, const std::string &msg,
                ChannelResult *result)
 {
-    BitVec frame = preamble16();
+    pipeline::Pass pass = sameCorePass(cfg);
+    pass.frame = preamble16();
     const BitVec payload = fromString(msg);
-    frame.insert(frame.end(), payload.begin(), payload.end());
+    pass.frame.insert(pass.frame.end(), payload.begin(), payload.end());
     // Pad to a whole number of symbols.
-    while (frame.size() % cfg.protocol.encoding.bitsPerSymbol() != 0)
-        frame.push_back(false);
+    while (pass.frame.size() % cfg.protocol.encoding.bitsPerSymbol() != 0)
+        pass.frame.push_back(false);
 
-    ChannelResult res =
-        pipeline::runFrames(sameCorePass(cfg), frame, /*frames=*/1);
+    const ChannelResult res = pipeline::runShot(pass, /*frames=*/1);
 
     // Extract the payload bits following the aligned preamble.
     std::string decoded;

@@ -68,8 +68,8 @@ struct LinkConfig
 
     /**
      * Resilient transport layer (resync + adaptive rate + ARQ), used
-     * by runTransport() / runCrossCoreTransport(). Disabled by default
-     * — the single-shot runners never read it, and a disabled session
+     * by the run*Transport() entries. Disabled by default — the
+     * single-shot runners never read it, and a disabled session
      * degenerates to the single-shot path, bit-identical to the
      * pre-transport runner (same guarantee SchedulerConfig makes).
      */
@@ -99,7 +99,10 @@ struct ChannelConfig : LinkConfig
 /** Everything a transmission experiment produces. */
 struct ChannelResult
 {
-    double ber = 1.0;                  //!< edit-distance bit error rate
+    /** Edit-distance bit error rate: each frame re-locks on its
+     *  preamble within +/-24 bits (scoreFrames), so it is not
+     *  positional (docs/README.md, "Channel pipeline"). */
+    double ber = 1.0;
     EditBreakdown breakdown;           //!< error-type totals
     double rateKbps = 0.0;             //!< raw channel rate
     double goodputKbps = 0.0;          //!< rate * (1 - ber)

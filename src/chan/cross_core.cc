@@ -51,16 +51,17 @@ calibrateCrossCore(const CrossCoreChannelConfig &cfg,
                             cfg.calibration, cfg.noise, rng);
 }
 
-/** The cross-core placement's pass: parties on two cores, one LLC set. */
-pipeline::RawRun
-runCrossCoreRaw(const CrossCoreChannelConfig &cfg,
-                const std::vector<unsigned> &dSeq)
+/** The cross-core pass: two cores, one LLC set, no observer plan. */
+pipeline::Pass
+crossCorePass(const CrossCoreChannelConfig &cfg)
 {
+    validate(cfg);
     const ProtocolConfig &proto = cfg.protocol;
 
     Rng rootRng(cfg.seed);
     Rng calRng = rootRng.split();
     Rng runRng = rootRng.split();
+    Rng frameRng(cfg.seed ^ 0xf00dULL);
 
     // Pools against the LLC layout: the low LLC index bits survive
     // page-linear translation, so both parties reach the agreed set
@@ -72,28 +73,21 @@ runCrossCoreRaw(const CrossCoreChannelConfig &cfg,
         cfg.replacementSize ? cfg.replacementSize
                             : cfg.platform.llc.ways + 2);
 
-    // --- Offline calibration -> classifier centroids ---
-    Calibration calibration = calibrateCrossCore(cfg, sets, calRng);
-
-    pipeline::CrossCoreWiring wiring(cfg, cfg.cores, cfg.senderCore,
-                                     cfg.receiverCore, dSeq.size(), runRng);
-    SenderProgram sender(sets.senderLines, dSeq, proto.ts);
-    ReceiverProgram receiver(sets.replacementA, sets.replacementB,
-                             proto.tr, wiring.schedule().sampleCount);
-    pipeline::RawRun raw = wiring.run(sender, receiver);
-    raw.calibration = std::move(calibration);
-    return raw;
-}
-
-/** The cross-core pass (no observer plan: docs/README.md). */
-pipeline::Pass
-crossCorePass(const CrossCoreChannelConfig &cfg)
-{
-    validate(cfg);
-    return {cfg.protocol.encoding, 1, cfg.protocol.rateKbps(),
-            [cfg](const auto &levels) {
-                return runCrossCoreRaw(cfg, levels);
-            }};
+    return {
+        .encoding = proto.encoding,
+        .rateKbps = proto.rateKbps(),
+        .frame = randomFrame(proto.frameBits - 16, frameRng),
+        .calibration = calibrateCrossCore(cfg, sets, calRng),
+        .run = [cfg, sets, runRng](const std::vector<unsigned> &dSeq) {
+            pipeline::CrossCoreWiring wiring(cfg, cfg.cores, cfg.senderCore,
+                                             cfg.receiverCore, dSeq.size(),
+                                             runRng);
+            SenderProgram sender(sets.senderLines, dSeq, cfg.protocol.ts);
+            ReceiverProgram receiver(sets.replacementA, sets.replacementB,
+                                     cfg.protocol.tr,
+                                     wiring.schedule().sampleCount);
+            return wiring.run(sender, receiver);
+        }};
 }
 
 } // namespace
@@ -101,7 +95,7 @@ crossCorePass(const CrossCoreChannelConfig &cfg)
 ChannelResult
 runCrossCoreChannel(const CrossCoreChannelConfig &cfg)
 {
-    return pipeline::runShot(cfg, crossCorePass);
+    return pipeline::runShot(crossCorePass(cfg), cfg.protocol.frames);
 }
 
 TransportResult

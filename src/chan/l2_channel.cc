@@ -121,8 +121,8 @@ runL2Channel(const ChannelConfig &cfg, unsigned pusherLines)
     const ProtocolConfig &proto = cfg.protocol;
     pipeline::requireSetIndex("ProtocolConfig::targetSet", proto.targetSet,
                               cfg.platform.l2.numSets());
-    const unsigned d =
-        pipeline::binaryTopLevel("runL2Channel", proto.encoding);
+    const unsigned d = pipeline::binaryTopLevel(
+        "runL2Channel", proto.encoding, cfg.platform.l2.ways);
     if (cfg.noiseProcesses != 0)
         fatalf("runL2Channel: ChannelConfig::noiseProcesses = ",
                cfg.noiseProcesses, " is not modeled on the L2 channel "
@@ -132,7 +132,6 @@ runL2Channel(const ChannelConfig &cfg, unsigned pusherLines)
     Rng calRng = rootRng.split();
     Rng frameRng = rootRng.split();
     Rng runRng = rootRng.split();
-    const BitVec frame = randomFrame(proto.frameBits - 16, frameRng);
 
     const L2Sets sets = makeL2Sets(
         sim::AddressLayout(cfg.platform.l1.numSets()),
@@ -142,25 +141,24 @@ runL2Channel(const ChannelConfig &cfg, unsigned pusherLines)
     // Binary symbols, calibrated per symbol (see calibrateL2): the pass
     // runs on levels 0/1 whatever d is.
     const pipeline::Pass pass{
-        Encoding::binary(1), 1, proto.rateKbps(),
-        [&](const std::vector<unsigned> &levels) {
+        .encoding = Encoding::binary(1),
+        .rateKbps = proto.rateKbps(),
+        .frame = randomFrame(proto.frameBits - 16, frameRng),
+        .calibration = calibrateL2(cfg, sets, d, calRng),
+        .run = [cfg, proto, sets, d,
+                runRng](const std::vector<unsigned> &levels) {
             // A nonzero level is a 1-bit.
             const std::vector<bool> bits(levels.begin(), levels.end());
-            // Built first: it rejects a d beyond the target set.
             L2SenderProgram sender(sets.senderLines, sets.pushers, bits, d,
                                    proto.ts);
-            const Calibration calibration =
-                calibrateL2(cfg, sets, d, calRng);
             pipeline::SameCoreWiring wiring(cfg, bits.size(), runRng);
             ReceiverProgram receiver(sets.replacementA, sets.replacementB,
                                      proto.tr,
                                      wiring.schedule().sampleCount,
                                      /*warmupSweeps=*/3);
-            pipeline::RawRun raw = wiring.run(sender, receiver);
-            raw.calibration = calibration;
-            return raw;
+            return wiring.run(sender, receiver);
         }};
-    return pipeline::runFrames(pass, frame, proto.frames);
+    return pipeline::runShot(pass, proto.frames);
 }
 
 } // namespace wb::chan

@@ -88,8 +88,12 @@ MultiSetReceiver::onSample(sim::ProcView &view)
         (*chases_)[setIdx_].reshuffle(view.rng());
 }
 
-ChannelResult
-runMultiSetChannel(const ChannelConfig &cfg, unsigned setCount)
+namespace
+{
+
+/** The multi-set pass: k bits a slot, striped over k L1 sets. */
+pipeline::Pass
+multiSetPass(const ChannelConfig &cfg, unsigned setCount)
 {
     const ProtocolConfig &proto = cfg.protocol;
     // Stripe j sits on (targetSet + 8j) mod 64: past 8 stripes, or from
@@ -104,13 +108,12 @@ runMultiSetChannel(const ChannelConfig &cfg, unsigned setCount)
     for (unsigned j = 0; j < setCount; ++j)
         pipeline::requireSetIndex("runMultiSetChannel: stripe set",
                                   stripeSet(j), cfg.platform.l1.numSets());
-    const unsigned d =
-        pipeline::binaryTopLevel("runMultiSetChannel", proto.encoding);
+    const unsigned d = pipeline::binaryTopLevel(
+        "runMultiSetChannel", proto.encoding, cfg.platform.l1.ways);
     Rng rootRng(cfg.seed);
     Rng calRng = rootRng.split();
     Rng frameRng = rootRng.split();
     Rng runRng = rootRng.split();
-    const BitVec frame = randomFrame(proto.frameBits - 16, frameRng);
 
     const sim::AddressLayout layout(cfg.platform.l1.numSets());
     std::vector<std::vector<Addr>> senderPools, replA, replB;
@@ -130,11 +133,13 @@ runMultiSetChannel(const ChannelConfig &cfg, unsigned setCount)
     calCfg.targetSet = proto.targetSet;
     calCfg.replacementSize = proto.replacementSize;
 
-    const pipeline::Pass pass{
-        proto.encoding, 1, setCount * proto.rateKbps(),
-        [&](const std::vector<unsigned> &levels) {
-            const Calibration calibration =
-                calibrate(cfg.platform, cfg.noise, calCfg, calRng);
+    return {
+        .encoding = proto.encoding,
+        .rateKbps = setCount * proto.rateKbps(),
+        .frame = randomFrame(proto.frameBits - 16, frameRng),
+        .calibration = calibrate(cfg.platform, cfg.noise, calCfg, calRng),
+        .run = [cfg, proto, setCount, d, senderPools, replA, replB,
+                runRng](const std::vector<unsigned> &levels) {
             // A nonzero level is a 1-bit; k bits ride each slot.
             const std::vector<bool> bits(levels.begin(), levels.end());
             pipeline::SameCoreWiring wiring(
@@ -142,11 +147,30 @@ runMultiSetChannel(const ChannelConfig &cfg, unsigned setCount)
             MultiSetSender sender(senderPools, bits, d, proto.ts);
             MultiSetReceiver receiver(replA, replB, proto.tr,
                                       wiring.schedule().sampleCount);
-            pipeline::RawRun raw = wiring.run(sender, receiver);
-            raw.calibration = calibration;
-            return raw;
+            return wiring.run(sender, receiver);
         }};
-    return pipeline::runFrames(pass, frame, proto.frames);
+}
+
+} // namespace
+
+ChannelResult
+runMultiSetChannel(const ChannelConfig &cfg, unsigned setCount)
+{
+    return pipeline::runShot(multiSetPass(cfg, setCount),
+                             cfg.protocol.frames);
+}
+
+TransportResult
+runMultiSetTransport(const ChannelConfig &cfg, const BitVec &message,
+                     unsigned setCount)
+{
+    TransportResult res = pipeline::runTransportOver(
+        cfg, message, [setCount](const ChannelConfig &burst) {
+            return multiSetPass(burst, setCount);
+        });
+    if (cfg.transport.enabled) // the ladder's rung rate is per stripe
+        res.rawRateKbps *= setCount;
+    return res;
 }
 
 } // namespace wb::chan

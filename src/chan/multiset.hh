@@ -16,8 +16,8 @@
  * stripe 0's L1 set, stripe j using (targetSet + 8j) mod 64;
  * protocol.replacementSize; the top level of the binary
  * protocol.encoding as d, the dirty lines per 1-bit per set;
- * calibration (run on stripe 0, as runChannel does); and
- * noiseProcesses/noiseCfg, which land on stripe 0.
+ * calibration (run on stripe 0, as runChannel does); noiseProcesses/
+ * noiseCfg, which land on stripe 0; and transport.
  */
 
 #ifndef WB_CHAN_MULTISET_HH
@@ -96,6 +96,15 @@ class MultiSetReceiver : public PacedProgram
  */
 ChannelResult runMultiSetChannel(const ChannelConfig &cfg,
                                  unsigned setCount = 4);
+
+/**
+ * Run a transport session over the striped channel, one burst through
+ * the k sets per round; rawRateKbps is the aggregate, setCount x the
+ * final rung's rate. Disabled, it is runMultiSetChannel() repackaged.
+ */
+TransportResult runMultiSetTransport(const ChannelConfig &cfg,
+                                     const BitVec &message,
+                                     unsigned setCount = 4);
 
 } // namespace wb::chan
 

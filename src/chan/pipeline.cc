@@ -15,7 +15,7 @@ namespace
 
 /** Run @p copies copies of @p bits, each symbol held for the
  *  pass's repetition factor. */
-RawRun
+ChannelResult
 modulate(const Pass &pass, const BitVec &bits, unsigned copies)
 {
     const std::vector<unsigned> symbols = frameToLevels(bits, pass.encoding);
@@ -29,19 +29,20 @@ modulate(const Pass &pass, const BitVec &bits, unsigned copies)
 }
 
 /**
- * The bits the receiver reads. Under repetition it classifies block
- * means against mean centroids: the dithered samples' median is a
- * point mass, their mean the unbiased true latency (chan/degraded.hh).
+ * The bits the receiver reads from @p latencies. Under repetition it
+ * classifies block means against mean centroids: the dithered
+ * samples' median is a point mass, their mean the unbiased true
+ * latency (chan/degraded.hh).
  */
 BitVec
-receivedBits(const RawRun &raw, const Pass &pass)
+receivedBits(const std::vector<double> &latencies, const Pass &pass)
 {
-    const Calibration &cal = raw.calibration;
+    const Calibration &cal = pass.calibration;
     const Classifier classifier =
         pass.repetition > 1 ? cal.meanClassifierFor(pass.encoding)
                             : cal.classifierFor(pass.encoding);
     std::vector<unsigned> symbols = classifyAll(
-        collapseRepetition(raw.latencies, pass.repetition), classifier);
+        collapseRepetition(latencies, pass.repetition), classifier);
     if (pass.invert) {
         for (unsigned &s : symbols)
             s = pass.encoding.symbols() - 1 - s;
@@ -52,15 +53,14 @@ receivedBits(const RawRun &raw, const Pass &pass)
 } // namespace
 
 ChannelResult
-runFrames(const Pass &pass, const BitVec &frame, unsigned frames)
+runShot(const Pass &pass, unsigned frames)
 {
-    RawRun raw = modulate(pass, frame, frames);
+    ChannelResult res = modulate(pass, pass.frame, frames);
     const DecodeResult dec =
-        scoreFrames(receivedBits(raw, pass), frame, frames);
+        scoreFrames(receivedBits(res.latencies, pass), pass.frame, frames);
 
-    ChannelResult res = std::move(static_cast<ChannelResult &>(raw));
     res.repetition = pass.repetition;
-    res.closed = raw.calibration.closedFor(pass.encoding);
+    res.closed = pass.calibration.closedFor(pass.encoding);
     res.ber = dec.ber;
     res.breakdown = dec.breakdown;
     res.aligned = dec.aligned;
@@ -70,9 +70,9 @@ runFrames(const Pass &pass, const BitVec &frame, unsigned frames)
     // symbol, so the effective rate divides by it (docs/OBSERVERS.md).
     res.rateKbps = pass.rateKbps / double(pass.repetition);
     res.goodputKbps = res.rateKbps * (1.0 - std::min(1.0, res.ber));
-    res.sentFrame = frame;
+    res.sentFrame = pass.frame;
     res.decodedBits = dec.bitstream;
-    res.calibrationMedians = std::move(raw.calibration.medianByD);
+    res.calibrationMedians = pass.calibration.medianByD;
     return res;
 }
 
@@ -82,42 +82,41 @@ runBurst(const Pass &pass, const BitVec &stream)
     BitVec padded = stream;
     while (padded.size() % pass.encoding.bitsPerSymbol() != 0)
         padded.push_back(false);
-    const RawRun raw = modulate(pass, padded, 1);
+    const ChannelResult raw = modulate(pass, padded, 1);
 
     LinkRun run;
-    run.bits = receivedBits(raw, pass);
+    run.bits = receivedBits(raw.latencies, pass);
     run.simulatedCycles = raw.simulatedCycles;
     run.schedulerStats = raw.schedulerStats;
-    run.closed = raw.calibration.closedFor(pass.encoding);
+    run.closed = pass.calibration.closedFor(pass.encoding);
     return run;
 }
 
 SameCoreWiring::SameCoreWiring(const ChannelConfig &cfg, std::size_t slots,
-                               Rng &runRng)
+                               const Rng &runRng)
     : cfg_(cfg),
       schedule_(transmissionSchedule(slots, cfg.protocol.ts,
                                      cfg.senderStartSlots,
                                      cfg.sampleMargin)),
-      hierarchy_(cfg.platform, &runRng)
+      rng_(runRng), hierarchy_(cfg.platform, &rng_)
 {
     if (cfg.scheduler.active()) {
         sched_.emplace(static_cast<sim::MemorySystem &>(hierarchy_),
-                       cfg.noise, runRng, cfg.scheduler, cfg.seed);
+                       cfg.noise, rng_, cfg.scheduler, cfg.seed);
         core_ = &sched_->party(0);
     } else {
-        core_ = &plainCore_.emplace(hierarchy_, cfg.noise, runRng);
+        core_ = &plainCore_.emplace(hierarchy_, cfg.noise, rng_);
     }
 }
 
-RawRun
+ChannelResult
 SameCoreWiring::run(sim::Program &sender, PacedProgram &receiver,
-                    const sim::AddressSpace &senderSpace,
-                    const sim::AddressSpace &receiverSpace)
+                    const sim::AddressSpace &txSpace,
+                    const sim::AddressSpace &rxSpace)
 {
-    RawRun raw;
-    raw.senderTid =
-        core_->addThread(&sender, senderSpace, schedule_.senderStart);
-    raw.receiverTid = core_->addThread(&receiver, receiverSpace, 0);
+    ChannelResult raw;
+    raw.senderTid = core_->addThread(&sender, txSpace, schedule_.senderStart);
+    raw.receiverTid = core_->addThread(&receiver, rxSpace, 0);
 
     // Co-resident noise processes on the target set (Sec. VI).
     std::vector<std::unique_ptr<NoiseProcess>> noisePrograms;
@@ -145,34 +144,34 @@ SameCoreWiring::run(sim::Program &sender, PacedProgram &receiver,
 
 CrossCoreWiring::CrossCoreWiring(const LinkConfig &cfg, unsigned cores,
                                  unsigned senderCore, unsigned receiverCore,
-                                 std::size_t slots, Rng &runRng)
+                                 std::size_t slots, const Rng &runRng)
     : senderCore_(senderCore), receiverCore_(receiverCore),
       schedule_(transmissionSchedule(slots, cfg.protocol.ts,
                                      cfg.senderStartSlots,
                                      cfg.sampleMargin)),
-      mc_(cfg.platform, cores, &runRng)
+      rng_(runRng), mc_(cfg.platform, cores, &rng_)
 {
     if (cfg.scheduler.active()) {
-        os_.emplace(mc_, cfg.noise, runRng, cfg.scheduler, cfg.seed);
+        os_.emplace(mc_, cfg.noise, rng_, cfg.scheduler, cfg.seed);
         senderFront_ = &os_->party(senderCore);
         receiverFront_ = &os_->party(receiverCore, /*migratable=*/true);
     } else {
         senderFront_ =
-            &plainSender_.emplace(mc_.port(senderCore), cfg.noise, runRng);
+            &plainSender_.emplace(mc_.port(senderCore), cfg.noise, rng_);
         receiverFront_ = &plainReceiver_.emplace(mc_.port(receiverCore),
-                                                 cfg.noise, runRng);
+                                                 cfg.noise, rng_);
     }
 }
 
-RawRun
+ChannelResult
 CrossCoreWiring::run(sim::Program &sender, PacedProgram &receiver,
-                     const sim::AddressSpace &senderSpace,
-                     const sim::AddressSpace &receiverSpace)
+                     const sim::AddressSpace &txSpace,
+                     const sim::AddressSpace &rxSpace)
 {
-    RawRun raw;
-    raw.senderTid = senderFront_->addThread(&sender, senderSpace,
+    ChannelResult raw;
+    raw.senderTid = senderFront_->addThread(&sender, txSpace,
                                             schedule_.senderStart);
-    raw.receiverTid = receiverFront_->addThread(&receiver, receiverSpace, 0);
+    raw.receiverTid = receiverFront_->addThread(&receiver, rxSpace, 0);
 
     raw.simulatedCycles =
         os_ ? os_->run(schedule_.horizon * os_->horizonStretch())

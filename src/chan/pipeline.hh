@@ -3,14 +3,15 @@
  * The one channel pipeline every placement runs through (internal to
  * src/chan and src/baselines; docs/README.md "Channel pipeline"). A
  * placement — same-core, cross-core, L2, multi-set or a baseline —
- * supplies only what is physical (its line sets, calibration and
- * programs) as one Pass. The driver owns everything above that and
- * never asks which placement it serves: frame -> level expansion with
- * repetition, decoding into ChannelResult, the transport link binding
- * and the transport entry. The platform wiring comes in two shapes,
- * shared by every placement of that shape: SameCoreWiring (SMT
- * siblings on one Hierarchy) and CrossCoreWiring (two cores of one
- * MultiCoreSystem).
+ * builds one self-contained Pass from its config: what is physical
+ * (RNG streams, line sets, calibration, programs, the shot's frame).
+ * The pipeline owns everything above that and never asks which
+ * placement it serves: frame -> level expansion with repetition,
+ * decoding into ChannelResult (runShot), the transport link binding
+ * and the transport entry (runTransportOver). The platform wiring
+ * comes in two shapes, shared by every placement of that shape:
+ * SameCoreWiring (SMT siblings on one Hierarchy) and CrossCoreWiring
+ * (two cores of one MultiCoreSystem).
  */
 
 #ifndef WB_CHAN_PIPELINE_HH
@@ -33,22 +34,23 @@
 namespace wb::chan::pipeline
 {
 
-/** One physical pass: the run-side half of a ChannelResult plus the
- *  pass's calibration, indexed by the Pass encoding's levels. */
-struct RawRun : ChannelResult
-{
-    Calibration calibration;
-};
-
-/** A placement, ready to modulate. */
+/**
+ * A placement, ready to modulate. It owns all it needs (the RNG
+ * streams split from the seed in the placement's own order, the line
+ * sets, the calibration, the frame), so it outlives its config.
+ */
 struct Pass
 {
     Encoding encoding = Encoding::binary(1); //!< symbol alphabet
     unsigned repetition = 1; //!< slots per symbol (coarse-timer plan)
     double rateKbps = 0.0;   //!< raw rate before repetition
+    BitVec frame;            //!< what a single shot sends, per copy
+    Calibration calibration; //!< centroids, indexed by encoding level
 
-    /** Modulate per-slot levels through a fresh platform. */
-    std::function<RawRun(const std::vector<unsigned> &levels)> run;
+    /** Modulate per-slot levels through a fresh platform: the run-side
+     *  half of a ChannelResult. It runs on copies of the Pass's RNG
+     *  streams, so the same levels replay the same run. */
+    std::function<ChannelResult(const std::vector<unsigned> &levels)> run;
 
     /**
      * The fast symbol is the top level (Flush+Reload: a sender touch
@@ -63,9 +65,9 @@ struct Pass
  * placements and every same-core baseline): one Hierarchy and its
  * front-end — a Scheduler's party core under an active cfg.scheduler,
  * a plain SmtCore otherwise (the scheduler loop degenerates to it;
- * CoRunnerIsolation) — then
- * the parties, cfg's noise processes on protocol.targetSet, the run
- * and its counters. The platform takes @p runRng before anything
+ * CoRunnerIsolation) — then the parties, cfg's noise processes on
+ * protocol.targetSet, the run and its counters. It runs on its own
+ * copy of @p runRng, and the platform draws from it before anything
  * else does (set discovery, the parties), as every same-core pass's
  * draw order has it.
  */
@@ -74,7 +76,7 @@ class SameCoreWiring
   public:
     /** Stand up the platform for a pass of @p slots sender slots. */
     SameCoreWiring(const ChannelConfig &cfg, std::size_t slots,
-                   Rng &runRng);
+                   const Rng &runRng);
     // The front-end holds the address of hierarchy_.
     SameCoreWiring(const SameCoreWiring &) = delete;
     SameCoreWiring &operator=(const SameCoreWiring &) = delete;
@@ -87,15 +89,15 @@ class SameCoreWiring
 
     /** Launch the parties in their address spaces, run until they
      *  halt or the horizon passes (Scheduler::run); the run-side half
-     *  of a RawRun (calibration empty). */
-    RawRun run(sim::Program &sender, PacedProgram &receiver,
-               const sim::AddressSpace &senderSpace = sim::AddressSpace(1),
-               const sim::AddressSpace &receiverSpace =
-                   sim::AddressSpace(2));
+     *  of a ChannelResult. */
+    ChannelResult run(sim::Program &sender, PacedProgram &receiver,
+                      const sim::AddressSpace &txSpace = sim::AddressSpace(1),
+                      const sim::AddressSpace &rxSpace = sim::AddressSpace(2));
 
   private:
     const ChannelConfig &cfg_;
     TransmissionSchedule schedule_;
+    Rng rng_; //!< the run stream: the platform, then the parties
     sim::Hierarchy hierarchy_;
     std::optional<sim::Scheduler> sched_;
     std::optional<sim::SmtCore> plainCore_;
@@ -107,7 +109,7 @@ class SameCoreWiring
  * Prime+Probe): one MultiCoreSystem, a front-end per party — from a
  * Scheduler under an active cfg.scheduler (the receiver's migratable),
  * plain SmtCores run by sim::runCores otherwise — then the run and
- * each party's counters.
+ * each party's counters. It runs on its own copy of @p runRng.
  */
 class CrossCoreWiring
 {
@@ -115,7 +117,7 @@ class CrossCoreWiring
     /** Stand up @p cores cores for a pass of @p slots sender slots. */
     CrossCoreWiring(const LinkConfig &cfg, unsigned cores,
                     unsigned senderCore, unsigned receiverCore,
-                    std::size_t slots, Rng &runRng);
+                    std::size_t slots, const Rng &runRng);
     // The front-ends hold the address of mc_.
     CrossCoreWiring(const CrossCoreWiring &) = delete;
     CrossCoreWiring &operator=(const CrossCoreWiring &) = delete;
@@ -124,16 +126,16 @@ class CrossCoreWiring
 
     /** Launch the parties in their address spaces, run until they
      *  halt or the horizon passes (Scheduler::run); the run-side half
-     *  of a RawRun (calibration empty). */
-    RawRun run(sim::Program &sender, PacedProgram &receiver,
-               const sim::AddressSpace &senderSpace = sim::AddressSpace(1),
-               const sim::AddressSpace &receiverSpace =
-                   sim::AddressSpace(2));
+     *  of a ChannelResult. */
+    ChannelResult run(sim::Program &sender, PacedProgram &receiver,
+                      const sim::AddressSpace &txSpace = sim::AddressSpace(1),
+                      const sim::AddressSpace &rxSpace = sim::AddressSpace(2));
 
   private:
     unsigned senderCore_;
     unsigned receiverCore_;
     TransmissionSchedule schedule_;
+    Rng rng_; //!< the run stream: the platform, then the parties
     sim::MultiCoreSystem mc_;
     std::optional<sim::Scheduler> os_;
     std::optional<sim::SmtCore> plainSender_;
@@ -158,21 +160,23 @@ requireSetIndex(const char *param, unsigned index, unsigned sets)
 /**
  * The top level d of a binary @p encoding (levels 0 and d), the dirty
  * lines a 1-bit writes. Fatal, naming @p runner, for any other
- * alphabet.
+ * alphabet or a d beyond the target set's @p ways.
  */
 inline unsigned
-binaryTopLevel(const char *runner, const Encoding &encoding)
+binaryTopLevel(const char *runner, const Encoding &encoding, unsigned ways)
 {
     const unsigned d = encoding.maxLevel();
     if (encoding.levels() != Encoding::binary(d).levels())
         fatalf(runner, ": ProtocolConfig::encoding must be binary "
                "(levels 0 and d), got ", encoding.symbols(), " levels");
+    if (d > ways)
+        fatalf(runner, ": encoding level ", d, " exceeds associativity ",
+               ways);
     return d;
 }
 
-/** Modulate @p frames copies of @p frame through @p pass and decode. */
-ChannelResult runFrames(const Pass &pass, const BitVec &frame,
-                        unsigned frames);
+/** A placement's single shot: @p frames copies of pass.frame, decoded. */
+ChannelResult runShot(const Pass &pass, unsigned frames);
 
 /** One transport burst: @p stream padded to whole symbols, sent once. */
 LinkRun runBurst(const Pass &pass, const BitVec &stream);
@@ -181,34 +185,22 @@ LinkRun runBurst(const Pass &pass, const BitVec &stream);
 BitVec randomMessage(const TransportConfig &t, std::uint64_t seed);
 
 /**
- * A placement's single shot: a seed-derived random frame, sent
- * cfg.protocol.frames times through the Pass @p prepare builds.
+ * A placement's transport session over the Passes @p prepare builds
+ * (any callable from const Config & to Pass). Disabled, it is the
+ * single shot, repackaged (TransportOffEquivalence). Enabled, every
+ * round reshapes @p cfg for its rate rung and seed and runs one burst.
  */
-template <class Config>
-ChannelResult
-runShot(const Config &cfg, Pass (*prepare)(const Config &))
-{
-    Rng frameRng(cfg.seed ^ 0xf00dULL);
-    const BitVec frame =
-        randomFrame(cfg.protocol.frameBits - 16, frameRng);
-    return runFrames(prepare(cfg), frame, cfg.protocol.frames);
-}
-
-/**
- * A placement's transport session. Disabled, it is the single shot,
- * repackaged (TransportOffEquivalence). Enabled, every round reshapes
- * @p cfg for its rate rung and seed and runs one burst.
- */
-template <class Config>
+template <class Config, class Prepare>
 TransportResult
 runTransportOver(const Config &cfg, const BitVec &message,
-                 Pass (*prepare)(const Config &))
+                 const Prepare &prepare)
 {
     if (!cfg.transport.enabled)
-        return legacyTransportResult(runShot(cfg, prepare), cfg.protocol);
-    const TransportLink link = [&cfg, prepare](const BitVec &stream,
-                                               const RateStep &rate,
-                                               std::uint64_t seed) {
+        return legacyTransportResult(
+            runShot(prepare(cfg), cfg.protocol.frames), cfg.protocol);
+    const TransportLink link = [&cfg, &prepare](const BitVec &stream,
+                                                const RateStep &rate,
+                                                std::uint64_t seed) {
         Config burst = cfg;
         burst.seed = seed;
         // The ladder only keeps Ts or widens it by powers of two, so

@@ -125,7 +125,6 @@ FrameSync::scan(const BitVec &stream) const
     bool locked = false;
     std::size_t searchFrom = 0; //!< Searching: next offset to try
     std::size_t expected = 0;   //!< Locked: predicted next start
-    bool everLocked = false;
 
     while (true) {
         if (!locked) {
@@ -144,7 +143,6 @@ FrameSync::scan(const BitVec &stream) const
                 break; // no further frame in the stream
             out.frameStarts.push_back(found);
             locked = true;
-            everLocked = true;
             expected = found + stride_;
         } else {
             // Re-lock around the predicted start with the looser
@@ -189,7 +187,6 @@ FrameSync::scan(const BitVec &stream) const
         if (locked && expected + pre.size() > stream.size() + relockWindow_)
             break; // no room for another frame
     }
-    (void)everLocked;
     return out;
 }
 
@@ -204,18 +201,15 @@ runTransportSession(const TransportConfig &cfg,
     if (cfg.windowFrames == 0)
         fatalf("runTransportSession: zero-frame window");
 
-    // Split the message into fixed-size chunks (zero-padded tail).
+    // Fixed-size chunks of the message, zero-padded at the tail.
+    const std::size_t chunkBits = layout.payloadBits;
     const unsigned chunks = static_cast<unsigned>(
-        (message.size() + layout.payloadBits - 1) / layout.payloadBits);
-    std::vector<BitVec> payloads(chunks);
-    for (unsigned c = 0; c < chunks; ++c) {
-        BitVec &p = payloads[c];
-        for (unsigned b = 0; b < layout.payloadBits; ++b) {
-            const std::size_t i =
-                std::size_t(c) * layout.payloadBits + b;
-            p.push_back(i < message.size() ? message[i] : false);
-        }
-    }
+        (message.size() + chunkBits - 1) / chunkBits);
+    BitVec padded = message;
+    padded.resize(std::size_t(chunks) * chunkBits, false);
+    const auto chunkAt = [chunkBits](auto &bits, std::size_t c) {
+        return bits.begin() + static_cast<std::ptrdiff_t>(c * chunkBits);
+    };
 
     const std::vector<RateStep> ladder = rateLadder(
         baseProto, cfg.maxSlowdownDoublings, cfg.signalShrinks);
@@ -229,7 +223,7 @@ runTransportSession(const TransportConfig &cfg,
     res.framesTotal = chunks;
     res.payloadBitsTotal =
         std::uint64_t(chunks) * layout.payloadBits;
-    std::vector<BitVec> delivered(chunks);
+    BitVec received(padded.size(), false); // undelivered chunks stay 0
 
     while (!arq.done() && res.rounds < cfg.maxRounds) {
         // --- Compose the round: pending chunks, no seq collisions ---
@@ -250,7 +244,8 @@ runTransportSession(const TransportConfig &cfg,
         BitVec stream;
         for (unsigned chunk : batch) {
             const BitVec frame = buildTransportFrame(
-                layout, chunk % layout.seqSpace(), payloads[chunk]);
+                layout, chunk % layout.seqSpace(),
+                BitVec(chunkAt(padded, chunk), chunkAt(padded, chunk + 1)));
             stream.insert(stream.end(), frame.begin(), frame.end());
             stream.insert(stream.end(), cfg.guardBits, false);
         }
@@ -294,7 +289,8 @@ runTransportSession(const TransportConfig &cfg,
             if (chunk < 0 || arq.isDelivered(unsigned(chunk)))
                 continue; // stale seq or duplicate
             ++fresh;
-            delivered[unsigned(chunk)] = parsed.payload;
+            std::copy(parsed.payload.begin(), parsed.payload.end(),
+                      chunkAt(received, unsigned(chunk)));
             arq.onDelivered(unsigned(chunk));
         }
 
@@ -328,13 +324,12 @@ runTransportSession(const TransportConfig &cfg,
     res.retransmissions = arq.retransmissions();
     res.payloadBitsDelivered =
         std::uint64_t(res.framesDelivered) * layout.payloadBits;
-    for (unsigned c = 0; c < chunks; ++c) {
-        if (!arq.isDelivered(c))
-            continue;
-        for (unsigned b = 0; b < layout.payloadBits; ++b)
-            if (delivered[c][b] != payloads[c][b])
-                ++res.residualBitErrors;
-    }
+    for (std::size_t i = 0; i < padded.size(); ++i)
+        if (received[i] != padded[i] &&
+            arq.isDelivered(static_cast<unsigned>(i / chunkBits)))
+            ++res.residualBitErrors;
+    received.resize(message.size());
+    res.deliveredMessage = std::move(received);
     res.residualBer =
         res.payloadBitsDelivered
             ? double(res.residualBitErrors) /

@@ -182,6 +182,14 @@ struct TransportResult
     std::uint64_t residualBitErrors = 0; //!< wrong bits in delivered chunks
     double residualBer = 0.0; //!< errors / delivered bits (0 if none)
 
+    /**
+     * The message as the session delivered it: as long as the message
+     * sent, each delivered chunk's payload in place and every failed
+     * chunk zeroed. Empty for a disabled transport (the single shot
+     * sends its own frame, not the message).
+     */
+    BitVec deliveredMessage;
+
     /** Delivered payload bits over total simulated time, in kbps. */
     double goodputKbps = 0.0;
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "chan/fec.hh"
 #include "chan/l2_channel.hh"
 #include "chan/multiset.hh"
@@ -195,6 +197,34 @@ TEST(MultiSet, DeterministicPerSeed)
     auto b = chan::runMultiSetChannel(cfg, 2);
     EXPECT_EQ(a.ber, b.ber);
     EXPECT_EQ(a.latencies, b.latencies);
+}
+
+TEST(MultiSet, TransportReportsTheAggregateRawRate)
+{
+    // k stripes carry k bits a slot: the session's raw rate is k times
+    // the final rung's per-set rate. At k = 4, Ts = 2750 the session
+    // ends on rung 0, 3200 kbps on the 2.2 GHz Xeon.
+    const std::pair<unsigned, Cycles> cases[] = {{4, 2750}, {8, 5500}};
+    for (const auto &[k, ts] : cases) {
+        SCOPED_TRACE(k);
+        chan::ChannelConfig cfg = test::multiSetConfig();
+        cfg.protocol.ts = cfg.protocol.tr = ts;
+        cfg.seed = 5;
+        cfg.transport.enabled = true;
+        const chan::TransportResult r =
+            chan::runMultiSetTransport(cfg, fromString("dirty bits"), k);
+        EXPECT_EQ(r.framesDelivered, r.framesTotal);
+        const std::vector<chan::RateStep> ladder = chan::rateLadder(
+            cfg.protocol, cfg.transport.maxSlowdownDoublings,
+            cfg.transport.signalShrinks);
+        EXPECT_DOUBLE_EQ(r.rawRateKbps,
+                         k * ladder.at(r.finalRateLevel)
+                                 .rateKbps(cfg.protocol.cpuGhz));
+        if (k == 4) {
+            EXPECT_EQ(r.finalRateLevel, 0u);
+            EXPECT_NEAR(r.rawRateKbps, 3200.0, 1e-9);
+        }
+    }
 }
 
 // ---------------------------------------------------------- detector

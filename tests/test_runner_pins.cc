@@ -222,6 +222,17 @@ TEST(RunnerPins, CrossCoreTransport)
     EXPECT_EQ(transportDigest(r), 307797055374077224ull);
 }
 
+TEST(RunnerPins, MultiSetTransport)
+{
+    ChannelConfig open = test::multiSetConfig();
+    open.seed = 2;
+    smallTransport(open.transport);
+    const BitVec message = fromString("dirty!"); // two 24-bit chunks
+    const TransportResult r = runMultiSetTransport(open, message, 4);
+    EXPECT_EQ(r.deliveredMessage, message);
+    EXPECT_EQ(transportDigest(r), 10955896076124046129ull);
+}
+
 // ------------------------------------------------------------------
 // L2 and multi-set runners. Re-captured when both moved onto the
 // same-core wiring: its schedule ends the run earlier, so the trailing

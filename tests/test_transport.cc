@@ -16,8 +16,10 @@
 #include "chan/arq.hh"
 #include "chan/channel.hh"
 #include "chan/cross_core.hh"
+#include "chan/multiset.hh"
 #include "chan/transport.hh"
 #include "common/rng.hh"
+#include "placement_configs.hh"
 #include "sim/platform.hh"
 #include "stat_assert.hh"
 
@@ -592,6 +594,49 @@ TEST(TransportSession, AdaptiveRateStepsDownUnderSustainedNoise)
     EXPECT_EQ(res.rateLevelByRound.front(), 0u);
 }
 
+TEST(TransportSession, ReturnsTheDeliveredMessageWithFailedChunksZeroed)
+{
+    const TransportConfig cfg = smallTransport();
+    ProtocolConfig proto;
+    // Five bits short of whole chunks: the delivered message is as
+    // long as the one sent, not the zero-padded chunk total.
+    const std::size_t payloadBits = cfg.layout.payloadBits;
+    const BitVec msg =
+        randomMessage(cfg.messageFrames * payloadBits - 5, 15);
+
+    const auto clean =
+        runTransportSession(cfg, proto, msg, syntheticLink(0.0), 15);
+    EXPECT_EQ(clean.deliveredMessage, msg);
+
+    // A clean link that blanks every transmission of chunk 1's frame to
+    // idle zeros: that chunk never validates and runs out of retries.
+    const BitVec deadFrame = buildTransportFrame(
+        cfg.layout, 1,
+        BitVec(msg.begin() + static_cast<std::ptrdiff_t>(payloadBits),
+               msg.begin() + static_cast<std::ptrdiff_t>(2 * payloadBits)));
+    const TransportLink blanking = [deadFrame](const BitVec &stream,
+                                               const RateStep &rate,
+                                               std::uint64_t) {
+        LinkRun run;
+        run.bits = stream;
+        const auto at = std::search(run.bits.begin(), run.bits.end(),
+                                    deadFrame.begin(), deadFrame.end());
+        if (at != run.bits.end())
+            std::fill(at, at + static_cast<std::ptrdiff_t>(deadFrame.size()),
+                      false);
+        run.simulatedCycles = stream.size() * rate.ts;
+        return run;
+    };
+    const auto lossy = runTransportSession(cfg, proto, msg, blanking, 16);
+    EXPECT_EQ(lossy.framesFailed, 1u);
+    EXPECT_EQ(lossy.framesDelivered, lossy.framesTotal - 1);
+    BitVec expected = msg;
+    std::fill(expected.begin() + static_cast<std::ptrdiff_t>(payloadBits),
+              expected.begin() + static_cast<std::ptrdiff_t>(2 * payloadBits),
+              false);
+    EXPECT_EQ(lossy.deliveredMessage, expected);
+}
+
 // ------------------------------------------- transport-off equivalence
 
 ChannelConfig
@@ -648,6 +693,27 @@ TEST(TransportOffEquivalence, CrossCoreMatchesLegacyRunner)
     EXPECT_EQ(off.residualBer, mapped.residualBer);
     EXPECT_EQ(off.framesDelivered, mapped.framesDelivered);
     EXPECT_EQ(off.simulatedCycles, mapped.simulatedCycles);
+}
+
+TEST(TransportOffEquivalence, MultiSetMatchesLegacyRunner)
+{
+    ChannelConfig cfg = test::multiSetConfig();
+    cfg.protocol.frames = 2;
+    cfg.calibration.measurements = 40;
+    cfg.seed = 23;
+    const ChannelResult direct = runMultiSetChannel(cfg, 4);
+    const TransportResult off = runMultiSetTransport(
+        cfg, randomMessage(cfg.transport.layout.payloadBits, 23), 4);
+    const TransportResult mapped =
+        legacyTransportResult(direct, cfg.protocol);
+    EXPECT_EQ(off.goodputKbps, mapped.goodputKbps);
+    EXPECT_EQ(off.rawRateKbps, mapped.rawRateKbps);
+    EXPECT_EQ(off.residualBer, mapped.residualBer);
+    EXPECT_EQ(off.framesDelivered, mapped.framesDelivered);
+    EXPECT_EQ(off.framesTotal, mapped.framesTotal);
+    EXPECT_EQ(off.simulatedCycles, mapped.simulatedCycles);
+    EXPECT_EQ(off.rounds, 1u);
+    EXPECT_TRUE(off.deliveredMessage.empty());
 }
 
 // --------------------------------------- the headline statistical claim
