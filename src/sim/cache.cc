@@ -41,32 +41,75 @@ validated(const CacheParams &params, const Rng *rng)
 
 } // namespace
 
+std::array<std::size_t, Cache::kPolicyArrays + 2>
+Cache::storageBytes(const CacheParams &params)
+{
+    const unsigned sets = params.numSets();
+    const std::size_t lines = std::size_t(sets) * params.ways;
+    return {lines * sizeof(Addr),
+            lines * sizeof(LineFlagWord),
+            lines * sizeof(ThreadId),
+            sets * sizeof(std::uint32_t),
+            sets * sizeof(std::uint32_t),
+            PolicyTable::setWordBytes(sets),
+            PolicyTable::lineWordBytes(params.policy, sets, params.ways)};
+}
+
 Cache::Cache(const CacheParams &params, Rng *rng)
     : params_(validated(params, rng)), layout_(params.numSets()),
-      policy_(params.policy, params.numSets(), params.ways, rng)
+      pages_(storageBytes(params_)), lineAddr_(pages_.array<Addr>(0)),
+      flags_(pages_.array<LineFlagWord>(1)),
+      filledBy_(pages_.array<ThreadId>(2)),
+      validMask_(pages_.array<std::uint32_t>(3)),
+      lockedMask_(pages_.array<std::uint32_t>(4)),
+      usedSets_((params_.numSets() + 63) / 64, 0),
+      policy_(params.policy, params.ways, rng, pages_, kPolicyArrays)
 {
-    const std::size_t lines =
-        std::size_t(params_.numSets()) * params_.ways;
-    lineAddr_.assign(lines, 0);
-    flags_.assign(lines, LineFlagWord{});
-    filledBy_.assign(lines, 0);
-    validMask_.assign(params_.numSets(), 0);
-    lockedMask_.assign(params_.numSets(), 0);
     allMask_ = wayMaskAll(params_.ways);
     fillMask_.reserve(params_.fillMaskPerThread.size());
     for (std::uint32_t m : params_.fillMaskPerThread)
         fillMask_.push_back(m & allMask_);
 }
 
+Cache::~Cache()
+{
+    // Cleared used sets leave every word zero unless the policy seeds
+    // (LfsrRandom) or presets (Srrip) every set at construction.
+    if (pages_.mapped() && params_.policy != PolicyKind::LfsrRandom &&
+        params_.policy != PolicyKind::Srrip) {
+        clearUsedSets();
+        pages_.recycle();
+    }
+}
+
+void
+Cache::clearUsedSets()
+{
+    const unsigned ways = params_.ways;
+    for (std::size_t word = 0; word < usedSets_.size(); ++word) {
+        for (std::uint64_t m = usedSets_[word]; m != 0; m &= m - 1) {
+            const auto set =
+                static_cast<unsigned>(word * 64 + std::countr_zero(m));
+            const std::size_t base = std::size_t(set) * ways;
+            std::fill_n(lineAddr_.data() + base, ways, Addr(0));
+            std::fill_n(flags_.data() + base, ways, LineFlagWord{});
+            std::fill_n(filledBy_.data() + base, ways, ThreadId(0));
+            validMask_[set] = 0;
+            lockedMask_[set] = 0;
+            policy_.resetSet(set);
+        }
+        usedSets_[word] = 0;
+    }
+}
+
 void
 Cache::reset()
 {
-    std::fill(lineAddr_.begin(), lineAddr_.end(), 0);
-    std::fill(flags_.begin(), flags_.end(), LineFlagWord{});
-    std::fill(filledBy_.begin(), filledBy_.end(), 0);
-    std::fill(validMask_.begin(), validMask_.end(), 0);
-    std::fill(lockedMask_.begin(), lockedMask_.end(), 0);
-    policy_.reset();
+    clearUsedSets();
+    // An unused set's construction state is its reset state, except
+    // LfsrRandom's per-set seeds, which reset to the constant state.
+    if (params_.policy == PolicyKind::LfsrRandom)
+        policy_.reset();
 }
 
 std::optional<unsigned>
@@ -197,9 +240,19 @@ Cache::badVictimWay(unsigned way) const
 void
 Cache::unlockAll()
 {
-    for (auto &f : flags_)
-        f = flagWord(unsigned(f) & ~FlagLocked);
-    std::fill(lockedMask_.begin(), lockedMask_.end(), 0);
+    // Locked lines sit in used sets only.
+    for (std::size_t word = 0; word < usedSets_.size(); ++word) {
+        for (std::uint64_t m = usedSets_[word]; m != 0; m &= m - 1) {
+            const auto set =
+                static_cast<unsigned>(word * 64 + std::countr_zero(m));
+            const std::size_t base = std::size_t(set) * params_.ways;
+            for (std::uint32_t l = lockedMask_[set]; l != 0; l &= l - 1) {
+                const std::size_t idx = base + lowestWay(l);
+                flags_[idx] = flagWord(unsigned(flags_[idx]) & ~FlagLocked);
+            }
+            lockedMask_[set] = 0;
+        }
+    }
 }
 
 bool

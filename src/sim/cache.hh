@@ -17,6 +17,7 @@
 #ifndef WB_SIM_CACHE_HH
 #define WB_SIM_CACHE_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -29,6 +30,7 @@
 
 #include "common/rng.hh"
 #include "common/types.hh"
+#include "common/zero_pages.hh"
 #include "sim/address.hh"
 #include "sim/replacement.hh"
 
@@ -138,7 +140,20 @@ class Cache
      */
     Cache(const CacheParams &params, Rng *rng);
 
-    /** Invalidate everything and reset replacement state. */
+    /**
+     * Hands mapped storage back for the next cache of this geometry
+     * (ZeroPages::recycle) after clearing the sets this one used.
+     */
+    ~Cache();
+
+    Cache(Cache &&) = default;
+    Cache &operator=(Cache &&) = default;
+
+    /**
+     * Invalidate everything and reset replacement state. Writes only
+     * the sets a line was installed in since the last reset (plus,
+     * for LfsrRandom, every set's LFSR word).
+     */
     void reset();
 
     /** The static configuration. */
@@ -436,6 +451,9 @@ class Cache
     /** Total number of sets. */
     unsigned numSets() const { return layout_.numSets(); }
 
+    /** The replacement state (tests introspection). */
+    const PolicyTable &policyTable() const { return policy_; }
+
   private:
     /** Packed per-line flag bits (flags_ entries). */
     enum LineFlag : std::uint8_t
@@ -529,6 +547,12 @@ class Cache
         return eq & validMask_[set];
     }
 
+    /**
+     * Reset the line state and replacement words of every set in
+     * usedSets_, and empty it.
+     */
+    void clearUsedSets();
+
     /** Flat index of the resident line for @p paddr, or npos. */
     std::size_t
     findIndex(Addr paddr) const
@@ -574,17 +598,35 @@ class Cache
 
     static constexpr std::size_t npos = ~std::size_t(0);
 
+    /** ZeroPages array index of policy_'s setWord (lineWord follows). */
+    static constexpr std::size_t kPolicyArrays = 5;
+
+    /** Byte sizes of the line-state arrays, then policy_'s two. */
+    static std::array<std::size_t, kPolicyArrays + 2>
+    storageBytes(const CacheParams &params);
+
     CacheParams params_;
     AddressLayout layout_;
 
+    /** Storage of the arrays below and of policy_'s words. */
+    ZeroPages pages_;
+
     // Structure-of-arrays line storage, indexed by set * ways + way.
-    std::vector<Addr> lineAddr_;
-    std::vector<LineFlagWord> flags_;
-    std::vector<ThreadId> filledBy_;
+    ZeroArray<Addr> lineAddr_;
+    ZeroArray<LineFlagWord> flags_;
+    ZeroArray<ThreadId> filledBy_;
 
     // Per-set way bitmasks (bit w = way w valid / locked).
-    std::vector<std::uint32_t> validMask_;
-    std::vector<std::uint32_t> lockedMask_;
+    ZeroArray<std::uint32_t> validMask_;
+    ZeroArray<std::uint32_t> lockedMask_;
+
+    /**
+     * One bit per set: a line was installed there since the last
+     * reset. Every other set still holds its construction state (no
+     * hit, lock or policy update reaches a set without a line), so
+     * reset() and the destructor clear only these.
+     */
+    std::vector<std::uint64_t> usedSets_;
 
     std::vector<std::uint32_t> fillMask_; //!< cached per-thread masks
     std::uint32_t allMask_ = 0;           //!< bits [0, ways)
@@ -608,6 +650,7 @@ Cache::fillLine(Addr la, unsigned set, ThreadId tid,
     ThreadId *__restrict filledBy = filledBy_.data();
     std::uint32_t *__restrict validMask = validMask_.data();
     std::uint32_t *__restrict lockedMask = lockedMask_.data();
+    std::uint64_t *__restrict usedSets = usedSets_.data();
 
     // A fill of a resident line degenerates to a (write) hit. This
     // happens when a write-back from the level above finds the line
@@ -667,6 +710,7 @@ Cache::fillLine(Addr la, unsigned set, ThreadId tid,
     filledBy[idx] = tid;
     flags[idx] = flagWord(newFlags);
     validMask[set] |= 1u << way;
+    usedSets[set >> 6] |= std::uint64_t(1) << (set & 63);
     if ((newFlags & FlagLocked) != 0)
         lockedMask[set] |= 1u << way;
     else

@@ -1,6 +1,7 @@
 #include "sim/replacement.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "common/log.hh"
@@ -19,10 +20,53 @@ using detail::srripMax;
 
 // ====================================================== PolicyTable
 
+std::size_t
+PolicyTable::setWordBytes(unsigned sets)
+{
+    return std::size_t(sets) * sizeof(std::uint64_t);
+}
+
+std::size_t
+PolicyTable::lineWordBytes(PolicyKind kind, unsigned sets, unsigned ways)
+{
+    switch (kind) {
+      case PolicyKind::TrueLru:
+      case PolicyKind::Fifo:
+      case PolicyKind::Srrip:
+        return std::size_t(sets) * ways * sizeof(std::uint64_t);
+      default:
+        return 0;
+    }
+}
+
 PolicyTable::PolicyTable(PolicyKind kind, unsigned sets, unsigned ways,
                          Rng *rng)
-    : kind_(kind), ways_(ways),
-      nodes_(ways > 1 ? ways - 1 : 1), rng_(rng)
+    : PolicyTable(kind, ways, rng,
+                  ZeroPages(std::array{setWordBytes(sets),
+                                       lineWordBytes(kind, sets, ways)}))
+{
+}
+
+PolicyTable::PolicyTable(PolicyKind kind, unsigned ways, Rng *rng,
+                         ZeroPages &&pages)
+    : kind_(kind), ways_(ways), nodes_(ways > 1 ? ways - 1 : 1), rng_(rng),
+      own_(std::move(pages)), setWord_(own_.array<std::uint64_t>(0)),
+      lineWord_(own_.array<std::uint64_t>(1))
+{
+    init();
+}
+
+PolicyTable::PolicyTable(PolicyKind kind, unsigned ways, Rng *rng,
+                         const ZeroPages &pages, std::size_t first)
+    : kind_(kind), ways_(ways), nodes_(ways > 1 ? ways - 1 : 1), rng_(rng),
+      setWord_(pages.array<std::uint64_t>(first)),
+      lineWord_(pages.array<std::uint64_t>(first + 1))
+{
+    init();
+}
+
+void
+PolicyTable::init()
 {
     if (ways_ == 0 || ways_ > 32)
         panicf("PolicyTable: ways ", ways_, " outside [1, 32]");
@@ -65,21 +109,18 @@ PolicyTable::PolicyTable(PolicyKind kind, unsigned sets, unsigned ways,
         }
     }
 
-    setWord_.assign(sets, 0);
+    // The storage starts zero; only the non-zero initial states are
+    // written, so a large table's untouched pages stay unmapped.
     switch (kind_) {
-      case PolicyKind::TrueLru:
-      case PolicyKind::Fifo:
-        lineWord_.assign(std::size_t(sets) * ways_, 0);
-        break;
       case PolicyKind::Srrip:
-        lineWord_.assign(std::size_t(sets) * ways_, srripMax);
+        std::fill(lineWord_.begin(), lineWord_.end(), srripMax);
         break;
       case PolicyKind::LfsrRandom:
         // One seed draw per set, in set order: every stream and pin
         // downstream depends on this draw order.
-        for (unsigned s = 0; s < sets; ++s) {
-            setWord_[s] = rng_ != nullptr ? rng_->below(0x7fff) + 1
-                                          : lfsrResetState;
+        for (std::uint64_t &s : setWord_) {
+            s = rng_ != nullptr ? rng_->below(0x7fff) + 1
+                                : lfsrResetState;
         }
         break;
       default:
@@ -88,21 +129,29 @@ PolicyTable::PolicyTable(PolicyKind kind, unsigned sets, unsigned ways,
 }
 
 void
+PolicyTable::resetSet(unsigned set)
+{
+    setWord_[set] = kind_ == PolicyKind::LfsrRandom ? lfsrResetState : 0;
+    if (!lineWord_.empty())
+        std::fill_n(&lineWord_[std::size_t(set) * ways_], ways_,
+                    kind_ == PolicyKind::Srrip ? srripMax : 0);
+}
+
+void
 PolicyTable::reset()
 {
-    switch (kind_) {
-      case PolicyKind::Srrip:
-        std::fill(setWord_.begin(), setWord_.end(), 0);
-        std::fill(lineWord_.begin(), lineWord_.end(), srripMax);
-        break;
-      case PolicyKind::LfsrRandom:
-        std::fill(setWord_.begin(), setWord_.end(), lfsrResetState);
-        break;
-      default:
-        std::fill(setWord_.begin(), setWord_.end(), 0);
-        std::fill(lineWord_.begin(), lineWord_.end(), 0);
-        break;
-    }
+    for (unsigned set = 0; set < setWord_.size(); ++set)
+        resetSet(set);
+}
+
+bool
+PolicyTable::sameState(const PolicyTable &other) const
+{
+    return kind_ == other.kind_ && ways_ == other.ways_ &&
+           std::equal(setWord_.begin(), setWord_.end(),
+                      other.setWord_.begin(), other.setWord_.end()) &&
+           std::equal(lineWord_.begin(), lineWord_.end(),
+                      other.lineWord_.begin(), other.lineWord_.end());
 }
 
 unsigned

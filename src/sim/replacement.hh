@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/zero_pages.hh"
 
 namespace wb::sim
 {
@@ -142,8 +143,37 @@ class PolicyTable
      */
     PolicyTable(PolicyKind kind, unsigned sets, unsigned ways, Rng *rng);
 
+    /**
+     * The same table over storage its owner keeps: arrays @p first
+     * (setWordBytes) and @p first + 1 (lineWordBytes) of @p pages,
+     * which must outlive the table. The set count is the first
+     * array's length. A Cache puts its table in its own ZeroPages.
+     */
+    PolicyTable(PolicyKind kind, unsigned ways, Rng *rng,
+                const ZeroPages &pages, std::size_t first);
+
+    /** Bytes of the per-set word array for @p sets sets. */
+    static std::size_t setWordBytes(unsigned sets);
+
+    /** Bytes of the per-line word array (0 when @p kind keeps none). */
+    static std::size_t lineWordBytes(PolicyKind kind, unsigned sets,
+                                     unsigned ways);
+
     /** Reset every set to the initial (power-on) state. */
     void reset();
+
+    /**
+     * Reset @p set alone: zero words, or LfsrRandom's constant reset
+     * state and Srrip's distant RRPVs. A Cache resets only the sets it
+     * used since the last reset.
+     */
+    void resetSet(unsigned set);
+
+    /**
+     * True when both tables hold the same replacement state: the same
+     * kind and geometry, and equal per-set and per-line words.
+     */
+    bool sameState(const PolicyTable &other) const;
 
     /** Note that @p way of @p set was just filled with a new line. */
     void onFill(unsigned set, unsigned way);
@@ -161,6 +191,12 @@ class PolicyTable
     unsigned victim(unsigned set, std::uint32_t eligibleMask);
 
   private:
+    /** A table over its own @p pages (setWord, lineWord). */
+    PolicyTable(PolicyKind kind, unsigned ways, Rng *rng, ZeroPages &&pages);
+
+    /** Checks, tree fast paths and the initial per-set state. */
+    void init();
+
     /** Promote @p way to most-recently-used (tree/MRU-bit policies). */
     void touch(unsigned set, unsigned way);
 
@@ -209,18 +245,27 @@ class PolicyTable
     std::vector<std::uint8_t> agreeLut_;
 
     /**
+     * Storage of setWord_/lineWord_ for a standalone table; empty when
+     * the owning Cache keeps them in its own ZeroPages (one mapping
+     * per cache level, see sim/cache.hh).
+     */
+    ZeroPages own_;
+
+    /**
      * One word per set: tree bits (TreePlru/QuadAgeLru), MRU bits
      * (BitPlru), reference bits (Nru), LFSR state (LfsrRandom), or the
-     * recency/insertion clock (TrueLru/Fifo).
+     * recency/insertion clock (TrueLru/Fifo). Zero-page backed: only
+     * LfsrRandom's per-set seeds are written at construction.
      */
-    std::vector<std::uint64_t> setWord_;
+    ZeroArray<std::uint64_t> setWord_;
 
     /**
      * One word per line (set * ways + way), allocated only when the
      * policy needs per-line state: recency stamps (TrueLru), insertion
-     * stamps (Fifo), or RRPV counters (Srrip).
+     * stamps (Fifo), or RRPV counters (Srrip, written to srripMax at
+     * construction and on reset; the others start at zero).
      */
-    std::vector<std::uint64_t> lineWord_;
+    ZeroArray<std::uint64_t> lineWord_;
 };
 
 // ------------------------------------------------------------------

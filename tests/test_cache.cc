@@ -1,13 +1,21 @@
 /**
  * @file
  * Unit tests for the set-associative cache level (sim/cache.hh):
- * fills, hits, dirty bits, write policies, locking and partitioning.
+ * fills, hits, dirty bits, write policies, locking and partitioning,
+ * and its zero-page storage (common/zero_pages.hh).
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <fstream>
+#include <string>
+
 #include "common/rng.hh"
+#include "common/zero_pages.hh"
 #include "sim/cache.hh"
+#include "sim/multicore.hh"
+#include "sim/platform.hh"
 
 namespace wb::sim
 {
@@ -423,6 +431,190 @@ TEST(Cache, ResidencyLookupsMatchANaiveScan)
         EXPECT_LT(hits, 18000u);
     }
 }
+
+// ------------------------------------------------ zero-page storage
+
+constexpr std::array kAllPolicies = {
+    PolicyKind::TrueLru,    PolicyKind::TreePlru, PolicyKind::BitPlru,
+    PolicyKind::Nru,        PolicyKind::Srrip,    PolicyKind::QuadAgeLru,
+    PolicyKind::Fifo,       PolicyKind::RandomIid, PolicyKind::LfsrRandom,
+};
+
+/** A 4 MiB, 16-way level (4096 sets): far above ZeroPages::kMapBytes. */
+CacheParams
+largeParams(PolicyKind policy)
+{
+    CacheParams p;
+    p.name = "large";
+    p.sizeBytes = 4 * 1024 * 1024;
+    p.ways = 16;
+    p.policy = policy;
+    return p;
+}
+
+/** Every set's lines and the replacement state of @p a and @p b agree. */
+void
+expectSameState(const Cache &a, const Cache &b)
+{
+    ASSERT_EQ(a.numSets(), b.numSets());
+    EXPECT_TRUE(a.policyTable().sameState(b.policyTable()));
+    for (unsigned set = 0; set < a.numSets(); ++set) {
+        const std::vector<Line> la = a.setContents(set);
+        const std::vector<Line> lb = b.setContents(set);
+        for (std::size_t w = 0; w < la.size(); ++w) {
+            const bool same = la[w].valid == lb[w].valid &&
+                              la[w].dirty == lb[w].dirty &&
+                              la[w].locked == lb[w].locked &&
+                              la[w].lineAddr == lb[w].lineAddr &&
+                              la[w].filledBy == lb[w].filledBy;
+            ASSERT_TRUE(same) << "set " << set << " way " << w;
+        }
+    }
+}
+
+TEST(CacheStorage, ResetEqualsAFreshCacheForEveryPolicy)
+{
+    for (const PolicyKind kind : kAllPolicies) {
+        SCOPED_TRACE(policyName(kind));
+        // The heap-backed 32 KiB level and the mapped 4 MiB one.
+        CacheParams small = largeParams(kind);
+        small.sizeBytes = 32 * 1024;
+        small.ways = 8;
+        for (const CacheParams &params : {small, largeParams(kind)}) {
+            Rng rng(static_cast<std::uint64_t>(kind) + 1);
+            Cache used(params, &rng);
+            const std::uint64_t lines =
+                std::uint64_t(params.numSets()) * params.ways;
+            for (unsigned i = 0; i < 40000; ++i) {
+                const Addr a = rng.below(4 * lines) * lineBytes;
+                used.fill(a, static_cast<ThreadId>(rng.below(2)),
+                          rng.chance(0.5));
+                if (rng.chance(0.01))
+                    used.lock(a);
+            }
+            used.reset();
+            // Reset restores the constant LFSR state, which a cache
+            // built without an Rng starts from; RandomIid needs one.
+            Rng freshRng(99);
+            const Cache fresh(params, kind == PolicyKind::LfsrRandom
+                                          ? nullptr
+                                          : &freshRng);
+            expectSameState(used, fresh);
+        }
+    }
+}
+
+TEST(CacheStorage, ARecycledCacheStartsAsAFreshOne)
+{
+    for (const PolicyKind kind :
+         {PolicyKind::TreePlru, PolicyKind::TrueLru, PolicyKind::Nru}) {
+        SCOPED_TRACE(policyName(kind));
+        {
+            // Used, then dropped: its mapping goes to the thread's pool.
+            Rng rng(5);
+            Cache used(largeParams(kind), &rng);
+            for (unsigned i = 0; i < 20000; ++i)
+                used.fill(rng.below(1u << 18) * lineBytes, 0,
+                          rng.chance(0.5));
+        }
+        Rng a(6);
+        Rng b(6);
+        const Cache recycled(largeParams(kind), &a);
+        const Cache fresh(largeParams(kind), &b);
+        expectSameState(recycled, fresh);
+    }
+}
+
+TEST(CacheStorage, ZeroPagesMapLargeArraysAndRecycleThem)
+{
+    const std::array<std::size_t, 3> big = {ZeroPages::kMapBytes, 8, 0};
+    const std::array<std::size_t, 2> tiny = {64, 8};
+    ZeroPages heap(tiny);
+    EXPECT_FALSE(heap.mapped());
+    for (const ZeroArray<std::uint64_t> words :
+         {heap.array<std::uint64_t>(0), heap.array<std::uint64_t>(1)})
+        for (const std::uint64_t w : words)
+            ASSERT_EQ(w, 0u);
+
+    ZeroPages mapped(big);
+    EXPECT_EQ(mapped.mapped(), WB_ZERO_PAGES_MAPPED == 1);
+    const ZeroArray<std::uint64_t> words = mapped.array<std::uint64_t>(0);
+    EXPECT_EQ(words.size(), ZeroPages::kMapBytes / 8);
+    EXPECT_EQ(mapped.array<std::uint64_t>(1).size(), 1u);
+    EXPECT_TRUE(mapped.array<std::uint8_t>(2).empty());
+    for (const std::uint64_t w : words)
+        ASSERT_EQ(w, 0u);
+    words[3] = 7;
+
+    // Moving hands the storage over; the views stay valid.
+    ZeroPages moved(std::move(mapped));
+    EXPECT_FALSE(mapped.mapped());
+    EXPECT_EQ(moved.array<std::uint64_t>(0).data(), words.data());
+    EXPECT_EQ(words[3], 7u);
+
+    // Zeroed and recycled, the mapping serves the next request of the
+    // same sizes on this thread, and only that.
+    words[3] = 0;
+    moved.recycle();
+    EXPECT_FALSE(moved.mapped());
+    const std::array<std::size_t, 3> other = {ZeroPages::kMapBytes, 16, 0};
+    const ZeroPages different(other);
+    const ZeroPages same(big);
+    if (WB_ZERO_PAGES_MAPPED == 1) {
+        EXPECT_NE(different.array<std::uint64_t>(0).data(), words.data());
+        EXPECT_EQ(same.array<std::uint64_t>(0).data(), words.data());
+    }
+}
+
+#if WB_ZERO_PAGES_MAPPED
+TEST(CacheStorageDeathTest, OverrunningAMappedArrayFaults)
+{
+    // Each mapped array ends at a PROT_NONE guard page, so one element
+    // past the end faults even where no sanitizer watches the mapping.
+    const std::array<std::size_t, 2> bytes = {ZeroPages::kMapBytes, 24};
+    const ZeroPages pages(bytes);
+    ASSERT_TRUE(pages.mapped());
+    const ZeroArray<std::uint64_t> first = pages.array<std::uint64_t>(0);
+    const ZeroArray<std::uint64_t> second = pages.array<std::uint64_t>(1);
+    EXPECT_DEATH(static_cast<volatile std::uint64_t &>(
+                     first[first.size()]) = 1,
+                 "");
+    EXPECT_DEATH(static_cast<volatile std::uint64_t &>(
+                     second[second.size()]) = 1,
+                 "");
+}
+
+/** This process's resident set, in KiB (VmRSS of /proc/self/status). */
+std::size_t
+residentKib()
+{
+    std::ifstream status("/proc/self/status");
+    std::string key;
+    while (status >> key) {
+        if (key == "VmRSS:") {
+            std::size_t kib = 0;
+            status >> kib;
+            return kib;
+        }
+        status.ignore(4096, '\n');
+    }
+    return 0;
+}
+
+TEST(CacheStorage, ASliced64CoreSystemPaysOnlyForWhatItTouches)
+{
+    // 32 MiB of sliced LLC plus 64 private hierarchies: about 10 MB of
+    // line state when every array is written at construction.
+    const Platform &plat = platform("dc-sliced-64core");
+    Rng rng(1);
+    const std::size_t before = residentKib();
+    ASSERT_GT(before, 0u);
+    MultiCoreSystem mc(plat.params, plat.cores, &rng);
+    (void)mc.access(0, 0, 0x1000, /*isWrite=*/true);
+    const std::size_t grown = residentKib() - before;
+    EXPECT_LT(grown, 5u * 1024) << "KiB grown by the build";
+}
+#endif
 
 } // namespace
 } // namespace wb::sim
