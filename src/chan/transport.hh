@@ -153,6 +153,12 @@ struct LinkRun
     sim::SchedulerStats schedulerStats; //!< OS-noise activity
 
     /**
+     * Slots the burst held each symbol for (the coarse-timer plan's
+     * repetition factor R; 1 when cycle-accurate).
+     */
+    unsigned repetition = 1;
+
+    /**
      * The burst's own calibration shows no signal gap
      * (Calibration::closedFor): the link is closed, and no slower rung
      * or retransmission can reopen it.
@@ -193,8 +199,15 @@ struct TransportResult
     /** Delivered payload bits over total simulated time, in kbps. */
     double goodputKbps = 0.0;
 
-    /** Raw channel rate of the final rate rung, in kbps. */
+    /**
+     * Raw channel rate of the final rate rung, in kbps, over the final
+     * burst's repetition factor: a coarse-timer link spends R slots
+     * per symbol, as ChannelResult::rateKbps counts it.
+     */
     double rawRateKbps = 0.0;
+
+    /** The final burst's repetition factor R (LinkRun::repetition). */
+    unsigned repetition = 1;
 
     unsigned rounds = 0;
     unsigned finalRateLevel = 0;

@@ -637,6 +637,74 @@ TEST(TransportSession, ReturnsTheDeliveredMessageWithFailedChunksZeroed)
     EXPECT_EQ(lossy.deliveredMessage, expected);
 }
 
+TEST(TransportSession, RawRateDividesByTheFinalBurstsRepetition)
+{
+    const TransportConfig cfg = smallTransport();
+    ProtocolConfig proto;
+    const BitVec msg =
+        randomMessage(cfg.messageFrames * cfg.layout.payloadBits, 17);
+    // A clean link whose bursts report R = 3, 4, 5, ...: only the last
+    // one sets the reported rate.
+    unsigned bursts = 0;
+    const TransportLink clean = syntheticLink(0.0);
+    const TransportLink repeating =
+        [&clean, &bursts](const BitVec &stream, const RateStep &rate,
+                          std::uint64_t seed) {
+            LinkRun run = clean(stream, rate, seed);
+            run.repetition = 3 + bursts++;
+            return run;
+        };
+    const auto res = runTransportSession(cfg, proto, msg, repeating, 17);
+    ASSERT_EQ(res.rounds, 2u);
+    EXPECT_EQ(res.repetition, 4u);
+    const double rung =
+        rateLadder(proto, cfg.maxSlowdownDoublings, cfg.signalShrinks)
+            [res.finalRateLevel]
+                .rateKbps(proto.cpuGhz);
+    EXPECT_EQ(res.rawRateKbps, rung / 4.0);
+
+    // A link that reports no repetition keeps the rung's rate exactly.
+    const auto plain =
+        runTransportSession(cfg, proto, msg, syntheticLink(0.0), 17);
+    EXPECT_EQ(plain.repetition, 1u);
+    EXPECT_EQ(plain.rawRateKbps, rung);
+}
+
+TEST(TransportSession, CoarseTimerRawRateCountsTheRepetition)
+{
+    // The same-core transport under a coarse timer: each burst's plan
+    // holds every symbol for R > 1 slots, which the raw rate divides
+    // out, as the single shot's rateKbps does.
+    ChannelConfig cfg;
+    cfg.noise.observer =
+        sim::ObserverModel::sandboxTimer(sim::kSandboxTimerGranule / 64);
+    cfg.calibration.measurements = 40;
+    cfg.seed = 3;
+    cfg.transport.enabled = true;
+    cfg.transport.layout.seqBits = 4;
+    cfg.transport.layout.payloadBits = 24;
+    cfg.transport.layout.interleaveDepth = 2;
+    cfg.transport.messageFrames = 1;
+    cfg.transport.windowFrames = 1;
+    cfg.transport.maxRounds = 1;
+    const TransportResult res = runTransport(cfg);
+    ASSERT_EQ(res.rounds, 1u);
+    EXPECT_GT(res.repetition, 1u);
+    const double rung =
+        rateLadder(cfg.protocol, cfg.transport.maxSlowdownDoublings,
+                   cfg.transport.signalShrinks)[res.finalRateLevel]
+            .rateKbps(cfg.protocol.cpuGhz);
+    EXPECT_EQ(res.rawRateKbps, rung / double(res.repetition));
+
+    // With the transport off, the shot reports its own R and rate.
+    cfg.transport.enabled = false;
+    const ChannelResult shot = runChannel(cfg);
+    const TransportResult off = runTransport(cfg);
+    EXPECT_GT(shot.repetition, 1u);
+    EXPECT_EQ(off.repetition, shot.repetition);
+    EXPECT_EQ(off.rawRateKbps, shot.rateKbps);
+}
+
 // ------------------------------------------- transport-off equivalence
 
 ChannelConfig
