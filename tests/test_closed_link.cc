@@ -100,7 +100,9 @@ TEST(ClosedLinkPins, SameCoreCoarseTimerTransport)
     cfg.transport.windowFrames = 1;
     cfg.transport.maxRounds = 2;
     const TransportResult r = runTransport(cfg);
-    EXPECT_EQ(transportDigest(r), 13523888069909274773ull);
+    // Re-captured when rawRateKbps began dividing by the final burst's
+    // repetition factor (R = 648 here): only rawRateKbps moved.
+    EXPECT_EQ(transportDigest(r), 5300177062290870925ull);
 }
 
 TEST(ClosedLinkPins, CrossCoreOpenTransportUnderCoRunners)
