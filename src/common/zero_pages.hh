@@ -19,11 +19,12 @@
  * A first touch costs a page fault, several times the price of
  * writing the page, so an owner that can put its arrays back to zero
  * cheaply (a cache clears only the sets it used) hands the mapping to
- * recycle(): each thread keeps up to kPoolMappings such mappings, and
- * the next ZeroPages of the same array sizes on that thread takes
+ * recycle(): the process keeps up to kPoolMappings such mappings, and
+ * the next ZeroPages of the same array sizes, on any thread, takes
  * one over, its touched pages still resident and zero. Code that
- * builds and drops many machines of one geometry then pays neither
- * the faults nor the map/unmap calls again.
+ * builds and drops many machines of one geometry, from short-lived
+ * worker threads too, then pays neither the faults nor the map/unmap
+ * calls (and their cross-core TLB flushes) again.
  */
 
 #ifndef WB_COMMON_ZERO_PAGES_HH
@@ -32,6 +33,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdlib>
+#include <mutex>
 #include <new>
 #include <span>
 #include <type_traits>
@@ -86,11 +88,11 @@ class ZeroPages
     static constexpr std::size_t kMapBytes = 32 * 1024;
 
     /**
-     * Recycled mappings a thread keeps: enough for every mapped cache
-     * of the largest preset (8 LLC slices and 64 L2s), so rebuilding
-     * one reuses them all.
+     * Recycled mappings the process keeps: every mapped cache (8 LLC
+     * slices and 64 L2s) of the largest preset for each of four
+     * workers, so a parallel sweep that rebuilds it reuses them all.
      */
-    static constexpr std::size_t kPoolMappings = 96;
+    static constexpr std::size_t kPoolMappings = 320;
 
     ZeroPages() = default;
 
@@ -159,7 +161,7 @@ class ZeroPages
     }
 
     /**
-     * Give the storage up, keeping a mapping in this thread's pool for
+     * Give the storage up, keeping a mapping in the process pool for
      * the next ZeroPages of the same array sizes. @pre every array
      * reads zero again. Leaves this object empty, like a move.
      */
@@ -167,15 +169,21 @@ class ZeroPages
     recycle()
     {
 #if WB_ZERO_PAGES_MAPPED
-        Pool *pool = threadPool();
-        if (map_ != nullptr && pool != nullptr) {
-            if (pool->free.size() == kPoolMappings) {
-                munmap(pool->free.front().map, pool->free.front().mapBytes);
-                pool->free.erase(pool->free.begin());
+        if (map_ != nullptr) {
+            Recycled evicted{nullptr, 0, {}};
+            {
+                Pool &pool = processPool();
+                const std::lock_guard<std::mutex> guard(pool.lock);
+                if (pool.free.size() == kPoolMappings) {
+                    evicted = std::move(pool.free.front());
+                    pool.free.erase(pool.free.begin());
+                }
+                pool.free.push_back({std::exchange(map_, nullptr),
+                                     std::exchange(mapBytes_, 0),
+                                     std::exchange(arrays_, {})});
             }
-            pool->free.push_back({std::exchange(map_, nullptr),
-                                  std::exchange(mapBytes_, 0),
-                                  std::exchange(arrays_, {})});
+            if (evicted.map != nullptr)
+                munmap(evicted.map, evicted.mapBytes);
         }
 #endif
         release();
@@ -196,44 +204,28 @@ class ZeroPages
         std::vector<Array> arrays;
     };
 
-    /** A thread's recycled mappings, unmapped when the thread ends. */
+    /** The process's recycled mappings, oldest first. */
     struct Pool
     {
+        std::mutex lock;
         std::vector<Recycled> free;
-
-        ~Pool()
-        {
-            for (const Recycled &r : free)
-                munmap(r.map, r.mapBytes);
-            ended() = true;
-        }
-
-        /** Set once the pool is gone (late static destructors). */
-        static bool &
-        ended()
-        {
-            thread_local bool gone = false;
-            return gone;
-        }
     };
 
-    /** This thread's pool, or nullptr once it has been destroyed. */
-    static Pool *
-    threadPool()
+    /**
+     * The pool, never destroyed: caches in static storage may recycle
+     * during exit, and the kernel reclaims what it holds then.
+     */
+    static Pool &
+    processPool()
     {
-        if (Pool::ended())
-            return nullptr;
-        thread_local Pool pool;
-        return &pool;
+        static Pool *const pool = new Pool;
+        return *pool;
     }
 
     /** Take over a recycled mapping of the same array sizes, if any. */
     bool
     takeRecycled(std::span<const std::size_t> bytes)
     {
-        Pool *pool = threadPool();
-        if (pool == nullptr)
-            return false;
         const auto same = [bytes](const Recycled &r) {
             return std::equal(bytes.begin(), bytes.end(), r.arrays.begin(),
                               r.arrays.end(),
@@ -241,15 +233,17 @@ class ZeroPages
                                   return b == a.bytes;
                               });
         };
+        Pool &pool = processPool();
+        const std::lock_guard<std::mutex> guard(pool.lock);
         // Most recent first: its pages are likeliest still cached.
-        const auto it = std::find_if(pool->free.rbegin(), pool->free.rend(),
-                                     same);
-        if (it == pool->free.rend())
+        const auto it =
+            std::find_if(pool.free.rbegin(), pool.free.rend(), same);
+        if (it == pool.free.rend())
             return false;
         map_ = it->map;
         mapBytes_ = it->mapBytes;
         arrays_ = std::move(it->arrays);
-        pool->free.erase(std::next(it).base());
+        pool.free.erase(std::next(it).base());
         return true;
     }
 

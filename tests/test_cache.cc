@@ -553,7 +553,7 @@ TEST(CacheStorage, ZeroPagesMapLargeArraysAndRecycleThem)
     EXPECT_EQ(words[3], 7u);
 
     // Zeroed and recycled, the mapping serves the next request of the
-    // same sizes on this thread, and only that.
+    // same sizes, and only that.
     words[3] = 0;
     moved.recycle();
     EXPECT_FALSE(moved.mapped());
