@@ -27,6 +27,9 @@
  *   llc-slice-evict  back-invalidation-heavy dirty sweep on the sliced
  *                    16-core LLC as a flat/reference pair: per-slice
  *                    sharer directory vs the all-core scan
+ *   system-build     build a dc-sliced-64core MultiCoreSystem, make one
+ *                    access, destroy it (ops = systems): the cache
+ *                    storage layer's build and teardown cost
  *   channel-frame    one 128-bit frame end to end (ops = bits)
  *   tenant-frame     one small many-tenant sweep (discovery through
  *                    decode) on the sliced 16-core preset (ops = bits)
@@ -599,6 +602,27 @@ benchCrossCoreFrame(double budgetSec)
 }
 
 /**
+ * system-build: construct the 64-core sliced preset's MultiCoreSystem
+ * (32 MiB LLC in 8 slices, 64 private L1/L2 pairs), make one store,
+ * destroy it; ops are systems. Tracks the cache storage layer: a build
+ * pays only for the sets it touches, and a rebuild of the same
+ * geometry reuses the storage the last one handed back.
+ */
+BenchResult
+benchSystemBuild(double budgetSec)
+{
+    const Platform &plat = platform("dc-sliced-64core");
+    return measure("system-build", "multicore",
+                   "{\"platform\":\"dc-sliced-64core\","
+                   "\"accesses\":1,\"unit\":\"systems\"}",
+                   budgetSec, 1, [&]() {
+                       Rng rng(11);
+                       MultiCoreSystem mc(plat.params, plat.cores, &rng);
+                       (void)mc.access(0, 0, 0x1000, /*isWrite=*/true);
+                   });
+}
+
+/**
  * noise-frame: one single-core frame under the OS-noise scheduler
  * (two mixed co-runners time-sharing the core, context-switch
  * pollution) — the Table-VII regime end to end; ops are payload
@@ -730,6 +754,7 @@ main(int argc, char **argv)
     results.push_back(benchMulticoreAccess(budget));
     results.push_back(benchLlcSliceEvict("flat", budget));
     results.push_back(benchLlcSliceEvict("reference", budget));
+    results.push_back(benchSystemBuild(budget));
     results.push_back(benchHierarchyDirtyEvict(budget));
     results.push_back(benchPointerChase(budget));
     results.push_back(benchSmtStep(budget));
