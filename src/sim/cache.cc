@@ -57,14 +57,15 @@ Cache::storageBytes(const CacheParams &params)
 
 Cache::Cache(const CacheParams &params, Rng *rng)
     : params_(validated(params, rng)), layout_(params.numSets()),
-      pages_(storageBytes(params_)), lineAddr_(pages_.array<Addr>(0)),
-      flags_(pages_.array<LineFlagWord>(1)),
-      filledBy_(pages_.array<ThreadId>(2)),
-      validMask_(pages_.array<std::uint32_t>(3)),
-      lockedMask_(pages_.array<std::uint32_t>(4)),
       usedSets_((params_.numSets() + 63) / 64, 0),
+      pages_(storageBytes(params_)),
       policy_(params.policy, params.ways, rng, pages_, kPolicyArrays)
 {
+    lineAddr_ = pages_.array<Addr>(0);
+    flags_ = pages_.array<LineFlagWord>(1);
+    filledBy_ = pages_.array<ThreadId>(2);
+    validMask_ = pages_.array<std::uint32_t>(3);
+    lockedMask_ = pages_.array<std::uint32_t>(4);
     allMask_ = wayMaskAll(params_.ways);
     fillMask_.reserve(params_.fillMaskPerThread.size());
     for (std::uint32_t m : params_.fillMaskPerThread)

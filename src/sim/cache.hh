@@ -12,6 +12,17 @@
  * bitwise ops instead of a per-way scan. Replacement state is held
  * inline for all sets in one flat PolicyTable (no per-set heap objects
  * or virtual dispatch on the hot path). See docs/PERF.md.
+ *
+ * All of those arrays, the PolicyTable's included, live in one
+ * ZeroPages block per cache level (common/zero_pages.hh): from 32 KiB
+ * of state up (an L2 or LLC slice) one anonymous mapping with guard
+ * pages, so the sets a run never touches cost no host memory and no
+ * build time; smaller levels keep zeroed heap blocks. A cache notes
+ * each set it installs a line in, so reset() and the destructor clear
+ * only those sets, and the destructor hands a cleared mapping back
+ * for the next cache of the same geometry to reuse without page
+ * faults. Only LfsrRandom's per-set seeds and Srrip's distant RRPVs
+ * are written at construction.
  */
 
 #ifndef WB_SIM_CACHE_HH
@@ -608,10 +619,8 @@ class Cache
     CacheParams params_;
     AddressLayout layout_;
 
-    /** Storage of the arrays below and of policy_'s words. */
-    ZeroPages pages_;
-
     // Structure-of-arrays line storage, indexed by set * ways + way.
+    // Views into pages_, which sits after the hot members.
     ZeroArray<Addr> lineAddr_;
     ZeroArray<LineFlagWord> flags_;
     ZeroArray<ThreadId> filledBy_;
@@ -624,12 +633,17 @@ class Cache
      * One bit per set: a line was installed there since the last
      * reset. Every other set still holds its construction state (no
      * hit, lock or policy update reaches a set without a line), so
-     * reset() and the destructor clear only these.
+     * reset() and the destructor clear only these. A set's first
+     * install after a reset goes to an invalid way, so only fills into
+     * invalid ways set the bit; evicting fills skip it.
      */
     std::vector<std::uint64_t> usedSets_;
 
     std::vector<std::uint32_t> fillMask_; //!< cached per-thread masks
     std::uint32_t allMask_ = 0;           //!< bits [0, ways)
+
+    /** Storage of the arrays above and of policy_'s words. */
+    ZeroPages pages_;
 
     PolicyTable policy_;
 };
@@ -695,6 +709,7 @@ Cache::fillLine(Addr la, unsigned set, ThreadId tid,
     const std::uint32_t invalid = candidates & ~validMask[set];
     if (invalid != 0) {
         way = lowestWay(invalid);
+        usedSets[set >> 6] |= std::uint64_t(1) << (set & 63);
     } else {
         way = policy_.victim(set, candidates);
         if (way >= params_.ways || !((candidates >> way) & 1u))
@@ -710,7 +725,6 @@ Cache::fillLine(Addr la, unsigned set, ThreadId tid,
     filledBy[idx] = tid;
     flags[idx] = flagWord(newFlags);
     validMask[set] |= 1u << way;
-    usedSets[set >> 6] |= std::uint64_t(1) << (set & 63);
     if ((newFlags & FlagLocked) != 0)
         lockedMask[set] |= 1u << way;
     else

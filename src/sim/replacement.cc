@@ -50,8 +50,8 @@ PolicyTable::PolicyTable(PolicyKind kind, unsigned sets, unsigned ways,
 PolicyTable::PolicyTable(PolicyKind kind, unsigned ways, Rng *rng,
                          ZeroPages &&pages)
     : kind_(kind), ways_(ways), nodes_(ways > 1 ? ways - 1 : 1), rng_(rng),
-      own_(std::move(pages)), setWord_(own_.array<std::uint64_t>(0)),
-      lineWord_(own_.array<std::uint64_t>(1))
+      setWord_(pages.array<std::uint64_t>(0)),
+      lineWord_(pages.array<std::uint64_t>(1)), own_(std::move(pages))
 {
     init();
 }

@@ -7,7 +7,13 @@
  * per-set heap objects, no virtual dispatch): one 64-bit word per set
  * (tree-PLRU bits / MRU bits / NRU bits / LFSR state / stamp clock,
  * interpreted per PolicyKind) plus, for stamp- and RRPV-based
- * policies, one 64-bit word per line.
+ * policies, one 64-bit word per line. Both arrays are ZeroPages
+ * storage (common/zero_pages.hh): a standalone table owns its own, a
+ * Cache's table lives in the cache's one block. Only the non-zero
+ * initial states are written (LfsrRandom's per-set seeds, drawn in
+ * set order, and Srrip's distant RRPVs), so a large table's untouched
+ * sets cost nothing, and resetSet() lets the cache reset just the
+ * sets it used.
  *
  * Its independent oracle lives under tests/: the naive per-set model
  * in tests/naive_cache.hh, which makes the same Rng draws in the same
@@ -245,13 +251,6 @@ class PolicyTable
     std::vector<std::uint8_t> agreeLut_;
 
     /**
-     * Storage of setWord_/lineWord_ for a standalone table; empty when
-     * the owning Cache keeps them in its own ZeroPages (one mapping
-     * per cache level, see sim/cache.hh).
-     */
-    ZeroPages own_;
-
-    /**
      * One word per set: tree bits (TreePlru/QuadAgeLru), MRU bits
      * (BitPlru), reference bits (Nru), LFSR state (LfsrRandom), or the
      * recency/insertion clock (TrueLru/Fifo). Zero-page backed: only
@@ -266,6 +265,13 @@ class PolicyTable
      * construction and on reset; the others start at zero).
      */
     ZeroArray<std::uint64_t> lineWord_;
+
+    /**
+     * Storage of setWord_/lineWord_ for a standalone table; empty when
+     * the owning Cache keeps them in its own ZeroPages (one mapping
+     * per cache level, see sim/cache.hh).
+     */
+    ZeroPages own_;
 };
 
 // ------------------------------------------------------------------
