@@ -131,7 +131,6 @@ legacyTransportResult(const ChannelResult &r, const ProtocolConfig &proto)
     t.residualBer = r.ber;
     t.goodputKbps = r.goodputKbps;
     t.rawRateKbps = r.rateKbps;
-    t.repetition = r.repetition;
     t.rounds = 1;
     t.rateLevelByRound.push_back(0);
     t.ferByRound.push_back(

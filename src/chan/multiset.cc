@@ -164,13 +164,10 @@ TransportResult
 runMultiSetTransport(const ChannelConfig &cfg, const BitVec &message,
                      unsigned setCount)
 {
-    TransportResult res = pipeline::runTransportOver(
+    return pipeline::runTransportOver(
         cfg, message, [setCount](const ChannelConfig &burst) {
             return multiSetPass(burst, setCount);
         });
-    if (cfg.transport.enabled) // the ladder's rung rate is per stripe
-        res.rawRateKbps *= setCount;
-    return res;
 }
 
 } // namespace wb::chan

@@ -100,7 +100,8 @@ ChannelResult runMultiSetChannel(const ChannelConfig &cfg,
 /**
  * Run a transport session over the striped channel, one burst through
  * the k sets per round; rawRateKbps is the aggregate, setCount x the
- * final rung's rate. Disabled, it is runMultiSetChannel() repackaged.
+ * final burst's per-set rate. Disabled, it is runMultiSetChannel()
+ * repackaged.
  */
 TransportResult runMultiSetTransport(const ChannelConfig &cfg,
                                      const BitVec &message,

@@ -88,7 +88,7 @@ runBurst(const Pass &pass, const BitVec &stream)
     run.bits = receivedBits(raw.latencies, pass);
     run.simulatedCycles = raw.simulatedCycles;
     run.schedulerStats = raw.schedulerStats;
-    run.repetition = pass.repetition;
+    run.rateKbps = pass.rateKbps / double(pass.repetition);
     run.closed = pass.calibration.closedFor(pass.encoding);
     return run;
 }

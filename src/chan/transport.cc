@@ -262,7 +262,7 @@ runTransportSession(const TransportConfig &cfg,
             run.schedulerStats.pollutionAccesses;
         res.schedulerStats.coRunnerAccesses +=
             run.schedulerStats.coRunnerAccesses;
-        res.repetition = run.repetition;
+        res.rawRateKbps = run.rateKbps;
 
         // --- Resync + validate whatever arrived ---
         const FrameSync::Scan scan = sync.scan(run.bits);
@@ -337,9 +337,6 @@ runTransportSession(const TransportConfig &cfg,
                   double(res.payloadBitsDelivered)
             : 0.0;
     res.finalRateLevel = controller.level();
-    res.rawRateKbps =
-        ladder[controller.level()].rateKbps(baseProto.cpuGhz) /
-        double(res.repetition);
     res.goodputKbps =
         res.simulatedCycles > 0
             ? double(res.payloadBitsDelivered) * baseProto.cpuGhz * 1e6 /

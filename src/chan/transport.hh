@@ -153,10 +153,12 @@ struct LinkRun
     sim::SchedulerStats schedulerStats; //!< OS-noise activity
 
     /**
-     * Slots the burst held each symbol for (the coarse-timer plan's
-     * repetition factor R; 1 when cycle-accurate).
+     * Raw rate the burst ran at, in kbps, as ChannelResult::rateKbps
+     * counts it: the placement's rate at the burst's own pacing (a
+     * coarse-timer plan aligns Ts to the timer granule), over the
+     * slots it held each symbol for (the plan's repetition factor R).
      */
-    unsigned repetition = 1;
+    double rateKbps = 0.0;
 
     /**
      * The burst's own calibration shows no signal gap
@@ -200,14 +202,11 @@ struct TransportResult
     double goodputKbps = 0.0;
 
     /**
-     * Raw channel rate of the final rate rung, in kbps, over the final
-     * burst's repetition factor: a coarse-timer link spends R slots
-     * per symbol, as ChannelResult::rateKbps counts it.
+     * Raw rate of the final burst, in kbps (LinkRun::rateKbps); 0 when
+     * no burst ran. finalRateLevel is the rung after that burst's
+     * round, so the two disagree when the round moved the rate.
      */
     double rawRateKbps = 0.0;
-
-    /** The final burst's repetition factor R (LinkRun::repetition). */
-    unsigned repetition = 1;
 
     unsigned rounds = 0;
     unsigned finalRateLevel = 0;

@@ -637,47 +637,57 @@ TEST(TransportSession, ReturnsTheDeliveredMessageWithFailedChunksZeroed)
     EXPECT_EQ(lossy.deliveredMessage, expected);
 }
 
-TEST(TransportSession, RawRateDividesByTheFinalBurstsRepetition)
+TEST(TransportSession, RawRateIsTheFinalBurstsRate)
 {
     const TransportConfig cfg = smallTransport();
     ProtocolConfig proto;
     const BitVec msg =
         randomMessage(cfg.messageFrames * cfg.layout.payloadBits, 17);
-    // A clean link whose bursts report R = 3, 4, 5, ...: only the last
-    // one sets the reported rate.
-    unsigned bursts = 0;
-    const TransportLink clean = syntheticLink(0.0);
-    const TransportLink repeating =
-        [&clean, &bursts](const BitVec &stream, const RateStep &rate,
-                          std::uint64_t seed) {
-            LinkRun run = clean(stream, rate, seed);
-            run.repetition = 3 + bursts++;
+    const std::vector<RateStep> ladder =
+        rateLadder(proto, cfg.maxSlowdownDoublings, cfg.signalShrinks);
+    // Links whose bursts hold each symbol for R = 3, 4, 5, ... slots
+    // and report the rung's rate over R: only the last burst counts.
+    const auto repeating = [](TransportLink inner, unsigned &bursts) {
+        return [inner, &bursts](const BitVec &stream, const RateStep &rate,
+                                std::uint64_t seed) {
+            LinkRun run = inner(stream, rate, seed);
+            run.rateKbps = rate.rateKbps(ProtocolConfig{}.cpuGhz) /
+                           double(3 + bursts++);
             return run;
         };
-    const auto res = runTransportSession(cfg, proto, msg, repeating, 17);
-    ASSERT_EQ(res.rounds, 2u);
-    EXPECT_EQ(res.repetition, 4u);
-    const double rung =
-        rateLadder(proto, cfg.maxSlowdownDoublings, cfg.signalShrinks)
-            [res.finalRateLevel]
-                .rateKbps(proto.cpuGhz);
-    EXPECT_EQ(res.rawRateKbps, rung / 4.0);
+    };
+    unsigned bursts = 0;
+    const auto clean = runTransportSession(
+        cfg, proto, msg, repeating(syntheticLink(0.0), bursts), 17);
+    ASSERT_EQ(clean.rounds, 2u);
+    EXPECT_EQ(clean.finalRateLevel, 0u);
+    EXPECT_EQ(clean.rawRateKbps, ladder[0].rateKbps(proto.cpuGhz) / 4.0);
 
-    // A link that reports no repetition keeps the rung's rate exactly.
-    const auto plain =
-        runTransportSession(cfg, proto, msg, syntheticLink(0.0), 17);
-    EXPECT_EQ(plain.repetition, 1u);
-    EXPECT_EQ(plain.rawRateKbps, rung);
+    // A burst that loses every frame steps the rate down after its
+    // round: the session still reports the rung that burst ran at.
+    TransportConfig once = cfg;
+    once.maxRounds = 1;
+    bursts = 0;
+    const auto garbled = runTransportSession(
+        once, proto, msg, repeating(syntheticLink(1.0), bursts), 17);
+    ASSERT_EQ(garbled.rounds, 1u);
+    EXPECT_EQ(garbled.framesDelivered, 0u);
+    EXPECT_EQ(garbled.rateLevelByRound, std::vector<unsigned>{0});
+    EXPECT_EQ(garbled.finalRateLevel, 1u);
+    EXPECT_EQ(garbled.rawRateKbps, ladder[0].rateKbps(proto.cpuGhz) / 3.0);
 }
 
-TEST(TransportSession, CoarseTimerRawRateCountsTheRepetition)
+TEST(TransportSession, CoarseTimerRawRateIsTheAlignedBurstRate)
 {
-    // The same-core transport under a coarse timer: each burst's plan
-    // holds every symbol for R > 1 slots, which the raw rate divides
-    // out, as the single shot's rateKbps does.
+    // The same-core transport under a coarse timer whose granule does
+    // not divide Ts: each burst's plan paces at Ts rounded up to the
+    // granule (5500 -> 6600 cycles) and holds every symbol for R
+    // slots, and the raw rate counts both, as the single shot's
+    // rateKbps does.
     ChannelConfig cfg;
     cfg.noise.observer =
-        sim::ObserverModel::sandboxTimer(sim::kSandboxTimerGranule / 64);
+        sim::ObserverModel::sandboxTimer(sim::kSandboxTimerGranule);
+    cfg.protocol.repetitionOverride = 3;
     cfg.calibration.measurements = 40;
     cfg.seed = 3;
     cfg.transport.enabled = true;
@@ -687,22 +697,19 @@ TEST(TransportSession, CoarseTimerRawRateCountsTheRepetition)
     cfg.transport.messageFrames = 1;
     cfg.transport.windowFrames = 1;
     cfg.transport.maxRounds = 1;
+    ASSERT_EQ(cfg.protocol.ts, 5500u);
     const TransportResult res = runTransport(cfg);
     ASSERT_EQ(res.rounds, 1u);
-    EXPECT_GT(res.repetition, 1u);
-    const double rung =
-        rateLadder(cfg.protocol, cfg.transport.maxSlowdownDoublings,
-                   cfg.transport.signalShrinks)[res.finalRateLevel]
-            .rateKbps(cfg.protocol.cpuGhz);
-    EXPECT_EQ(res.rawRateKbps, rung / double(res.repetition));
+    ProtocolConfig aligned = cfg.protocol;
+    aligned.ts = aligned.tr = 3 * sim::kSandboxTimerGranule;
+    EXPECT_EQ(res.rawRateKbps, aligned.rateKbps() / 3.0);
 
-    // With the transport off, the shot reports its own R and rate.
+    // With the transport off, the shot reports the same rate.
     cfg.transport.enabled = false;
     const ChannelResult shot = runChannel(cfg);
-    const TransportResult off = runTransport(cfg);
-    EXPECT_GT(shot.repetition, 1u);
-    EXPECT_EQ(off.repetition, shot.repetition);
-    EXPECT_EQ(off.rawRateKbps, shot.rateKbps);
+    EXPECT_EQ(shot.repetition, 3u);
+    EXPECT_EQ(runTransport(cfg).rawRateKbps, shot.rateKbps);
+    EXPECT_EQ(shot.rateKbps, res.rawRateKbps);
 }
 
 // ------------------------------------------- transport-off equivalence
