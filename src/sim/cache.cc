@@ -59,7 +59,9 @@ Cache::Cache(const CacheParams &params, Rng *rng)
     : params_(validated(params, rng)), layout_(params.numSets()),
       usedSets_((params_.numSets() + 63) / 64, 0),
       pages_(storageBytes(params_)),
-      policy_(params.policy, params.ways, rng, pages_, kPolicyArrays)
+      policy_(params.policy, params.ways, rng,
+              pages_.array<std::uint64_t>(kPolicyArrays),
+              pages_.array<std::uint64_t>(kPolicyArrays + 1))
 {
     lineAddr_ = pages_.array<Addr>(0);
     flags_ = pages_.array<LineFlagWord>(1);

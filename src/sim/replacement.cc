@@ -1,7 +1,6 @@
 #include "sim/replacement.hh"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 
 #include "common/log.hh"
@@ -39,34 +38,11 @@ PolicyTable::lineWordBytes(PolicyKind kind, unsigned sets, unsigned ways)
     }
 }
 
-PolicyTable::PolicyTable(PolicyKind kind, unsigned sets, unsigned ways,
-                         Rng *rng)
-    : PolicyTable(kind, ways, rng,
-                  ZeroPages(std::array{setWordBytes(sets),
-                                       lineWordBytes(kind, sets, ways)}))
-{
-}
-
 PolicyTable::PolicyTable(PolicyKind kind, unsigned ways, Rng *rng,
-                         ZeroPages &&pages)
+                         ZeroArray<std::uint64_t> setWord,
+                         ZeroArray<std::uint64_t> lineWord)
     : kind_(kind), ways_(ways), nodes_(ways > 1 ? ways - 1 : 1), rng_(rng),
-      setWord_(pages.array<std::uint64_t>(0)),
-      lineWord_(pages.array<std::uint64_t>(1)), own_(std::move(pages))
-{
-    init();
-}
-
-PolicyTable::PolicyTable(PolicyKind kind, unsigned ways, Rng *rng,
-                         const ZeroPages &pages, std::size_t first)
-    : kind_(kind), ways_(ways), nodes_(ways > 1 ? ways - 1 : 1), rng_(rng),
-      setWord_(pages.array<std::uint64_t>(first)),
-      lineWord_(pages.array<std::uint64_t>(first + 1))
-{
-    init();
-}
-
-void
-PolicyTable::init()
+      setWord_(setWord), lineWord_(lineWord)
 {
     if (ways_ == 0 || ways_ > 32)
         panicf("PolicyTable: ways ", ways_, " outside [1, 32]");
@@ -142,16 +118,6 @@ PolicyTable::reset()
 {
     for (unsigned set = 0; set < setWord_.size(); ++set)
         resetSet(set);
-}
-
-bool
-PolicyTable::sameState(const PolicyTable &other) const
-{
-    return kind_ == other.kind_ && ways_ == other.ways_ &&
-           std::equal(setWord_.begin(), setWord_.end(),
-                      other.setWord_.begin(), other.setWord_.end()) &&
-           std::equal(lineWord_.begin(), lineWord_.end(),
-                      other.lineWord_.begin(), other.lineWord_.end());
 }
 
 unsigned

@@ -7,9 +7,9 @@
  * per-set heap objects, no virtual dispatch): one 64-bit word per set
  * (tree-PLRU bits / MRU bits / NRU bits / LFSR state / stamp clock,
  * interpreted per PolicyKind) plus, for stamp- and RRPV-based
- * policies, one 64-bit word per line. Both arrays are ZeroPages
- * storage (common/zero_pages.hh): a standalone table owns its own, a
- * Cache's table lives in the cache's one block. Only the non-zero
+ * policies, one 64-bit word per line. The table does not own them:
+ * both are views (ZeroArray) into zero storage its owner keeps, a
+ * Cache's one ZeroPages block (common/zero_pages.hh). Only the non-zero
  * initial states are written (LfsrRandom's per-set seeds, drawn in
  * set order, and Srrip's distant RRPVs), so a large table's untouched
  * sets cost nothing, and resetSet() lets the cache reset just the
@@ -140,23 +140,21 @@ class PolicyTable
   public:
     /**
      * @param kind which policy governs every set
-     * @param sets number of sets
      * @param ways set associativity (power of two required by the tree
      *        policies; at most 32)
      * @param rng randomness source; required by RandomIid, used for
      *        seeding LfsrRandom and perturbing QuadAgeLru; may be
      *        nullptr for fully deterministic policies
-     */
-    PolicyTable(PolicyKind kind, unsigned sets, unsigned ways, Rng *rng);
-
-    /**
-     * The same table over storage its owner keeps: arrays @p first
-     * (setWordBytes) and @p first + 1 (lineWordBytes) of @p pages,
-     * which must outlive the table. The set count is the first
-     * array's length. A Cache puts its table in its own ZeroPages.
+     * @param setWord one zero word per set (setWordBytes); its length
+     *        is the set count
+     * @param lineWord one zero word per line (lineWordBytes), empty
+     *        when @p kind keeps none
+     *
+     * The storage behind both views must outlive the table.
      */
     PolicyTable(PolicyKind kind, unsigned ways, Rng *rng,
-                const ZeroPages &pages, std::size_t first);
+                ZeroArray<std::uint64_t> setWord,
+                ZeroArray<std::uint64_t> lineWord);
 
     /** Bytes of the per-set word array for @p sets sets. */
     static std::size_t setWordBytes(unsigned sets);
@@ -175,11 +173,11 @@ class PolicyTable
      */
     void resetSet(unsigned set);
 
-    /**
-     * True when both tables hold the same replacement state: the same
-     * kind and geometry, and equal per-set and per-line words.
-     */
-    bool sameState(const PolicyTable &other) const;
+    /** The per-set words, for comparing two tables' states. */
+    const ZeroArray<std::uint64_t> &setWords() const { return setWord_; }
+
+    /** The per-line words (empty when the policy keeps none). */
+    const ZeroArray<std::uint64_t> &lineWords() const { return lineWord_; }
 
     /** Note that @p way of @p set was just filled with a new line. */
     void onFill(unsigned set, unsigned way);
@@ -197,12 +195,6 @@ class PolicyTable
     unsigned victim(unsigned set, std::uint32_t eligibleMask);
 
   private:
-    /** A table over its own @p pages (setWord, lineWord). */
-    PolicyTable(PolicyKind kind, unsigned ways, Rng *rng, ZeroPages &&pages);
-
-    /** Checks, tree fast paths and the initial per-set state. */
-    void init();
-
     /** Promote @p way to most-recently-used (tree/MRU-bit policies). */
     void touch(unsigned set, unsigned way);
 
@@ -265,13 +257,6 @@ class PolicyTable
      * construction and on reset; the others start at zero).
      */
     ZeroArray<std::uint64_t> lineWord_;
-
-    /**
-     * Storage of setWord_/lineWord_ for a standalone table; empty when
-     * the owning Cache keeps them in its own ZeroPages (one mapping
-     * per cache level, see sim/cache.hh).
-     */
-    ZeroPages own_;
 };
 
 // ------------------------------------------------------------------

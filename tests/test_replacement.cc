@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 
 #include "common/rng.hh"
+#include "common/zero_pages.hh"
 #include "naive_cache.hh"
 #include "sim/replacement.hh"
 
@@ -29,11 +31,35 @@ TEST(WayMask, Helpers)
     EXPECT_EQ(wayMaskRange(3, 3), 0u);
 }
 
+/** Zero storage for a table's words, as a Cache keeps it. */
+struct TableStorage
+{
+    TableStorage(PolicyKind kind, unsigned sets, unsigned ways)
+        : pages(std::array{PolicyTable::setWordBytes(sets),
+                           PolicyTable::lineWordBytes(kind, sets, ways)})
+    {
+    }
+
+    ZeroPages pages;
+};
+
+/** A PolicyTable of @p sets sets over storage it owns. */
+class OwnedTable : private TableStorage, public PolicyTable
+{
+  public:
+    OwnedTable(PolicyKind kind, unsigned sets, unsigned ways, Rng *rng)
+        : TableStorage(kind, sets, ways),
+          PolicyTable(kind, ways, rng, pages.array<std::uint64_t>(0),
+                      pages.array<std::uint64_t>(1))
+    {
+    }
+};
+
 /** A one-set PolicyTable after a fill of every way, 0 first. */
-PolicyTable
+OwnedTable
 filledSet(PolicyKind kind, unsigned ways, Rng *rng = nullptr)
 {
-    PolicyTable p(kind, 1, ways, rng);
+    OwnedTable p(kind, 1, ways, rng);
     for (unsigned w = 0; w < ways; ++w)
         p.onFill(0, w);
     return p;
@@ -41,7 +67,7 @@ filledSet(PolicyKind kind, unsigned ways, Rng *rng = nullptr)
 
 TEST(TrueLru, EvictsOldest)
 {
-    PolicyTable p = filledSet(PolicyKind::TrueLru, 4);
+    OwnedTable p = filledSet(PolicyKind::TrueLru, 4);
     // Way 0 is oldest.
     EXPECT_EQ(p.victim(0, wayMaskAll(4)), 0u);
     p.onHit(0, 0);
@@ -53,7 +79,7 @@ TEST(TrueLru, FullTurnoverInWaysFills)
 {
     // After W distinct fills, every original line would be gone:
     // victim choices never repeat within one sweep.
-    PolicyTable p = filledSet(PolicyKind::TrueLru, 8);
+    OwnedTable p = filledSet(PolicyKind::TrueLru, 8);
     std::set<unsigned> victims;
     for (unsigned i = 0; i < 8; ++i) {
         const unsigned v = p.victim(0, wayMaskAll(8));
@@ -65,20 +91,20 @@ TEST(TrueLru, FullTurnoverInWaysFills)
 
 TEST(TrueLru, RespectsCandidateMask)
 {
-    PolicyTable p = filledSet(PolicyKind::TrueLru, 4);
+    OwnedTable p = filledSet(PolicyKind::TrueLru, 4);
     EXPECT_EQ(p.victim(0, 0b1100u), 2u); // oldest among eligible
 }
 
 TEST(TreePlru, PointsAwayFromRecentlyTouched)
 {
-    PolicyTable p = filledSet(PolicyKind::TreePlru, 8);
+    OwnedTable p = filledSet(PolicyKind::TreePlru, 8);
     // Way 7 was last touched; the victim must not be 7.
     EXPECT_NE(p.victim(0, wayMaskAll(8)), 7u);
 }
 
 TEST(TreePlru, VictimChangesAfterTouch)
 {
-    PolicyTable p = filledSet(PolicyKind::TreePlru, 8);
+    OwnedTable p = filledSet(PolicyKind::TreePlru, 8);
     const unsigned v1 = p.victim(0, wayMaskAll(8));
     p.onHit(0, v1); // touch the would-be victim
     const unsigned v2 = p.victim(0, wayMaskAll(8));
@@ -130,7 +156,7 @@ pathsToEveryTreeState(unsigned ways)
 TEST(PolicyTable, TreePlruFallbackMatchesReferenceForEveryMask)
 {
     for (unsigned ways : {4u, 8u}) {
-        PolicyTable table(PolicyKind::TreePlru, 1, ways, nullptr);
+        OwnedTable table(PolicyKind::TreePlru, 1, ways, nullptr);
         NaivePolicy ref(PolicyKind::TreePlru, ways, nullptr);
         for (const std::vector<unsigned> &path :
              pathsToEveryTreeState(ways)) {
@@ -149,31 +175,31 @@ TEST(PolicyTable, TreePlruFallbackMatchesReferenceForEveryMask)
 
 TEST(PolicyTable, RequiresPowerOfTwoForTree)
 {
-    EXPECT_DEATH(PolicyTable(PolicyKind::TreePlru, 4, 6, nullptr),
+    EXPECT_DEATH(OwnedTable(PolicyKind::TreePlru, 4, 6, nullptr),
                  "power-of-two");
-    EXPECT_DEATH(PolicyTable(PolicyKind::TreePlru, 1, 6, nullptr),
+    EXPECT_DEATH(OwnedTable(PolicyKind::TreePlru, 1, 6, nullptr),
                  "power-of-two");
-    EXPECT_DEATH(PolicyTable(PolicyKind::QuadAgeLru, 1, 12, nullptr),
+    EXPECT_DEATH(OwnedTable(PolicyKind::QuadAgeLru, 1, 12, nullptr),
                  "power-of-two");
 }
 
 TEST(PolicyTable, RejectsOversizedAssociativity)
 {
-    EXPECT_DEATH(PolicyTable(PolicyKind::TrueLru, 1, 33, nullptr),
+    EXPECT_DEATH(OwnedTable(PolicyKind::TrueLru, 1, 33, nullptr),
                  "outside");
 }
 
 TEST(BitPlru, ResetsWhenAllMru)
 {
     // The fourth fill clears the others' MRU bits.
-    PolicyTable p = filledSet(PolicyKind::BitPlru, 4);
+    OwnedTable p = filledSet(PolicyKind::BitPlru, 4);
     // Ways 0..2 cleared, way 3 still MRU: victim is way 0.
     EXPECT_EQ(p.victim(0, wayMaskAll(4)), 0u);
 }
 
 TEST(Nru, AgingFindsVictim)
 {
-    PolicyTable p = filledSet(PolicyKind::Nru, 4); // all "recent"
+    OwnedTable p = filledSet(PolicyKind::Nru, 4); // all "recent"
     // Aging pass must still return some way.
     const unsigned v = p.victim(0, wayMaskAll(4));
     EXPECT_LT(v, 4u);
@@ -181,7 +207,7 @@ TEST(Nru, AgingFindsVictim)
 
 TEST(Fifo, IgnoresHits)
 {
-    PolicyTable p = filledSet(PolicyKind::Fifo, 4);
+    OwnedTable p = filledSet(PolicyKind::Fifo, 4);
     p.onHit(0, 0);
     p.onHit(0, 0); // hits must not refresh
     EXPECT_EQ(p.victim(0, wayMaskAll(4)), 0u);
@@ -190,7 +216,7 @@ TEST(Fifo, IgnoresHits)
 TEST(RandomIid, UniformVictims)
 {
     Rng rng(3);
-    PolicyTable p(PolicyKind::RandomIid, 1, 8, &rng);
+    OwnedTable p(PolicyKind::RandomIid, 1, 8, &rng);
     std::vector<unsigned> counts(8, 0);
     const int n = 8000;
     for (int i = 0; i < n; ++i)
@@ -202,7 +228,7 @@ TEST(RandomIid, UniformVictims)
 TEST(RandomIid, RespectsMask)
 {
     Rng rng(5);
-    PolicyTable p(PolicyKind::RandomIid, 1, 8, &rng);
+    OwnedTable p(PolicyKind::RandomIid, 1, 8, &rng);
     for (int i = 0; i < 50; ++i)
         EXPECT_EQ(p.victim(0, 1u << 5), 5u);
 }
@@ -210,7 +236,7 @@ TEST(RandomIid, RespectsMask)
 TEST(LfsrRandom, DeterministicFromReset)
 {
     Rng rng(7);
-    PolicyTable p(PolicyKind::LfsrRandom, 1, 8, &rng);
+    OwnedTable p(PolicyKind::LfsrRandom, 1, 8, &rng);
     p.reset();
     std::vector<unsigned> first;
     for (int i = 0; i < 20; ++i)
@@ -223,7 +249,7 @@ TEST(LfsrRandom, DeterministicFromReset)
 TEST(LfsrRandom, AccessesAdvanceState)
 {
     Rng rng(9);
-    PolicyTable p(PolicyKind::LfsrRandom, 1, 8, &rng);
+    OwnedTable p(PolicyKind::LfsrRandom, 1, 8, &rng);
     p.reset();
     const unsigned v1 = p.victim(0, wayMaskAll(8));
     p.reset();
@@ -268,7 +294,7 @@ TEST_P(PolicyProperty, VictimAlwaysEligible)
     if (kind == PolicyKind::TreePlru && (ways & (ways - 1)) != 0)
         GTEST_SKIP() << "TreePLRU requires power-of-two ways";
     Rng rng(1234 + ways);
-    PolicyTable p(kind, 1, ways, &rng);
+    OwnedTable p(kind, 1, ways, &rng);
     for (int iter = 0; iter < 500; ++iter) {
         const auto action = rng.below(3);
         if (action == 0) {
@@ -299,7 +325,7 @@ TEST_P(PolicyProperty, ResetIsReproducible)
         GTEST_SKIP() << "policy draws fresh randomness per victim";
     }
     Rng rng(99);
-    PolicyTable p(kind, 1, ways, &rng);
+    OwnedTable p(kind, 1, ways, &rng);
     auto run = [&]() {
         std::vector<unsigned> seq;
         for (unsigned i = 0; i < 2 * ways; ++i) {
@@ -332,7 +358,7 @@ TEST_P(PolicyProperty, TableMatchesReference)
 
     Rng tableRng(4242);
     Rng refRng(4242);
-    PolicyTable table(kind, sets, ways, &tableRng);
+    OwnedTable table(kind, sets, ways, &tableRng);
     std::vector<NaivePolicy> refs;
     for (unsigned s = 0; s < sets; ++s)
         refs.emplace_back(kind, ways, &refRng);
