@@ -11,6 +11,7 @@
 #include <array>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/zero_pages.hh"
@@ -593,6 +594,50 @@ TEST(CacheStorageDeathTest, OverrunningAMappedArrayFaults)
     EXPECT_DEATH(static_cast<volatile std::uint64_t &>(
                      second[second.size()]) = 1,
                  "");
+}
+
+/** Pages of @p words the host holds resident (mincore). */
+std::size_t
+residentPages(const ZeroArray<std::uint64_t> &words)
+{
+    const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+    const auto at = reinterpret_cast<std::uintptr_t>(words.data());
+    const std::uintptr_t start = at & ~(page - 1);
+    const std::size_t bytes = at + words.size() * 8 - start;
+    std::vector<unsigned char> in((bytes + page - 1) / page);
+    if (mincore(reinterpret_cast<void *>(start), bytes, in.data()) != 0)
+        return ~std::size_t(0);
+    std::size_t pages = 0;
+    for (const unsigned char c : in)
+        pages += c & 1;
+    return pages;
+}
+
+TEST(CacheStorage, ThePoolKeepsOnlyWhatTheLiveHighWaterLeavesRoomFor)
+{
+    // A recycled mapping comes back with the pages it touched still
+    // resident; a fresh one has none.
+    const std::array<std::size_t, 1> small = {256 * 1024};
+    const std::size_t pages = small[0] / std::size_t(sysconf(_SC_PAGESIZE));
+    {
+        ZeroPages used(small);
+        const ZeroArray<std::uint64_t> words = used.array<std::uint64_t>(0);
+        std::fill(words.begin(), words.end(), 1);
+        std::fill(words.begin(), words.end(), 0);
+        used.recycle();
+    }
+    {
+        ZeroPages again(small);
+        EXPECT_EQ(residentPages(again.array<std::uint64_t>(0)), pages);
+        again.recycle();
+    }
+    // 64 MiB going live, untouched: more than the process's live
+    // mappings ever held, so the pool may hold nothing and the small
+    // mapping is unmapped.
+    const std::array<std::size_t, 1> huge = {64u << 20};
+    const ZeroPages big(huge);
+    const ZeroPages fresh(small);
+    EXPECT_EQ(residentPages(fresh.array<std::uint64_t>(0)), 0u);
 }
 
 /** This process's resident set, in KiB (VmRSS of /proc/self/status). */
