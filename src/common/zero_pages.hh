@@ -99,8 +99,8 @@ class ZeroPages
      * every L2 at least 60 KiB, so the L1s stay on the heap and the
      * L2s and LLC slices are mapped. docs/PERF.md measures that split
      * against mapping the L1s too (4 KiB) and against keeping the L2s
-     * on the heap (128 KiB): both hold more memory, at no resolved
-     * gain in time.
+     * on the heap (128 KiB): both hold more memory in a tenant sweep,
+     * at no resolved gain in time.
      */
     static constexpr std::size_t kMapBytes = 32 * 1024;
 

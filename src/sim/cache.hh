@@ -21,8 +21,9 @@
  * each set it installs a line in, so reset() and the destructor clear
  * only those sets, and the destructor hands a cleared mapping back
  * for the next cache of the same geometry to reuse without page
- * faults. Only LfsrRandom's per-set seeds and Srrip's distant RRPVs
- * are written at construction.
+ * faults, as far as the process pool's byte budget allows. Only
+ * LfsrRandom's per-set seeds and Srrip's distant RRPVs are written at
+ * construction.
  */
 
 #ifndef WB_SIM_CACHE_HH
