@@ -135,7 +135,7 @@ runFlushChannel(const chan::ChannelConfig &cfg, FlushKind kind)
     const chan::pipeline::Pass pass{
         .encoding = proto.encoding,
         .rateKbps = proto.rateKbps(),
-        .frame = randomFrame(proto.frameBits - 16, frameRng),
+        .frame = chan::pipeline::shotFrame(proto, frameRng),
         .calibration = std::move(calibration),
         .run = [cfg, proto, kind, senderSpace, receiverSpace,
                 runRng](const std::vector<unsigned> &levels) {

@@ -75,7 +75,7 @@ runHitHitChannel(const chan::ChannelConfig &cfg, unsigned burst)
     const chan::pipeline::Pass pass{
         .encoding = proto.encoding,
         .rateKbps = proto.rateKbps(),
-        .frame = randomFrame(proto.frameBits - 16, frameRng),
+        .frame = chan::pipeline::shotFrame(proto, frameRng),
         .calibration =
             closedFormCalibration(base, base + std::max(extra, 1e-6)),
         .run = [cfg, proto, burst,

@@ -82,7 +82,7 @@ runLruChannel(const chan::ChannelConfig &cfg, Cycles modulateCycles)
     const chan::pipeline::Pass pass{
         .encoding = proto.encoding,
         .rateKbps = proto.rateKbps(),
-        .frame = randomFrame(proto.frameBits - 16, frameRng),
+        .frame = chan::pipeline::shotFrame(proto, frameRng),
         .calibration = closedFormCalibration(double(lat.l1Hit + timing),
                                              double(lat.l2Hit + timing)),
         .run = [cfg, proto, rxLines, txLine, modulateCycles,

@@ -98,7 +98,7 @@ runPrimeProbeChannel(const chan::ChannelConfig &cfg, unsigned linesPerOne)
     const chan::pipeline::Pass pass{
         .encoding = proto.encoding,
         .rateKbps = proto.rateKbps(),
-        .frame = randomFrame(proto.frameBits - 16, frameRng),
+        .frame = chan::pipeline::shotFrame(proto, frameRng),
         .calibration = closedFormCalibration(
             base, base + static_cast<double>(linesPerOne) *
                              static_cast<double>(lat.l2Hit - lat.l1Hit)),
@@ -175,7 +175,7 @@ runCrossCorePrimeProbe(const chan::ChannelConfig &cfg, unsigned linesPerOne,
     const chan::pipeline::Pass pass{
         .encoding = proto.encoding,
         .rateKbps = proto.rateKbps(),
-        .frame = randomFrame(proto.frameBits - 16, frameRng),
+        .frame = chan::pipeline::shotFrame(proto, frameRng),
         .calibration = chan::Calibration::fromSamples(std::move(byD)),
         .run = [cfg, proto, cores, rxLines, txLines, linesPerOne,
                 runRng](const std::vector<unsigned> &levels) {

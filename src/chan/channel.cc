@@ -98,7 +98,7 @@ sameCorePass(const ChannelConfig &userCfg)
         .encoding = proto.encoding,
         .repetition = plan.repetition,
         .rateKbps = proto.rateKbps(),
-        .frame = randomFrame(proto.frameBits - 16, frameRng),
+        .frame = pipeline::shotFrame(proto, frameRng),
         .calibration = calibrate(cfg.platform, cfg.noise, calCfg, calRng),
         .run = [cfg, runRng, discoveryRng](const auto &dSeq) {
             return runRawSequence(cfg, runRng, discoveryRng, dSeq);

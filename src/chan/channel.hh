@@ -58,8 +58,9 @@ struct LinkConfig
     /**
      * OS-noise regime (Table VII): co-runner mix, timeslices with
      * context-switch pollution, migration (cross-core: of the receiver
-     * front-end to the next party-free core). Inactive by default —
-     * the run is then bit-identical to the schedulerless path.
+     * front-end to the next party-free core). Inactive by default:
+     * the wirings still run on a sim::Scheduler, which then adds no
+     * access and no draw (CoRunnerIsolation).
      * Platform presets carry a tuned default in Platform::noisePreset;
      * opt in with cfg.scheduler = sim::platform(name).noisePreset (and
      * set scheduler.coRunners, e.g. via SchedulerConfig::mixOf).

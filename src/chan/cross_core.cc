@@ -76,7 +76,7 @@ crossCorePass(const CrossCoreChannelConfig &cfg)
     return {
         .encoding = proto.encoding,
         .rateKbps = proto.rateKbps(),
-        .frame = randomFrame(proto.frameBits - 16, frameRng),
+        .frame = pipeline::shotFrame(proto, frameRng),
         .calibration = calibrateCrossCore(cfg, sets, calRng),
         .run = [cfg, sets, runRng](const std::vector<unsigned> &dSeq) {
             pipeline::CrossCoreWiring wiring(cfg, cfg.cores, cfg.senderCore,

@@ -143,7 +143,7 @@ runL2Channel(const ChannelConfig &cfg, unsigned pusherLines)
     const pipeline::Pass pass{
         .encoding = Encoding::binary(1),
         .rateKbps = proto.rateKbps(),
-        .frame = randomFrame(proto.frameBits - 16, frameRng),
+        .frame = pipeline::shotFrame(proto, frameRng),
         .calibration = calibrateL2(cfg, sets, d, calRng),
         .run = [cfg, proto, sets, d,
                 runRng](const std::vector<unsigned> &levels) {

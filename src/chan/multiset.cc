@@ -136,7 +136,7 @@ multiSetPass(const ChannelConfig &cfg, unsigned setCount)
     return {
         .encoding = proto.encoding,
         .rateKbps = setCount * proto.rateKbps(),
-        .frame = randomFrame(proto.frameBits - 16, frameRng),
+        .frame = pipeline::shotFrame(proto, frameRng),
         .calibration = calibrate(cfg.platform, cfg.noise, calCfg, calRng),
         .run = [cfg, proto, setCount, d, senderPools, replA, replB,
                 runRng](const std::vector<unsigned> &levels) {

@@ -13,6 +13,9 @@ namespace wb::chan::pipeline
 namespace
 {
 
+/** Bits of the preamble every frame starts with (preamble16()). */
+constexpr unsigned kPreambleBits = 16;
+
 /** Run @p copies copies of @p bits, each symbol held for the
  *  pass's repetition factor. */
 ChannelResult
@@ -52,9 +55,35 @@ receivedBits(const std::vector<double> &latencies, const Pass &pass)
 
 } // namespace
 
+void
+requireProtocol(const ProtocolConfig &proto)
+{
+    const unsigned k = proto.encoding.bitsPerSymbol();
+    if (proto.frameBits <= kPreambleBits || proto.frameBits % k != 0)
+        fatalf("ProtocolConfig::frameBits = ", proto.frameBits,
+               " must exceed the ", kPreambleBits,
+               "-bit preamble and be whole ", k, "-bit symbols");
+    if (proto.ts == 0)
+        fatalf("ProtocolConfig::ts = 0: the sender period must be "
+               "non-zero");
+    if (proto.tr == 0)
+        fatalf("ProtocolConfig::tr = 0: the receiver period must be "
+               "non-zero");
+}
+
+BitVec
+shotFrame(const ProtocolConfig &proto, Rng &frameRng)
+{
+    requireProtocol(proto);
+    return randomFrame(proto.frameBits - kPreambleBits, frameRng);
+}
+
 ChannelResult
 runShot(const Pass &pass, unsigned frames)
 {
+    if (frames == 0)
+        fatalf("ProtocolConfig::frames = 0: a single shot sends at "
+               "least one frame");
     ChannelResult res = modulate(pass, pass.frame, frames);
     const DecodeResult dec =
         scoreFrames(receivedBits(res.latencies, pass), pass.frame, frames);
@@ -99,15 +128,11 @@ SameCoreWiring::SameCoreWiring(const ChannelConfig &cfg, std::size_t slots,
       schedule_(transmissionSchedule(slots, cfg.protocol.ts,
                                      cfg.senderStartSlots,
                                      cfg.sampleMargin)),
-      rng_(runRng), hierarchy_(cfg.platform, &rng_)
+      rng_(runRng), hierarchy_(cfg.platform, &rng_),
+      sched_(static_cast<sim::MemorySystem &>(hierarchy_), cfg.noise, rng_,
+             cfg.scheduler, cfg.seed),
+      core_(sched_.party(0))
 {
-    if (cfg.scheduler.active()) {
-        sched_.emplace(static_cast<sim::MemorySystem &>(hierarchy_),
-                       cfg.noise, rng_, cfg.scheduler, cfg.seed);
-        core_ = &sched_->party(0);
-    } else {
-        core_ = &plainCore_.emplace(hierarchy_, cfg.noise, rng_);
-    }
 }
 
 ChannelResult
@@ -116,10 +141,15 @@ SameCoreWiring::run(sim::Program &sender, PacedProgram &receiver,
                     const sim::AddressSpace &rxSpace)
 {
     ChannelResult raw;
-    raw.senderTid = core_->addThread(&sender, txSpace, schedule_.senderStart);
-    raw.receiverTid = core_->addThread(&receiver, rxSpace, 0);
+    raw.senderTid = core_.addThread(&sender, txSpace, schedule_.senderStart);
+    raw.receiverTid = core_.addThread(&receiver, rxSpace, 0);
 
-    // Co-resident noise processes on the target set (Sec. VI).
+    // Co-resident noise processes on the target set (Sec. VI), in
+    // the parties' front-end.
+    if (cfg_.noiseProcesses > sim::Scheduler::partyTids - 2)
+        fatalf("ChannelConfig::noiseProcesses = ", cfg_.noiseProcesses,
+               " exceeds the ", sim::Scheduler::partyTids - 2,
+               " threads a party front-end holds beside the parties");
     std::vector<std::unique_ptr<NoiseProcess>> noisePrograms;
     for (unsigned i = 0; i < cfg_.noiseProcesses; ++i) {
         auto lines = linesForSet(hierarchy_.l1().layout(),
@@ -128,40 +158,30 @@ SameCoreWiring::run(sim::Program &sender, PacedProgram &receiver,
                                  /*tagBase=*/0x300 + 0x10 * i);
         noisePrograms.push_back(
             std::make_unique<NoiseProcess>(std::move(lines), cfg_.noiseCfg));
-        core_->addThread(noisePrograms.back().get(),
-                         sim::AddressSpace(10 + i), /*startTime=*/500 * i);
+        core_.addThread(noisePrograms.back().get(),
+                        sim::AddressSpace(10 + i), /*startTime=*/500 * i);
     }
 
     raw.simulatedCycles =
-        sched_ ? sched_->run(schedule_.horizon * sched_->horizonStretch())
-               : core_->run(schedule_.horizon);
+        sched_.run(schedule_.horizon * sched_.horizonStretch());
     raw.latencies = receiver.latencies();
-    raw.senderCounters = hierarchy_.counters(raw.senderTid);
-    raw.receiverCounters = hierarchy_.counters(raw.receiverTid);
-    if (sched_)
-        raw.schedulerStats = sched_->stats();
+    raw.senderCounters = sched_.tidCounters(raw.senderTid);
+    raw.receiverCounters = sched_.tidCounters(raw.receiverTid);
+    raw.schedulerStats = sched_.stats();
     return raw;
 }
 
 CrossCoreWiring::CrossCoreWiring(const LinkConfig &cfg, unsigned cores,
                                  unsigned senderCore, unsigned receiverCore,
                                  std::size_t slots, const Rng &runRng)
-    : senderCore_(senderCore), receiverCore_(receiverCore),
-      schedule_(transmissionSchedule(slots, cfg.protocol.ts,
+    : schedule_(transmissionSchedule(slots, cfg.protocol.ts,
                                      cfg.senderStartSlots,
                                      cfg.sampleMargin)),
-      rng_(runRng), mc_(cfg.platform, cores, &rng_)
+      rng_(runRng), mc_(cfg.platform, cores, &rng_),
+      sched_(mc_, cfg.noise, rng_, cfg.scheduler, cfg.seed),
+      senderFront_(sched_.party(senderCore)),
+      receiverFront_(sched_.party(receiverCore, /*migratable=*/true))
 {
-    if (cfg.scheduler.active()) {
-        os_.emplace(mc_, cfg.noise, rng_, cfg.scheduler, cfg.seed);
-        senderFront_ = &os_->party(senderCore);
-        receiverFront_ = &os_->party(receiverCore, /*migratable=*/true);
-    } else {
-        senderFront_ =
-            &plainSender_.emplace(mc_.port(senderCore), cfg.noise, rng_);
-        receiverFront_ = &plainReceiver_.emplace(mc_.port(receiverCore),
-                                                 cfg.noise, rng_);
-    }
 }
 
 ChannelResult
@@ -170,26 +190,18 @@ CrossCoreWiring::run(sim::Program &sender, PacedProgram &receiver,
                      const sim::AddressSpace &rxSpace)
 {
     ChannelResult raw;
-    raw.senderTid = senderFront_->addThread(&sender, txSpace,
-                                            schedule_.senderStart);
-    raw.receiverTid = receiverFront_->addThread(&receiver, rxSpace, 0);
+    raw.senderTid = senderFront_.addThread(&sender, txSpace,
+                                           schedule_.senderStart);
+    raw.receiverTid = receiverFront_.addThread(&receiver, rxSpace, 0);
 
     raw.simulatedCycles =
-        os_ ? os_->run(schedule_.horizon * os_->horizonStretch())
-            : sim::runCores({senderFront_, receiverFront_},
-                            schedule_.horizon);
+        sched_.run(schedule_.horizon * sched_.horizonStretch());
     raw.latencies = receiver.latencies();
-    raw.senderCounters = mc_.counters(senderCore_, raw.senderTid);
-    if (os_) {
-        // A migrated receiver charged counters on every core it
-        // visited; its scheduler-allocated tid is system-unique, so
-        // the merge picks up only its own accesses.
-        for (unsigned c = 0; c < mc_.coreCount(); ++c)
-            raw.receiverCounters.merge(mc_.counters(c, raw.receiverTid));
-        raw.schedulerStats = os_->stats();
-    } else {
-        raw.receiverCounters = mc_.counters(receiverCore_, raw.receiverTid);
-    }
+    // The Scheduler's tids are system-unique, so a migrated receiver's
+    // counters sum over every core it visited and nothing else.
+    raw.senderCounters = sched_.tidCounters(raw.senderTid);
+    raw.receiverCounters = sched_.tidCounters(raw.receiverTid);
+    raw.schedulerStats = sched_.stats();
     return raw;
 }
 

@@ -11,7 +11,8 @@
  * and the transport entry (runTransportOver). The platform wiring
  * comes in two shapes, shared by every placement of that shape:
  * SameCoreWiring (SMT siblings on one Hierarchy) and CrossCoreWiring
- * (two cores of one MultiCoreSystem).
+ * (two cores of one MultiCoreSystem). Both run on a sim::Scheduler,
+ * whatever the config: Scheduler::run is the one run loop.
  */
 
 #ifndef WB_CHAN_PIPELINE_HH
@@ -19,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/log.hh"
@@ -62,11 +62,11 @@ struct Pass
 
 /**
  * The same-core platform wiring (the WB same-core, L2 and multi-set
- * placements and every same-core baseline): one Hierarchy and its
- * front-end — a Scheduler's party core under an active cfg.scheduler,
- * a plain SmtCore otherwise (the scheduler loop degenerates to it;
- * CoRunnerIsolation) — then the parties, cfg's noise processes on
- * protocol.targetSet, the run and its counters. It runs on its own
+ * placements and every same-core baseline): one Hierarchy, the
+ * Scheduler that runs it and the party front-end it hands out, then
+ * the parties, cfg's noise processes on protocol.targetSet, the run
+ * and its counters. Under an inactive cfg.scheduler the Scheduler
+ * adds no access and no draw (CoRunnerIsolation). It runs on its own
  * copy of @p runRng, and the platform draws from it before anything
  * else does (set discovery, the parties), as every same-core pass's
  * draw order has it.
@@ -77,7 +77,7 @@ class SameCoreWiring
     /** Stand up the platform for a pass of @p slots sender slots. */
     SameCoreWiring(const ChannelConfig &cfg, std::size_t slots,
                    const Rng &runRng);
-    // The front-end holds the address of hierarchy_.
+    // The Scheduler and its front-end hold the address of hierarchy_.
     SameCoreWiring(const SameCoreWiring &) = delete;
     SameCoreWiring &operator=(const SameCoreWiring &) = delete;
 
@@ -99,17 +99,16 @@ class SameCoreWiring
     TransmissionSchedule schedule_;
     Rng rng_; //!< the run stream: the platform, then the parties
     sim::Hierarchy hierarchy_;
-    std::optional<sim::Scheduler> sched_;
-    std::optional<sim::SmtCore> plainCore_;
-    sim::SmtCore *core_ = nullptr;
+    sim::Scheduler sched_;
+    sim::SmtCore &core_; //!< the parties' front-end, owned by sched_
 };
 
 /**
  * The two-core platform wiring (cross-core WB and cross-core
- * Prime+Probe): one MultiCoreSystem, a front-end per party — from a
- * Scheduler under an active cfg.scheduler (the receiver's migratable),
- * plain SmtCores run by sim::runCores otherwise — then the run and
- * each party's counters. It runs on its own copy of @p runRng.
+ * Prime+Probe): one MultiCoreSystem, the Scheduler that runs it and
+ * one party front-end per core from it (the receiver's migratable),
+ * then the run and each party's counters, summed over the cores it
+ * ran on. It runs on its own copy of @p runRng.
  */
 class CrossCoreWiring
 {
@@ -118,7 +117,7 @@ class CrossCoreWiring
     CrossCoreWiring(const LinkConfig &cfg, unsigned cores,
                     unsigned senderCore, unsigned receiverCore,
                     std::size_t slots, const Rng &runRng);
-    // The front-ends hold the address of mc_.
+    // The Scheduler and its front-ends hold the address of mc_.
     CrossCoreWiring(const CrossCoreWiring &) = delete;
     CrossCoreWiring &operator=(const CrossCoreWiring &) = delete;
 
@@ -132,16 +131,12 @@ class CrossCoreWiring
                       const sim::AddressSpace &rxSpace = sim::AddressSpace(2));
 
   private:
-    unsigned senderCore_;
-    unsigned receiverCore_;
     TransmissionSchedule schedule_;
     Rng rng_; //!< the run stream: the platform, then the parties
     sim::MultiCoreSystem mc_;
-    std::optional<sim::Scheduler> os_;
-    std::optional<sim::SmtCore> plainSender_;
-    std::optional<sim::SmtCore> plainReceiver_;
-    sim::SmtCore *senderFront_ = nullptr;
-    sim::SmtCore *receiverFront_ = nullptr;
+    sim::Scheduler sched_;
+    sim::SmtCore &senderFront_;   //!< owned by sched_
+    sim::SmtCore &receiverFront_; //!< owned by sched_
 };
 
 /**
@@ -175,7 +170,22 @@ binaryTopLevel(const char *runner, const Encoding &encoding, unsigned ways)
     return d;
 }
 
-/** A placement's single shot: @p frames copies of pass.frame, decoded. */
+/**
+ * Fatal, naming the field, on a protocol no run can carry: a
+ * ProtocolConfig::frameBits not above the 16-bit preamble or not whole
+ * symbols, or a zero ::ts or ::tr.
+ */
+void requireProtocol(const ProtocolConfig &proto);
+
+/**
+ * The frame a placement's single shot sends, once requireProtocol
+ * passes: the preamble and frameBits - 16 payload bits drawn from
+ * @p frameRng.
+ */
+BitVec shotFrame(const ProtocolConfig &proto, Rng &frameRng);
+
+/** A placement's single shot: @p frames (non-zero) copies of
+ *  pass.frame, decoded. */
 ChannelResult runShot(const Pass &pass, unsigned frames);
 
 /** One transport burst: @p stream padded to whole symbols, sent once. */
@@ -198,6 +208,8 @@ runTransportOver(const Config &cfg, const BitVec &message,
     if (!cfg.transport.enabled)
         return legacyTransportResult(
             runShot(prepare(cfg), cfg.protocol.frames), cfg.protocol);
+    // Before the link divides by Ts.
+    requireProtocol(cfg.protocol);
     const TransportLink link = [&cfg, &prepare](const BitVec &stream,
                                                 const RateStep &rate,
                                                 std::uint64_t seed) {

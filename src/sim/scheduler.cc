@@ -203,7 +203,7 @@ Scheduler::allocTidBase(bool isParty)
     // Parties get room for sender+receiver+legacy noise threads;
     // co-runners are single-threaded. osTid stays reserved above.
     const ThreadId base = nextTid_;
-    nextTid_ = base + (isParty ? 8 : 2);
+    nextTid_ = base + (isParty ? partyTids : 2);
     if (nextTid_ > osTid)
         fatalf("Scheduler: thread-id space exhausted (", nextTid_,
                " > OS tid ", osTid, "); fewer front-ends, please");
@@ -221,7 +221,7 @@ Scheduler::party(unsigned core, bool migratable)
     auto fe = std::make_unique<FrontEnd>();
     fe->core = std::make_unique<SmtCore>(portOf(core), noise_, *rng_,
                                          allocTidBase(true),
-                                         /*tidSpan=*/8);
+                                         /*tidSpan=*/partyTids);
     fe->homeCore = core;
     fe->migratable = migratable;
     fe->isParty = true;

@@ -29,10 +29,12 @@
  *    inclusive shared LLC — the dirty-state channel keeps working,
  *    which is exactly the contrast the Table-VII sweeps measure.
  *
- * With no co-runners and no migration the run loop degenerates to
- * sim::runCores() with zero extra RNG draws or accesses, so a
- * scheduler-wrapped run is bit-identical to the schedulerless path
- * (tests/test_scheduler.cc, CoRunnerIsolation).
+ * With no co-runners and no migration the run loop only interleaves
+ * the party front-ends in global earliest-op-first order, with zero
+ * extra RNG draws or accesses: one front-end runs bit-identically to
+ * a plain SmtCore::run (tests/test_scheduler.cc, CoRunnerIsolation).
+ * That is why every channel wiring (src/chan/pipeline.hh) always runs
+ * on a Scheduler, active config or not.
  */
 
 #ifndef WB_SIM_SCHEDULER_HH
@@ -141,11 +143,12 @@ struct SchedulerConfig
     }
 
     /**
-     * True when this config changes anything at all relative to the
-     * schedulerless path; runners branch on it so the default config
-     * costs nothing. A sampling hook needs the Scheduler run loop
-     * (that is where windows are clocked) but does not perturb the
-     * simulation itself.
+     * True when the config gives the run loop anything to do beyond
+     * interleaving the parties: co-runners, migration or sampling.
+     * The channel wirings run on a Scheduler either way; the offline
+     * attack loop (src/sidechan) skips its per-trial noise without
+     * it. A sampling hook does not perturb the simulation, but it
+     * keeps a run going to its horizon.
      */
     bool
     active() const
@@ -348,6 +351,10 @@ class Scheduler
 
     /** Thread id pollution accesses are charged to. */
     static constexpr ThreadId osTid = 62;
+
+    /** Thread ids a party front-end holds: its sender and receiver
+     *  and up to six threads more (a channel's noise processes). */
+    static constexpr ThreadId partyTids = 8;
 
   private:
     struct FrontEnd

@@ -176,44 +176,6 @@ SmtCore::run(Cycles horizon)
 }
 
 Cycles
-runCores(const std::vector<SmtCore *> &cores, Cycles horizon)
-{
-    const std::size_t n = cores.size();
-    for (;;) {
-        SmtCore *pick = nullptr;
-        std::size_t pickIdx = 0;
-        Cycles pickTime = SmtCore::noPendingTime;
-        for (std::size_t i = 0; i < n; ++i) {
-            const Cycles t = cores[i]->nextTime();
-            if (t < pickTime) {
-                pickTime = t;
-                pick = cores[i];
-                pickIdx = i;
-            }
-        }
-        if (pick == nullptr || pickTime >= horizon)
-            break;
-        // Same tie rule across cores as across threads: a lower-
-        // indexed core wins a tie, so the picked core may run while
-        // strictly earlier than those and not later than the rest.
-        Cycles bound = horizon;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (i == pickIdx)
-                continue;
-            const Cycles t = cores[i]->nextTime();
-            if (t == SmtCore::noPendingTime)
-                continue;
-            bound = std::min(bound, i < pickIdx ? t : t + 1);
-        }
-        pick->runUntil(bound);
-    }
-    Cycles maxTime = 0;
-    for (const SmtCore *core : cores)
-        maxTime = std::max(maxTime, core->maxTime());
-    return maxTime;
-}
-
-Cycles
 SmtCore::threadTime(ThreadId tid) const
 {
     return threads_.at(tid - tidBase_).time;

@@ -530,15 +530,6 @@ class SmtCore
     bool preemptGapValid_ = false; //!< countdown drawn yet?
 };
 
-/**
- * Interleave several cores' executions in global earliest-op-first
- * order until every thread halted or every clock passed @p horizon —
- * the multi-core generalization of SmtCore::run(). Deterministic:
- * ties go to the lowest-indexed core, matching the intra-core rule.
- * @return the largest thread time reached across all cores
- */
-Cycles runCores(const std::vector<SmtCore *> &cores, Cycles horizon);
-
 } // namespace wb::sim
 
 #endif // WB_SIM_SMT_CORE_HH

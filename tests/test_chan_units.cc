@@ -115,6 +115,17 @@ TEST(L2Channel, RejectsNoiseProcesses)
                  "ChannelConfig::noiseProcesses = 1");
 }
 
+// The parties and their noise processes share one Scheduler party
+// front-end and its thread ids: the wiring names the field past them.
+TEST(SameCoreWiring, RejectsMoreNoiseProcessesThanThreadIds)
+{
+    ChannelConfig cfg;
+    cfg.protocol.frames = 1;
+    cfg.calibration.measurements = 40;
+    cfg.noiseProcesses = 7;
+    EXPECT_DEATH((void)runChannel(cfg), "ChannelConfig::noiseProcesses = 7");
+}
+
 TEST(L2Channel, RejectsAMultiBitEncoding)
 {
     // Both placements read d off a binary encoding.

@@ -95,7 +95,7 @@ TEST(OnlineDetector, OnlineMatchesOfflineFeatures)
     OnlineDetector det(dc);
     sim::SchedulerConfig sc;
     det.attach(sc);
-    EXPECT_TRUE(sc.active()); // sampling alone engages the run loop
+    EXPECT_TRUE(sc.active()); // sampling alone makes a config active
 
     sim::Scheduler sched(static_cast<sim::MemorySystem &>(hierarchy),
                          noise, rng, sc, seed);
@@ -154,9 +154,10 @@ TEST(OnlineDetector, SamplingHookIsInvisible)
 }
 
 /**
- * A sampling-only scheduler config must degenerate to the plain
- * (schedulerless) path bit-for-bit — the same guarantee
- * CoRunnerIsolation makes for an empty config, extended to the hook.
+ * A sampling-only scheduler config must match the inactive one
+ * bit-for-bit: both run on the Scheduler, and the hook only reads
+ * counters between operations. The same guarantee CoRunnerIsolation
+ * makes for an empty config, extended to the hook.
  */
 TEST(OnlineDetector, SamplingOnlyConfigMatchesPlainPath)
 {

@@ -3,11 +3,15 @@
  * Protocol fuzzing: perfect latency streams are corrupted with
  * controlled rates of flips, insertions and deletions; the decoder's
  * reported BER must track the injected corruption (within slack for
- * alignment effects) and never crash, for any corruption mix.
+ * alignment effects) and never crash, for any corruption mix. A
+ * protocol no run can carry fails with its field named instead.
  */
 
 #include <gtest/gtest.h>
 
+#include "baselines/lru_channel.hh"
+#include "chan/channel.hh"
+#include "chan/cross_core.hh"
 #include "chan/protocol.hh"
 #include "chan/transport.hh"
 #include "common/rng.hh"
@@ -273,6 +277,69 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name;
     });
+
+/** One bad ProtocolConfig value and the message naming it. */
+struct BadProtocol
+{
+    const char *message;
+    void (*apply)(ProtocolConfig &);
+};
+
+/**
+ * A protocol value no run can carry is fatal with the field named, on
+ * the same-core and cross-core placements and a baseline: a frame at
+ * or below the 16-bit preamble (frameBits = 8 once asked for 2^32 - 8
+ * payload bits and never returned), a frame of partial symbols, a
+ * zero Ts or Tr (a transport session with Ts = 0 divided by zero), and
+ * a single shot of zero frames.
+ */
+TEST(ProtocolConfigCheck, BadValueIsFatalAndNamed)
+{
+    const BadProtocol cases[] = {
+        {"ProtocolConfig::frameBits = 8",
+         [](ProtocolConfig &p) { p.frameBits = 8; }},
+        {"ProtocolConfig::frameBits = 16",
+         [](ProtocolConfig &p) { p.frameBits = 16; }},
+        {"ProtocolConfig::ts = 0", [](ProtocolConfig &p) { p.ts = 0; }},
+        {"ProtocolConfig::tr = 0", [](ProtocolConfig &p) { p.tr = 0; }},
+        {"ProtocolConfig::frames = 0",
+         [](ProtocolConfig &p) { p.frames = 0; }},
+    };
+    for (const BadProtocol &c : cases) {
+        ChannelConfig same;
+        c.apply(same.protocol);
+        EXPECT_EXIT((void)runChannel(same), ::testing::ExitedWithCode(1),
+                    c.message)
+            << "same-core";
+
+        CrossCoreChannelConfig cross;
+        cross.usePlatform("desktop-inclusive-4core");
+        c.apply(cross.protocol);
+        EXPECT_EXIT((void)runCrossCoreChannel(cross),
+                    ::testing::ExitedWithCode(1), c.message)
+            << "cross-core";
+
+        ChannelConfig lru;
+        c.apply(lru.protocol);
+        EXPECT_EXIT((void)baselines::runLruChannel(lru),
+                    ::testing::ExitedWithCode(1), c.message)
+            << "LRU baseline";
+    }
+
+    // A transport session divides by Ts before it builds a Pass.
+    ChannelConfig transport;
+    transport.transport.enabled = true;
+    transport.protocol.ts = 0;
+    EXPECT_EXIT((void)runTransport(transport), ::testing::ExitedWithCode(1),
+                "ProtocolConfig::ts = 0");
+
+    // Two-bit symbols: a 65-bit frame ends in half a symbol.
+    ChannelConfig twoBit;
+    twoBit.protocol.encoding = Encoding::paperTwoBit();
+    twoBit.protocol.frameBits = 65;
+    EXPECT_EXIT((void)runChannel(twoBit), ::testing::ExitedWithCode(1),
+                "ProtocolConfig::frameBits = 65");
+}
 
 } // namespace
 } // namespace wb::chan

@@ -2,7 +2,7 @@
  * @file
  * Tests for the OS-noise scheduler (sim/scheduler.hh): determinism,
  * co-runner isolation (an inactive/empty scheduler is bit-identical
- * to the schedulerless path), migration correctness (a migrated
+ * to a plain SmtCore::run), migration correctness (a migrated
  * process keeps running and its dirty state stays reachable through
  * the coherence layer), and master-seed re-derivation of every noise
  * stream (the reseed half of the resetAll() contract).
@@ -80,8 +80,10 @@ pacedTrace(const AddressLayout &layout, Cycles period, unsigned slots)
 
 /**
  * Zero co-runners, no migration: driving the same programs through a
- * Scheduler must be bit-identical to the plain SmtCore/runCores path
- * — same counters, same latencies, same final cache state.
+ * Scheduler must be bit-identical to a plain SmtCore::run — same
+ * counters, same latencies, same final cache state. Every channel
+ * wiring relies on it: they run on a Scheduler even when its config
+ * is inactive.
  */
 TEST(Scheduler, CoRunnerIsolationSingleCore)
 {
@@ -120,26 +122,45 @@ TEST(Scheduler, CoRunnerIsolationSingleCore)
 }
 
 /**
- * End-to-end variant: a cross-core transmission whose scheduler is
- * active but whose only event (one migration) lies beyond the horizon
- * decodes bit-identically to the schedulerless run.
+ * End-to-end variant: a transmission whose scheduler has a migration
+ * period but whose only event (one migration) lies beyond the horizon
+ * decodes bit-identically to the run under an inactive config, on both
+ * wirings: the same-core one (runChannel) and the cross-core one.
  */
 TEST(Scheduler, NoFiredEventsMatchesSchedulerlessChannel)
 {
-    chan::CrossCoreChannelConfig base;
-    base.usePlatform("desktop-inclusive-4core");
-    base.protocol.frames = 2;
-    base.seed = 5;
+    const auto expectSame = [](const chan::ChannelResult &plain,
+                               const chan::ChannelResult &sched,
+                               const std::string &label) {
+        EXPECT_EQ(plain.ber, sched.ber) << label;
+        EXPECT_EQ(plain.latencies, sched.latencies) << label;
+        EXPECT_EQ(plain.decodedBits, sched.decodedBits) << label;
+        expectCountersEqual(plain.senderCounters, sched.senderCounters,
+                            label + " sender");
+        expectCountersEqual(plain.receiverCounters, sched.receiverCounters,
+                            label + " receiver");
+        EXPECT_EQ(plain.simulatedCycles, sched.simulatedCycles) << label;
+        EXPECT_EQ(sched.schedulerStats.migrations, 0u) << label;
+    };
+    const Cycles never = Cycles(1) << 60;
 
-    chan::CrossCoreChannelConfig noEvents = base;
-    noEvents.scheduler.migrationPeriod = Cycles(1) << 60; // never fires
+    chan::ChannelConfig same;
+    same.protocol.frames = 2;
+    same.calibration.measurements = 40;
+    same.seed = 5;
+    chan::ChannelConfig sameNoEvents = same;
+    sameNoEvents.scheduler.migrationPeriod = never;
+    expectSame(chan::runChannel(same), chan::runChannel(sameNoEvents),
+               "same-core");
 
-    const auto plain = chan::runCrossCoreChannel(base);
-    const auto sched = chan::runCrossCoreChannel(noEvents);
-    EXPECT_EQ(plain.ber, sched.ber);
-    EXPECT_EQ(plain.latencies, sched.latencies);
-    EXPECT_EQ(plain.decodedBits, sched.decodedBits);
-    EXPECT_EQ(sched.schedulerStats.migrations, 0u);
+    chan::CrossCoreChannelConfig cross;
+    cross.usePlatform("desktop-inclusive-4core");
+    cross.protocol.frames = 2;
+    cross.seed = 5;
+    chan::CrossCoreChannelConfig crossNoEvents = cross;
+    crossNoEvents.scheduler.migrationPeriod = never;
+    expectSame(chan::runCrossCoreChannel(cross),
+               chan::runCrossCoreChannel(crossNoEvents), "cross-core");
 }
 
 /** The full noise machinery is seed-deterministic, end to end. */

@@ -202,8 +202,9 @@ TEST(TraceEquivalence, MidBatchMigration)
 
 TEST(TraceEquivalence, CrossCoreChannel)
 {
-    // Multi-core path: runCores interleaves per-core traces against
-    // the shared LLC; WB channels and drains must replay identically.
+    // Multi-core path: the Scheduler interleaves the two party
+    // front-ends' traces against the shared LLC; WB channels and
+    // drains must replay identically.
     chan::CrossCoreChannelConfig cfg;
     cfg.usePlatform("desktop-inclusive-4core");
     cfg.protocol.frames = 2;
